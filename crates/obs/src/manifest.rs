@@ -98,6 +98,13 @@ impl RunManifest {
         self
     }
 
+    /// Record the worker-thread count of a run that fans out without a
+    /// sweep (e.g. the host executor's per-block parallelism).
+    pub fn with_jobs(mut self, jobs: u64) -> RunManifest {
+        self.jobs = Some(jobs);
+        self
+    }
+
     /// Record the execution mode the run's vector kernels were dispatched
     /// under, for workloads that execute kernels numerically.
     pub fn with_exec_mode(mut self, exec_mode: &str) -> RunManifest {

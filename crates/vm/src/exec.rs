@@ -58,6 +58,12 @@ impl std::fmt::Display for VmError {
 
 impl std::error::Error for VmError {}
 
+/// Worker threads the executors fan blocks out over when called from this
+/// thread (all available parallelism unless a thread pool is installed).
+pub fn executor_threads() -> usize {
+    rayon::current_num_threads()
+}
+
 /// Per-axis reach of the kernel's loads: `[x, y, z]` distances outside the
 /// home block, i.e. the ghost/halo coverage the kernel requires.
 ///
@@ -331,12 +337,14 @@ fn run_brick_plan<B: RowOps>(plan: &Plan, ops: &B, input: &BrickGrid, output: &m
         });
 }
 
-/// Fused-row brick executor: per interior block, resolve every tap once
-/// through the 27-neighbour table (indices precomputed at plan-compile
-/// time — no `div_euclid` chains here), then evaluate each output row's
-/// tape straight from the input slab. The register file never exists;
-/// see [`crate::native::fuse`] for why this is bit-identical to the
-/// interpreter and the step machine.
+/// Fused-row brick executor: per interior block, resolve every grid tap
+/// once through the 27-neighbour table (indices precomputed at
+/// plan-compile time — no `div_euclid` chains here), then evaluate the
+/// block's scratch rows and each output row's tape straight from the
+/// input slab. The register file never exists; see
+/// [`crate::native::fuse`] for why this is bit-identical to the
+/// interpreter and the step machine. Each worker owns one resolved-tap
+/// table and one scratch buffer, both sized from the kernel.
 fn run_brick_fused<B: RowOps>(
     fused: &crate::native::fuse::FusedKernel,
     plan: &Plan,
@@ -344,43 +352,13 @@ fn run_brick_fused<B: RowOps>(
     input: &BrickGrid,
     output: &mut BrickGrid,
 ) {
-    use crate::native::fuse::MAX_TAPS;
-    let ntaps = fused.taps_len();
-    assert!(ntaps <= MAX_TAPS, "fused tap table exceeds executor buffer");
-    // Tier the per-block tap buffer so common kernels don't pay a
-    // MAX_TAPS-sized zeroing per block (the table holds one entry per
-    // distinct (tap, row) pair: star-7 on a 32x4x4 brick needs 64,
-    // star-13 and cube-27 just over 100).
-    if ntaps <= SMALL_TAPS {
-        run_brick_fused_nt::<B, SMALL_TAPS>(fused, plan, ops, input, output)
-    } else if ntaps <= MID_TAPS {
-        run_brick_fused_nt::<B, MID_TAPS>(fused, plan, ops, input, output)
-    } else {
-        run_brick_fused_nt::<B, MAX_TAPS>(fused, plan, ops, input, output)
-    }
-}
-
-/// Tap-buffer tiers; SMALL covers star-7 on the default brick, MID the
-/// rest of the paper suite except star-25.
-const SMALL_TAPS: usize = 64;
-const MID_TAPS: usize = 128;
-
-fn run_brick_fused_nt<B: RowOps, const NT: usize>(
-    fused: &crate::native::fuse::FusedKernel,
-    plan: &Plan,
-    ops: &B,
-    input: &BrickGrid,
-    output: &mut BrickGrid,
-) {
-    use crate::native::fuse::RTap;
     let info = std::sync::Arc::clone(input.info());
     let dims = input.dims();
     let vol = dims.volume();
     let w = plan.width();
     let in_raw = input.raw();
     let decomp = std::sync::Arc::clone(input.decomp());
-    let ntaps = fused.taps_len();
-    debug_assert!(ntaps <= NT);
+    let grid_taps = fused.grid_taps;
     // Per-run premise of the compile-time tap-bounds proof (BS001/BS002):
     // the slab is whole bricks, and every adjacency entry of an interior
     // brick names an allocated one. Combined with the proved per-tap fact
@@ -403,17 +381,17 @@ fn run_brick_fused_nt<B: RowOps, const NT: usize>(
         .raw_mut()
         .par_chunks_mut(vol)
         .enumerate()
-        .for_each(|(id, out_chunk)| {
-            let home = id as u32;
-            if !decomp.is_interior(home) {
-                return;
-            }
-            let mut rtaps = [RTap::Direct { base: 0 }; NT];
-            fused.resolve_brick(info.row(home), vol, &mut rtaps[..ntaps]);
-            ops.eval_block(fused, &rtaps[..ntaps], in_raw, w, out_chunk, |rp| {
-                rp.out_off
-            });
-        });
+        .for_each_init(
+            || (fused.rtap_table(w), fused.scratch_buffer(w)),
+            |(rtaps, scr), (id, out_chunk)| {
+                let home = id as u32;
+                if !decomp.is_interior(home) {
+                    return;
+                }
+                fused.resolve_brick(info.row(home), vol, &mut rtaps[..grid_taps]);
+                ops.eval_block(fused, rtaps, in_raw, scr, w, out_chunk, |rp| rp.out_off);
+            },
+        );
 }
 
 /// Shared validation for the array executors: layout, extents,
@@ -627,12 +605,13 @@ fn run_array_plan<B: RowOps>(plan: &Plan, ops: &B, input: &ArrayGrid, output: &m
         });
 }
 
-/// Fused-row array executor. On the dense layout every tap — including
-/// shifted ones, since rows are contiguous in `x` across tile seams —
-/// collapses to a single stride delta from the tile origin, computed once
-/// per run; per tile the taps resolve with one add each. The kernel's
-/// reach stays within the halo ([`check_array`]), so every resolved row
-/// lies inside the padded slab.
+/// Fused-row array executor. On the dense layout every grid tap —
+/// including shifted ones, since rows are contiguous in `x` across tile
+/// seams — collapses to a single stride delta from the tile origin,
+/// computed once per run; per tile the grid taps resolve with one add
+/// each (scratch taps are fixed buffer offsets). The kernel's reach stays
+/// within the halo ([`check_array`]), so every resolved row lies inside
+/// the padded slab.
 fn run_array_fused<B: RowOps>(
     fused: &crate::native::fuse::FusedKernel,
     plan: &Plan,
@@ -640,7 +619,7 @@ fn run_array_fused<B: RowOps>(
     input: &ArrayGrid,
     output: &mut ArrayGrid,
 ) {
-    use crate::native::fuse::{RTap, Tap, MAX_TAPS};
+    use crate::native::fuse::{RTap, Tap};
     let (nx, ny, nz) = input.extents();
     let block = plan.block();
     let halo = input.dense().halo();
@@ -652,8 +631,6 @@ fn run_array_fused<B: RowOps>(
     let plane = (sx * sy) as i64;
     let tiles_x = nx / block.bx;
     let tiles_y = ny / block.by;
-    let ntaps = fused.taps_len();
-    assert!(ntaps <= MAX_TAPS, "fused tap table exceeds executor buffer");
     // Per-run instantiation of the tap-bounds obligation (BS001) for this
     // concrete geometry: every tap row of every tile stays inside the
     // padded slab. `check_array` already bounds the reach by the halo;
@@ -661,14 +638,18 @@ fn run_array_fused<B: RowOps>(
     // re-validating resolved taps per block.
     plan.check_array_geometry(nx, ny, nz, halo)
         .expect("array geometry violates the compile-time tap-bounds proof");
-    let deltas: Vec<i64> = fused
-        .taps()
+    let row_delta = |rz: i16, ry: i16| rz as i64 * plane + ry as i64 * sx as i64;
+    let deltas: Vec<i64> = fused.taps()[..fused.grid_taps]
         .iter()
         .map(|t| match *t {
-            Tap::Direct { rx, ry, rz } => {
-                rz as i64 * plane + ry as i64 * sx as i64 + rx as i64 * w as i64
+            Tap::Direct { rx, ry, rz } => row_delta(rz, ry) + rx as i64 * w as i64,
+            Tap::Shifted { ry, rz, dx } => row_delta(rz, ry) + dx as i64,
+            Tap::Window {
+                rx, ry, rz, lane0, ..
+            } => row_delta(rz, ry) + rx as i64 * w as i64 + lane0 as i64,
+            Tap::Scratch { .. } | Tap::ScratchShifted { .. } => {
+                unreachable!("grid taps lead the table (BS004)")
             }
-            Tap::Shifted { ry, rz, dx } => rz as i64 * plane + ry as i64 * sx as i64 + dx as i64,
         })
         .collect();
 
@@ -676,26 +657,32 @@ fn run_array_fused<B: RowOps>(
     let body = &mut raw_out[halo * (plane as usize)..(halo + nz) * (plane as usize)];
     body.par_chunks_mut(block.bz * plane as usize)
         .enumerate()
-        .for_each(|(tz, slab)| {
-            let oz = (tz * block.bz) as i64;
-            let mut rtaps = [RTap::Direct { base: 0 }; MAX_TAPS];
-            for ty in 0..tiles_y {
-                for tx in 0..tiles_x {
-                    let ox = (tx * block.bx) as i64;
-                    let oy = (ty * block.by) as i64;
-                    let origin = ((oz + h) * sy as i64 + (oy + h)) * sx as i64 + (ox + h);
-                    for (slot, d) in deltas.iter().enumerate() {
-                        rtaps[slot] = RTap::Direct {
-                            base: (origin + d) as usize,
-                        };
+        .for_each_init(
+            || (fused.rtap_table(w), fused.scratch_buffer(w)),
+            |(rtaps, scr), (tz, slab)| {
+                let oz = (tz * block.bz) as i64;
+                for ty in 0..tiles_y {
+                    for tx in 0..tiles_x {
+                        let ox = (tx * block.bx) as i64;
+                        let oy = (ty * block.by) as i64;
+                        let origin = ((oz + h) * sy as i64 + (oy + h)) * sx as i64 + (ox + h);
+                        for ((rt, d), t) in rtaps.iter_mut().zip(&deltas).zip(fused.taps()) {
+                            let base = (origin + d) as usize;
+                            *rt = match *t {
+                                Tap::Window { lane0, lanes, .. } => {
+                                    RTap::Window { base, lane0, lanes }
+                                }
+                                _ => RTap::Direct { base },
+                            };
+                        }
+                        ops.eval_block(fused, rtaps, raw_in, scr, w, slab, |rp| {
+                            let row = rp.rz as i64 * sy as i64 + (oy + rp.ry as i64 + h);
+                            (row * sx as i64 + ox + h) as usize
+                        });
                     }
-                    ops.eval_block(fused, &rtaps[..ntaps], raw_in, w, slab, |rp| {
-                        let row = rp.rz as i64 * sy as i64 + (oy + rp.ry as i64 + h);
-                        (row * sx as i64 + ox + h) as usize
-                    });
                 }
-            }
-        });
+            },
+        );
 }
 
 /// Cheap per-trace compatibility check between a kernel and a geometry.

@@ -21,8 +21,9 @@ pub mod trace;
 
 pub use classes::{BlockClasses, CompiledTrace, StreamEvent};
 pub use exec::{
-    kernel_reach, run_vector_array, run_vector_array_backend, run_vector_array_mode,
-    run_vector_brick, run_vector_brick_backend, run_vector_brick_mode, trace_vector_block, VmError,
+    executor_threads, kernel_reach, run_vector_array, run_vector_array_backend,
+    run_vector_array_mode, run_vector_brick, run_vector_brick_backend, run_vector_brick_mode,
+    trace_vector_block, VmError,
 };
 pub use geom::{ArrayAddr, TraceGeometry, DEFAULT_IN_BASE, DEFAULT_OUT_BASE};
 pub use native::{resolve, resolve_with, Backend, CpuFeatures, ExecutionMode, Plan, SafetySummary};

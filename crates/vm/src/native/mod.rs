@@ -42,9 +42,10 @@
 //!   re-checked against the kernel's declared shape before lowering, and the
 //!   footprint pass's load reach bounds every out-of-block access (checked
 //!   against ghost/halo coverage by the callers in [`crate::exec`]);
-//! * brick-safe's obligations over the lowered form (BS001–BS011) — tap and
-//!   store rows in-slab for all blocks, seam shifts in range, tape stack
-//!   discipline, lane geometry, register-file bounds — plus the cheap
+//! * brick-safe's obligations over the lowered form (BS001–BS014) — tap,
+//!   scratch and store rows in bounds for all blocks, seam shifts in
+//!   range, tape stack discipline, lane geometry, register-file bounds,
+//!   scratch rows written before they are read — plus the cheap
 //!   per-run premise checks in [`crate::exec`] (whole-brick slab with valid
 //!   interior adjacency rows; array tap intervals inside the padded slab
 //!   via `Plan::check_array_geometry`);
@@ -274,10 +275,10 @@ pub(crate) trait RowOps: Sync {
     fn fma(&self, regs: &mut [f64], dst0: usize, acc0: usize, a0: usize, c: f64, w: usize);
 
     /// Evaluate one fused row program ([`fuse::TapeOp`]) over resolved
-    /// taps straight from the input slab into an output row — the
-    /// register-file-free fast path. The default is the safe portable
-    /// evaluator; SIMD backends override it with an in-register tape
-    /// interpreter behind their own bounds checks.
+    /// taps straight from the input slab (and the block's scratch rows)
+    /// into an output row — the register-file-free fast path. The default
+    /// is the safe portable evaluator; SIMD backends override it with an
+    /// in-register tape interpreter behind their own bounds checks.
     ///
     /// The execution pipeline now enters through [`RowOps::eval_block`];
     /// this row-granularity entry is retained for the differential and
@@ -289,30 +290,38 @@ pub(crate) trait RowOps: Sync {
         tape: &[fuse::TapeOp],
         rtaps: &[fuse::RTap],
         raw: &[f64],
+        scr: &[f64],
         w: usize,
         out: &mut [f64],
     ) {
-        fuse::eval_row_portable(tape, rtaps, raw, w, out);
+        fuse::eval_row_portable(tape, rtaps, raw, scr, w, out);
     }
 
-    /// Evaluate every row program of a fused kernel for one resolved
-    /// block. `row_start(rp)` maps a row program to its starting offset
-    /// in `out` (brick-local for bricks, slab-relative for arrays). The
-    /// block granularity lets SIMD backends validate the tap table once
-    /// instead of re-walking each tape per row — the hot path for the
-    /// compiled backends.
+    /// Evaluate a fused kernel for one resolved block: every scratch-row
+    /// program in order into `scr` (the worker's
+    /// `scratch_rows · w`-value buffer), then every output row.
+    /// `row_start(rp)` maps a row program to its starting offset in `out`
+    /// (brick-local for bricks, slab-relative for arrays). The block
+    /// granularity lets SIMD backends validate the tap table once instead
+    /// of re-walking each tape per row — the hot path for the compiled
+    /// backends.
+    #[allow(clippy::too_many_arguments)]
     fn eval_block<F: Fn(&fuse::RowProg) -> usize>(
         &self,
         fused: &fuse::FusedKernel,
         rtaps: &[fuse::RTap],
         raw: &[f64],
+        scr: &mut [f64],
         w: usize,
         out: &mut [f64],
         row_start: F,
     ) {
+        fuse::run_scratch(fused, rtaps, raw, scr, w, |tape, _, scr, row| {
+            fuse::eval_row_portable(tape, rtaps, raw, scr, w, row)
+        });
         for rp in fused.rows() {
             let s = row_start(rp);
-            fuse::eval_row_portable(&rp.tape, rtaps, raw, w, &mut out[s..s + w]);
+            fuse::eval_row_portable(&rp.tape, rtaps, raw, scr, w, &mut out[s..s + w]);
         }
     }
 }

@@ -234,7 +234,7 @@ impl Plan {
         }
         let fused = fuse::fuse(kernel);
         // brick-safe: discharge every memory-safety obligation the native
-        // backends rely on (BS001–BS011) before the plan can exist. An
+        // backends rely on (BS001–BS014) before the plan can exist. An
         // unprovable plan never reaches a dispatcher.
         let safety = safe::prove(
             &kernel.name,

@@ -5,7 +5,8 @@
 //! to `base = origin + delta` with `origin = ((oz+h)·sy + (oy+h))·sx +
 //! (ox+h)` per tile and `delta = rz·plane + ry·sx + dxe` per tap
 //! (`dxe = rx·w` for direct taps, the fold-in shift `dx` for shifted
-//! ones), then reads lanes `raw[base .. base+w]` unchecked in the SIMD
+//! ones, `rx·w + lane0` for window taps), then reads lanes
+//! `raw[base .. base+w]` (`base+lanes` for windows) unchecked in the SIMD
 //! paths. That is in bounds iff each coordinate axis of every tap row of
 //! every tile stays inside the padded slab — a condition linear in the
 //! tile origin, so checking the extreme origins per axis covers all
@@ -52,14 +53,29 @@ pub(crate) fn check(
     let max_oz = (tiles_z as i64 - 1) * b.bz as i64;
     let mut p = Prover::new(&format!("array {nx}x{ny}x{nz} halo {halo}"));
     for (i, tap) in f.taps.iter().enumerate() {
-        let (dxe, ry, rz) = match *tap {
-            Tap::Direct { rx, ry, rz } => (rx as i64 * w, ry as i64, rz as i64),
-            Tap::Shifted { ry, rz, dx } => (dx as i64, ry as i64, rz as i64),
+        // (first x offset, lanes read, ry, rz); scratch taps read the
+        // worker's buffer, not the slab (BS012).
+        let (dxe, len, ry, rz) = match *tap {
+            Tap::Direct { rx, ry, rz } => (rx as i64 * w, w, ry as i64, rz as i64),
+            Tap::Shifted { ry, rz, dx } => (dx as i64, w, ry as i64, rz as i64),
+            Tap::Window {
+                rx,
+                ry,
+                rz,
+                lane0,
+                lanes,
+            } => (
+                rx as i64 * w + lane0 as i64,
+                lanes as i64,
+                ry as i64,
+                rz as i64,
+            ),
+            Tap::Scratch { .. } | Tap::ScratchShifted { .. } => continue,
         };
         // Tap base address decomposes per axis; each axis index is
         // monotone in the tile origin, so the two extreme origins bound
         // all tiles.
-        let x_ok = h + dxe >= 0 && max_ox + h + dxe + w <= sx;
+        let x_ok = h + dxe >= 0 && max_ox + h + dxe + len <= sx;
         let y_ok = h + ry >= 0 && max_oy + h + ry < sy;
         let z_ok = h + rz >= 0 && max_oz + h + rz < sz;
         p.obligation(

@@ -4,14 +4,15 @@
 //! executors in `crate::exec` contain `unsafe` loads and stores whose
 //! correctness rests on properties of the compiled program — tap offsets
 //! inside the brick volume, store offsets inside the home block, tape
-//! indices inside the tap table, value-stack discipline, lane geometry.
+//! indices inside the tap table, value-stack discipline, lane geometry,
+//! scratch rows inside the per-worker buffer and written before read.
 //! Rather than re-checking those properties per block at run time, this
 //! module proves them *once*, at [`super::Plan::compile`] time, by
 //! abstract interpretation over the lowered [`super::plan::Step`] program
 //! and the fused [`super::fuse::FusedKernel`] tape.
 //!
 //! Every property is an explicit **proof obligation** with a stable
-//! diagnostic code (`BS001`–`BS011`, catalogued in
+//! diagnostic code (`BS001`–`BS014`, catalogued in
 //! [`brick_lint::LintCode`] and DESIGN.md §13). A violated obligation
 //! becomes a [`brick_lint::Diagnostic`] anchored at the offending tape op
 //! or step; the whole report is returned as
@@ -48,12 +49,16 @@ pub struct SafetySummary {
     /// alias check, and stack-discipline condition counts once).
     pub obligations: usize,
     /// Whether the plan carries a fused-row program (the fused
-    /// obligations BS001–BS004, BS006–BS008, BS011 only apply then).
+    /// obligations BS001–BS004, BS006–BS008, BS011–BS014 only apply then).
     pub fused: bool,
     /// Number of taps in the fused tap table (0 when not fused).
     pub taps: usize,
     /// Number of fused output-row programs (0 when not fused).
     pub rows: usize,
+    /// Rows of the per-worker scratch buffer the fused program
+    /// materializes computed rows into (0 when not fused, and for
+    /// kernels whose rows read the grid only).
+    pub scratch_rows: usize,
 }
 
 /// Accumulates obligations and failures during a proof pass.
@@ -123,6 +128,7 @@ pub(crate) fn prove(
         fused: fused.is_some(),
         taps: fused.map_or(0, FusedKernel::taps_len),
         rows: fused.map_or(0, |f| f.rows().len()),
+        scratch_rows: fused.map_or(0, |f| f.scratch_rows),
     })
 }
 

@@ -17,8 +17,8 @@
 //! 3. **Native execution modes** — the fused kernel under the portable
 //!    compiled backend (and AVX2/NEON where detected) against the
 //!    interpreter, full raw storage. Temporal kernels shift *computed*
-//!    rows, which the native tape-fusion pass refuses by design; this
-//!    pins the step-machine fallback to the interpreter bit for bit.
+//!    rows, which the native tape-fusion pass materializes into scratch
+//!    rows; this pins those fused tapes to the interpreter bit for bit.
 //!
 //! The exactness argument lives in DESIGN.md §14; any change that
 //! reassociates the fused schedule must loosen this suite explicitly.
@@ -267,8 +267,7 @@ fn miri_smoke_temporal_portable_matches_interpreter() {
 
 /// `TestRng` import sanity: `run_numeric_dense` under `Auto` resolves to a
 /// compiled backend on this host yet stays bit-identical for fused
-/// kernels (the step-machine fallback, since tape fusion refuses shifts
-/// of computed rows).
+/// kernels (fused tapes over scratch rows for the computed planes).
 #[test]
 fn numeric_dense_auto_matches_interpreter_for_fused() {
     let shape = StencilShape::cube(1);

@@ -1,8 +1,9 @@
 //! Offline stand-in for `rayon` covering the API subset this workspace
 //! uses: `par_iter_mut` / `par_chunks_mut` on slices followed by
-//! `enumerate` / `map` / `for_each` / `collect`, plus
-//! [`ThreadPoolBuilder`] / [`ThreadPool::install`] for callers that need
-//! an explicit worker count (the sweep scheduler's `--jobs` knob).
+//! `enumerate` / `map` / `for_each` / `for_each_init` / `collect`, plus
+//! [`ThreadPoolBuilder`] / [`ThreadPool::install`] / [`current_num_threads`]
+//! for callers that need an explicit worker count (the sweep scheduler's
+//! `--jobs` knob, the executor's recorded thread count).
 //!
 //! Work items are materialised eagerly and evaluated on `std::thread`
 //! scoped workers pulling from an atomic cursor (dynamic scheduling, like
@@ -92,34 +93,52 @@ impl ThreadPool {
     }
 }
 
+/// Worker threads a parallel iterator evaluated on this thread uses: the
+/// count an enclosing [`ThreadPool::install`] set, else all available
+/// parallelism (mirrors `rayon::current_num_threads`).
+pub fn current_num_threads() -> usize {
+    POOL_THREADS.with(|c| c.get()).unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(1)
+    })
+}
+
 /// Evaluate `f` over `items` on scoped worker threads; results keep the
 /// input order.
 fn par_eval<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+    par_eval_init(items, || (), |_, t| f(t))
+}
+
+/// [`par_eval`] with per-worker state: each worker thread calls `init`
+/// once and threads the value through every item it evaluates.
+fn par_eval_init<T: Send, S, R: Send>(
+    items: Vec<T>,
+    init: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, T) -> R + Sync,
+) -> Vec<R> {
     let n = items.len();
-    let threads = POOL_THREADS
-        .with(|c| c.get())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        })
-        .min(n);
+    let threads = current_num_threads().min(n);
     if threads <= 1 {
-        return items.into_iter().map(f).collect();
+        let mut state = init();
+        return items.into_iter().map(|t| f(&mut state, t)).collect();
     }
     let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let out: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     std::thread::scope(|s| {
         for _ in 0..threads {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
+            s.spawn(|| {
+                let mut state = init();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let item = slots[i].lock().unwrap().take().expect("item taken once");
+                    let r = f(&mut state, item);
+                    *out[i].lock().unwrap() = Some(r);
                 }
-                let item = slots[i].lock().unwrap().take().expect("item taken once");
-                let r = f(item);
-                *out[i].lock().unwrap() = Some(r);
             });
         }
     });
@@ -151,6 +170,17 @@ impl<T: Send> ParIter<T> {
     /// Run `f` over every item in parallel.
     pub fn for_each<F: Fn(T) + Sync>(self, f: F) {
         par_eval(self.items, f);
+    }
+
+    /// Run `f` over every item in parallel with per-worker state from
+    /// `init` (rayon may call `init` more than once per thread; this shim
+    /// calls it once per worker).
+    pub fn for_each_init<S, INIT, F>(self, init: INIT, f: F)
+    where
+        INIT: Fn() -> S + Sync,
+        F: Fn(&mut S, T) + Sync,
+    {
+        par_eval_init(self.items, init, f);
     }
 
     /// Collect the (already ordered) items.
@@ -199,6 +229,28 @@ mod tests {
     }
 
     #[test]
+    fn for_each_init_reuses_state_per_worker() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let inits = AtomicUsize::new(0);
+        let mut v = vec![0u64; 1000];
+        v.par_iter_mut().for_each_init(
+            || {
+                inits.fetch_add(1, Ordering::Relaxed);
+                Vec::<u64>::new()
+            },
+            |seen, x| {
+                seen.push(1);
+                *x = seen.len() as u64;
+            },
+        );
+        let workers = inits.load(Ordering::Relaxed);
+        assert!(workers >= 1);
+        // each worker's state saw a first item at most once
+        assert!(v.iter().all(|&x| x >= 1));
+        assert!(v.iter().filter(|&&x| x == 1).count() <= workers);
+    }
+
+    #[test]
     fn install_scopes_the_worker_count() {
         use std::collections::HashSet;
         use std::sync::Mutex;
@@ -216,6 +268,7 @@ mod tests {
         });
         // at most 2 worker threads touched the items
         assert!(ids.lock().unwrap().len() <= 2);
+        assert_eq!(pool.install(crate::current_num_threads), 2);
         // the override does not leak out of install()
         assert_eq!(crate::POOL_THREADS.with(|c| c.get()), None);
     }

@@ -64,7 +64,7 @@ Exits non-zero if any kernel has error-severity diagnostics; --json
 emits machine-readable reports.
 
 `bricks lint --native` runs the brick-safe prover standalone: the
-compile-time memory-safety proof (obligations BS001-BS011) the native
+compile-time memory-safety proof (obligations BS001-BS014) the native
 SIMD backend relies on, re-discharged for every paper stencil at SIMD
 widths 16/32/64 in both layouts and both codegen strategies, plus the
 array-layout geometry premise at 256^3. Exits non-zero if any plan is
@@ -455,15 +455,17 @@ fn lint_native_cmd(json: bool) -> Result<(), String> {
                                 println!(
                                     "{{\"kernel\":\"{name}\",\"safe\":true,\
                                      \"obligations\":{},\"fused\":{},\
-                                     \"taps\":{},\"rows\":{}}}",
-                                    s.obligations, s.fused, s.taps, s.rows
+                                     \"taps\":{},\"rows\":{},\"scratch_rows\":{}}}",
+                                    s.obligations, s.fused, s.taps, s.rows, s.scratch_rows
                                 );
                             } else {
                                 println!(
-                                    "ok   {name:44} {:4} obligations, {:3} taps, {:2} rows{}",
+                                    "ok   {name:44} {:4} obligations, {:3} taps, {:2} rows, \
+                                     {:3} scratch rows{}",
                                     s.obligations,
                                     s.taps,
                                     s.rows,
+                                    s.scratch_rows,
                                     if s.fused { "" } else { " (unfused)" }
                                 );
                             }
