@@ -117,12 +117,6 @@ pub enum LintCode {
     /// lanes for every native backend, or a fused plan's block x extent
     /// disagrees with the width.
     UnsafeLaneGeometry,
-    /// brick-safe: a step program row offset (or lane range) escapes the
-    /// register file the plan sizes.
-    UnsafeRegRowEscapesFile,
-    /// brick-safe: a step shift distance is invalid, or an aliased shift
-    /// was not routed through the scratch row.
-    UnsafeShiftInvalid,
     /// brick-safe: a row program's fast-row form diverges from its tape
     /// or reads a window or shifted scratch row.
     UnsafeFastRowDivergent,
@@ -171,8 +165,8 @@ impl LintCode {
             LintCode::UnsafeStoreEscapesBlock => "BS006",
             LintCode::UnsafeStoreOverlap => "BS007",
             LintCode::UnsafeLaneGeometry => "BS008",
-            LintCode::UnsafeRegRowEscapesFile => "BS009",
-            LintCode::UnsafeShiftInvalid => "BS010",
+            // BS009/BS010 covered the retired register-file executor;
+            // the codes are never reused.
             LintCode::UnsafeFastRowDivergent => "BS011",
             LintCode::UnsafeScratchSlot => "BS012",
             LintCode::UnsafeScratchUnwritten => "BS013",
@@ -205,8 +199,6 @@ impl LintCode {
             | LintCode::UnsafeStoreEscapesBlock
             | LintCode::UnsafeStoreOverlap
             | LintCode::UnsafeLaneGeometry
-            | LintCode::UnsafeRegRowEscapesFile
-            | LintCode::UnsafeShiftInvalid
             | LintCode::UnsafeFastRowDivergent
             | LintCode::UnsafeScratchSlot
             | LintCode::UnsafeScratchUnwritten
@@ -479,8 +471,6 @@ mod tests {
             LintCode::UnsafeStoreEscapesBlock,
             LintCode::UnsafeStoreOverlap,
             LintCode::UnsafeLaneGeometry,
-            LintCode::UnsafeRegRowEscapesFile,
-            LintCode::UnsafeShiftInvalid,
             LintCode::UnsafeFastRowDivergent,
             LintCode::UnsafeScratchSlot,
             LintCode::UnsafeScratchUnwritten,

@@ -60,6 +60,30 @@ fn median_secs(mut samples: Vec<f64>) -> f64 {
     samples[samples.len() / 2]
 }
 
+/// Per-pass time of `pass` over one sample that repeats it until at
+/// least 50 ms have elapsed. A single pass of a sub-millisecond workload
+/// is at the mercy of one scheduler tick on a shared host; long samples
+/// average that jitter out.
+fn pass_secs(pass: &mut dyn FnMut()) -> f64 {
+    const MIN_SAMPLE_S: f64 = 0.05;
+    let t0 = Instant::now();
+    let mut passes = 0u32;
+    while passes == 0 || t0.elapsed().as_secs_f64() < MIN_SAMPLE_S {
+        pass();
+        passes += 1;
+    }
+    t0.elapsed().as_secs_f64() / f64::from(passes)
+}
+
+/// Median per-pass times of `a` and `b` over five samples each, taken
+/// alternately so a drift in the host's speed lands on both sides.
+fn median_pass_secs(mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+    let (sa, sb): (Vec<f64>, Vec<f64>) = (0..5)
+        .map(|_| (pass_secs(&mut a), pass_secs(&mut b)))
+        .unzip();
+    (median_secs(sa), median_secs(sb))
+}
+
 fn bench_analyze_suite(c: &mut Criterion) {
     let kernels = sweep_kernel_set();
     let budgets = budgets();
@@ -145,30 +169,20 @@ fn assert_safety_proof_under_two_percent(_c: &mut Criterion) {
         .map(|(k, halo)| (Plan::compile(k).unwrap(), *halo))
         .collect();
 
-    let compile_median = median_secs(
-        (0..5)
-            .map(|_| {
-                let t0 = Instant::now();
-                for (k, _) in &kernels {
-                    black_box(Plan::compile(black_box(k)).unwrap());
-                }
-                t0.elapsed().as_secs_f64()
-            })
-            .collect(),
-    );
-    let prove_median = median_secs(
-        (0..5)
-            .map(|_| {
-                let t0 = Instant::now();
-                for (plan, halo) in &plans {
-                    black_box(plan.verify_safety().unwrap());
-                    // Array plans also discharge the 512³ run premise;
-                    // brick plans return Ok immediately here.
-                    plan.check_array_geometry(512, 512, 512, *halo).unwrap();
-                }
-                t0.elapsed().as_secs_f64()
-            })
-            .collect(),
+    let (compile_median, prove_median) = median_pass_secs(
+        || {
+            for (k, _) in &kernels {
+                black_box(Plan::compile(black_box(k)).unwrap());
+            }
+        },
+        || {
+            for (plan, halo) in &plans {
+                black_box(plan.verify_safety().unwrap());
+                // Array plans also discharge the 512³ run premise; brick
+                // plans return Ok immediately here.
+                plan.check_array_geometry(512, 512, 512, *halo).unwrap();
+            }
+        },
     );
 
     let pct = 100.0 * prove_median / compile_median;

@@ -26,7 +26,6 @@ use brick_dsl::shape::StencilShape;
 use brick_dsl::DenseGrid;
 use brick_vm::{
     executor_threads, resolve_with, run_vector_brick_backend, Backend, CpuFeatures, ExecutionMode,
-    Plan,
 };
 
 /// Domain size of the acceptance cell: the paper's full scale.
@@ -85,9 +84,6 @@ pub struct ExecCell {
     pub mode: String,
     /// Backend that mode dispatched to on this host.
     pub backend: String,
-    /// Whether the compiled plan runs on fused tapes (false: the step
-    /// machine).
-    pub fused: bool,
 }
 
 /// The complete `BENCH_exec.json` document.
@@ -161,7 +157,6 @@ pub fn run_bench_exec(
     let manifest = brick_obs::RunManifest::begin(&config_json)
         .with_exec_mode(&mode.to_string())
         .with_jobs(executor_threads() as u64);
-    let fused = Plan::compile(&kernel).is_ok_and(|p| p.safety().fused);
 
     let mut dense = DenseGrid::cubic(n, st.radius() as usize);
     dense.fill_test_pattern();
@@ -219,7 +214,6 @@ pub fn run_bench_exec(
             cpu_features: features.to_string(),
             mode: mode.to_string(),
             backend: backend.to_string(),
-            fused,
         },
         interpreter,
         native,
@@ -259,13 +253,11 @@ mod tests {
         assert!(b.interpreter.wall_s > 0.0 && b.native.wall_s > 0.0);
         assert!(b.speedup > 0.0);
         assert_eq!(b.manifest.exec_mode.as_deref(), Some("auto"));
-        assert!(b.exec.fused, "star-7 runs on fused tapes");
         assert_eq!(b.manifest.jobs, Some(executor_threads() as u64));
         let json = serde_json::to_string(&b).unwrap();
         let back: BenchExec = serde_json::from_str(&json).unwrap();
         assert_eq!(back.exec.backend, b.exec.backend);
         assert_eq!(back.schema, EXEC_SCHEMA_VERSION);
-        assert_eq!(back.exec.fused, b.exec.fused);
     }
 
     #[test]

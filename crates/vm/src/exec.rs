@@ -14,6 +14,7 @@ use brick_core::{ArrayGrid, BrickGrid, BrickNav};
 use rayon::prelude::*;
 
 use crate::geom::TraceGeometry;
+use crate::native::fuse::{RTap, Tap};
 use crate::native::{self, Backend, ExecutionMode, NativeOps, Plan, RowOps};
 use crate::trace::TraceSink;
 
@@ -25,10 +26,12 @@ pub enum VmError {
     InvalidKernel(Box<brick_lint::Report>),
     /// Kernel and grid disagree (layout, block shape, extents, halo).
     Mismatch(String),
-    /// A forced [`ExecutionMode`] the running host cannot execute
-    /// (e.g. `avx2` without AVX2+FMA). `Auto` never produces this.
+    /// The request has no compiled form here: a forced [`ExecutionMode`]
+    /// the running host cannot execute (e.g. `avx2` without AVX2+FMA), or
+    /// a kernel the fuser refuses, with the limit it crosses. `Scalar`
+    /// never produces this.
     Unsupported(String),
-    /// The lowered plan failed the brick-safe memory-safety proof; the
+    /// The compiled plan failed the brick-safe memory-safety proof; the
     /// report carries the undischarged `BSxxx` obligations. Such a plan
     /// is never dispatched to a native backend.
     UnsafePlan(Box<brick_lint::Report>),
@@ -50,7 +53,7 @@ impl std::fmt::Display for VmError {
         match self {
             VmError::InvalidKernel(e) => write!(f, "invalid kernel: {e}"),
             VmError::Mismatch(e) => write!(f, "kernel/grid mismatch: {e}"),
-            VmError::Unsupported(e) => write!(f, "unsupported execution mode: {e}"),
+            VmError::Unsupported(e) => write!(f, "unsupported: {e}"),
             VmError::UnsafePlan(e) => write!(f, "unsafe plan rejected: {e}"),
         }
     }
@@ -293,65 +296,15 @@ fn run_brick_interp(kernel: &VectorKernel, input: &BrickGrid, output: &mut Brick
         });
 }
 
-/// Compiled-plan path of [`run_vector_brick_mode`]: same parallel
-/// structure as the interpreter, with the per-block IR walk replaced by
-/// [`Plan::exec_block`] over backend `B`. Input rows resolve through
-/// `BrickNav` exactly as the interpreter's do; the reach-vs-ghost check in
-/// [`check_brick`] (backed by the analyzer's bounds proof) guarantees every
-/// resolved row is inside the input allocation, so the row copies below
-/// cannot panic for a verified kernel.
-fn run_brick_plan<B: RowOps>(plan: &Plan, ops: &B, input: &BrickGrid, output: &mut BrickGrid) {
-    if let Some(fused) = plan.fused() {
-        return run_brick_fused(fused, plan, ops, input, output);
-    }
-    let nav = input.nav().clone();
-    let dims = input.dims();
-    let vol = dims.volume();
-    let w = plan.width();
-    let in_raw = input.raw();
-    let decomp = std::sync::Arc::clone(input.decomp());
-    output
-        .raw_mut()
-        .par_chunks_mut(vol)
-        .enumerate()
-        .for_each(|(id, out_chunk)| {
-            let home = id as u32;
-            if !decomp.is_interior(home) {
-                return;
-            }
-            let mut regs = vec![0.0; plan.regs_len()];
-            plan.exec_block(
-                ops,
-                &mut regs,
-                |rx, ry, rz, lane0, dst| {
-                    let (b, off) =
-                        nav.resolve_rel(home, rx as i64 * w as i64, ry as i64, rz as i64);
-                    let s = b as usize * vol + off + lane0;
-                    dst.copy_from_slice(&in_raw[s..s + dst.len()]);
-                },
-                |ry, rz, src| {
-                    let off = dims.row_offset(ry as usize, rz as usize);
-                    out_chunk[off..off + w].copy_from_slice(src);
-                },
-            );
-        });
-}
-
-/// Fused-row brick executor: per interior block, resolve every grid tap
-/// once through the 27-neighbour table (indices precomputed at
-/// plan-compile time — no `div_euclid` chains here), then evaluate the
-/// block's scratch rows and each output row's tape straight from the
-/// input slab. The register file never exists; see
-/// [`crate::native::fuse`] for why this is bit-identical to the
-/// interpreter and the step machine. Each worker owns one resolved-tap
+/// Compiled path of [`run_vector_brick_mode`]: per interior block,
+/// resolve every grid tap once through the 27-neighbour table (indices
+/// precomputed at plan-compile time — no `div_euclid` chains here), then
+/// evaluate the block's scratch rows and each output row's tape straight
+/// from the input slab; see [`crate::native::fuse`] for why this is
+/// bit-identical to the interpreter. Each worker owns one resolved-tap
 /// table and one scratch buffer, both sized from the kernel.
-fn run_brick_fused<B: RowOps>(
-    fused: &crate::native::fuse::FusedKernel,
-    plan: &Plan,
-    ops: &B,
-    input: &BrickGrid,
-    output: &mut BrickGrid,
-) {
+fn run_brick_plan<B: RowOps>(plan: &Plan, ops: &B, input: &BrickGrid, output: &mut BrickGrid) {
+    let fused = &plan.fused;
     let info = std::sync::Arc::clone(input.info());
     let dims = input.dims();
     let vol = dims.volume();
@@ -396,8 +349,9 @@ fn run_brick_fused<B: RowOps>(
 
 /// Shared validation for the array executors: layout, extents,
 /// divisibility, and the kernel's load reach against the halo. The reach
-/// check is what makes the compiled path's unguarded row reads total: a
-/// verified kernel's loads stay within `[-halo, n + halo)` on every axis.
+/// check is what keeps the compiled path's tap rows inside the padded
+/// slab: a verified kernel's loads stay within `[-halo, n + halo)` on
+/// every axis.
 fn check_array(
     kernel: &VectorKernel,
     input: &ArrayGrid,
@@ -548,78 +502,15 @@ fn run_array_interp(kernel: &VectorKernel, input: &ArrayGrid, output: &mut Array
         });
 }
 
-/// Compiled-plan path of [`run_vector_array_mode`]: the per-element halo
-/// branch of the interpreter's read path is replaced by one contiguous
-/// row copy from padded dense storage. The reach-vs-halo check in
-/// [`check_array`] (backed by the analyzer's bounds proof) guarantees
-/// every read row lies inside `[-halo, n + halo)` on all axes, so the
-/// slice copies below cannot panic for a verified kernel.
+/// Compiled path of [`run_vector_array_mode`]. On the dense layout
+/// every grid tap — including shifted ones, since rows are contiguous in
+/// `x` across tile seams — collapses to a single stride delta from the
+/// tile origin, computed once per run; per tile the grid taps resolve
+/// with one add each (scratch taps are fixed buffer offsets). The
+/// kernel's reach stays within the halo ([`check_array`]), so every
+/// resolved row lies inside the padded slab.
 fn run_array_plan<B: RowOps>(plan: &Plan, ops: &B, input: &ArrayGrid, output: &mut ArrayGrid) {
-    if let Some(fused) = plan.fused() {
-        return run_array_fused(fused, plan, ops, input, output);
-    }
-    let (nx, ny, nz) = input.extents();
-    let block = plan.block();
-    let halo = input.dense().halo();
-    let w = plan.width();
-    let raw_in = input.dense().raw();
-    let h = halo as i64;
-    let sx = nx + 2 * halo;
-    let sy = ny + 2 * halo;
-    let plane = sx * sy;
-    let tiles_x = nx / block.bx;
-    let tiles_y = ny / block.by;
-
-    let raw_out = output.dense_mut().raw_mut();
-    let body = &mut raw_out[halo * plane..(halo + nz) * plane];
-    body.par_chunks_mut(block.bz * plane)
-        .enumerate()
-        .for_each(|(tz, slab)| {
-            let oz = (tz * block.bz) as i64;
-            let mut regs = vec![0.0; plan.regs_len()];
-            for ty in 0..tiles_y {
-                for tx in 0..tiles_x {
-                    let ox = (tx * block.bx) as i64;
-                    let oy = (ty * block.by) as i64;
-                    plan.exec_block(
-                        ops,
-                        &mut regs,
-                        |rx, ry, rz, lane0, dst| {
-                            let y = oy + ry as i64;
-                            let z = oz + rz as i64;
-                            let x0 = ox + rx as i64 * w as i64 + lane0 as i64;
-                            let start =
-                                (((z + h) * sy as i64 + (y + h)) * sx as i64 + (x0 + h)) as usize;
-                            dst.copy_from_slice(&raw_in[start..start + dst.len()]);
-                        },
-                        |ry, rz, src| {
-                            // Index within the slab: z-local plane, full row.
-                            let zloc = rz as usize;
-                            let row = ((zloc * sy) as i64 + (oy + ry as i64 + h)) as usize;
-                            let start = row * sx + (ox + h) as usize;
-                            slab[start..start + w].copy_from_slice(src);
-                        },
-                    );
-                }
-            }
-        });
-}
-
-/// Fused-row array executor. On the dense layout every grid tap —
-/// including shifted ones, since rows are contiguous in `x` across tile
-/// seams — collapses to a single stride delta from the tile origin,
-/// computed once per run; per tile the grid taps resolve with one add
-/// each (scratch taps are fixed buffer offsets). The kernel's reach stays
-/// within the halo ([`check_array`]), so every resolved row lies inside
-/// the padded slab.
-fn run_array_fused<B: RowOps>(
-    fused: &crate::native::fuse::FusedKernel,
-    plan: &Plan,
-    ops: &B,
-    input: &ArrayGrid,
-    output: &mut ArrayGrid,
-) {
-    use crate::native::fuse::{RTap, Tap};
+    let fused = &plan.fused;
     let (nx, ny, nz) = input.extents();
     let block = plan.block();
     let halo = input.dense().halo();
@@ -930,6 +821,66 @@ mod tests {
         assert!(!report
             .with_code(brick_lint::LintCode::IncompleteStores)
             .is_empty());
+    }
+
+    /// A lint-clean kernel the fuser refuses: every stored row becomes a
+    /// balanced 64-leaf `Add` tree over the row's original value. Each
+    /// two-sided node parks its left subtree on the tape's value stack,
+    /// so the root needs a stack 5 deep, one more than the fuser's cap.
+    fn stack_too_deep_kernel() -> VectorKernel {
+        let st = StencilShape::star(1).stencil();
+        let b = st.default_bindings();
+        let mut k = generate(&st, &b, LayoutKind::Brick, 16, CodegenOptions::default()).unwrap();
+        let base = k.num_regs as u16;
+        let mut ops = Vec::new();
+        for op in std::mem::take(&mut k.ops) {
+            let VOp::StoreRow { src, ry, rz } = op else {
+                ops.push(op);
+                continue;
+            };
+            let mut next = base;
+            let mut add = |ops: &mut Vec<VOp>, a, b| {
+                ops.push(VOp::Add { dst: next, a, b });
+                next += 1;
+                next - 1
+            };
+            let mut level: Vec<u16> = (0..32).map(|_| add(&mut ops, src, src)).collect();
+            while level.len() > 1 {
+                level = level.chunks(2).map(|p| add(&mut ops, p[0], p[1])).collect();
+            }
+            ops.push(VOp::StoreRow {
+                src: level[0],
+                ry,
+                rz,
+            });
+        }
+        k.ops = ops;
+        k.num_regs += 63;
+        k
+    }
+
+    #[test]
+    fn refused_kernel_is_unsupported_compiled_and_runs_interpreted() {
+        let k = stack_too_deep_kernel();
+        brick_lint::verify(&k).expect("the hand-built kernel is lint-clean");
+        let mut dense = DenseGrid::cubic(16, 1);
+        dense.fill_test_pattern();
+        let input = BrickGrid::from_dense(&dense, BrickDims::for_simd_width(16));
+        let mut output =
+            BrickGrid::with_metadata(Arc::clone(input.decomp()), Arc::clone(input.info()));
+        match run_vector_brick_mode(&k, &input, &mut output, ExecutionMode::Auto) {
+            Err(VmError::Unsupported(why)) => assert!(why.contains("value stack"), "{why}"),
+            other => panic!("expected Unsupported, got {other:?}"),
+        }
+        run_vector_brick_mode(&k, &input, &mut output, ExecutionMode::Scalar).unwrap();
+        // 64 copies of the 7-point sum: a power-of-two scaling, so exact
+        let st = StencilShape::star(1).stencil();
+        let mut expect = DenseGrid::cubic(16, 1);
+        reference::apply(&st, &st.default_bindings(), &dense, &mut expect).unwrap();
+        let got = output.to_dense();
+        for (x, y, z) in [(0, 0, 0), (7, 3, 12), (15, 15, 15)] {
+            assert_eq!(got.get(x, y, z), 64.0 * expect.get(x, y, z));
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! AVX2+FMA row backend (x86-64).
+//! AVX2+FMA tape backend (x86-64).
 //!
 //! This module and [`super::neon`] are the only places in the workspace
 //! allowed to use `unsafe` (the crate downgrades the workspace-wide
@@ -12,15 +12,15 @@
 //!    tap indices in range (BS002/BS004), seam shifts in `(0, w)`
 //!    (BS003), value-stack discipline (BS005), stores inside the home
 //!    block and non-overlapping (BS006/BS007), lane geometry (BS008),
-//!    register rows inside the file (BS009/BS010), fast-chain fidelity
-//!    (BS011), and scratch rows inside the buffer, written before read
-//!    and shifted within their row (BS012–BS014) — is discharged
-//!    *statically*, before a plan exists. Debug builds re-assert the
-//!    per-block conditions ([`fuse::check_taps`]); release builds run on
-//!    the proof alone.
-//! 2. Each safe wrapper below re-asserts, per call, that every row offset
-//!    plus the width fits inside the register file and that the width is a
-//!    whole number of 4-lane vectors — no pointer is formed otherwise.
+//!    fast-chain fidelity (BS011), and scratch rows inside the buffer,
+//!    written before read and shifted within their row (BS012–BS014) —
+//!    is discharged *statically*, before a plan exists. Debug builds
+//!    re-assert the per-block conditions ([`fuse::check_taps`]); release
+//!    builds run on the proof alone.
+//! 2. The safe entry points re-assert what the proof cannot see: the
+//!    block entry checks the scratch buffer's length, and the row entry
+//!    walks the whole tape ([`fuse::check_tape`]) before any pointer is
+//!    formed. Tap ids and the value stack are bounds-checked indexing.
 //! 3. [`Avx2Ops::new`] returns `None` unless `is_x86_feature_detected!`
 //!    confirms `avx2` *and* `fma`, so the `#[target_feature]` functions are
 //!    only ever reached on hosts that support them.
@@ -54,39 +54,7 @@ impl Avx2Ops {
     }
 }
 
-/// Check the preconditions of the pointer loops: `w` is a positive whole
-/// number of 4-lane vectors and every row `[off, off + w)` lies inside
-/// `regs`. Panics (never UB) on violation — unreachable for offsets
-/// produced by `Plan::compile`.
-fn check_rows(len: usize, w: usize, offs: [usize; 3]) {
-    assert!(
-        w >= 4 && w.is_multiple_of(4),
-        "width {w} is not a multiple of 4"
-    );
-    for off in offs {
-        assert!(off + w <= len, "row {off}+{w} escapes register file {len}");
-    }
-}
-
 impl RowOps for Avx2Ops {
-    fn add(&self, regs: &mut [f64], dst0: usize, a0: usize, b0: usize, w: usize) {
-        check_rows(regs.len(), w, [dst0, a0, b0]);
-        // SAFETY: rows checked in-bounds above; avx2+fma verified by `new`.
-        unsafe { add_rows(regs.as_mut_ptr(), dst0, a0, b0, w) }
-    }
-
-    fn mul(&self, regs: &mut [f64], dst0: usize, a0: usize, c: f64, w: usize) {
-        check_rows(regs.len(), w, [dst0, a0, a0]);
-        // SAFETY: rows checked in-bounds above; avx2+fma verified by `new`.
-        unsafe { mul_rows(regs.as_mut_ptr(), dst0, a0, c, w) }
-    }
-
-    fn fma(&self, regs: &mut [f64], dst0: usize, acc0: usize, a0: usize, c: f64, w: usize) {
-        check_rows(regs.len(), w, [dst0, acc0, a0]);
-        // SAFETY: rows checked in-bounds above; avx2+fma verified by `new`.
-        unsafe { fma_rows(regs.as_mut_ptr(), dst0, acc0, a0, c, w) }
-    }
-
     fn eval_row(
         &self,
         tape: &[TapeOp],
@@ -185,6 +153,7 @@ impl RowOps for Avx2Ops {
                     (16, Some(fr)) => eval_fast::<4>(fr, rtaps, raw, scr, out_row),
                     (32, Some(fr)) => eval_fast::<8>(fr, rtaps, raw, scr, out_row),
                     (64, Some(fr)) => eval_fast::<16>(fr, rtaps, raw, scr, out_row),
+                    (128, Some(fr)) => eval_fast::<32>(fr, rtaps, raw, scr, out_row),
                     _ => eval_tape_w(w, rp.max_sp, &rp.tape, rtaps, raw, scr, out_row),
                 }
             }
@@ -224,6 +193,8 @@ unsafe fn eval_tape_w(
             (32, _) => eval_tape::<8, MAX_STACK>(tape, rtaps, raw, scr, out),
             (64, 0) => eval_tape::<16, 0>(tape, rtaps, raw, scr, out),
             (64, _) => eval_tape::<16, MAX_STACK>(tape, rtaps, raw, scr, out),
+            (128, 0) => eval_tape::<32, 0>(tape, rtaps, raw, scr, out),
+            (128, _) => eval_tape::<32, MAX_STACK>(tape, rtaps, raw, scr, out),
             _ => fuse::eval_row_portable(tape, rtaps, raw, scr, w, out),
         }
     }
@@ -583,86 +554,16 @@ unsafe fn eval_tape<const NC: usize, const SP: usize>(
     }
 }
 
-/// # Safety
-/// `p + off + w <=` allocation for every offset; `w % 4 == 0`; host
-/// supports avx2+fma (checked by [`Avx2Ops::new`]).
-#[target_feature(enable = "avx2,fma")]
-unsafe fn add_rows(p: *mut f64, dst0: usize, a0: usize, b0: usize, w: usize) {
-    for i in (0..w).step_by(4) {
-        // SAFETY: i + 4 <= w, so every lane is inside the checked rows.
-        unsafe {
-            let a = _mm256_loadu_pd(p.add(a0 + i));
-            let b = _mm256_loadu_pd(p.add(b0 + i));
-            _mm256_storeu_pd(p.add(dst0 + i), _mm256_add_pd(a, b));
-        }
-    }
-}
-
-/// # Safety
-/// Same contract as [`add_rows`].
-#[target_feature(enable = "avx2,fma")]
-unsafe fn mul_rows(p: *mut f64, dst0: usize, a0: usize, c: f64, w: usize) {
-    let cv = _mm256_set1_pd(c);
-    for i in (0..w).step_by(4) {
-        // SAFETY: i + 4 <= w, so every lane is inside the checked rows.
-        unsafe {
-            let a = _mm256_loadu_pd(p.add(a0 + i));
-            _mm256_storeu_pd(p.add(dst0 + i), _mm256_mul_pd(a, cv));
-        }
-    }
-}
-
-/// # Safety
-/// Same contract as [`add_rows`].
-#[target_feature(enable = "avx2,fma")]
-unsafe fn fma_rows(p: *mut f64, dst0: usize, acc0: usize, a0: usize, c: f64, w: usize) {
-    let cv = _mm256_set1_pd(c);
-    for i in (0..w).step_by(4) {
-        // SAFETY: i + 4 <= w, so every lane is inside the checked rows.
-        unsafe {
-            let a = _mm256_loadu_pd(p.add(a0 + i));
-            let acc = _mm256_loadu_pd(p.add(acc0 + i));
-            _mm256_storeu_pd(p.add(dst0 + i), _mm256_fmadd_pd(a, cv, acc));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn avx2_rows_are_bit_identical_to_mul_add() {
-        let Some(ops) = Avx2Ops::new() else {
-            return; // host without avx2+fma: constructor refuses, nothing to test
-        };
-        let w = 16;
-        let mut regs = vec![0.0; 3 * w];
-        for i in 0..w {
-            regs[w + i] = 0.1 * (i as f64) - 0.3;
-            regs[2 * w + i] = 1.0 / (1.0 + i as f64);
-        }
-        let (r1, r2) = (regs[w..2 * w].to_vec(), regs[2 * w..3 * w].to_vec());
-        let c = 0.123456789;
-        ops.fma(&mut regs, 0, w, 2 * w, c, w);
-        for i in 0..w {
-            let want = r2[i].mul_add(c, r1[i]);
-            assert_eq!(regs[i].to_bits(), want.to_bits(), "lane {i}");
-        }
-        ops.add(&mut regs, 0, 0, w, w);
-        ops.mul(&mut regs, 0, 0, -2.5, w);
-        for i in 0..w {
-            let want = (r2[i].mul_add(c, r1[i]) + r1[i]) * -2.5;
-            assert_eq!(regs[i].to_bits(), want.to_bits(), "lane {i}");
-        }
-    }
 
     #[test]
     fn fused_tape_matches_the_portable_evaluator_bitwise() {
         let Some(ops) = Avx2Ops::new() else {
             return; // host without avx2+fma
         };
-        for w in [16usize, 32, 64] {
+        for w in fuse::FUSED_WIDTHS {
             let raw: Vec<f64> = (0..4 * w).map(|i| 0.173 * (i as f64) - 11.0).collect();
             let rtaps = [
                 RTap::Direct { base: 0 },
@@ -888,15 +789,5 @@ mod tests {
                 (block - scratch) / ops_per_block as f64
             );
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "escapes register file")]
-    fn out_of_bounds_rows_panic_before_any_pointer_forms() {
-        let Some(ops) = Avx2Ops::new() else {
-            panic!("escapes register file (host lacks avx2; nothing to check)")
-        };
-        let mut regs = vec![0.0; 8];
-        ops.add(&mut regs, 8, 0, 0, 8);
     }
 }

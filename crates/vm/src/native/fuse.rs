@@ -1,13 +1,11 @@
-//! Fused-row fast path: output rows evaluated straight from the grid.
+//! Fused-row execution: output rows evaluated straight from the grid.
 //!
-//! The step machine ([`super::Plan::exec_block`]) materializes every
-//! intermediate IR register as a row in an in-memory register file. For
-//! low-arithmetic kernels (the 7-point star moves ~13 rows through the
-//! file per output row it stores) that movement — plus the per-step
-//! dispatch and the per-row neighbour resolution — dominates the wall
-//! time, and a SIMD backend that only accelerates the arithmetic steps
-//! barely moves the total. This module removes the register file from the
-//! hot loop:
+//! This is the one compiled form of a kernel. Materializing every IR
+//! register as a row of an in-memory register file would move ~13 rows
+//! per stored row for the 7-point star, and that movement — plus a
+//! per-op dispatch and a per-row neighbour resolution — would dominate
+//! the wall time. Instead the verified IR is compiled, once, into row
+//! programs that read the input grid directly:
 //!
 //! 1. **Symbolic analysis** ([`fuse`], compile time): the verified IR is
 //!    re-executed over *symbolic* register values. A full-row load is the
@@ -45,16 +43,19 @@
 //!    is layout-independent; the executors in `crate::exec` own the
 //!    stride math). The tables are sized from the kernel itself.
 //!
-//! An op the analysis cannot express (an unwritten register, a width
-//! other than 16/32/64, a tree deeper than [`MAX_STACK`], …) aborts fusion
-//! and the plan falls back to the step machine — fusion is an
-//! optimization, never a semantics change.
+//! A kernel the analysis cannot express (a width other than
+//! 16/32/64/128, a block x-extent other than the width, a tree deeper
+//! than [`MAX_STACK`], a tape longer than [`MAX_TAPE`], more taps or
+//! scratch rows than `u16` ids address, …) is refused with the reason;
+//! `Plan::compile` reports it as `VmError::Unsupported`, and the
+//! interpreter (`ExecutionMode::Scalar`) still runs it.
 //!
 //! Everything in this module is safe code. The preconditions the SIMD
 //! evaluators in [`super::avx2`]/[`super::neon`] rely on are discharged
 //! *statically* by the brick-safe prover ([`super::safe`]) at
-//! `Plan::compile` time (BS001–BS014), plus one cheap per-run premise
-//! check in `crate::exec` (slab length and adjacency-table validity);
+//! `Plan::compile` time (BS001–BS008, BS011–BS014), plus one cheap
+//! per-run premise check in `crate::exec` (slab length and
+//! adjacency-table validity);
 //! [`check_taps`]/[`check_tape`] remain as the debug-build and test-entry
 //! restatements of the same conditions. The portable evaluator below is
 //! ordinary checked Rust and doubles as the reference for what a tape
@@ -65,12 +66,16 @@ use std::collections::HashMap;
 use brick_codegen::{LayoutKind, VOp, VectorKernel};
 use brick_core::{neighbor_index, BrickDims, NO_BRICK};
 
-/// Widest vector width the fixed row buffers accommodate (the generated
-/// kernels use 16/32/64).
-pub(crate) const MAX_W: usize = 64;
+/// Widest vector width the fixed row buffers accommodate: the widest
+/// SIMD width the generator targets (64) folded twice into one brick row
+/// (the tuner's `fold_factor = 2`).
+pub(crate) const MAX_W: usize = 128;
 
-/// Deepest value stack a row tape may use; trees needing more bail out
-/// of fusion at compile time.
+/// The vector widths the fuser and the evaluators' dispatch tables take.
+pub(crate) const FUSED_WIDTHS: [usize; 4] = [16, 32, 64, 128];
+
+/// Deepest value stack a row tape may use; a tree needing more is
+/// refused at compile time.
 pub(crate) const MAX_STACK: usize = 4;
 
 /// Longest tape per output row; guards against pathological expression
@@ -472,14 +477,28 @@ enum Node {
     Fma { acc: Sym, a: Sym, c: f64 },
 }
 
-/// Try to fuse a verified kernel. `None` means "use the step machine" —
-/// any IR shape the analysis cannot express (unwritten registers,
-/// out-of-range geometry, trees deeper than [`MAX_STACK`], …).
-pub(crate) fn fuse(kernel: &VectorKernel) -> Option<FusedKernel> {
+/// Fuse a verified kernel, or say why it cannot be fused: the refusal
+/// names the limit the kernel crosses (width, block x-extent, value-stack
+/// or tape cap, `u16` tap or slot ids, …). `Plan::compile` reports it as
+/// `VmError::Unsupported`.
+pub(crate) fn fuse(kernel: &VectorKernel) -> Result<FusedKernel, String> {
     let w = kernel.width;
-    if !(w == 16 || w == 32 || w == 64) || kernel.block.bx != w {
-        return None;
+    if !FUSED_WIDTHS.contains(&w) {
+        return Err(format!("width {w} is not a fused width {FUSED_WIDTHS:?}"));
     }
+    if kernel.block.bx != w {
+        return Err(format!(
+            "block x-extent {} differs from width {w}",
+            kernel.block.bx
+        ));
+    }
+    let coeff = |c: u16| {
+        kernel
+            .coeffs
+            .get(c as usize)
+            .copied()
+            .ok_or_else(|| format!("coefficient c{c} out of range"))
+    };
     let uses = use_counts(kernel);
     let mut f = Fuser {
         w,
@@ -502,7 +521,7 @@ pub(crate) fn fuse(kernel: &VectorKernel) -> Option<FusedKernel> {
                 lanes,
             } => {
                 let full = lane0 == 0 && lanes as usize == w;
-                *f.regs.get_mut(dst as usize)? = if full {
+                *f.reg_mut(dst)? = if full {
                     Sym::Row { rx, ry, rz }
                 } else {
                     Sym::Edge {
@@ -515,9 +534,9 @@ pub(crate) fn fuse(kernel: &VectorKernel) -> Option<FusedKernel> {
                 };
             }
             VOp::ShiftX { dst, src, edge, dx } => {
-                let (s, e) = (*f.regs.get(src as usize)?, *f.regs.get(edge as usize)?);
+                let (s, e) = (f.reg(src)?, f.reg(edge)?);
                 if dx == 0 || dx.unsigned_abs() as usize >= w {
-                    return None;
+                    return Err(format!("op {i}: shift distance {dx} invalid for width {w}"));
                 }
                 let v = match shift_sym(s, e, dx, w) {
                     Some(off) => off,
@@ -527,37 +546,44 @@ pub(crate) fn fuse(kernel: &VectorKernel) -> Option<FusedKernel> {
                         dx,
                     },
                 };
-                *f.regs.get_mut(dst as usize)? = v;
+                *f.reg_mut(dst)? = v;
             }
             VOp::Add { dst, a, b } => {
                 let node = Node::Add(f.value(a)?, f.value(b)?);
                 f.define(dst, node, uses[i])?;
             }
-            VOp::Mul { dst, a, coeff } => {
-                let c = *kernel.coeffs.get(coeff as usize)?;
-                let node = Node::Mul(f.value(a)?, c);
+            VOp::Mul { dst, a, coeff: c } => {
+                let node = Node::Mul(f.value(a)?, coeff(c)?);
                 f.define(dst, node, uses[i])?;
             }
-            VOp::Fma { dst, acc, a, coeff } => {
-                let c = *kernel.coeffs.get(coeff as usize)?;
+            VOp::Fma {
+                dst,
+                acc,
+                a,
+                coeff: c,
+            } => {
                 let node = Node::Fma {
                     acc: f.value(acc)?,
                     a: f.value(a)?,
-                    c,
+                    c: coeff(c)?,
                 };
                 f.define(dst, node, uses[i])?;
             }
             VOp::StoreRow { src, ry, rz } => {
-                let (ry, rz) = (usize::try_from(ry).ok()?, usize::try_from(rz).ok()?);
-                if ry >= kernel.block.by || rz >= kernel.block.bz {
-                    return None;
+                let (b, outside) = (kernel.block, || {
+                    format!("op {i}: store row ({ry}, {rz}) outside the home block")
+                });
+                let ry = usize::try_from(ry).map_err(|_| outside())?;
+                let rz = usize::try_from(rz).map_err(|_| outside())?;
+                if ry >= b.by || rz >= b.bz {
+                    return Err(outside());
                 }
                 let v = f.value(src)?;
                 let (tape, max_sp) = f.tape_of(v)?;
                 f.rows.push(RowProg {
                     ry: ry as u16,
                     rz: rz as u16,
-                    out_off: kernel.block.row_offset(ry, rz),
+                    out_off: b.row_offset(ry, rz),
                     tape,
                     max_sp,
                     fast: None,
@@ -566,9 +592,14 @@ pub(crate) fn fuse(kernel: &VectorKernel) -> Option<FusedKernel> {
         }
     }
     if f.rows.is_empty() {
-        return None;
+        return Err("the kernel stores no rows".into());
     }
     f.finish(kernel.layout, kernel.block)
+}
+
+/// The refusal for a table that outgrows its `u16` ids.
+fn id_overflow(what: &str) -> String {
+    format!("more {what} than u16 ids address")
 }
 
 /// How many operand slots read the value each op defines (by op index):
@@ -609,38 +640,51 @@ struct Fuser {
 }
 
 impl Fuser {
+    /// Register `r`'s symbolic value, for reading or rebinding.
+    fn reg_mut(&mut self, r: u16) -> Result<&mut Sym, String> {
+        let n = self.regs.len();
+        self.regs
+            .get_mut(r as usize)
+            .ok_or_else(|| format!("register r{r} outside the {n}-register file"))
+    }
+
+    /// The symbolic value of register `r`.
+    fn reg(&mut self, r: u16) -> Result<Sym, String> {
+        self.reg_mut(r).map(|s| *s)
+    }
+
     /// A register as an arithmetic operand: zero-filled partial loads
-    /// are materialized, unwritten registers abort fusion.
-    fn value(&mut self, r: u16) -> Option<Sym> {
-        match *self.regs.get(r as usize)? {
-            Sym::Opaque => None,
-            e @ Sym::Edge { .. } => Some(Sym::Scr {
+    /// are materialized, unwritten registers refuse fusion.
+    fn value(&mut self, r: u16) -> Result<Sym, String> {
+        match self.reg(r)? {
+            Sym::Opaque => Err(format!("register r{r} is read before it is written")),
+            e @ Sym::Edge { .. } => Ok(Sym::Scr {
                 slot: self.materialize(e)?,
             }),
-            s => Some(s),
+            s => Ok(s),
         }
     }
 
     /// Bind `dst` to a new expression node; one that several ops read is
     /// materialized right away so every consumer reads its scratch row.
-    fn define(&mut self, dst: u16, node: Node, uses: u32) -> Option<()> {
-        let id = u32::try_from(self.nodes.len()).ok()?;
+    fn define(&mut self, dst: u16, node: Node, uses: u32) -> Result<(), String> {
+        let id = u32::try_from(self.nodes.len()).map_err(|_| id_overflow("expression nodes"))?;
         self.nodes.push(node);
         let sym = Sym::Expr(id);
         if uses > 1 {
             self.materialize(sym)?;
         }
-        *self.regs.get_mut(dst as usize)? = sym;
-        Some(())
+        *self.reg_mut(dst)? = sym;
+        Ok(())
     }
 
     /// The scratch slot holding `s`, adding its program on first use.
-    fn materialize(&mut self, s: Sym) -> Option<u16> {
+    fn materialize(&mut self, s: Sym) -> Result<u16, String> {
         if let Sym::Scr { slot } = s {
-            return Some(slot);
+            return Ok(slot);
         }
         if let Some(&slot) = self.mat.get(&s) {
-            return Some(slot);
+            return Ok(slot);
         }
         let fill = match s {
             Sym::Edge {
@@ -651,7 +695,10 @@ impl Fuser {
                 lanes,
             } => {
                 if lanes == 0 || lane0 as usize + lanes as usize > self.w {
-                    return None;
+                    return Err(format!(
+                        "edge load lanes {lane0}+{lanes} escape width {}",
+                        self.w
+                    ));
                 }
                 Fill::Copy {
                     tap: self.tap_id(Tap::Window {
@@ -669,16 +716,16 @@ impl Fuser {
             Sym::Off { ry, rz, dx } => Fill::Copy {
                 tap: self.tap_id(Tap::Shifted { ry, rz, dx })?,
             },
-            Sym::Opaque => return None,
+            Sym::Opaque => return Err("an unwritten register is read".into()),
             _ => {
                 let (tape, max_sp) = self.tape_of(s)?;
                 Fill::Tape { tape, max_sp }
             }
         };
-        let slot = u16::try_from(self.scratch.len()).ok()?;
+        let slot = u16::try_from(self.scratch.len()).map_err(|_| id_overflow("scratch rows"))?;
         self.scratch.push(ScratchProg { slot, fill });
         self.mat.insert(s, slot);
-        Some(slot)
+        Ok(slot)
     }
 
     /// The tap a symbol reads directly, if it is a leaf (a grid row, a
@@ -695,22 +742,31 @@ impl Fuser {
     }
 
     /// Intern a tap.
-    fn tap_id(&mut self, t: Tap) -> Option<u16> {
+    fn tap_id(&mut self, t: Tap) -> Result<u16, String> {
         if let Some(&id) = self.tap_ids.get(&t) {
-            return Some(id);
+            return Ok(id);
         }
-        let id = u16::try_from(self.taps.len()).ok()?;
+        let id = u16::try_from(self.taps.len()).map_err(|_| id_overflow("taps"))?;
         self.taps.push(t);
         self.tap_ids.insert(t, id);
-        Some(id)
+        Ok(id)
     }
 
     /// Linearize `s` into a fresh tape within the length and stack caps.
-    fn tape_of(&mut self, s: Sym) -> Option<(Vec<TapeOp>, usize)> {
+    fn tape_of(&mut self, s: Sym) -> Result<(Vec<TapeOp>, usize), String> {
         let mut tape = Vec::new();
         let mut depth = Depth::default();
         self.linearize(s, &mut tape, &mut depth)?;
-        (depth.max <= MAX_STACK && tape.len() <= MAX_TAPE).then_some((tape, depth.max))
+        if tape.len() > MAX_TAPE {
+            return Err(format!("a tape outgrows the {MAX_TAPE}-op cap"));
+        }
+        if depth.max > MAX_STACK {
+            return Err(format!(
+                "an expression needs a value stack {} deep (cap {MAX_STACK})",
+                depth.max
+            ));
+        }
+        Ok((tape, depth.max))
     }
 
     /// Flatten an expression tree into a [`TapeOp`] program, preserving
@@ -718,19 +774,25 @@ impl Fuser {
     /// the module docs). Two-sided nodes (both children computed)
     /// evaluate the left child first, park it on the value stack, and
     /// combine — exactly the tree value, no re-association.
-    fn linearize(&mut self, sym: Sym, tape: &mut Vec<TapeOp>, depth: &mut Depth) -> Option<()> {
+    fn linearize(
+        &mut self,
+        sym: Sym,
+        tape: &mut Vec<TapeOp>,
+        depth: &mut Depth,
+    ) -> Result<(), String> {
         if tape.len() > MAX_TAPE {
-            return None;
+            return Err(format!("a tape outgrows the {MAX_TAPE}-op cap"));
         }
         if let Some(t) = self.leaf(sym) {
             let tap = self.tap_id(t)?;
             tape.push(TapeOp::Set { tap });
-            return Some(());
+            return Ok(());
         }
-        let Sym::Expr(id) = sym else {
-            return None;
+        let node = match sym {
+            Sym::Expr(id) => self.nodes.get(id as usize).copied(),
+            _ => None,
         };
-        match *self.nodes.get(id as usize)? {
+        match node.ok_or_else(|| format!("value {sym:?} has no tape form"))? {
             Node::Add(l, r) => {
                 if let Some(t) = self.leaf(r) {
                     self.linearize(l, tape, depth)?;
@@ -770,12 +832,12 @@ impl Fuser {
                 }
             }
         }
-        Some(())
+        Ok(())
     }
 
     /// Assign physical scratch slots, put the grid taps first, extract
     /// the fast chains and pre-resolve brick taps.
-    fn finish(mut self, layout: LayoutKind, block: BrickDims) -> Option<FusedKernel> {
+    fn finish(mut self, layout: LayoutKind, block: BrickDims) -> Result<FusedKernel, String> {
         self.stage_shared_shifts()?;
         let slot_of = self.assign_slots()?;
         for t in &mut self.taps {
@@ -821,15 +883,17 @@ impl Fuser {
             rp.fast = fast_row(&rp.tape, &taps);
         }
         let brick_taps = if layout == LayoutKind::Brick {
-            let mut v = Vec::with_capacity(grid_taps);
-            for t in &taps[..grid_taps] {
-                v.push(brick_tap(t, block)?);
-            }
-            v
+            taps[..grid_taps]
+                .iter()
+                .map(|t| {
+                    brick_tap(t, block)
+                        .ok_or_else(|| format!("grid tap {t:?} reaches past the adjacent bricks"))
+                })
+                .collect::<Result<_, _>>()?
         } else {
             Vec::new()
         };
-        Some(FusedKernel {
+        Ok(FusedKernel {
             taps,
             grid_taps,
             brick_taps,
@@ -845,7 +909,7 @@ impl Fuser {
     /// 125-point cube reads each of its shifted rows from up to 25 output
     /// rows, the 27-point cube from up to 9. A tap read once (every
     /// `T = 1` star row's) stays in place.
-    fn stage_shared_shifts(&mut self) -> Option<()> {
+    fn stage_shared_shifts(&mut self) -> Result<(), String> {
         let mut reads = vec![0u32; self.taps.len()];
         let tapes = self
             .scratch
@@ -864,12 +928,12 @@ impl Fuser {
             .filter(|&t| matches!(self.taps[t], Tap::Shifted { .. }) && reads[t] > 1)
             .map(|t| t as u16)
             .collect();
-        let k = u16::try_from(staged.len()).ok()?;
+        let k = u16::try_from(staged.len()).map_err(|_| id_overflow("scratch rows"))?;
         if k == 0 {
-            return Some(());
+            return Ok(());
         }
         // the staging programs take virtual slots 0..k
-        u16::try_from(self.scratch.len() + k as usize).ok()?;
+        u16::try_from(self.scratch.len() + k as usize).map_err(|_| id_overflow("scratch rows"))?;
         for t in &mut self.taps {
             match t {
                 Tap::Scratch { slot } => *slot += k,
@@ -883,7 +947,10 @@ impl Fuser {
         let mut to_staged = HashMap::new();
         let mut front = Vec::with_capacity(staged.len());
         for (slot, &t) in (0..k).zip(&staged) {
-            to_staged.insert(t, u16::try_from(self.taps.len()).ok()?);
+            to_staged.insert(
+                t,
+                u16::try_from(self.taps.len()).map_err(|_| id_overflow("taps"))?,
+            );
             self.taps.push(Tap::Scratch { slot });
             front.push(ScratchProg {
                 slot,
@@ -906,16 +973,16 @@ impl Fuser {
         }
         front.append(&mut self.scratch);
         self.scratch = front;
-        Some(())
+        Ok(())
     }
 
     /// Linear-scan slot assignment: virtual slot `k` (written by scratch
     /// program `k`) stays live until the last program that reads it, or
     /// to the end when an output row reads it. A slot whose last reader
     /// has run is reused; a program's own reads are all still live when
-    /// it is assigned, so it never writes a row it reads. `None` when the
+    /// it is assigned, so it never writes a row it reads. Refused when the
     /// buffer would outgrow `u16` slot ids.
-    fn assign_slots(&self) -> Option<Vec<u16>> {
+    fn assign_slots(&self) -> Result<Vec<u16>, String> {
         let n = self.scratch.len();
         let slots_read = |tape: &[TapeOp]| -> Vec<u16> {
             tape.iter()
@@ -950,12 +1017,14 @@ impl Fuser {
             slot_of[k] = match free.pop() {
                 Some(slot) => slot,
                 None => {
-                    rows = rows.checked_add(1)?;
+                    rows = rows
+                        .checked_add(1)
+                        .ok_or_else(|| id_overflow("scratch rows"))?;
                     rows - 1
                 }
             };
         }
-        Some(slot_of)
+        Ok(slot_of)
     }
 }
 
@@ -1414,7 +1483,7 @@ mod tests {
             for layout in [LayoutKind::Brick, LayoutKind::Array] {
                 for strategy in [Strategy::Gather, Strategy::Scatter] {
                     let k = kernel(shape, layout, strategy);
-                    let f = fuse(&k).unwrap_or_else(|| panic!("{shape} {layout} {strategy}"));
+                    let f = fuse(&k).unwrap_or_else(|e| panic!("{shape} {layout} {strategy}: {e}"));
                     let rt = resolve_identity(&f, k.width);
                     for rp in f.rows() {
                         check_tape(&rp.tape, &rt, BIG, BIG, k.width);

@@ -6,19 +6,19 @@
 //! libm call. This module recovers the performance the paper's generated
 //! kernels are supposed to have, in two layers:
 //!
-//! 1. **Lowering** ([`Plan::compile`]): the verified IR is lowered once per
-//!    kernel to a flat step program with pre-resolved register offsets,
-//!    inlined coefficient values, and shuffles (`ShiftX`) reduced to at most
-//!    two contiguous range copies. Elementwise steps write their destination
-//!    row in place (lane `i` depends only on lane `i`, so no scratch row is
-//!    needed except for the rare aliased shift).
-//! 2. **Row backends** ([`RowOps`]): the elementwise steps (`Add`/`Mul`/
-//!    `Fma`) execute through a monomorphic backend — a safe portable
-//!    implementation (the `Auto` floor on hosts without SIMD), AVX2+FMA
-//!    intrinsics behind `is_x86_feature_detected!`, or NEON on aarch64.
+//! 1. **Compilation** ([`Plan::compile`]): the verified IR is compiled
+//!    once per kernel into fused row programs ([`fuse`]) — per output row
+//!    a short accumulator tape over resolved input rows, plus per-block
+//!    scratch rows for values several ops read, shifts of computed rows
+//!    and partial loads. No register file exists at run time. A kernel
+//!    the fuser cannot express is refused with a typed error.
+//! 2. **Row backends** ([`RowOps`]): the tapes execute through a
+//!    monomorphic backend — a safe portable evaluator (the `Auto` floor on
+//!    hosts without SIMD), AVX2+FMA intrinsics behind
+//!    `is_x86_feature_detected!`, or NEON on aarch64.
 //!
-//! Every backend is **bit-identical** to the interpreter: lowering preserves
-//! the interpreter's operation order and fusion exactly, and the only
+//! Every backend is **bit-identical** to the interpreter: compilation
+//! preserves the interpreter's operation order and fusion exactly, and the only
 //! rounding-relevant instruction — FMA — is the correctly-rounded IEEE fused
 //! multiply-add in all implementations (`f64::mul_add`, `_mm256_fmadd_pd`,
 //! and `vfmaq_f64` compute the same value for the same operands). The
@@ -28,10 +28,10 @@
 //! # Safety argument
 //!
 //! The `unsafe` surface is confined to the [`avx2`]/[`neon`] submodules
-//! (pointer arithmetic into the register file and input slab). Its
+//! (pointer arithmetic into the input slab and the scratch rows). Its
 //! preconditions are discharged *statically* by **brick-safe**
-//! ([`safe`]): an abstract-interpretation pass over the lowered
-//! `Plan`/`RowProg` program that [`Plan::compile`] runs before the plan
+//! ([`safe`]): an abstract-interpretation pass over the fused
+//! `RowProg`/`ScratchProg` program that [`Plan::compile`] runs before the plan
 //! can reach a dispatcher. Each precondition is a named obligation with a
 //! stable `BSxxx` diagnostic code (catalogued in DESIGN.md §13); an
 //! unprovable plan is rejected with `VmError::UnsafePlan` carrying the
@@ -39,24 +39,24 @@
 //!
 //! * the analyzer's bounds proof ([`brick_lint::prove_bounds`]) — every
 //!   register index, lane range, shift distance, and coefficient index is
-//!   re-checked against the kernel's declared shape before lowering, and the
+//!   re-checked against the kernel's declared shape before fusion, and the
 //!   footprint pass's load reach bounds every out-of-block access (checked
 //!   against ghost/halo coverage by the callers in [`crate::exec`]);
-//! * brick-safe's obligations over the lowered form (BS001–BS014) — tap,
-//!   scratch and store rows in bounds for all blocks, seam shifts in
-//!   range, tape stack discipline, lane geometry, register-file bounds,
-//!   scratch rows written before they are read — plus the cheap
+//! * brick-safe's obligations over the fused form (BS001–BS008,
+//!   BS011–BS014) — tap, scratch and store rows in bounds for all blocks,
+//!   seam shifts in range, tape stack discipline, lane geometry, fast
+//!   chains faithful to their tapes, scratch rows written before they are
+//!   read — plus the cheap
 //!   per-run premise checks in [`crate::exec`] (whole-brick slab with valid
 //!   interior adjacency rows; array tap intervals inside the padded slab
 //!   via `Plan::check_array_geometry`);
-//! * a runtime assertion per step-machine row op in the safe wrappers —
-//!   offsets are checked against the register file length before any
-//!   pointer is formed — and debug-build re-checks of the resolved tap
-//!   tables in the fused evaluators ([`fuse::check_taps`]).
+//! * debug-build re-checks of the resolved tap tables in the fused
+//!   evaluators ([`fuse::check_taps`]), and a whole-tape check
+//!   ([`fuse::check_tape`]) before the row-granularity test entry
+//!   evaluates anything.
 
 pub(crate) mod fuse;
 mod plan;
-mod portable;
 pub(crate) mod safe;
 
 #[cfg(target_arch = "x86_64")]
@@ -65,7 +65,6 @@ mod avx2;
 mod neon;
 
 pub use plan::Plan;
-pub(crate) use portable::PortableOps;
 pub use safe::SafetySummary;
 
 use crate::exec::VmError;
@@ -202,11 +201,11 @@ impl std::fmt::Display for CpuFeatures {
 pub enum Backend {
     /// The reference interpreter.
     Interpreter,
-    /// Compiled plan, portable safe row ops.
+    /// Compiled plan, portable safe tape evaluator.
     Portable,
-    /// Compiled plan, AVX2+FMA row ops.
+    /// Compiled plan, AVX2+FMA tape evaluator.
     Avx2,
-    /// Compiled plan, NEON row ops.
+    /// Compiled plan, NEON tape evaluator.
     Neon,
 }
 
@@ -260,25 +259,13 @@ pub fn resolve(mode: ExecutionMode) -> Result<Backend, VmError> {
     resolve_with(mode, CpuFeatures::detect()).map_err(VmError::Unsupported)
 }
 
-/// Elementwise row operations over the register file, implemented per
-/// backend. `regs` is the flat register file; `*0` arguments are row base
-/// offsets (`reg * width`) pre-validated by [`Plan::compile`]. All three
-/// operations are elementwise (lane `i` of the destination depends only on
-/// lane `i` of the sources), so implementations may write `dst` in place
-/// even when it aliases a source row.
+/// A backend's fused-tape evaluators. The defaults are the safe portable
+/// evaluator; the SIMD backends override both entries with in-register
+/// tape interpreters behind their own bounds checks.
 pub(crate) trait RowOps: Sync {
-    /// `dst[i] = a[i] + b[i]` for `i in 0..w`.
-    fn add(&self, regs: &mut [f64], dst0: usize, a0: usize, b0: usize, w: usize);
-    /// `dst[i] = a[i] * c`.
-    fn mul(&self, regs: &mut [f64], dst0: usize, a0: usize, c: f64, w: usize);
-    /// `dst[i] = fma(a[i], c, acc[i])` — correctly-rounded fused.
-    fn fma(&self, regs: &mut [f64], dst0: usize, acc0: usize, a0: usize, c: f64, w: usize);
-
     /// Evaluate one fused row program ([`fuse::TapeOp`]) over resolved
     /// taps straight from the input slab (and the block's scratch rows)
-    /// into an output row — the register-file-free fast path. The default
-    /// is the safe portable evaluator; SIMD backends override it with an
-    /// in-register tape interpreter behind their own bounds checks.
+    /// into an output row.
     ///
     /// The execution pipeline now enters through [`RowOps::eval_block`];
     /// this row-granularity entry is retained for the differential and
@@ -325,6 +312,14 @@ pub(crate) trait RowOps: Sync {
         }
     }
 }
+
+/// The portable backend: safe Rust, the `Auto` floor on hosts without a
+/// SIMD backend. Its evaluator keeps `f64::mul_add` — the
+/// correctly-rounded fused operation the interpreter uses — so it stays
+/// bit-identical to the oracle even where that costs a libm call.
+pub(crate) struct PortableOps;
+
+impl RowOps for PortableOps {}
 
 /// A resolved backend's row ops, constructed only after feature checks.
 pub(crate) enum NativeOps {

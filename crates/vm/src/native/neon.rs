@@ -1,9 +1,9 @@
-//! NEON row backend (aarch64).
+//! NEON tape backend (aarch64).
 //!
 //! Mirrors [`super::avx2`] with 2-lane `float64x2_t` vectors; see that
 //! module for the three-layer safety argument (brick-safe compile-time
-//! proof BS001–BS014, per-call row assertions, feature-gated
-//! construction). NEON is part of
+//! proof, entry-point assertions, feature-gated construction). Width 128
+//! takes the portable evaluator. NEON is part of
 //! the aarch64 baseline, so detection is trivially true on this
 //! architecture. `vfmaq_f64` is the correctly-rounded IEEE-754 fused
 //! multiply-add — bit-identical to `f64::mul_add` — so this backend is
@@ -29,33 +29,7 @@ impl NeonOps {
     }
 }
 
-/// Same contract as the AVX2 `check_rows`, with 2-lane vectors.
-fn check_rows(len: usize, w: usize, offs: [usize; 3]) {
-    assert!(w >= 2 && w % 2 == 0, "width {w} is not a multiple of 2");
-    for off in offs {
-        assert!(off + w <= len, "row {off}+{w} escapes register file {len}");
-    }
-}
-
 impl RowOps for NeonOps {
-    fn add(&self, regs: &mut [f64], dst0: usize, a0: usize, b0: usize, w: usize) {
-        check_rows(regs.len(), w, [dst0, a0, b0]);
-        // SAFETY: rows checked in-bounds above; NEON is aarch64 baseline.
-        unsafe { add_rows(regs.as_mut_ptr(), dst0, a0, b0, w) }
-    }
-
-    fn mul(&self, regs: &mut [f64], dst0: usize, a0: usize, c: f64, w: usize) {
-        check_rows(regs.len(), w, [dst0, a0, a0]);
-        // SAFETY: rows checked in-bounds above; NEON is aarch64 baseline.
-        unsafe { mul_rows(regs.as_mut_ptr(), dst0, a0, c, w) }
-    }
-
-    fn fma(&self, regs: &mut [f64], dst0: usize, acc0: usize, a0: usize, c: f64, w: usize) {
-        check_rows(regs.len(), w, [dst0, acc0, a0]);
-        // SAFETY: rows checked in-bounds above; NEON is aarch64 baseline.
-        unsafe { fma_rows(regs.as_mut_ptr(), dst0, acc0, a0, c, w) }
-    }
-
     fn eval_row(
         &self,
         tape: &[TapeOp],
@@ -362,72 +336,5 @@ unsafe fn eval_tape<const NC: usize, const SP: usize>(
     for (c, a) in acc.iter().enumerate() {
         // SAFETY: out.len() == 2·NC asserted by the caller.
         unsafe { vst1q_f64(out.as_mut_ptr().add(2 * c), *a) };
-    }
-}
-
-/// # Safety
-/// `p + off + w <=` allocation for every offset; `w % 2 == 0`.
-#[target_feature(enable = "neon")]
-unsafe fn add_rows(p: *mut f64, dst0: usize, a0: usize, b0: usize, w: usize) {
-    for i in (0..w).step_by(2) {
-        // SAFETY: i + 2 <= w, so every lane is inside the checked rows.
-        unsafe {
-            let a = vld1q_f64(p.add(a0 + i));
-            let b = vld1q_f64(p.add(b0 + i));
-            vst1q_f64(p.add(dst0 + i), vaddq_f64(a, b));
-        }
-    }
-}
-
-/// # Safety
-/// Same contract as [`add_rows`].
-#[target_feature(enable = "neon")]
-unsafe fn mul_rows(p: *mut f64, dst0: usize, a0: usize, c: f64, w: usize) {
-    let cv = vdupq_n_f64(c);
-    for i in (0..w).step_by(2) {
-        // SAFETY: i + 2 <= w, so every lane is inside the checked rows.
-        unsafe {
-            let a = vld1q_f64(p.add(a0 + i));
-            vst1q_f64(p.add(dst0 + i), vmulq_f64(a, cv));
-        }
-    }
-}
-
-/// # Safety
-/// Same contract as [`add_rows`].
-#[target_feature(enable = "neon")]
-unsafe fn fma_rows(p: *mut f64, dst0: usize, acc0: usize, a0: usize, c: f64, w: usize) {
-    let cv = vdupq_n_f64(c);
-    for i in (0..w).step_by(2) {
-        // SAFETY: i + 2 <= w, so every lane is inside the checked rows.
-        unsafe {
-            let a = vld1q_f64(p.add(a0 + i));
-            let acc = vld1q_f64(p.add(acc0 + i));
-            // vfmaq_f64(acc, a, c) = acc + a*c, fused
-            vst1q_f64(p.add(dst0 + i), vfmaq_f64(acc, a, cv));
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn neon_rows_are_bit_identical_to_mul_add() {
-        let ops = NeonOps::new();
-        let w = 16;
-        let mut regs = vec![0.0; 3 * w];
-        for i in 0..w {
-            regs[w + i] = 0.1 * (i as f64) - 0.3;
-            regs[2 * w + i] = 1.0 / (1.0 + i as f64);
-        }
-        let (r1, r2) = (regs[w..2 * w].to_vec(), regs[2 * w..3 * w].to_vec());
-        let c = 0.123456789;
-        ops.fma(&mut regs, 0, w, 2 * w, c, w);
-        for i in 0..w {
-            let want = r2[i].mul_add(c, r1[i]);
-            assert_eq!(regs[i].to_bits(), want.to_bits(), "lane {i}");
-        }
     }
 }

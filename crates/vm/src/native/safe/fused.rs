@@ -6,7 +6,7 @@
 //! Proving `off + w ≤ vol` here (BS001), together with the per-run
 //! premise that the slab holds exactly `nb` whole bricks and every
 //! interior adjacency entry is a valid id `< nb` (checked in
-//! `crate::exec::run_brick_fused`), gives `base + w ≤ raw.len()` for
+//! `crate::exec::run_brick_plan`), gives `base + w ≤ raw.len()` for
 //! every tap of every interior brick — translation invariance does the
 //! rest. Array layouts leave `brick_taps` empty; their geometry half
 //! lives in [`super::geometry`].
@@ -20,7 +20,7 @@
 use brick_core::BrickDims;
 use brick_lint::LintCode;
 
-use super::super::fuse::{self, BrickTap, Fill, FusedKernel, Tap, TapeOp, MAX_STACK};
+use super::super::fuse::{self, BrickTap, Fill, FusedKernel, Tap, TapeOp, FUSED_WIDTHS, MAX_STACK};
 use super::Prover;
 
 /// Discharge the fused-path obligations over `f`.
@@ -28,9 +28,10 @@ pub(crate) fn prove_fused(p: &mut Prover, w: usize, block: BrickDims, f: &FusedK
     let vol = block.volume();
     // BS008: the fused evaluators index lanes as `x = i mod w` within a
     // block row, which is only the grid row when the block x-extent IS
-    // the vector width; and their dispatch tables cover w ∈ {16, 32, 64}.
+    // the vector width; their dispatch tables cover the fused widths, all
+    // whole numbers of 4-lane AVX2 and 2-lane NEON vectors.
     p.obligation(
-        matches!(w, 16 | 32 | 64) && block.bx == w,
+        FUSED_WIDTHS.contains(&w) && block.bx == w,
         LintCode::UnsafeLaneGeometry,
         None,
         || {

@@ -1,7 +1,7 @@
 //! Per-run geometry premise for fused array execution (the run-time half
 //! of obligation BS001 on dense layouts).
 //!
-//! The array executor (`crate::exec::run_array_fused`) resolves each tap
+//! The array executor (`crate::exec::run_array_plan`) resolves each tap
 //! to `base = origin + delta` with `origin = ((oz+h)·sy + (oy+h))·sx +
 //! (ox+h)` per tile and `delta = rz·plane + ry·sx + dxe` per tap
 //! (`dxe = rx·w` for direct taps, the fold-in shift `dx` for shifted
@@ -21,9 +21,8 @@ use brick_lint::LintCode;
 
 /// Check every tap of `plan`'s fused program against an `nx × ny × nz`
 /// interior with `halo` cells of padding on each side. Vacuously `Ok`
-/// for non-fused plans (the step machine bounds-checks through safe
-/// slices) and for brick-resolved plans (their bounds are discharged at
-/// compile time plus the adjacency premise in `crate::exec`).
+/// for brick-resolved plans (their bounds are discharged at compile time
+/// plus the adjacency premise in `crate::exec`).
 pub(crate) fn check(
     plan: &Plan,
     nx: usize,
@@ -31,9 +30,7 @@ pub(crate) fn check(
     nz: usize,
     halo: usize,
 ) -> Result<(), Box<Report>> {
-    let Some(f) = plan.fused.as_ref() else {
-        return Ok(());
-    };
+    let f = &plan.fused;
     if !f.brick_taps.is_empty() {
         return Ok(());
     }

@@ -8,14 +8,15 @@
 //! scratch rows inside the per-worker buffer and written before read.
 //! Rather than re-checking those properties per block at run time, this
 //! module proves them *once*, at [`super::Plan::compile`] time, by
-//! abstract interpretation over the lowered [`super::plan::Step`] program
-//! and the fused [`super::fuse::FusedKernel`] tape.
+//! abstract interpretation over the fused [`super::fuse::FusedKernel`]
+//! program.
 //!
 //! Every property is an explicit **proof obligation** with a stable
 //! diagnostic code (`BS001`–`BS014`, catalogued in
-//! [`brick_lint::LintCode`] and DESIGN.md §13). A violated obligation
-//! becomes a [`brick_lint::Diagnostic`] anchored at the offending tape op
-//! or step; the whole report is returned as
+//! [`brick_lint::LintCode`] and DESIGN.md §13; `BS009`/`BS010` are
+//! retired). A violated obligation becomes a [`brick_lint::Diagnostic`]
+//! anchored at the offending tap, tape op, row or scratch program; the
+//! whole report is returned as
 //! `VmError::UnsafePlan` and the plan is rejected before any dispatcher
 //! can see it. Obligations whose truth depends on the run-time grid
 //! (array slab extents, brick adjacency tables) are split: the
@@ -29,7 +30,6 @@
 
 mod fused;
 mod geometry;
-mod steps;
 
 #[cfg(test)]
 mod mutation;
@@ -38,7 +38,7 @@ use brick_core::BrickDims;
 use brick_lint::{Diagnostic, LintCode, Report};
 
 use super::fuse::FusedKernel;
-use super::plan::{Plan, Step};
+use super::plan::Plan;
 
 /// Outcome of a successful brick-safe proof: what was proved, and how
 /// much of it. Returned by [`super::Plan::safety`] /
@@ -48,16 +48,17 @@ pub struct SafetySummary {
     /// Total proof obligations discharged (each bounds comparison,
     /// alias check, and stack-discipline condition counts once).
     pub obligations: usize,
-    /// Whether the plan carries a fused-row program (the fused
-    /// obligations BS001–BS004, BS006–BS008, BS011–BS014 only apply then).
+    /// Always `true`: every compiled plan runs on fused tapes (a kernel
+    /// the fuser refuses has no plan). Kept for the readers that report
+    /// it.
     pub fused: bool,
-    /// Number of taps in the fused tap table (0 when not fused).
+    /// Number of taps in the fused tap table.
     pub taps: usize,
-    /// Number of fused output-row programs (0 when not fused).
+    /// Number of fused output-row programs.
     pub rows: usize,
     /// Rows of the per-worker scratch buffer the fused program
-    /// materializes computed rows into (0 when not fused, and for
-    /// kernels whose rows read the grid only).
+    /// materializes computed rows into (0 for kernels whose rows read the
+    /// grid only).
     pub scratch_rows: usize,
 }
 
@@ -76,7 +77,7 @@ impl Prover {
     }
 
     /// Discharge one obligation: record it, and on failure push a
-    /// diagnostic (anchored at tape-op/step index `op` when given).
+    /// diagnostic (anchored at index `op` when given).
     /// The message closure only runs on failure.
     pub(crate) fn obligation(
         &mut self,
@@ -106,43 +107,31 @@ impl Prover {
     }
 }
 
-/// Prove a lowered program safe. Called by [`super::Plan::compile`] on
+/// Prove a fused program safe. Called by [`super::Plan::compile`] on
 /// every plan; the components are the plan's own fields (passed
 /// separately because the `Plan` does not exist yet at that point).
 pub(crate) fn prove(
     name: &str,
     width: usize,
-    num_regs: usize,
     block: BrickDims,
-    steps: &[Step],
-    fused: Option<&FusedKernel>,
+    f: &FusedKernel,
 ) -> Result<SafetySummary, Box<Report>> {
     let mut p = Prover::new(name);
-    steps::prove_steps(&mut p, width, num_regs, block, steps);
-    if let Some(f) = fused {
-        fused::prove_fused(&mut p, width, block, f);
-    }
+    fused::prove_fused(&mut p, width, block, f);
     let obligations = p.finish()?;
     Ok(SafetySummary {
         obligations,
-        fused: fused.is_some(),
-        taps: fused.map_or(0, FusedKernel::taps_len),
-        rows: fused.map_or(0, |f| f.rows().len()),
-        scratch_rows: fused.map_or(0, |f| f.scratch_rows),
+        fused: true,
+        taps: f.taps_len(),
+        rows: f.rows().len(),
+        scratch_rows: f.scratch_rows,
     })
 }
 
 /// Re-prove a finished plan (the `bricks lint --native` / benchmark
 /// entry; `Plan::compile` already ran [`prove`] once).
 pub(crate) fn prove_plan(plan: &Plan) -> Result<SafetySummary, Box<Report>> {
-    prove(
-        "plan",
-        plan.width,
-        plan.num_regs,
-        plan.block,
-        &plan.steps,
-        plan.fused.as_ref(),
-    )
+    prove("plan", plan.width, plan.block, &plan.fused)
 }
 
 /// Per-run geometry premise for array layouts: see [`geometry`].

@@ -5,8 +5,8 @@
 //! 1. **Sensitivity**: of all single-site perturbations of compiled
 //!    plans — tap offsets, neighbour indices, seam splits, store
 //!    targets, tape indices, stack depths, fast chains (on a base whose
-//!    chains read staged scratch rows too), widths, step
-//!    offsets, declared tap counts, and (on temporal bases) scratch
+//!    chains read staged scratch rows too), widths, declared tap counts,
+//!    and (on temporal bases) scratch
 //!    slots, scratch write order, scratch shifts and window fills — the
 //!    prover (compile-time pass plus the per-run array geometry check)
 //!    must reject at least 95%.
@@ -31,7 +31,7 @@ use brick_dsl::shape::StencilShape;
 use brick_dsl::DenseGrid;
 
 use super::super::fuse::{self, BrickTap, Fill, Tap, TapeOp, MAX_STACK};
-use super::super::plan::{Plan, Step};
+use super::super::plan::Plan;
 use super::super::{PortableOps, RowOps};
 use super::prove_plan;
 
@@ -134,7 +134,7 @@ fn killed(m: &Plan, b: &Base) -> bool {
 fn mutants_of(base: &Base) -> Vec<(String, Plan)> {
     let p = &base.plan;
     let mut out: Vec<(String, Plan)> = Vec::new();
-    let f = p.fused.as_ref().expect("gather bases fuse");
+    let f = &p.fused;
     let vol = p.block.volume();
     let w = p.width;
     let ntaps = f.taps.len() as u16;
@@ -147,7 +147,7 @@ fn mutants_of(base: &Base) -> Vec<(String, Plan)> {
     {
         let mutate = |label: &str, g: &dyn Fn(&mut usize, &mut usize), out: &mut Vec<_>| {
             let mut m = p.clone();
-            let bts = &mut m.fused.as_mut().unwrap().brick_taps;
+            let bts = &mut m.fused.brick_taps;
             if let BrickTap::Direct { nidx, off } = &mut bts[i] {
                 g(nidx, off);
             }
@@ -171,7 +171,7 @@ fn mutants_of(base: &Base) -> Vec<(String, Plan)> {
                       g: &dyn Fn(&mut usize, &mut usize, &mut usize, &mut isize),
                       out: &mut Vec<_>| {
             let mut m = p.clone();
-            let bts = &mut m.fused.as_mut().unwrap().brick_taps;
+            let bts = &mut m.fused.brick_taps;
             if let BrickTap::Split {
                 hnidx,
                 nnidx,
@@ -197,23 +197,23 @@ fn mutants_of(base: &Base) -> Vec<(String, Plan)> {
     // --- row killers ---
     {
         let mut m = p.clone();
-        m.fused.as_mut().unwrap().rows[0].out_off = vol;
+        m.fused.rows[0].out_off = vol;
         out.push(("row-out-off-vol".to_string(), m));
     }
     {
         let mut m = p.clone();
-        m.fused.as_mut().unwrap().rows[0].out_off += 1;
+        m.fused.rows[0].out_off += 1;
         out.push(("row-out-off-misaligned".to_string(), m));
     }
     if f.rows.len() >= 2 {
         let mut m = p.clone();
-        let dup = m.fused.as_ref().unwrap().rows[1].out_off;
-        m.fused.as_mut().unwrap().rows[0].out_off = dup;
+        let dup = m.fused.rows[1].out_off;
+        m.fused.rows[0].out_off = dup;
         out.push(("row-out-off-duplicate".to_string(), m));
     }
     {
         let mut m = p.clone();
-        m.fused.as_mut().unwrap().rows[0].ry = p.block.by as u16;
+        m.fused.rows[0].ry = p.block.by as u16;
         out.push(("row-ry-escapes-block".to_string(), m));
     }
 
@@ -221,21 +221,19 @@ fn mutants_of(base: &Base) -> Vec<(String, Plan)> {
     if let Some(j) = f.rows[0].tape.iter().position(|op| op.tap().is_some()) {
         for (label, tap) in [("tape-tap-ntaps", ntaps), ("tape-tap-max", u16::MAX)] {
             let mut m = p.clone();
-            let t = &mut m.fused.as_mut().unwrap().rows[0].tape[j];
+            let t = &mut m.fused.rows[0].tape[j];
             *t = t.map_tap(|_| tap);
             out.push((label.to_string(), m));
         }
     }
     {
         let mut m = p.clone();
-        m.fused.as_mut().unwrap().rows[0]
-            .tape
-            .insert(0, TapeOp::PopAdd);
+        m.fused.rows[0].tape.insert(0, TapeOp::PopAdd);
         out.push(("tape-underflow".to_string(), m));
     }
     {
         let mut m = p.clone();
-        let rp = &mut m.fused.as_mut().unwrap().rows[0];
+        let rp = &mut m.fused.rows[0];
         rp.tape
             .extend(std::iter::repeat_n(TapeOp::Push, MAX_STACK + 1));
         rp.max_sp = MAX_STACK + 1;
@@ -243,7 +241,7 @@ fn mutants_of(base: &Base) -> Vec<(String, Plan)> {
     }
     {
         let mut m = p.clone();
-        m.fused.as_mut().unwrap().rows[0].max_sp += 1;
+        m.fused.rows[0].max_sp += 1;
         out.push(("tape-max-sp-overdeclared".to_string(), m));
     }
     // Target a depth-0 row: appending a Push there raises the true max
@@ -252,27 +250,23 @@ fn mutants_of(base: &Base) -> Vec<(String, Plan)> {
     // corruption the evaluators could trip over.)
     if let Some(r0) = f.rows.iter().position(|rp| rp.max_sp == 0) {
         let mut m = p.clone();
-        m.fused.as_mut().unwrap().rows[r0].tape.push(TapeOp::Push);
+        m.fused.rows[r0].tape.push(TapeOp::Push);
         out.push(("tape-push-undeclared".to_string(), m));
     }
 
     // --- fast-chain killers ---
     if f.rows[0].fast.is_some() {
         let mut m = p.clone();
-        m.fused.as_mut().unwrap().rows[0]
-            .fast
-            .as_mut()
-            .unwrap()
-            .first = ntaps;
+        m.fused.rows[0].fast.as_mut().unwrap().first = ntaps;
         out.push(("fast-first-invalid".to_string(), m));
         let mut m = p.clone();
-        let fr = m.fused.as_mut().unwrap().rows[0].fast.as_mut().unwrap();
+        let fr = m.fused.rows[0].fast.as_mut().unwrap();
         if !fr.fmas.is_empty() {
             fr.fmas[0].1 += 1.0;
             out.push(("fast-coeff-divergent".to_string(), m));
             // a valid tap id the tape does not read at that position
             let mut m = p.clone();
-            let fr = m.fused.as_mut().unwrap().rows[0].fast.as_mut().unwrap();
+            let fr = m.fused.rows[0].fast.as_mut().unwrap();
             fr.fmas[0].0 = (fr.fmas[0].0 + 1) % ntaps;
             out.push(("fast-tap-divergent".to_string(), m));
         }
@@ -282,7 +276,7 @@ fn mutants_of(base: &Base) -> Vec<(String, Plan)> {
     // executors resolve by ---
     for (label, delta) in [("tap-count-short", -1isize), ("tap-count-long", 1)] {
         let mut m = p.clone();
-        let g = &mut m.fused.as_mut().unwrap().grid_taps;
+        let g = &mut m.fused.grid_taps;
         *g = g.saturating_add_signed(delta);
         out.push((label.to_string(), m));
     }
@@ -291,7 +285,7 @@ fn mutants_of(base: &Base) -> Vec<(String, Plan)> {
     if !f.scratch.is_empty() {
         let rows = f.scratch_rows as u16;
         let mut m = p.clone();
-        m.fused.as_mut().unwrap().scratch[0].slot = rows;
+        m.fused.scratch[0].slot = rows;
         out.push(("scr-slot-past-buffer".to_string(), m));
         let reads_scratch = |fill: &Fill| match fill {
             Fill::Tape { tape, .. } => tape
@@ -303,14 +297,14 @@ fn mutants_of(base: &Base) -> Vec<(String, Plan)> {
         if let Some(k) = f.scratch.iter().position(|sp| reads_scratch(&sp.fill)) {
             // hoist a program that reads scratch rows ahead of every write
             let mut m = p.clone();
-            let sc = &mut m.fused.as_mut().unwrap().scratch;
+            let sc = &mut m.fused.scratch;
             let sp = sc.remove(k);
             sc.insert(0, sp);
             out.push(("scr-read-before-write".to_string(), m));
         }
         if let Some(i) = f.taps.iter().position(|t| matches!(t, Tap::Scratch { .. })) {
             let mut m = p.clone();
-            if let Tap::Scratch { slot } = &mut m.fused.as_mut().unwrap().taps[i] {
+            if let Tap::Scratch { slot } = &mut m.fused.taps[i] {
                 *slot = rows;
             }
             out.push(("scr-tap-slot-past-buffer".to_string(), m));
@@ -322,20 +316,20 @@ fn mutants_of(base: &Base) -> Vec<(String, Plan)> {
         {
             for (label, bad) in [("scr-shift-reach-w", w as i16), ("scr-shift-zero", 0)] {
                 let mut m = p.clone();
-                if let Tap::ScratchShifted { dx, .. } = &mut m.fused.as_mut().unwrap().taps[i] {
+                if let Tap::ScratchShifted { dx, .. } = &mut m.fused.taps[i] {
                     *dx = bad;
                 }
                 out.push((label.to_string(), m));
             }
             let mut m = p.clone();
-            if let Tap::ScratchShifted { edge, .. } = &mut m.fused.as_mut().unwrap().taps[i] {
+            if let Tap::ScratchShifted { edge, .. } = &mut m.fused.taps[i] {
                 *edge = rows;
             }
             out.push(("scr-shift-edge-past-buffer".to_string(), m));
         }
         if let Some(i) = f.taps.iter().position(|t| matches!(t, Tap::Window { .. })) {
             let mut m = p.clone();
-            if let Tap::Window { lane0, lanes, .. } = &mut m.fused.as_mut().unwrap().taps[i] {
+            if let Tap::Window { lane0, lanes, .. } = &mut m.fused.taps[i] {
                 *lanes = w as u16 + 1 - *lane0;
             }
             out.push(("scr-window-overhang".to_string(), m));
@@ -348,7 +342,7 @@ fn mutants_of(base: &Base) -> Vec<(String, Plan)> {
                     .map(|j| (r, j))
             }) {
                 let mut m = p.clone();
-                let t = &mut m.fused.as_mut().unwrap().rows[r].tape[j];
+                let t = &mut m.fused.rows[r].tape[j];
                 *t = t.map_tap(|_| i as u16);
                 out.push(("scr-window-as-operand".to_string(), m));
             }
@@ -359,7 +353,7 @@ fn mutants_of(base: &Base) -> Vec<(String, Plan)> {
             .position(|bt| matches!(bt, BrickTap::Window { .. }))
         {
             let mut m = p.clone();
-            if let BrickTap::Window { off, .. } = &mut m.fused.as_mut().unwrap().brick_taps[i] {
+            if let BrickTap::Window { off, .. } = &mut m.fused.brick_taps[i] {
                 *off = vol;
             }
             out.push(("bt-window-off-vol".to_string(), m));
@@ -373,66 +367,17 @@ fn mutants_of(base: &Base) -> Vec<(String, Plan)> {
         out.push((label.to_string(), m));
     }
 
-    // --- step killers ---
-    if let Some(j) = p.steps.iter().position(|s| matches!(s, Step::Load { .. })) {
-        let regs_len = (p.num_regs + 1) * w;
-        for (label, g) in [
-            (
-                "step-load-dst-escapes",
-                Box::new(move |s: &mut Step| {
-                    if let Step::Load { dst0, .. } = s {
-                        *dst0 = regs_len;
-                    }
-                }) as Box<dyn Fn(&mut Step)>,
-            ),
-            (
-                "step-load-dst-misaligned",
-                Box::new(|s: &mut Step| {
-                    if let Step::Load { dst0, .. } = s {
-                        *dst0 += 1;
-                    }
-                }),
-            ),
-            (
-                "step-load-lane-escapes",
-                Box::new(move |s: &mut Step| {
-                    if let Step::Load { lane0, .. } = s {
-                        *lane0 = w;
-                    }
-                }),
-            ),
-        ] {
-            let mut m = p.clone();
-            g(&mut m.steps[j]);
-            out.push((label.to_string(), m));
-        }
-    }
-    if let Some(j) = p.steps.iter().position(|s| matches!(s, Step::Store { .. })) {
-        let mut m = p.clone();
-        if let Step::Store { ry, .. } = &mut m.steps[j] {
-            *ry = p.block.by as i16;
-        }
-        out.push(("step-store-escapes-block".to_string(), m));
-    }
-    if let Some(j) = p.steps.iter().position(|s| matches!(s, Step::Shift { .. })) {
-        let mut m = p.clone();
-        if let Step::Shift { dx, .. } = &mut m.steps[j] {
-            *dx = 0;
-        }
-        out.push(("step-shift-dx-0".to_string(), m));
-    }
-
     // --- geometry killers (array layouts: survive the compile-time
     // pass by design, die at the per-run premise) ---
     if base.layout == LayoutKind::Array {
         if let Some(i) = f.taps.iter().position(|t| matches!(t, Tap::Direct { .. })) {
             let mut m = p.clone();
-            if let Tap::Direct { rx, .. } = &mut m.fused.as_mut().unwrap().taps[i] {
+            if let Tap::Direct { rx, .. } = &mut m.fused.taps[i] {
                 *rx = 100;
             }
             out.push(("geom-direct-rx-100".to_string(), m));
             let mut m = p.clone();
-            if let Tap::Direct { ry, .. } = &mut m.fused.as_mut().unwrap().taps[i] {
+            if let Tap::Direct { ry, .. } = &mut m.fused.taps[i] {
                 *ry = 30000;
             }
             out.push(("geom-direct-ry-30000".to_string(), m));
@@ -452,7 +397,7 @@ fn mutants_of(base: &Base) -> Vec<(String, Plan)> {
                 .position(|bt| matches!(bt, BrickTap::Direct { off, .. } if off + 1 + w <= vol))
                 .expect("brick bases have a nudgeable tap");
             let mut m = p.clone();
-            if let BrickTap::Direct { off, .. } = &mut m.fused.as_mut().unwrap().brick_taps[i] {
+            if let BrickTap::Direct { off, .. } = &mut m.fused.brick_taps[i] {
                 *off += 1;
             }
             out.push(("benign-tap-nudge".to_string(), m));
@@ -466,7 +411,7 @@ fn mutants_of(base: &Base) -> Vec<(String, Plan)> {
                 .position(|t| matches!(t, Tap::Shifted { .. }))
                 .expect("array star base has shifted taps");
             let mut m = p.clone();
-            if let Tap::Shifted { dx, .. } = &mut m.fused.as_mut().unwrap().taps[i] {
+            if let Tap::Shifted { dx, .. } = &mut m.fused.taps[i] {
                 *dx = -*dx;
             }
             out.push(("benign-seam-flip".to_string(), m));
@@ -481,7 +426,7 @@ fn mutants_of(base: &Base) -> Vec<(String, Plan)> {
 /// checks plus the portable block evaluator. Any address outside the
 /// slab or the scratch buffer panics inside `catch_unwind`.
 fn brick_survivor_is_harmless(b: &Base, m: &Plan, n: usize) -> bool {
-    let f = m.fused.as_ref().unwrap();
+    let f = &m.fused;
     let mut dense = DenseGrid::new(n.max(m.width), n, n, b.halo);
     dense.fill_test_pattern();
     let grid = BrickGrid::from_dense(&dense, m.block);
@@ -517,11 +462,11 @@ fn brick_survivor_is_harmless(b: &Base, m: &Plan, n: usize) -> bool {
 
 /// Memory-harmlessness oracle for array survivors: re-derive every grid
 /// tap base of every tile with the executor's own address math
-/// (`crate::exec::run_array_fused`) and bounds-check it against the
+/// (`crate::exec::run_array_plan`) and bounds-check it against the
 /// padded slab; every scratch row read or written must lie inside the
 /// worker's buffer.
 fn array_survivor_is_harmless(m: &Plan, nx: usize, ny: usize, nz: usize, halo: usize) -> bool {
-    let f = m.fused.as_ref().unwrap();
+    let f = &m.fused;
     let in_buffer = |s: u16| (s as usize) < f.scratch_rows;
     let scratch_ok = f.scratch.iter().all(|sp| in_buffer(sp.slot))
         && f.taps.iter().all(|t| {
@@ -621,7 +566,7 @@ fn stack_discipline_diagnostics_anchor_at_their_tape() {
     // BS005 judges a whole tape, so it names the output row or scratch
     // program that owns it, the way BS004/BS013 name their tape op.
     let base = compile(StencilShape::star(1), LayoutKind::Brick, 2);
-    let f = base.fused.as_ref().unwrap();
+    let f = &base.fused;
     let k = f
         .scratch
         .iter()
@@ -635,10 +580,10 @@ fn stack_discipline_diagnostics_anchor_at_their_tape() {
         found[0].op
     };
     let mut m = base.clone();
-    m.fused.as_mut().unwrap().rows[last].max_sp += 1;
+    m.fused.rows[last].max_sp += 1;
     assert_eq!(bs005(&m), Some(last));
     let mut m = base.clone();
-    if let Fill::Tape { max_sp, .. } = &mut m.fused.as_mut().unwrap().scratch[k].fill {
+    if let Fill::Tape { max_sp, .. } = &mut m.fused.scratch[k].fill {
         *max_sp += 1;
     }
     assert_eq!(bs005(&m), Some(k));

@@ -1,13 +1,13 @@
 //! Fusion census: which generated kernels run on fused tapes.
 //!
 //! Every kernel `generate` emits for the paper suite × {Gather, Scatter,
-//! Auto} × {Brick, Array} × widths {16, 32, 64} × every feasible temporal
-//! degree must compile to a *fused* plan — no step-machine fallback — and
-//! the fused plan must reproduce `Backend::Interpreter` bit for bit over
-//! the whole output buffer (both outputs pre-filled with a sentinel, so a
-//! cell one path writes and the other skips shows up). A family the fuser
-//! still refuses is listed in [`REFUSED`] with its reason; today the list
-//! is empty.
+//! Auto} × {Brick, Array} × widths {16, 32, 64, 128} (128 is the
+//! 64-lane SIMD width folded twice into one brick row) × every feasible
+//! temporal degree must compile — a compiled plan is always a fused one,
+//! and a kernel the fuser refuses fails `Plan::compile` with
+//! `VmError::Unsupported` — and must reproduce `Backend::Interpreter` bit
+//! for bit over the whole output buffer (both outputs pre-filled with a
+//! sentinel, so a cell one path writes and the other skips shows up).
 //!
 //! `census_throughput_report` (ignored; run in release with
 //! `--ignored --nocapture`) prints the fused Mpt/s of each family.
@@ -23,10 +23,9 @@ use brick_vm::{
     resolve, run_vector_array_backend, run_vector_brick_backend, Backend, ExecutionMode, Plan,
 };
 
-/// Kernel families the fuser refuses, as `(label, reason)`: a kernel
-/// whose label starts with an entry's label may compile unfused. Empty —
-/// every census kernel fuses.
-const REFUSED: &[(&str, &str)] = &[];
+/// Vector widths of the census: the generator's SIMD widths plus the
+/// folded width 128 (`fold_factor = 2` at 64 lanes).
+const WIDTHS: [usize; 4] = [16, 32, 64, 128];
 
 /// Finite and never computed by a stencil over the test pattern.
 const SENTINEL: f64 = f64::MAX;
@@ -63,7 +62,7 @@ fn census() -> Vec<(String, VectorKernel, usize)> {
     let mut out = Vec::new();
     for shape in StencilShape::paper_suite() {
         for layout in [LayoutKind::Brick, LayoutKind::Array] {
-            for width in [16usize, 32, 64] {
+            for width in WIDTHS {
                 for strategy in [Strategy::Gather, Strategy::Scatter, Strategy::Auto] {
                     out.extend(census_kernel(shape, layout, width, strategy, 1));
                 }
@@ -74,13 +73,6 @@ fn census() -> Vec<(String, VectorKernel, usize)> {
         }
     }
     out
-}
-
-fn refusal(label: &str) -> Option<&'static str> {
-    REFUSED
-        .iter()
-        .find(|(prefix, _)| label.starts_with(prefix))
-        .map(|&(_, why)| why)
 }
 
 /// Run `k` under `backend` over `input` into a sentinel-filled output and
@@ -114,18 +106,11 @@ fn every_census_kernel_fuses_and_matches_the_interpreter() {
         backends.push(Backend::Portable);
     }
     let kernels = census();
-    // 6 shapes x 2 layouts x 3 widths x 3 strategies at T = 1, plus the
+    // 6 shapes x 2 layouts x 4 widths x 3 strategies at T = 1, plus the
     // feasible degrees T = 2..=4 of radius-1 and radius-2 shapes
-    assert!(kernels.len() >= 108, "census shrank to {}", kernels.len());
-    let mut refused = Vec::new();
+    assert!(kernels.len() >= 144, "census shrank to {}", kernels.len());
     for (label, k, halo) in &kernels {
-        let plan = Plan::compile(k).unwrap_or_else(|e| panic!("{label}: {e}"));
-        if !plan.safety().fused {
-            match refusal(label) {
-                Some(why) => refused.push(format!("{label}: {why}")),
-                None => panic!("{label}: not fused and not listed in REFUSED"),
-            }
-        }
+        Plan::compile(k).unwrap_or_else(|e| panic!("{label}: {e}"));
         let mut input = DenseGrid::new(k.width, 8, 8, *halo);
         input.fill_test_pattern();
         let oracle = run(k, &input, Backend::Interpreter);
@@ -141,7 +126,6 @@ fn every_census_kernel_fuses_and_matches_the_interpreter() {
             }
         }
     }
-    assert_eq!(refused.len(), REFUSED.len(), "refusals: {refused:?}");
 }
 
 #[test]
@@ -163,7 +147,7 @@ fn scratch_rows_hold_temporal_planes_and_shared_shifts_only() {
     }
 }
 
-/// Fused throughput per family (bricks, widths 16/32/64; `T = 1` under
+/// Fused throughput per family (bricks, every census width; `T = 1` under
 /// both strategies, `T > 1` under `Auto`), best of 5 at 128³.
 #[test]
 #[ignore]
@@ -171,7 +155,7 @@ fn census_throughput_report() {
     let auto = resolve(ExecutionMode::Auto).unwrap();
     let n = 128;
     for shape in StencilShape::paper_suite() {
-        for width in [16usize, 32, 64] {
+        for width in WIDTHS {
             let configs = [(Strategy::Gather, 1), (Strategy::Scatter, 1)]
                 .into_iter()
                 .chain((2..=4).map(|t| (Strategy::Auto, t)));

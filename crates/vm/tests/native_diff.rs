@@ -7,13 +7,13 @@
 //! mode dispatch), the portable compiled backend, and AVX2/NEON when
 //! detected — and the full output storage is compared with `to_bits`.
 //!
-//! The documented ULP bound for the SIMD backends is **zero**: lowering
+//! The documented ULP bound for the SIMD backends is **zero**: compilation
 //! preserves the interpreter's operation order and fusion exactly, and
 //! `_mm256_fmadd_pd`/`vfmaq_f64` compute the same correctly-rounded IEEE
 //! fused multiply-add as the interpreter's `f64::mul_add`. FMA contraction
 //! never "legitimately differs" here because the compiled backends fuse
 //! exactly where the interpreter already fuses — so the exact comparison
-//! applies everywhere, and any future lowering change that reorders or
+//! applies everywhere, and any future compilation change that reorders or
 //! re-fuses arithmetic must loosen this suite *explicitly*.
 
 use brick_codegen::{generate, CodegenOptions, LayoutKind, Strategy};

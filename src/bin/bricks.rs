@@ -461,12 +461,8 @@ fn lint_native_cmd(json: bool) -> Result<(), String> {
                             } else {
                                 println!(
                                     "ok   {name:44} {:4} obligations, {:3} taps, {:2} rows, \
-                                     {:3} scratch rows{}",
-                                    s.obligations,
-                                    s.taps,
-                                    s.rows,
-                                    s.scratch_rows,
-                                    if s.fused { "" } else { " (unfused)" }
+                                     {:3} scratch rows",
+                                    s.obligations, s.taps, s.rows, s.scratch_rows
                                 );
                             }
                         }
