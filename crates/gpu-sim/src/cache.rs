@@ -131,31 +131,86 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Line {
-    tag: u64,
-    valid: u32,
-    dirty: u32,
-    last_use: u64,
-}
-
 /// One cache level.
+///
+/// Storage is set-major and flat: way `w` of set `s` lives at index
+/// `s * assoc + w` of the per-way arrays. The occupied ways of a set are
+/// `0..fill[s]`; a line never moves once allocated (eviction replaces the
+/// victim in place), and recency is a per-way LRU rank, `0` for the most
+/// recently used line of the set and `fill − 1` for the least. The rank
+/// order is exactly the order of last use, so replacement never ties and
+/// no clock is kept.
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Line>>,
-    clock: u64,
+    /// `log2(line)`: a sector's tag is `addr >> line_shift`.
+    line_shift: u32,
+    /// `log2(sector)`.
+    sector_shift: u32,
+    /// `line / sector`.
     sectors_per_line: u32,
-    /// Most-recently-used line memo: skips the set walk when consecutive
-    /// sectors land on the same line, which is the common case for the
-    /// row-granular streams the kernels issue. Pure lookup acceleration —
-    /// validated against the set contents on every use, so hit/miss
+    sets: SetIndex,
+    /// Line tag per way (`addr >> line_shift`).
+    tags: Vec<u64>,
+    /// LRU rank per way; the occupied ranks of a set are a permutation of
+    /// `0..fill`.
+    ranks: Vec<u8>,
+    /// Valid-sector mask per way.
+    valid: Vec<u8>,
+    /// Dirty-sector mask per way.
+    dirty: Vec<u8>,
+    /// Occupied ways per set.
+    fill: Vec<u8>,
+    /// Occupied ways in total.
+    resident: usize,
+    /// Most-recently-used line memo: skips the set-index computation and
+    /// the set walk when consecutive sectors land on the same line, which
+    /// is the common case for the row-granular streams the kernels issue.
+    /// Pure lookup acceleration — validated against the way's tag on
+    /// every use (an eviction may have reused the way), so hit/miss
     /// accounting is identical with or without it.
-    mru_line: u64,
+    mru_tag: u64,
     mru_set: usize,
     mru_way: usize,
     /// Running statistics.
     pub stats: CacheStats,
+}
+
+/// `tag % sets` without a hardware division: a mask for power-of-two set
+/// counts, otherwise Lemire's 32-bit "fastmod" (exact for every `u32`
+/// tag, with a plain remainder above that).
+#[derive(Debug, Clone, Copy)]
+struct SetIndex {
+    sets: u64,
+    /// `sets − 1` when `sets` is a power of two.
+    mask: Option<u64>,
+    /// `⌈2⁶⁴ / sets⌉` (unused for power-of-two counts).
+    magic: u64,
+}
+
+impl SetIndex {
+    fn new(sets: usize) -> SetIndex {
+        let sets = sets as u64;
+        assert!(sets <= u32::MAX as u64, "more than 2^32 cache sets");
+        let pow2 = sets.is_power_of_two();
+        SetIndex {
+            sets,
+            mask: pow2.then_some(sets - 1),
+            magic: if pow2 { 0 } else { u64::MAX / sets + 1 },
+        }
+    }
+
+    #[inline]
+    fn of(&self, tag: u64) -> usize {
+        if let Some(mask) = self.mask {
+            (tag & mask) as usize
+        } else if tag <= u32::MAX as u64 {
+            let low = self.magic.wrapping_mul(tag);
+            ((low as u128 * self.sets as u128) >> 64) as usize
+        } else {
+            (tag % self.sets) as usize
+        }
+    }
 }
 
 /// A transaction this level issues to the next one.
@@ -171,17 +226,39 @@ pub struct NextLevel {
 
 impl Cache {
     /// Empty cache of the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// If the line or sector size is not a power of two, the line is not a
+    /// multiple of the sector, the line holds more than 8 sectors, the
+    /// associativity is outside `1..=255`, or the cache is smaller than
+    /// one set.
     pub fn new(cfg: CacheConfig) -> Self {
         assert!(cfg.line.is_power_of_two() && cfg.sector.is_power_of_two());
         assert_eq!(cfg.line % cfg.sector, 0);
-        assert!(cfg.assoc >= 1);
+        assert!(
+            cfg.line / cfg.sector <= 8,
+            "more than 8 sectors per line (the sector masks are u8)"
+        );
+        assert!(
+            (1..=255).contains(&cfg.assoc),
+            "associativity outside 1..=255 (ranks and fill counts are u8)"
+        );
         let sets = cfg.num_sets();
+        let ways = sets * cfg.assoc;
         Cache {
             cfg,
-            sets: vec![Vec::new(); sets],
-            clock: 0,
+            line_shift: cfg.line.trailing_zeros(),
+            sector_shift: cfg.sector.trailing_zeros(),
             sectors_per_line: (cfg.line / cfg.sector) as u32,
-            mru_line: u64::MAX,
+            sets: SetIndex::new(sets),
+            tags: vec![0; ways],
+            ranks: vec![0; ways],
+            valid: vec![0; ways],
+            dirty: vec![0; ways],
+            fill: vec![0; sets],
+            resident: 0,
+            mru_tag: u64::MAX,
             mru_set: 0,
             mru_way: 0,
             stats: CacheStats::default(),
@@ -191,6 +268,13 @@ impl Cache {
     /// The configuration.
     pub fn config(&self) -> CacheConfig {
         self.cfg
+    }
+
+    /// Lines currently resident. Only allocation changes it (an eviction
+    /// replaces a line), so it grows until the cache is full and drops
+    /// only on [`Cache::flush`].
+    pub fn resident_lines(&self) -> usize {
+        self.resident
     }
 
     /// Present a read of `bytes` at `addr`; next-level transactions are
@@ -219,37 +303,81 @@ impl Cache {
         }
     }
 
-    /// Locate the way holding `tag` in `set_idx`, consulting the MRU memo
-    /// first. The memo is only trusted after re-validating the tag — ways
-    /// shift on `swap_remove` eviction — and tags are unique within a set,
-    /// so a validated memo hit is exactly the line a linear walk would find.
+    /// Locate the line `tag`: `Ok((set, way))` when resident, else
+    /// `Err(set)`. The MRU memo is consulted first and trusted only after
+    /// re-validating the way's tag; tags are unique within a set, so a
+    /// validated memo hit is exactly the way a walk would find.
     #[inline]
-    fn find_way(&mut self, set_idx: usize, line_addr: u64, tag: u64) -> Option<usize> {
-        if self.mru_line == line_addr
-            && self.mru_set == set_idx
-            && self.sets[set_idx]
-                .get(self.mru_way)
-                .is_some_and(|l| l.tag == tag)
-        {
-            return Some(self.mru_way);
+    fn find_way(&mut self, tag: u64) -> Result<(usize, usize), usize> {
+        if self.mru_tag == tag && self.tags[self.mru_set * self.cfg.assoc + self.mru_way] == tag {
+            return Ok((self.mru_set, self.mru_way));
         }
-        let way = self.sets[set_idx].iter().position(|l| l.tag == tag)?;
-        self.mru_line = line_addr;
-        self.mru_set = set_idx;
+        let set = self.sets.of(tag);
+        let base = set * self.cfg.assoc;
+        let n = self.fill[set] as usize;
+        let way = self.tags[base..base + n]
+            .iter()
+            .position(|&t| t == tag)
+            .ok_or(set)?;
+        self.mru_tag = tag;
+        self.mru_set = set;
         self.mru_way = way;
-        Some(way)
+        Ok((set, way))
+    }
+
+    /// Make `way` the most recently used line of `set`.
+    #[inline]
+    fn promote(&mut self, set: usize, way: usize) {
+        let base = set * self.cfg.assoc;
+        let ranks = &mut self.ranks[base..base + self.fill[set] as usize];
+        let r = ranks[way];
+        if r != 0 {
+            for x in ranks.iter_mut() {
+                *x += u8::from(*x < r);
+            }
+            ranks[way] = 0;
+        }
+    }
+
+    /// Allocate `tag` in `set` as its most recently used line with no
+    /// valid sectors: a free way while the set has one, else the least
+    /// recently used way (rank `fill − 1`), written back first.
+    fn allocate(&mut self, set: usize, tag: u64, next: &mut impl FnMut(NextLevel)) -> usize {
+        let base = set * self.cfg.assoc;
+        let n = self.fill[set] as usize;
+        let way = if n < self.cfg.assoc {
+            self.ranks[base + n] = n as u8;
+            self.fill[set] += 1;
+            self.resident += 1;
+            n
+        } else {
+            let lru = (n - 1) as u8;
+            let way = self.ranks[base..base + n]
+                .iter()
+                .position(|&r| r == lru)
+                .expect("the ranks of a full set are a permutation");
+            self.write_back(self.tags[base + way], self.dirty[base + way], next);
+            way
+        };
+        self.tags[base + way] = tag;
+        self.valid[base + way] = 0;
+        self.dirty[base + way] = 0;
+        self.promote(set, way);
+        self.mru_tag = tag;
+        self.mru_set = set;
+        self.mru_way = way;
+        way
     }
 
     fn access(&mut self, addr: u64, bytes: u32, is_write: bool, next: &mut impl FnMut(NextLevel)) {
         debug_assert!(bytes > 0);
         self.stats.accesses += 1;
         let sector = self.cfg.sector as u64;
-        let line = self.cfg.line as u64;
         let mut s = addr & !(sector - 1);
         let end = addr + bytes as u64;
         let mut last_line = u64::MAX;
         while s < end {
-            let this_line = s & !(line - 1);
+            let this_line = s >> self.line_shift;
             if this_line != last_line {
                 self.stats.line_visits += 1;
                 last_line = this_line;
@@ -269,124 +397,73 @@ impl Cache {
         full_cover: bool,
         next: &mut impl FnMut(NextLevel),
     ) {
-        let cfg = self.cfg;
-        self.stats.requested_bytes += cfg.sector as u64;
-        // The recency clock ticks per sector transaction, so `last_use`
-        // values are globally unique and LRU replacement never ties —
-        // which makes every decision independent of within-set storage
-        // order (a property the wave-periodic fast-forward relies on).
-        self.clock += 1;
-        let line_addr = sector_addr & !(cfg.line as u64 - 1);
-        let sector_idx = ((sector_addr - line_addr) / cfg.sector as u64) as u32;
-        let bit = 1u32 << sector_idx;
-        let set_idx = ((line_addr / cfg.line as u64) as usize) % self.sets.len();
-        let tag = line_addr / cfg.line as u64;
-        let clock = self.clock;
+        let sector = self.cfg.sector as u32;
+        self.stats.requested_bytes += sector as u64;
+        let tag = sector_addr >> self.line_shift;
+        let bit = 1u8 << ((sector_addr >> self.sector_shift) & (self.sectors_per_line as u64 - 1));
 
-        if is_write && cfg.write == WritePolicy::ThroughNoAllocate {
-            // Write-through: forward, update in place if present.
+        if is_write && self.cfg.write == WritePolicy::ThroughNoAllocate {
+            // Write-through: forward, refresh recency if present.
             next(NextLevel {
                 addr: sector_addr,
-                bytes: cfg.sector as u32,
+                bytes: sector,
                 is_write: true,
             });
-            self.stats.writeout_bytes += cfg.sector as u64;
-            if let Some(way) = self.find_way(set_idx, line_addr, tag) {
-                self.sets[set_idx][way].last_use = clock;
+            self.stats.writeout_bytes += sector as u64;
+            if let Ok((set, way)) = self.find_way(tag) {
+                self.promote(set, way);
                 // sector contents refreshed; validity unchanged
             }
             return;
         }
 
-        if let Some(way) = self.find_way(set_idx, line_addr, tag) {
-            let l = &mut self.sets[set_idx][way];
-            l.last_use = clock;
-            if l.valid & bit != 0 {
-                self.stats.hit_sectors += 1;
-                if is_write {
-                    l.dirty |= bit;
+        let idx = match self.find_way(tag) {
+            Ok((set, way)) => {
+                self.promote(set, way);
+                let idx = set * self.cfg.assoc + way;
+                if self.valid[idx] & bit != 0 {
+                    self.stats.hit_sectors += 1;
+                    if is_write {
+                        self.dirty[idx] |= bit;
+                    }
+                    return;
                 }
-                return;
+                // line present, sector not resident
+                idx
             }
-            // line present, sector not resident
-            self.stats.miss_sectors += 1;
-            if is_write && full_cover {
-                l.valid |= bit;
-                l.dirty |= bit;
-                return;
-            }
-            next(NextLevel {
-                addr: sector_addr,
-                bytes: cfg.sector as u32,
-                is_write: false,
-            });
-            self.stats.fill_bytes += cfg.sector as u64;
-            let l = &mut self.sets[set_idx][way];
-            l.valid |= bit;
-            if is_write {
-                l.dirty |= bit;
-            }
-            return;
-        }
-
-        // Line miss: allocate, possibly evicting LRU.
-        self.stats.miss_sectors += 1;
-        if self.sets[set_idx].len() >= cfg.assoc {
-            let lru = self.sets[set_idx]
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.last_use)
-                .map(|(i, _)| i)
-                .expect("non-empty set");
-            let victim = self.sets[set_idx].swap_remove(lru);
-            Self::write_back_line(&cfg, self.sectors_per_line, &victim, &mut self.stats, next);
-        }
-        let mut line = Line {
-            tag,
-            valid: 0,
-            dirty: 0,
-            last_use: clock,
+            // Line miss: allocate, possibly evicting the LRU line.
+            Err(set) => set * self.cfg.assoc + self.allocate(set, tag, next),
         };
-        if is_write && full_cover {
-            line.valid |= bit;
-            line.dirty |= bit;
-        } else {
+        self.stats.miss_sectors += 1;
+        if !(is_write && full_cover) {
             next(NextLevel {
                 addr: sector_addr,
-                bytes: cfg.sector as u32,
+                bytes: sector,
                 is_write: false,
             });
-            self.stats.fill_bytes += cfg.sector as u64;
-            line.valid |= bit;
-            if is_write {
-                line.dirty |= bit;
-            }
+            self.stats.fill_bytes += sector as u64;
         }
-        self.sets[set_idx].push(line);
-        self.mru_line = line_addr;
-        self.mru_set = set_idx;
-        self.mru_way = self.sets[set_idx].len() - 1;
+        self.valid[idx] |= bit;
+        if is_write {
+            self.dirty[idx] |= bit;
+        }
     }
 
-    fn write_back_line(
-        cfg: &CacheConfig,
-        sectors_per_line: u32,
-        line: &Line,
-        stats: &mut CacheStats,
-        next: &mut impl FnMut(NextLevel),
-    ) {
-        if line.dirty == 0 {
+    /// Write back the dirty sectors of line `tag`, in sector order.
+    fn write_back(&mut self, tag: u64, dirty: u8, next: &mut impl FnMut(NextLevel)) {
+        if dirty == 0 {
             return;
         }
-        let base = line.tag * cfg.line as u64;
-        for s in 0..sectors_per_line {
-            if line.dirty & (1 << s) != 0 {
+        let base = tag << self.line_shift;
+        let sector = self.cfg.sector as u32;
+        for s in 0..self.sectors_per_line {
+            if dirty & (1 << s) != 0 {
                 next(NextLevel {
-                    addr: base + s as u64 * cfg.sector as u64,
-                    bytes: cfg.sector as u32,
+                    addr: base + ((s as u64) << self.sector_shift),
+                    bytes: sector,
                     is_write: true,
                 });
-                stats.writeout_bytes += cfg.sector as u64;
+                self.stats.writeout_bytes += sector as u64;
             }
         }
     }
@@ -394,103 +471,92 @@ impl Cache {
     /// Write back every dirty sector (end-of-kernel accounting) and clear
     /// the contents.
     ///
-    /// Each set drains in ascending tag order, so the write-back stream
-    /// (and therefore the DRAM page accounting downstream) depends only on
-    /// the cached contents, not on the incidental within-set storage order
-    /// left behind by `swap_remove` eviction churn. That invariance is
-    /// what lets the wave-periodic fast-forward compare states as
-    /// LRU-ordered multisets.
+    /// Sets drain in index order and each set in ascending tag order, so
+    /// the write-back stream (and therefore the DRAM page accounting
+    /// downstream) depends only on the cached contents, not on which way
+    /// a line happened to be allocated in. That invariance is what lets
+    /// the wave-periodic fast-forward compare states rank by rank.
     pub fn flush(&mut self, next: &mut impl FnMut(NextLevel)) {
-        let cfg = self.cfg;
-        let spl = self.sectors_per_line;
-        for set in &mut self.sets {
-            let mut lines = std::mem::take(set);
-            lines.sort_unstable_by_key(|l| l.tag);
-            for line in &lines {
-                Self::write_back_line(&cfg, spl, line, &mut self.stats, next);
+        let mut lines: Vec<(u64, u8)> = Vec::with_capacity(self.cfg.assoc);
+        for set in 0..self.fill.len() {
+            let base = set * self.cfg.assoc;
+            let n = self.fill[set] as usize;
+            lines.clear();
+            lines.extend((base..base + n).map(|i| (self.tags[i], self.dirty[i])));
+            lines.sort_unstable_by_key(|&(tag, _)| tag);
+            for &(tag, dirty) in &lines {
+                self.write_back(tag, dirty, next);
             }
+            self.fill[set] = 0;
         }
-        self.mru_line = u64::MAX;
-    }
-
-    /// Drop contents without writing back (between independent kernels).
-    pub fn invalidate(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
-        self.mru_line = u64::MAX;
+        self.resident = 0;
+        self.mru_tag = u64::MAX;
     }
 
     /// Translate the cached contents by `shift_lines` cache lines.
     ///
     /// Because the tag is `addr / line` and the set index is `tag % sets`,
-    /// adding a constant to every tag moves whole sets together: the set
-    /// vector rotates by `shift_lines` positions while every within-set
-    /// order, valid/dirty mask, and LRU timestamp is preserved. The result
-    /// is exactly the state a from-scratch simulation of the translated
-    /// access stream would have reached — the fast-forward step of the
-    /// wave-periodic simulation. Statistics are left untouched (the caller
-    /// scales them) and the MRU memo is dropped (it is a pure lookup
-    /// accelerator).
-    pub(crate) fn translate(&mut self, shift_lines: i64) {
-        let n = self.sets.len();
-        let rot = shift_lines.rem_euclid(n as i64) as usize;
-        self.sets.rotate_right(rot);
-        for set in &mut self.sets {
-            for line in set {
-                line.tag = line.tag.wrapping_add_signed(shift_lines);
-            }
+    /// adding a constant to every tag moves whole sets together: the
+    /// set-major arrays rotate by `shift_lines` sets while every way's
+    /// rank, valid and dirty mask is preserved. The result is exactly the
+    /// state a from-scratch simulation of the translated access stream
+    /// would have reached — the fast-forward step of the wave-periodic
+    /// simulation. Statistics are left untouched (the caller scales them)
+    /// and the MRU memo is dropped (it is a pure lookup accelerator).
+    pub fn translate(&mut self, shift_lines: i64) {
+        let rot = shift_lines.rem_euclid(self.fill.len() as i64) as usize;
+        let ways = rot * self.cfg.assoc;
+        self.tags.rotate_right(ways);
+        self.ranks.rotate_right(ways);
+        self.valid.rotate_right(ways);
+        self.dirty.rotate_right(ways);
+        self.fill.rotate_right(rot);
+        // free ways' tags are never read, so shifting them is harmless
+        for tag in &mut self.tags {
+            *tag = tag.wrapping_add_signed(shift_lines);
         }
-        self.mru_line = u64::MAX;
+        self.mru_tag = u64::MAX;
     }
 
     /// Is `self` the state a simulation would reach from `earlier`'s input
     /// stream translated by `shift_lines` cache lines?
     ///
-    /// Compares each (rotated) set pair as an LRU-ordered multiset: same
-    /// number of lines, and when both are sorted by recency the sequences
-    /// agree on shifted tag, valid mask, and dirty mask. Absolute clock
-    /// values and within-set storage order are deliberately ignored —
-    /// storage order is an artifact of `swap_remove` eviction churn that
-    /// never influences behavior: the recency clock ticks per sector so
-    /// `last_use` values are globally unique (the defensive tie check
-    /// below rejects anything else), making the LRU victim a strict
-    /// minimum; tag lookup is position-independent; and `flush` drains in
-    /// tag order. Under these invariants, two states that pass this check
-    /// respond to any future translated input pair with identical
-    /// statistics and translated output streams, which is what licenses
-    /// the wave-periodic fast-forward.
-    pub(crate) fn equiv_translated(&self, earlier: &Cache, shift_lines: i64) -> bool {
-        let n = self.sets.len();
-        debug_assert_eq!(n, earlier.sets.len());
-        let rot = shift_lines.rem_euclid(n as i64) as usize;
-        let mut ord_a: Vec<usize> = Vec::new();
-        let mut ord_b: Vec<usize> = Vec::new();
-        for (i, a) in earlier.sets.iter().enumerate() {
-            let b = &self.sets[(i + rot) % n];
-            if a.len() != b.len() {
+    /// Compares each (rotated) set pair rank by rank: same number of
+    /// lines, and the lines of equal LRU rank agree on shifted tag, valid
+    /// mask and dirty mask. Which way holds a line is deliberately
+    /// ignored: lookup is by tag, the victim is chosen by rank, and
+    /// `flush` drains in tag order, so way placement never influences
+    /// behaviour. Two states that pass this check therefore respond to
+    /// any future translated input pair with identical statistics and
+    /// translated output streams, which is what licenses the
+    /// wave-periodic fast-forward.
+    pub fn equiv_translated(&self, earlier: &Cache, shift_lines: i64) -> bool {
+        let sets = self.fill.len();
+        debug_assert_eq!(self.cfg, earlier.cfg);
+        if self.resident != earlier.resident {
+            return false;
+        }
+        let rot = shift_lines.rem_euclid(sets as i64) as usize;
+        let mut way_of_rank = [0u8; 256];
+        for (i, &n) in earlier.fill.iter().enumerate() {
+            let j = if i + rot >= sets {
+                i + rot - sets
+            } else {
+                i + rot
+            };
+            if self.fill[j] != n {
                 return false;
             }
-            ord_a.clear();
-            ord_a.extend(0..a.len());
-            ord_a.sort_unstable_by_key(|&w| a[w].last_use);
-            ord_b.clear();
-            ord_b.extend(0..b.len());
-            ord_b.sort_unstable_by_key(|&w| b[w].last_use);
-            for (r, (&wa, &wb)) in ord_a.iter().zip(&ord_b).enumerate() {
-                let (la, lb) = (&a[wa], &b[wb]);
-                if lb.tag != la.tag.wrapping_add_signed(shift_lines)
-                    || la.valid != lb.valid
-                    || la.dirty != lb.dirty
-                {
-                    return false;
-                }
-                // A last_use tie would make eviction depend on storage
-                // order, invalidating the multiset comparison; the
-                // per-sector clock makes ties impossible, but verify.
-                if r > 0
-                    && (a[ord_a[r - 1]].last_use == la.last_use
-                        || b[ord_b[r - 1]].last_use == lb.last_use)
+            let (a, b) = (i * self.cfg.assoc, j * self.cfg.assoc);
+            let n = n as usize;
+            for w in 0..n {
+                way_of_rank[self.ranks[b + w] as usize] = w as u8;
+            }
+            for w in 0..n {
+                let v = b + way_of_rank[earlier.ranks[a + w] as usize] as usize;
+                if self.tags[v] != earlier.tags[a + w].wrapping_add_signed(shift_lines)
+                    || self.valid[v] != earlier.valid[a + w]
+                    || self.dirty[v] != earlier.dirty[a + w]
                 {
                     return false;
                 }
@@ -641,16 +707,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_drops_without_writeback() {
-        let mut c = Cache::new(l2_cfg());
-        collect(&mut c, 0, 32, true);
-        c.invalidate();
-        let mut wb = Vec::new();
-        c.flush(&mut |t| wb.push(t));
-        assert!(wb.is_empty());
-    }
-
-    #[test]
     fn non_pow2_set_count_supported() {
         // 192 KB / (128 B x 8) = 192 sets, as on the A100 L1
         let mut c = Cache::new(CacheConfig {
@@ -666,20 +722,27 @@ mod tests {
     }
 
     #[test]
-    fn mru_memo_survives_swap_remove_eviction() {
+    fn mru_memo_survives_in_place_eviction() {
         // assoc-4 set; lines to set 0 are 1 KiB apart. Fill ways 0..3 with
-        // L0..L3, refresh L0 so L1 is LRU, then allocate L4: evicting L1
-        // swap_removes way 1, moving L3 there — any memo pointing at L3's
-        // old way is now stale. Re-reading L3 must still hit.
+        // L0..L3, then touch L1, L2, L3, L0 so L1 is LRU and the memo
+        // points at L0. Allocating L4 replaces L1's way in place; a
+        // re-read of L1 must miss and evict L2, whose way L1 then takes,
+        // and a read of L0 (the memo before L4) must still hit.
         let mut c = Cache::new(l2_cfg());
-        for i in 0..4u64 {
+        for i in [0u64, 1, 2, 3, 1, 2, 3, 0] {
             collect(&mut c, i * 1024, 32, false);
         }
-        collect(&mut c, 0, 32, false); // L0 refreshed; memoised
-        collect(&mut c, 4 * 1024, 32, false); // evicts L1, relocates L3
+        collect(&mut c, 4 * 1024, 32, false);
+        let misses = c.stats.miss_sectors;
+        collect(&mut c, 1024, 32, false);
+        assert_eq!(c.stats.miss_sectors, misses + 1, "evicted line must miss");
         let hits = c.stats.hit_sectors;
+        collect(&mut c, 0, 32, false);
         collect(&mut c, 3 * 1024, 32, false);
-        assert_eq!(c.stats.hit_sectors, hits + 1, "relocated line must hit");
+        assert_eq!(c.stats.hit_sectors, hits + 2, "resident lines must hit");
+        collect(&mut c, 2 * 1024, 32, false);
+        assert_eq!(c.stats.miss_sectors, misses + 2, "L2 was the LRU victim");
+        assert_eq!(c.resident_lines(), 4);
     }
 
     #[test]
@@ -707,6 +770,21 @@ mod tests {
             }
             assert_eq!(a.stats, b.stats);
             assert_eq!(a_next, b_next);
+        }
+    }
+
+    #[test]
+    fn set_index_is_the_remainder() {
+        // the built-in arches' set counts, powers of two and not
+        for sets in [1usize, 3, 16, 192, 384, 8192, 20480, 212_992] {
+            let idx = SetIndex::new(sets);
+            let mut tag = 0x9E37_79B9_7F4A_7C15u64;
+            for _ in 0..10_000 {
+                tag = tag.rotate_left(17).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                for t in [tag, tag >> 32, tag >> 40, u32::MAX as u64, 0] {
+                    assert_eq!(idx.of(t), (t % sets as u64) as usize, "{t} % {sets}");
+                }
+            }
         }
     }
 

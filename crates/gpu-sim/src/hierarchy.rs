@@ -2,8 +2,9 @@
 //!
 //! Blocks launch in waves of `num_sms × blocks_per_sm` — the concurrently
 //! resident set the occupancy model predicts. Within a wave each SM runs
-//! its blocks through its private L1 (in parallel, one Rayon task per SM;
-//! L1 state persists across waves), buffering the per-block L1-miss
+//! its blocks through its private L1 (in parallel, one Rayon task per SM,
+//! run inline when the simulation is itself a sweep worker's task; L1
+//! state persists across waves), buffering the per-block L1-miss
 //! streams. The streams then feed the shared L2 sequentially, interleaved
 //! round-robin in small chunks to approximate concurrent execution —
 //! deterministically, so every simulation of the same workload produces
@@ -447,6 +448,9 @@ fn simulate_memory_inner(
         brick_obs::counter_add("sim.classes.wave_period", pd.waves as u64);
     }
     let mut snapshot: Option<(usize, WaveSnapshot)> = None;
+    // Resident lines (L2 plus representative L1s) at the previous full-wave
+    // boundary; see the snapshot gate below.
+    let mut last_resident: Option<usize> = None;
     let mut intro: Option<IntroAcc> = introspect.then(|| {
         let nc = classes.as_ref().map_or(1, |c| c.num_classes().max(1));
         IntroAcc {
@@ -623,11 +627,19 @@ fn simulate_memory_inner(
         if let Some(pd) = period {
             if wave_len == active {
                 let completed = wave_start / active;
+                let resident = l2.resident_lines()
+                    + rep_ids
+                        .iter()
+                        .map(|&sm| l1s[sm].resident_lines())
+                        .sum::<usize>();
+                let settled = last_resident == Some(resident);
+                last_resident = Some(resident);
                 let mut skipped = false;
                 let mut checked = false;
                 if let Some((at, snap)) = &snapshot {
                     if completed == at + pd.waves {
                         checked = true;
+                        brick_obs::counter_add("sim.classes.period_checks", 1);
                         let e_l2 = l2.equiv_translated(&snap.l2, pd.shift / l2_line);
                         let e_dram = dram.equiv_translated(
                             &snap.dram,
@@ -716,26 +728,36 @@ fn simulate_memory_inner(
                 if skipped {
                     period = None;
                     snapshot = None;
-                } else if (checked || snapshot.is_none())
-                    && wave_start / active >= PERIOD_WARMUP_WAVES.min(full_waves - 2 * pd.waves)
-                    && wave_start / active + 2 * pd.waves <= full_waves
-                {
+                } else if checked || snapshot.is_none() {
                     // First eligible snapshot, or roll it forward after a
-                    // failed check (the state had not settled yet).
-                    snapshot = Some((
-                        wave_start / active,
-                        WaveSnapshot {
-                            l1s: rep_ids.iter().map(|&sm| l1s[sm].clone()).collect(),
-                            l2: l2.clone(),
-                            dram: dram.clone(),
-                            dram_read,
-                            dram_write,
-                            intro: intro.as_ref().map(|acc| IntroSnap {
-                                l1: acc.l1.clone(),
-                                buckets: acc.buckets.clone(),
-                            }),
-                        },
-                    ));
+                    // failed check (the state had not settled yet). A
+                    // cache's resident-line count only grows until it is
+                    // full, and a state still growing cannot match its
+                    // translation one period later, so a snapshot is
+                    // cloned only once the resident total held still over
+                    // the last full wave; the check still proves every
+                    // skip.
+                    snapshot = None;
+                    if settled
+                        && completed >= PERIOD_WARMUP_WAVES.min(full_waves - 2 * pd.waves)
+                        && completed + 2 * pd.waves <= full_waves
+                    {
+                        brick_obs::counter_add("sim.classes.snapshots", 1);
+                        snapshot = Some((
+                            completed,
+                            WaveSnapshot {
+                                l1s: rep_ids.iter().map(|&sm| l1s[sm].clone()).collect(),
+                                l2: l2.clone(),
+                                dram: dram.clone(),
+                                dram_read,
+                                dram_write,
+                                intro: intro.as_ref().map(|acc| IntroSnap {
+                                    l1: acc.l1.clone(),
+                                    buckets: acc.buckets.clone(),
+                                }),
+                            },
+                        ));
+                    }
                 }
             }
         }

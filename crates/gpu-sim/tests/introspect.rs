@@ -151,6 +151,49 @@ fn attribution_survives_fast_forward() {
 }
 
 #[test]
+fn fast_forward_engages_on_mi250x_and_pvc() {
+    // Launches where the reference simulation (no snapshot gate)
+    // fast-forwarded `parent` waves. The residency gate may move the
+    // first snapshot but must not lose a period here. A gate that waits
+    // for a whole period of stable residency instead of one wave skips
+    // only 32 of the MI250X cell's 48 waves. Such a gate loses one period
+    // when the launch has room for it and every period when it has not,
+    // which it only lacks when the reference skipped a single period, so
+    // the bound is the reference count itself, not one period less.
+    let cells = [
+        (GpuArch::mi250x_gcd().scaled_down(4), (128, 64, 512), 48, 16),
+        (
+            GpuArch::pvc_stack().scaled_down(16),
+            (64, 64, 1024),
+            1576,
+            8,
+        ),
+    ];
+    let shape = StencilShape::star(1);
+    for (arch, dims, parent, period) in cells {
+        let w = arch.simd_width;
+        let spec = vector_spec(&shape, LayoutKind::Brick, w);
+        let d = Arc::new(BrickDecomp::new(
+            dims,
+            BrickDims::for_simd_width(w),
+            1,
+            BrickOrdering::Lexicographic,
+        ));
+        let geom = TraceGeometry::brick(Arc::new(BrickNav::new(d)));
+        let opts = SimOptions::default();
+        let (report, intro) = simulate_memory_introspect(&spec, &geom, &arch, 2, &opts);
+        assert_eq!(intro.wave_period, Some(period), "{}", arch.name);
+        assert!(
+            intro.waves_skipped >= parent,
+            "{}: skipped {} waves, the reference skipped {parent}",
+            arch.name,
+            intro.waves_skipped
+        );
+        assert_reports_equal(&intro.report(), &report, arch.name);
+    }
+}
+
+#[test]
 fn morton_attributes_many_classes() {
     // Morton ordering fragments the launch into many block classes; the
     // breakdown must stay conservative and fidelity-invariant

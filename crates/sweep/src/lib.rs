@@ -71,6 +71,10 @@ impl Jobs {
 /// deterministic reduction that makes parallel sweeps byte-compatible
 /// with serial ones.
 ///
+/// `jobs` bounds every thread the sweep uses: a parallel call `f` makes
+/// (the simulator's per-wave L1 fan-out, say) runs inline on the worker
+/// evaluating the cell, so no more than `jobs` threads work at once.
+///
 /// Observability (all through brick-obs, near-free when disabled):
 /// * a progress reporter labelled `label` (rate + ETA lines at `info`);
 /// * gauge `{label}.queue_depth` — cells not yet completed;

@@ -10,6 +10,11 @@
 //! rayon's work stealing at this granularity). `map` is eager — it
 //! evaluates in parallel immediately and yields an ordered result — which
 //! is observationally equivalent for the pipelines here.
+//!
+//! A worker runs any parallel call it makes itself inline, as a nested
+//! call in a fixed-size rayon pool adds no threads: a call evaluated on
+//! `n` workers (an installed pool's count, else all available
+//! parallelism) never has more than `n` threads working at once.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -21,8 +26,9 @@ pub mod prelude {
 }
 
 thread_local! {
-    /// Worker count installed by [`ThreadPool::install`] on this thread;
-    /// `None` means "use all available parallelism".
+    /// Worker count installed by [`ThreadPool::install`] on this thread
+    /// (`Some(1)` on the shim's own workers); `None` means "use all
+    /// available parallelism".
     static POOL_THREADS: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
@@ -55,7 +61,8 @@ impl ThreadPoolBuilder {
 }
 
 /// A "pool" that scopes a worker-count override: parallel iterators
-/// evaluated inside [`ThreadPool::install`] use the pool's thread count.
+/// evaluated inside [`ThreadPool::install`] use the pool's thread count,
+/// and the parallel calls its workers make run inline on them.
 /// (Workers are still scoped per call — this shim has no persistent
 /// threads — which preserves rayon's observable ordering semantics.)
 #[derive(Debug)]
@@ -93,9 +100,11 @@ impl ThreadPool {
     }
 }
 
-/// Worker threads a parallel iterator evaluated on this thread uses: the
-/// count an enclosing [`ThreadPool::install`] set, else all available
-/// parallelism (mirrors `rayon::current_num_threads`).
+/// Worker threads a parallel iterator evaluated on this thread uses: 1 on
+/// a worker of another parallel call, else the count an enclosing
+/// [`ThreadPool::install`] set, else all available parallelism (mirrors
+/// `rayon::current_num_threads`, except that rayon reports the pool size
+/// on its workers).
 pub fn current_num_threads() -> usize {
     POOL_THREADS.with(|c| c.get()).unwrap_or_else(|| {
         std::thread::available_parallelism()
@@ -129,6 +138,8 @@ fn par_eval_init<T: Send, S, R: Send>(
     std::thread::scope(|s| {
         for _ in 0..threads {
             s.spawn(|| {
+                // nested parallel calls run inline on this worker
+                POOL_THREADS.with(|c| c.set(Some(1)));
                 let mut state = init();
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
@@ -271,6 +282,32 @@ mod tests {
         assert_eq!(pool.install(crate::current_num_threads), 2);
         // the override does not leak out of install()
         assert_eq!(crate::POOL_THREADS.with(|c| c.get()), None);
+    }
+
+    #[test]
+    fn nested_calls_run_inline_on_pool_workers() {
+        use std::collections::HashSet;
+        use std::sync::Mutex;
+        let pool = crate::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build()
+            .unwrap();
+        let ids: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
+        let nested: Mutex<Vec<usize>> = Mutex::new(Vec::new());
+        let mut outer = [[0u8; 16]; 8];
+        pool.install(|| {
+            outer.par_iter_mut().for_each(|row| {
+                nested.lock().unwrap().push(crate::current_num_threads());
+                row.par_iter_mut().for_each(|x| {
+                    ids.lock().unwrap().insert(std::thread::current().id());
+                    *x = 1;
+                });
+            });
+        });
+        assert!(outer.iter().flatten().all(|&x| x == 1));
+        assert_eq!(*nested.lock().unwrap(), vec![1; 8]);
+        // the 8 × 16 nested items ran on the pool's 2 workers only
+        assert!(ids.lock().unwrap().len() <= 2);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use bricks_repro::codegen::{generate, CodegenOptions, LayoutKind};
 use bricks_repro::core::{BrickDecomp, BrickDims, BrickNav, BrickOrdering};
 use bricks_repro::dsl::shape::StencilShape;
 use bricks_repro::dsl::StencilAnalysis;
-use bricks_repro::gpu_sim::{simulate, simulate_memory, GpuArch, ProgModel};
+use bricks_repro::gpu_sim::{simulate, simulate_memory, CacheStats, GpuArch, ProgModel};
 use bricks_repro::metrics::pennycook_p;
 use bricks_repro::roofline::{measure, Roofline};
 use bricks_repro::vm::{KernelSpec, ScalarKernel, TraceGeometry};
@@ -219,3 +219,137 @@ fn spilled_sycl_kernel_is_slower_than_cuda_same_trace() {
     );
     assert!(sycl.mem.l1_bytes > cuda.mem.l1_bytes);
 }
+
+/// One pinned cell: exact merged-L1 and L2 [`CacheStats`] plus the
+/// timing counters. Each simulates in well under a second; the A100
+/// bricks cell is long enough for the wave-periodic fast-forward to skip
+/// 96 of its waves.
+fn pinned_cell(name: &str) -> (GpuArch, KernelSpec, TraceGeometry, u32) {
+    let brick = |shape: &StencilShape, dims, w: usize, ordering: BrickOrdering| {
+        let d = Arc::new(BrickDecomp::new(
+            dims,
+            BrickDims::for_simd_width(w),
+            shape.radius as usize,
+            ordering,
+        ));
+        (
+            bricks_spec(shape, w),
+            TraceGeometry::brick(Arc::new(BrickNav::new(d))),
+        )
+    };
+    match name {
+        "a100-bricks-star2" => {
+            let (spec, geom) = brick(
+                &StencilShape::star(2),
+                (64, 64, 512),
+                32,
+                BrickOrdering::Lexicographic,
+            );
+            (GpuArch::a100().scaled_down(8), spec, geom, 2)
+        }
+        "mi250x-array-cube1" => {
+            let shape = StencilShape::cube(1);
+            let st = shape.stencil();
+            let b = st.default_bindings();
+            let spec = KernelSpec::Vector(
+                generate(&st, &b, LayoutKind::Array, 64, CodegenOptions::default()).unwrap(),
+            );
+            let geom = TraceGeometry::array((128, 128, 128), 1, BrickDims::for_simd_width(64));
+            (GpuArch::mi250x_gcd().scaled_down(2), spec, geom, 2)
+        }
+        "pvc-scalar-array-star1" => {
+            let shape = StencilShape::star(1);
+            let st = shape.stencil();
+            let b = st.default_bindings();
+            let spec =
+                KernelSpec::Scalar(ScalarKernel::new(&st, &b, LayoutKind::Array, 16).unwrap());
+            let geom = TraceGeometry::array((64, 64, 64), 1, BrickDims::for_simd_width(16));
+            (GpuArch::pvc_stack().scaled_down(16), spec, geom, 2)
+        }
+        "a100-morton-star1" => {
+            let (spec, geom) = brick(
+                &StencilShape::star(1),
+                (64, 64, 64),
+                32,
+                BrickOrdering::Morton,
+            );
+            (GpuArch::a100().scaled_down(16), spec, geom, 8)
+        }
+        other => panic!("no pinned cell {other}"),
+    }
+}
+
+#[test]
+fn simulated_counters_are_pinned() {
+    // Exact values recorded with the reference cache model (the oracle
+    // in crates/gpu-sim/tests/cache_model.rs). Any change here is a
+    // change to every simulated byte count in the paper's tables:
+    // regenerate the goldens and explain it, or fix the model.
+    for (name, l1, l2, dram) in PINNED {
+        let (arch, spec, geom, bpsm) = pinned_cell(name);
+        let rep = simulate_memory(&spec, &geom, &arch, bpsm);
+        let flat = |s: &CacheStats| {
+            [
+                s.accesses,
+                s.requested_bytes,
+                s.hit_sectors,
+                s.miss_sectors,
+                s.fill_bytes,
+                s.writeout_bytes,
+                s.line_visits,
+            ]
+        };
+        let c = rep.counters();
+        let got = (
+            flat(&rep.l1),
+            flat(&rep.l2),
+            [
+                c.dram_read_bytes,
+                c.dram_write_bytes,
+                c.pages.hits,
+                c.pages.misses,
+            ],
+        );
+        assert_eq!(got, (l1, l2, dram), "{name}");
+        assert_eq!(
+            c.l1_bytes,
+            rep.l1.line_visits * arch.l1_line as u64,
+            "{name}"
+        );
+        assert_eq!(c.l2_bytes, l2[1], "{name}");
+        assert_eq!(c.dram_bytes, dram[0] + dram[1], "{name}");
+    }
+}
+
+/// `(cell, merged L1 stats, L2 stats, [DRAM read, DRAM write, page hits,
+/// page misses])`; stats in [`CacheStats`] field order.
+type Pinned = (&'static str, [u64; 7], [u64; 7], [u64; 4]);
+
+const PINNED: [Pinned; 4] = [
+    (
+        "a100-bricks-star2",
+        [393216, 71303168, 0, 1703936, 54525952, 16777216, 655360],
+        [
+            2228224, 71303168, 1077248, 1150976, 20054016, 16777216, 2228224,
+        ],
+        [20054016, 16777216, 1051120, 99856],
+    ),
+    (
+        "mi250x-array-cube1",
+        [253952, 63963136, 0, 737280, 47185920, 16777216, 999424],
+        [999424, 63963136, 392687, 606737, 22053952, 16777216, 999424],
+        [22053952, 16777216, 337538, 269199],
+    ),
+    (
+        "pvc-scalar-array-star1",
+        [131072, 18874368, 163840, 98304, 6291456, 2097152, 294912],
+        [131072, 8388608, 55296, 75776, 2752512, 2097152, 131072],
+        [2752512, 2097152, 69373, 6403],
+    ),
+    (
+        "a100-morton-star1",
+        [40960, 6815744, 0, 147456, 4718592, 2097152, 65536],
+        [212992, 6815744, 69632, 143360, 2490368, 2097152, 212992],
+        [2490368, 2097152, 133300, 10060],
+    ),
+];
