@@ -28,6 +28,8 @@ use brick_vm::{
     executor_threads, resolve_with, run_vector_brick_backend, Backend, CpuFeatures, ExecutionMode,
 };
 
+use crate::bench_sim::{min_of, spread_of};
+
 /// Domain size of the acceptance cell: the paper's full scale.
 pub const BENCH_EXEC_N: usize = 512;
 
@@ -110,20 +112,6 @@ pub struct BenchExec {
 
 /// `BENCH_exec.json` schema version.
 pub const EXEC_SCHEMA_VERSION: u64 = 1;
-
-fn min_of(samples: &[f64]) -> f64 {
-    samples.iter().copied().fold(f64::INFINITY, f64::min)
-}
-
-fn spread_of(samples: &[f64]) -> f64 {
-    let min = min_of(samples);
-    let max = samples.iter().copied().fold(0.0f64, f64::max);
-    if min > 0.0 {
-        max / min - 1.0
-    } else {
-        0.0
-    }
-}
 
 /// Measure the cell at size `n` under `mode` and, when `out_dir` is
 /// given, write `BENCH_exec.json` there.

@@ -24,9 +24,10 @@ use gpu_sim::{
     compile_only, simulate_memory_opts, GpuArch, GpuKind, ProgModel, SimFidelity, SimOptions,
 };
 
-use crate::cache::SIM_SCHEMA_VERSION;
+use brick_tuner::cell::{geometry, paper_spec, program, SCHEMA_VERSION};
+
 use crate::config::{ExperimentParams, KernelConfig};
-use crate::runner::{build_geometry, build_spec, sweep_with, SweepOptions};
+use crate::runner::{sweep_with, SweepOptions};
 
 /// Wall-clock throughput of a full matrix sweep, cold vs warm cache.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -178,13 +179,14 @@ fn measure_sweep(
     Ok((throughput, cold.manifest))
 }
 
-fn min_of(samples: &[f64]) -> f64 {
+/// Minimum of a set of wall-time samples.
+pub(crate) fn min_of(samples: &[f64]) -> f64 {
     samples.iter().copied().fold(f64::INFINITY, f64::min)
 }
 
 /// Relative spread `max/min - 1` of a set of positive samples — the
-/// noise figure `BENCH_sim.json` records next to each gated metric.
-fn spread_of(samples: &[f64]) -> f64 {
+/// noise figure the BENCH files record next to each gated metric.
+pub(crate) fn spread_of(samples: &[f64]) -> f64 {
     let min = min_of(samples);
     let max = samples.iter().copied().fold(0.0f64, f64::max);
     if min > 0.0 {
@@ -199,8 +201,9 @@ fn measure_fidelity(n: usize) -> Result<FidelityComparison, String> {
     let config = KernelConfig::BricksCodegen;
     let arch = GpuArch::by_kind(GpuKind::A100);
     let model = ProgModel::Cuda;
-    let spec = build_spec(&shape, config, arch.simd_width);
-    let geom = build_geometry(config.layout(), n, arch.simd_width, shape.radius as usize);
+    let params = paper_spec(arch.simd_width);
+    let spec = program(&shape, config, &params);
+    let geom = geometry(&shape, config, &params, n);
     let (_, _, occ) = compile_only(&spec, arch, model)
         .ok_or_else(|| "no compiler model for CUDA on A100".to_string())?;
 
@@ -272,7 +275,7 @@ pub fn run_bench_sim(
         Some(measure_fidelity(BENCH_FIDELITY_FULL_N)?)
     };
     let bench = BenchSim {
-        schema: SIM_SCHEMA_VERSION,
+        schema: SCHEMA_VERSION,
         sweep,
         fidelity,
         fidelity_full,
@@ -312,7 +315,7 @@ mod tests {
     #[test]
     fn bench_document_serializes_round_trip() {
         let bench = BenchSim {
-            schema: SIM_SCHEMA_VERSION,
+            schema: SCHEMA_VERSION,
             sweep: SweepThroughput {
                 n: 64,
                 cells: 108,
@@ -341,6 +344,6 @@ mod tests {
         let json = serde_json::to_string(&bench).unwrap();
         let back: BenchSim = serde_json::from_str(&json).unwrap();
         assert_eq!(back.fidelity.speedup, 8.0);
-        assert_eq!(back.schema, SIM_SCHEMA_VERSION);
+        assert_eq!(back.schema, SCHEMA_VERSION);
     }
 }

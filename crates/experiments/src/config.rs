@@ -2,61 +2,8 @@
 //! the sweep parameters.
 
 use serde::{Deserialize, Serialize};
-use std::fmt;
 
-use brick_codegen::LayoutKind;
-
-/// The data-layout × code-generation configurations the paper evaluates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum KernelConfig {
-    /// Conventional array layout, 3-D tiling, native scalar compilation.
-    Array,
-    /// Conventional array layout with the vector code generator —
-    /// isolates the codegen contribution.
-    ArrayCodegen,
-    /// Brick layout with the vector code generator — adds the data-layout
-    /// contribution.
-    BricksCodegen,
-}
-
-impl KernelConfig {
-    /// The three configurations, in the paper's presentation order.
-    pub fn all() -> [KernelConfig; 3] {
-        [
-            KernelConfig::Array,
-            KernelConfig::ArrayCodegen,
-            KernelConfig::BricksCodegen,
-        ]
-    }
-
-    /// Data layout of the configuration.
-    pub fn layout(&self) -> LayoutKind {
-        match self {
-            KernelConfig::Array | KernelConfig::ArrayCodegen => LayoutKind::Array,
-            KernelConfig::BricksCodegen => LayoutKind::Brick,
-        }
-    }
-
-    /// Whether the vector code generator is applied.
-    pub fn codegen(&self) -> bool {
-        !matches!(self, KernelConfig::Array)
-    }
-
-    /// The paper's label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            KernelConfig::Array => "array",
-            KernelConfig::ArrayCodegen => "array codegen",
-            KernelConfig::BricksCodegen => "bricks codegen",
-        }
-    }
-}
-
-impl fmt::Display for KernelConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
+pub use brick_tuner::KernelConfig;
 
 /// Sweep parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -95,21 +42,6 @@ impl ExperimentParams {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn config_layouts() {
-        assert_eq!(KernelConfig::Array.layout(), LayoutKind::Array);
-        assert_eq!(KernelConfig::ArrayCodegen.layout(), LayoutKind::Array);
-        assert_eq!(KernelConfig::BricksCodegen.layout(), LayoutKind::Brick);
-        assert!(!KernelConfig::Array.codegen());
-        assert!(KernelConfig::ArrayCodegen.codegen());
-    }
-
-    #[test]
-    fn labels_match_paper() {
-        let labels: Vec<_> = KernelConfig::all().iter().map(|c| c.label()).collect();
-        assert_eq!(labels, ["array", "array codegen", "bricks codegen"]);
-    }
 
     #[test]
     fn params_validation() {

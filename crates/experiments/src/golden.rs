@@ -1,14 +1,15 @@
 //! Golden-artifact regression machinery.
 //!
-//! A small set of checked-in artifacts pins the numerical output of the
-//! whole pipeline at a fixed domain size ([`GOLDEN_N`]): Table 4
-//! (theoretical AI), the A100/CUDA Roofline panel of Fig. 3, and the
-//! Pennycook portability table (Table 3). Any refactor of the sweep
-//! engine — parallelism, caching, memoisation — must reproduce them
-//! bit-for-bit in the integer columns and to 1e-9 relative tolerance in
-//! the float columns; `tests/golden.rs` enforces that, and
-//! `cargo run -p experiments -- --bless` regenerates the files after an
-//! *intentional* model change.
+//! Six checked-in artifacts pin the numerical output of the whole
+//! pipeline at a fixed domain size ([`GOLDEN_N`]): from the paper sweep
+//! Table 4 (theoretical AI), the A100/CUDA Roofline panel of Fig. 3 and
+//! the Pennycook portability table (Table 3); from the temporal sweep the
+//! AI-vs-T and DRAM-vs-T tables; from the tuner the blessed ranked table.
+//! Any refactor of the sweep engine — parallelism, caching, memoisation —
+//! must reproduce them bit-for-bit in the integer columns and to 1e-9
+//! relative tolerance in the float columns; `tests/golden.rs` enforces
+//! that, and `cargo run -p experiments -- --bless` regenerates the files
+//! after an *intentional* model change.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -21,9 +22,9 @@ use serde_json::Value;
 use brick_tuner::TuneReport;
 
 use crate::figures;
-use crate::runner::Sweep;
+use crate::runner::{sweep_with, Sweep, SweepOptions};
 use crate::tables;
-use crate::temporal::TemporalSweep;
+use crate::temporal::{temporal_sweep_with, TemporalSweep};
 
 /// Domain size the golden artifacts are pinned at — small enough that a
 /// fresh sweep fits in a CI test, large enough to exercise every cache
@@ -166,7 +167,29 @@ pub fn tune_artifacts(report: &TuneReport) -> Vec<(&'static str, String)> {
     vec![("tune_star7_a100.json", json)]
 }
 
-fn write_files(artifacts: Vec<(&'static str, String)>, dir: &Path) -> io::Result<Vec<PathBuf>> {
+/// All six artifacts from fresh [`GOLDEN_N`] runs of the three
+/// pipelines: the paper and temporal sweeps under `opts` (at
+/// [`GOLDEN_N`] whatever its size) and the golden tune with its jobs and
+/// cache directory.
+pub fn render_all(opts: &SweepOptions) -> Result<Vec<(&'static str, String)>, String> {
+    let opts = SweepOptions {
+        params: crate::ExperimentParams { n: GOLDEN_N },
+        ..opts.clone()
+    };
+    let sweep = sweep_with(&opts).map_err(|e| format!("golden sweep: {e}"))?;
+    let temporal = temporal_sweep_with(&opts).map_err(|e| format!("temporal golden sweep: {e}"))?;
+    let tune_opts =
+        crate::tune::golden_tune_options(Some(opts.jobs.count()), opts.cache_dir.clone());
+    let report = crate::tune::run_tune(&tune_opts).map_err(|e| format!("golden tune: {e}"))?;
+    let mut artifacts = golden_artifacts(&sweep);
+    artifacts.extend(temporal_artifacts(&temporal));
+    artifacts.extend(tune_artifacts(&report));
+    Ok(artifacts)
+}
+
+/// Write `artifacts` under `dir` as the new goldens. Returns the paths
+/// written.
+pub fn bless(artifacts: &[(&'static str, String)], dir: &Path) -> io::Result<Vec<PathBuf>> {
     fs::create_dir_all(dir)?;
     let mut written = Vec::new();
     for (name, contents) in artifacts {
@@ -175,24 +198,6 @@ fn write_files(artifacts: Vec<(&'static str, String)>, dir: &Path) -> io::Result
         written.push(path);
     }
     Ok(written)
-}
-
-/// Regenerate the golden files under `dir` from `sweep`. Returns the
-/// paths written.
-pub fn bless(sweep: &Sweep, dir: &Path) -> io::Result<Vec<PathBuf>> {
-    write_files(golden_artifacts(sweep), dir)
-}
-
-/// Regenerate the temporal golden files under `dir`. Returns the paths
-/// written.
-pub fn bless_temporal(sweep: &TemporalSweep, dir: &Path) -> io::Result<Vec<PathBuf>> {
-    write_files(temporal_artifacts(sweep), dir)
-}
-
-/// Regenerate the tuner golden file under `dir`. Returns the paths
-/// written.
-pub fn bless_tune(report: &TuneReport, dir: &Path) -> io::Result<Vec<PathBuf>> {
-    write_files(tune_artifacts(report), dir)
 }
 
 /// Compare a freshly-rendered artifact against its golden text.
@@ -210,30 +215,16 @@ pub fn compare_artifact(name: &str, golden: &str, actual: &str) -> Result<(), St
     }
 }
 
-/// Run the full golden check: render artifacts from `sweep` and compare
-/// each against the checked-in file under `dir`. Returns every mismatch
-/// (empty = pass) so a failure reports all divergent artifacts at once.
-pub fn check(sweep: &Sweep, dir: &Path) -> Vec<String> {
-    check_files(golden_artifacts(sweep), dir)
-}
-
-/// [`check`] for the temporal golden artifacts.
-pub fn check_temporal(sweep: &TemporalSweep, dir: &Path) -> Vec<String> {
-    check_files(temporal_artifacts(sweep), dir)
-}
-
-/// [`check`] for the tuner golden artifact.
-pub fn check_tune(report: &TuneReport, dir: &Path) -> Vec<String> {
-    check_files(tune_artifacts(report), dir)
-}
-
-fn check_files(artifacts: Vec<(&'static str, String)>, dir: &Path) -> Vec<String> {
+/// Compare each of `artifacts` against its checked-in file under `dir`.
+/// Returns every mismatch (empty = pass) so a failure reports all
+/// divergent artifacts at once.
+pub fn check(artifacts: &[(&'static str, String)], dir: &Path) -> Vec<String> {
     let mut diffs = Vec::new();
     for (name, actual) in artifacts {
         let path = dir.join(name);
         match fs::read_to_string(&path) {
             Ok(golden) => {
-                if let Err(d) = compare_artifact(name, &golden, &actual) {
+                if let Err(d) = compare_artifact(name, &golden, actual) {
                     diffs.push(d);
                 }
             }
@@ -355,50 +346,24 @@ mod tests {
     }
 
     #[test]
-    fn missing_golden_reports_bless_hint() {
+    fn bless_round_trips_all_six_artifacts() {
         // the artifact renderers need the full matrix, so run a real (but
         // small) GOLDEN_N sweep against an empty golden directory
         let sweep = crate::runner::sweep(crate::config::ExperimentParams { n: GOLDEN_N });
+        let mut artifacts = golden_artifacts(&sweep);
+        artifacts.extend(temporal_artifacts(crate::testutil::shared_temporal_sweep()));
+        artifacts.extend(tune_artifacts(crate::testutil::shared_tune_report()));
         let dir = std::env::temp_dir().join(format!("golden_missing_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
-        let diffs = check(&sweep, &dir);
-        assert_eq!(diffs.len(), 3, "all three artifacts missing: {diffs:?}");
-        assert!(diffs[0].contains("--bless"));
+        let diffs = check(&artifacts, &dir);
+        assert_eq!(diffs.len(), 6, "all six artifacts missing: {diffs:?}");
+        assert!(diffs.iter().all(|d| d.contains("--bless")));
         // blessing into the directory makes the same check pass
-        bless(&sweep, &dir).unwrap();
-        assert!(check(&sweep, &dir).is_empty());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn tune_bless_round_trips() {
-        let report = crate::testutil::shared_tune_report();
-        let dir = std::env::temp_dir().join(format!("golden_tune_{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        let diffs = check_tune(report, &dir);
-        assert_eq!(diffs.len(), 1, "tune artifact missing: {diffs:?}");
-        assert!(diffs[0].contains("--bless"));
-        bless_tune(report, &dir).unwrap();
-        assert!(check_tune(report, &dir).is_empty());
-        // the blessed table is non-trivial: top-K rows, winner first
+        bless(&artifacts, &dir).unwrap();
+        assert!(check(&artifacts, &dir).is_empty());
         let text = fs::read_to_string(dir.join("tune_star7_a100.json")).unwrap();
         assert!(text.contains("space_fingerprint"), "{text}");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn temporal_bless_round_trips() {
-        let sweep = crate::testutil::shared_temporal_sweep();
-        let dir = std::env::temp_dir().join(format!("golden_temporal_{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        let diffs = check_temporal(sweep, &dir);
-        assert_eq!(diffs.len(), 2, "both temporal artifacts missing: {diffs:?}");
-        assert!(diffs[0].contains("--bless"));
-        bless_temporal(sweep, &dir).unwrap();
-        assert!(check_temporal(sweep, &dir).is_empty());
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -26,7 +26,6 @@
 
 pub mod bench_exec;
 pub mod bench_sim;
-pub mod cache;
 pub mod config;
 pub mod figures;
 pub mod golden;

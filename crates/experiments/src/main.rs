@@ -534,8 +534,8 @@ fn main() -> ExitCode {
             params.n
         );
         let t0 = Instant::now();
-        // same cache dir as the base sweep: cell keys carry T, so fused
-        // and unfused records can never alias
+        // same cache dir as the base sweep: cell keys carry the whole
+        // specialization vector, T included
         let opts = sweep_opts(params);
         let tsweep = match experiments::temporal_sweep_with(&opts) {
             Ok(s) => s,
@@ -570,75 +570,19 @@ fn main() -> ExitCode {
 
     if args.bless {
         eprintln!(
-            "blessing golden artifacts from a fresh {0}^3 sweep...",
+            "blessing golden artifacts from fresh {0}^3 paper, temporal and tuner runs...",
             golden::GOLDEN_N
         );
-        let sweep = match experiments::sweep_with(&sweep_opts(ExperimentParams {
-            n: golden::GOLDEN_N,
-        })) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("golden sweep failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match golden::bless(&sweep, &golden::golden_dir()) {
+        let blessed = golden::render_all(&sweep_opts(params))
+            .and_then(|a| golden::bless(&a, &golden::golden_dir()).map_err(|e| e.to_string()));
+        match blessed {
             Ok(paths) => {
                 for p in paths {
                     eprintln!("blessed {}", p.display());
                 }
             }
             Err(e) => {
-                eprintln!("could not write goldens: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        eprintln!(
-            "blessing temporal golden artifacts from a fresh {0}^3 temporal sweep...",
-            golden::GOLDEN_N
-        );
-        let tsweep = match experiments::temporal_sweep_with(&sweep_opts(ExperimentParams {
-            n: golden::GOLDEN_N,
-        })) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("temporal golden sweep failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match golden::bless_temporal(&tsweep, &golden::golden_dir()) {
-            Ok(paths) => {
-                for p in paths {
-                    eprintln!("blessed {}", p.display());
-                }
-            }
-            Err(e) => {
-                eprintln!("could not write temporal goldens: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        eprintln!(
-            "blessing tuner golden artifact from a fresh {0}^3 smoke tune...",
-            golden::GOLDEN_N
-        );
-        let report = match tune::run_tune(&tune::golden_tune_options(
-            args.jobs,
-            (!args.no_cache).then(|| args.out.join("simcache")),
-        )) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("tuner golden run failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match golden::bless_tune(&report, &golden::golden_dir()) {
-            Ok(paths) => {
-                for p in paths {
-                    eprintln!("blessed {}", p.display());
-                }
-            }
-            Err(e) => {
-                eprintln!("could not write tuner golden: {e}");
+                eprintln!("bless failed: {e}");
                 return ExitCode::FAILURE;
             }
         }

@@ -1,8 +1,8 @@
 //! The sweep runner: every (stencil × kernel config × GPU × programming
 //! model) point of the study, flattened into independent cells, fanned
-//! out across worker threads ([`brick_sweep::map_cells`]) and made
-//! incremental across runs by a content-addressed on-disk result cache
-//! (see [`crate::cache`]).
+//! out across worker threads ([`brick_sweep::map_cells`]) and evaluated
+//! by the cell evaluator the temporal sweep and the tuner share
+//! ([`brick_tuner::cell`]), which caches every cell on disk.
 //!
 //! Determinism contract: for a fixed configuration, [`sweep_with`]
 //! produces byte-identical serialized records at **any** jobs count and
@@ -12,26 +12,18 @@
 //! counters) only deduplicate work — never change values. The golden and
 //! determinism suites under `crates/experiments/tests/` enforce this.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
-use brick_codegen::{generate, CodegenOptions, LayoutKind};
-use brick_core::{BrickDecomp, BrickDims, BrickNav, BrickOrdering};
 use brick_dsl::shape::StencilShape;
 use brick_dsl::StencilAnalysis;
-use brick_sweep::{map_cells, CacheOutcome, DiskCache, Jobs};
-use brick_vm::{KernelSpec, ScalarKernel, TraceGeometry};
-use gpu_sim::{
-    assemble, compile_only, simulate_memory_opts, CompilerModel, GpuArch, GpuKind, MemCounters,
-    ProgModel, SimFidelity, SimOptions,
-};
-use roofline::{measure, Roofline};
+use brick_sweep::{map_cells, Jobs};
+use brick_tuner::cell::{paper_spec, Cell, Evaluator, Measurement};
+use gpu_sim::{GpuArch, GpuKind, ProgModel, SimFidelity};
+use roofline::Roofline;
 
-use crate::cache::{cell_key, roofline_key};
 use crate::config::{ExperimentParams, KernelConfig};
 
 /// One measured point of the study.
@@ -128,77 +120,6 @@ impl Sweep {
     }
 }
 
-/// Statically verify a spec's vector kernel before it is simulated,
-/// memoised by kernel fingerprint (thread-safe, shareable across parallel
-/// cells — see [`brick_lint::FingerprintCache`]) so the (GPU, model)
-/// matrix pays for each distinct program once. Scalar kernels have no IR
-/// to verify and pass through. Panics with the rendered report if the
-/// generator emitted a kernel the analyzer rejects — simulating an
-/// unverified kernel would silently produce wrong paper numbers.
-pub fn verify_spec(
-    spec: &KernelSpec,
-    shape: &StencilShape,
-    arch: &GpuArch,
-    cache: &brick_lint::FingerprintCache,
-) {
-    let KernelSpec::Vector(k) = spec else { return };
-    let fp = brick_lint::fingerprint(k);
-    if cache.check_or_insert(fp) {
-        brick_obs::counter_add("sweep.lint_cache_hits", 1);
-        return;
-    }
-    let _span = brick_obs::span_cat(format!("lint:sweep:{}", k.name), "lint");
-    let st = shape.stencil();
-    let b = st.default_bindings();
-    let opts = brick_lint::LintOptions {
-        expected: Some(
-            brick_lint::ExpectedStencil::resolve(&st, &b).expect("paper bindings resolve"),
-        ),
-        budgets: vec![arch.lint_budget()],
-    };
-    let analysis = brick_lint::analyze(k, &opts);
-    assert!(
-        analysis.is_clean(),
-        "generated kernel failed static verification:\n{}",
-        analysis.report.render(Some(k))
-    );
-    brick_obs::counter_add("sweep.lint_verified", 1);
-}
-
-/// Build the kernel spec for a configuration at a SIMD width.
-pub fn build_spec(shape: &StencilShape, config: KernelConfig, width: usize) -> KernelSpec {
-    let st = shape.stencil();
-    let b = st.default_bindings();
-    if config.codegen() {
-        KernelSpec::Vector(
-            generate(&st, &b, config.layout(), width, CodegenOptions::default())
-                .expect("paper stencils are within codegen limits"),
-        )
-    } else {
-        KernelSpec::Scalar(
-            ScalarKernel::new(&st, &b, config.layout(), width)
-                .expect("default bindings cover all symbols"),
-        )
-    }
-}
-
-/// Build the trace geometry for a layout at a domain size.
-pub fn build_geometry(layout: LayoutKind, n: usize, width: usize, radius: usize) -> TraceGeometry {
-    let dims = BrickDims::for_simd_width(width);
-    match layout {
-        LayoutKind::Brick => {
-            let decomp = Arc::new(BrickDecomp::new(
-                (n, n, n),
-                dims,
-                radius,
-                BrickOrdering::Lexicographic,
-            ));
-            TraceGeometry::brick(Arc::new(BrickNav::new(decomp)))
-        }
-        LayoutKind::Array => TraceGeometry::array((n, n, n), radius, dims),
-    }
-}
-
 /// A structured sweep failure (the runner no longer panics on matrix
 /// holes — an unsupported pair or a missing ceiling comes back as data).
 #[derive(Debug, Clone, PartialEq)]
@@ -248,17 +169,21 @@ pub struct CellFilter {
 }
 
 impl CellFilter {
-    /// Does `cell` survive the filter?
-    fn keeps(&self, cell: &Cell) -> bool {
+    /// Does the cell of `shape` under `config` on `(gpu, model)` survive
+    /// the filter?
+    pub(crate) fn keeps(
+        &self,
+        shape: &StencilShape,
+        config: KernelConfig,
+        gpu: GpuKind,
+        model: ProgModel,
+    ) -> bool {
         self.stencils
             .as_ref()
-            .is_none_or(|s| s.contains(&cell.stencil))
-            && self.gpus.as_ref().is_none_or(|g| g.contains(&cell.gpu))
-            && self.models.as_ref().is_none_or(|m| m.contains(&cell.model))
-            && self
-                .configs
-                .as_ref()
-                .is_none_or(|c| c.contains(&cell.config))
+            .is_none_or(|s| s.contains(&shape.label()))
+            && self.gpus.as_ref().is_none_or(|g| g.contains(&gpu))
+            && self.models.as_ref().is_none_or(|m| m.contains(&model))
+            && self.configs.as_ref().is_none_or(|c| c.contains(&config))
     }
 }
 
@@ -273,7 +198,8 @@ pub struct SweepOptions {
     pub jobs: Jobs,
     /// Result-cache directory; `None` disables on-disk caching.
     pub cache_dir: Option<PathBuf>,
-    /// Sub-matrix to run (default: the full paper matrix).
+    /// Sub-matrix to run, in the paper and the temporal sweep (default:
+    /// the full matrix).
     pub filter: CellFilter,
     /// Simulation fidelity (default `Fast`; bit-identical to `Exact` by
     /// the differential contract, and part of every cell's cache key).
@@ -318,46 +244,22 @@ impl SweepOptions {
     }
 }
 
-/// One independent unit of sweep work: a `(stencil, config, GPU, model)`
-/// matrix point plus the per-stencil scoring constants, carried by value
-/// so evaluating the cell touches no shared mutable state.
-#[derive(Debug, Clone)]
-struct Cell {
-    shape: StencilShape,
-    stencil: String,
-    gpu: GpuKind,
-    model: ProgModel,
-    config: KernelConfig,
-    flops_per_point: u64,
-    theoretical_ai: f64,
-}
-
-/// Flatten the (filtered) study matrix into cells, in the canonical
-/// order records are reported in: stencil → architecture → `(gpu,
-/// model)` pair → configuration.
-fn flatten_cells(filter: &CellFilter) -> Vec<Cell> {
-    let matrix = ProgModel::paper_matrix();
+/// The filtered study matrix as cells, in the canonical order records
+/// are reported in: stencil → `(gpu, model)` pair (grouped by GPU) →
+/// configuration. A cell's `target` indexes [`ProgModel::paper_matrix`].
+fn paper_cells(filter: &CellFilter) -> Vec<Cell> {
     let mut cells = Vec::new();
     for shape in StencilShape::paper_suite() {
-        let analysis = StencilAnalysis::of_shape(&shape);
-        for arch in GpuArch::table() {
-            for &(gpu, model) in &matrix {
-                if gpu != arch.kind {
-                    continue;
-                }
-                for config in KernelConfig::all() {
-                    let cell = Cell {
+        for (target, (gpu, model)) in ProgModel::paper_matrix().into_iter().enumerate() {
+            for config in KernelConfig::all() {
+                if filter.keeps(&shape, config, gpu, model) {
+                    let spec = paper_spec(GpuArch::by_kind(gpu).simd_width);
+                    cells.push(Cell {
                         shape,
-                        stencil: shape.label(),
-                        gpu,
-                        model,
                         config,
-                        flops_per_point: analysis.flops_per_point,
-                        theoretical_ai: analysis.theoretical_ai,
-                    };
-                    if filter.keeps(&cell) {
-                        cells.push(cell);
-                    }
+                        spec,
+                        target,
+                    });
                 }
             }
         }
@@ -365,40 +267,79 @@ fn flatten_cells(filter: &CellFilter) -> Vec<Cell> {
     cells
 }
 
-/// Measure (or reuse) the empirical Roofline of every supported matrix
-/// pair, in matrix order.
-///
-/// Ceilings are memoised per *platform*: pairs whose resolved compiler
-/// model coincides (HIP on A100 is the CUDA wrapper) share one mixbench
-/// sweep instead of re-measuring, and with a warm disk cache the
-/// measurement is loaded instead of run.
-pub(crate) fn measure_rooflines(
-    cache: Option<&DiskCache>,
-) -> Vec<((GpuKind, ProgModel), Roofline)> {
-    let _s = brick_obs::span_cat("rooflines", "phase");
-    let mut memo: HashMap<String, Option<Roofline>> = HashMap::new();
-    let mut rooflines = Vec::new();
-    for (gpu, model) in ProgModel::paper_matrix() {
-        let arch = GpuArch::by_kind(gpu);
-        // platform identity: the architecture plus the *resolved* compiler
-        // model, so wrapper models dedupe onto their host toolchain
-        let platform = match CompilerModel::resolve(gpu, model) {
-            Some(cm) => format!(
-                "{gpu}/{}",
-                serde_json::to_string(&cm).expect("compiler model serializes")
-            ),
-            None => continue, // unsupported pair: no ceiling, no cell
-        };
-        let measured = memo.entry(platform).or_insert_with(|| match cache {
-            Some(c) => c.get_or_compute(&roofline_key(arch, model), || measure(arch, model)),
-            None => measure(arch, model),
-        });
-        if let Some(r) = measured {
-            rooflines.push(((gpu, model), *r));
-        }
+/// Records of a sweep over the paper matrix, with the Rooflines they were
+/// scored against and the run's manifest.
+pub(crate) struct CellRun<R> {
+    pub records: Vec<R>,
+    pub rooflines: Vec<((GpuKind, ProgModel), Roofline)>,
+    pub manifest: brick_obs::RunManifest,
+}
+
+/// Evaluate `cells` (whose targets index [`ProgModel::paper_matrix`]) in
+/// parallel through one [`Evaluator`] and project each measurement into a
+/// record, in cell order — the body of [`sweep_with`] and
+/// [`crate::temporal_sweep_with`]. `span` names the run's span, `label`
+/// the cell fan-out.
+pub(crate) fn run_cells<R: Send>(
+    opts: &SweepOptions,
+    span: &str,
+    label: &str,
+    cells: &[Cell],
+    project: impl Fn(&Cell, GpuKind, ProgModel, &Roofline, Measurement) -> R + Sync,
+) -> Result<CellRun<R>, SweepError> {
+    opts.params.validate().map_err(SweepError::InvalidParams)?;
+    let start = std::time::Instant::now();
+    let manifest = brick_obs::RunManifest::begin(
+        &serde_json::to_string(&opts.params).expect("params serialize"),
+    );
+    let n = opts.params.n;
+    let _span = brick_obs::span_cat(format!("{span}:{n}^3"), "sweep");
+    let targets = ProgModel::paper_matrix()
+        .into_iter()
+        .map(|(gpu, model)| (GpuArch::by_kind(gpu).clone(), model));
+    let ev = Evaluator::open(n, opts.fidelity, opts.cache_dir.as_deref(), targets)
+        .map_err(|e| SweepError::Cache(e.to_string()))?;
+    let rooflines: Vec<_> = ev
+        .targets()
+        .iter()
+        .filter_map(|t| Some(((t.arch.kind, t.model), t.roofline?)))
+        .collect();
+    brick_obs::info!(
+        "{span}: {} cells at n={n} across {} rooflines",
+        cells.len(),
+        rooflines.len()
+    );
+
+    let outcomes = map_cells(label, cells, opts.jobs, |_, cell: &Cell| {
+        let t0 = std::time::Instant::now();
+        let t = &ev.targets()[cell.target];
+        let (gpu, model) = (t.arch.kind, t.model);
+        let rl = t
+            .roofline
+            .ok_or(SweepError::MissingRoofline { gpu, model })?;
+        let record = project(cell, gpu, model, &rl, ev.measure(cell));
+        Ok((record, t0.elapsed().as_secs_f64()))
+    });
+    // Deterministic reduction: cell order in, record order out.
+    let mut records = Vec::with_capacity(cells.len());
+    let mut record_wall_s = Vec::with_capacity(cells.len());
+    for outcome in outcomes {
+        let (record, wall) = outcome?;
+        records.push(record);
+        record_wall_s.push(wall);
     }
-    brick_obs::gauge_set("sweep.rooflines", rooflines.len() as f64);
-    rooflines
+    let manifest = manifest
+        .finish(start.elapsed().as_secs_f64(), record_wall_s)
+        .with_sweep_info(
+            &opts.fidelity.to_string(),
+            opts.jobs.count() as u64,
+            ev.cache_counts(),
+        );
+    Ok(CellRun {
+        records,
+        rooflines,
+        manifest,
+    })
 }
 
 /// Run the full study matrix — 6 stencils × 3 configurations × the
@@ -407,228 +348,42 @@ pub(crate) fn measure_rooflines(
 ///
 /// Memory simulations are shared between programming models whose trace
 /// and resident-wave shape coincide (CUDA and its HIP wrapper always do),
-/// so the matrix costs 3 GPUs' worth of traces, not 6; the sharing memo
-/// is race-free (`OnceLock` per key) and value-deterministic, so the
-/// schedule cannot influence results.
+/// so the matrix costs 3 GPUs' worth of traces, not 6.
 pub fn sweep_with(opts: &SweepOptions) -> Result<Sweep, SweepError> {
-    opts.params.validate().map_err(SweepError::InvalidParams)?;
-    let sweep_start = std::time::Instant::now();
-    let manifest = brick_obs::RunManifest::begin(
-        &serde_json::to_string(&opts.params).expect("params serialize"),
-    );
-    let _span = brick_obs::span_cat(format!("sweep:{}^3", opts.params.n), "sweep");
-    let n = opts.params.n;
-    // counters are process-global; deltas isolate this sweep's cache story
-    let cache_counters = || {
-        (
-            brick_obs::counter_value("sweep.cache.hits"),
-            brick_obs::counter_value("sweep.cache.misses"),
-            brick_obs::counter_value("sweep.cache.corrupt"),
-        )
-    };
-    let cache_before = cache_counters();
-
-    let cache = match &opts.cache_dir {
-        Some(dir) => Some(DiskCache::open(dir).map_err(|e| SweepError::Cache(e.to_string()))?),
-        None => None,
-    };
-
-    let rooflines = measure_rooflines(cache.as_ref());
-    brick_obs::info!("measured {} rooflines, sweeping at n={n}", rooflines.len());
-
-    let cells = flatten_cells(&opts.filter);
-
-    // Phase 1 — build and statically verify each distinct kernel program
-    // once (distinct = (stencil, SIMD width, config); the (gpu, model)
-    // axis shares programs). Verification is memoised by the analyzer's
-    // content fingerprint.
-    let lint_memo = brick_lint::FingerprintCache::new();
-    let mut spec_jobs: Vec<(StencilShape, usize, KernelConfig)> = Vec::new();
-    for cell in &cells {
-        let width = GpuArch::by_kind(cell.gpu).simd_width;
-        if !spec_jobs
-            .iter()
-            .any(|(s, w, c)| s.label() == cell.stencil && *w == width && *c == cell.config)
-        {
-            spec_jobs.push((cell.shape, width, cell.config));
-        }
-    }
-    let specs: HashMap<(String, usize, KernelConfig), KernelSpec> = map_cells(
-        "sweep.specs",
-        &spec_jobs,
-        opts.jobs,
-        |_, &(shape, width, config)| {
-            let _phase = brick_obs::span_cat("lint-verify", "phase");
-            let spec = build_spec(&shape, config, width);
-            let arch = GpuArch::table()
-                .iter()
-                .find(|a| a.simd_width == width)
-                .expect("width comes from the table");
-            verify_spec(&spec, &shape, arch, &lint_memo);
-            ((shape.label(), width, config), spec)
+    let run = run_cells(
+        opts,
+        "sweep",
+        "sweep.cells",
+        &paper_cells(&opts.filter),
+        |cell, gpu, model, rl, m| {
+            let theoretical_ai = StencilAnalysis::of_shape(&cell.shape).theoretical_ai;
+            Record {
+                shape: cell.shape,
+                stencil: cell.shape.label(),
+                config: cell.config,
+                gpu,
+                model,
+                gflops: m.gflops,
+                ai: m.ai,
+                theoretical_ai,
+                frac_roofline: rl.fraction(m.gflops, m.ai),
+                frac_theoretical_ai: m.ai / theoretical_ai,
+                l1_bytes: m.l1_bytes,
+                l2_bytes: m.l2_bytes,
+                dram_bytes: m.dram_bytes,
+                time_s: m.time_s,
+                occupancy: m.occupancy,
+                regs_per_thread: m.regs_per_thread,
+                spilled: m.spilled,
+                limiter: m.limiter,
+            }
         },
-    )
-    .into_iter()
-    .collect();
-
-    // Phase 2 — evaluate cells. Shared, value-deterministic memos:
-    // geometries by (layout, width, radius) and memory counters by
-    // (gpu, stencil, config, blocks_per_sm). `OnceLock` guarantees one
-    // computation per key even under races, and cache hits skip both.
-    type GeomKey = (LayoutKind, usize, usize);
-    type MemKey = (GpuKind, String, KernelConfig, u32, SimFidelity);
-    let geom_memo: Mutex<HashMap<GeomKey, Arc<OnceLock<TraceGeometry>>>> =
-        Mutex::new(HashMap::new());
-    let mem_memo: Mutex<HashMap<MemKey, Arc<OnceLock<MemCounters>>>> = Mutex::new(HashMap::new());
-    fn memo_slot<K: std::hash::Hash + Eq, V>(
-        map: &Mutex<HashMap<K, Arc<OnceLock<V>>>>,
-        key: K,
-    ) -> Arc<OnceLock<V>> {
-        Arc::clone(
-            map.lock()
-                .expect("memo lock poisoned")
-                .entry(key)
-                .or_default(),
-        )
-    }
-
-    let outcomes = map_cells("sweep.cells", &cells, opts.jobs, |_, cell: &Cell| {
-        let t0 = std::time::Instant::now();
-        let _rec_span = brick_obs::span_cat(
-            format!(
-                "{}/{}/{}/{}",
-                cell.stencil, cell.config, cell.gpu, cell.model
-            ),
-            "record",
-        );
-        let arch = GpuArch::by_kind(cell.gpu);
-        let width = arch.simd_width;
-        let spec = &specs[&(cell.stencil.clone(), width, cell.config)];
-        let compiled = {
-            let _phase = brick_obs::span_cat("compile", "phase");
-            compile_only(spec, arch, cell.model)
-        };
-        let Some((cm, compiled, occ)) = compiled else {
-            return Ok(None); // unsupported pair: a hole, not an error
-        };
-        let Some(rl) = rooflines
-            .iter()
-            .find(|((g, m), _)| *g == cell.gpu && *m == cell.model)
-            .map(|(_, r)| *r)
-        else {
-            return Err(SweepError::MissingRoofline {
-                gpu: cell.gpu,
-                model: cell.model,
-            });
-        };
-
-        let key = cache.as_ref().map(|_| {
-            cell_key(
-                spec,
-                arch,
-                cell.model,
-                n,
-                cell.flops_per_point,
-                cell.theoretical_ai,
-                &rl,
-                opts.fidelity,
-                1, // the base matrix is unfused; see crate::temporal
-                // the base sweep always runs the paper's fixed
-                // specialization for the target's lane width
-                &brick_codegen::SpecParams::paper_default(width),
-            )
-        });
-        if let (Some(c), Some(key)) = (cache.as_ref(), key.as_ref()) {
-            let _phase = brick_obs::span_cat("cache-io", "phase");
-            if let CacheOutcome::Hit(record) = c.get::<Record>(key) {
-                return Ok(Some((record, t0.elapsed().as_secs_f64())));
-            }
-        }
-
-        let radius = cell.shape.radius as usize;
-        let geom_slot = memo_slot(&geom_memo, (cell.config.layout(), width, radius));
-        let mem_slot = memo_slot(
-            &mem_memo,
-            (
-                cell.gpu,
-                cell.stencil.clone(),
-                cell.config,
-                occ.blocks_per_sm,
-                opts.fidelity,
-            ),
-        );
-        let (geom, mem) = {
-            let _phase = brick_obs::span_cat("simulate", "phase");
-            let geom =
-                geom_slot.get_or_init(|| build_geometry(cell.config.layout(), n, width, radius));
-            let mem = *mem_slot.get_or_init(|| {
-                let sim_opts = SimOptions {
-                    fidelity: opts.fidelity,
-                    ..SimOptions::default()
-                };
-                simulate_memory_opts(spec, geom, arch, occ.blocks_per_sm, &sim_opts).counters()
-            });
-            (geom, mem)
-        };
-        let score = brick_obs::span_cat("score", "phase");
-        let sim = assemble(spec, geom, arch, &cm, &compiled, mem, cell.flops_per_point);
-        let record = Record {
-            shape: cell.shape,
-            stencil: cell.stencil.clone(),
-            config: cell.config,
-            gpu: cell.gpu,
-            model: cell.model,
-            gflops: sim.gflops,
-            ai: sim.ai,
-            theoretical_ai: cell.theoretical_ai,
-            frac_roofline: rl.fraction(sim.gflops, sim.ai),
-            frac_theoretical_ai: sim.ai / cell.theoretical_ai,
-            l1_bytes: sim.mem.l1_bytes,
-            l2_bytes: sim.mem.l2_bytes,
-            dram_bytes: sim.mem.dram_bytes,
-            time_s: sim.time_s,
-            occupancy: sim.occupancy.occupancy,
-            regs_per_thread: sim.regs_per_thread,
-            spilled: sim.spilled,
-            limiter: sim.breakdown.limiter().to_string(),
-        };
-        drop(score); // phases never nest: close scoring before cache-io
-        if let (Some(c), Some(key)) = (cache.as_ref(), key.as_ref()) {
-            let _phase = brick_obs::span_cat("cache-io", "phase");
-            if let Err(e) = c.put(key, &record) {
-                brick_obs::warn!("could not cache {}: {e}", key.file_name());
-            }
-        }
-        Ok(Some((record, t0.elapsed().as_secs_f64())))
-    });
-
-    // Deterministic reduction: cell order in, record order out.
-    let mut records = Vec::new();
-    let mut record_wall_s = Vec::new();
-    for outcome in outcomes {
-        if let Some((record, wall)) = outcome? {
-            records.push(record);
-            record_wall_s.push(wall);
-        }
-    }
-
-    let cache_after = cache_counters();
-    let manifest = manifest
-        .finish(sweep_start.elapsed().as_secs_f64(), record_wall_s)
-        .with_sweep_info(
-            &opts.fidelity.to_string(),
-            opts.jobs.count() as u64,
-            (
-                cache_after.0 - cache_before.0,
-                cache_after.1 - cache_before.1,
-                cache_after.2 - cache_before.2,
-            ),
-        );
+    )?;
     Ok(Sweep {
         params: opts.params,
-        records,
-        rooflines,
-        manifest,
+        records: run.records,
+        rooflines: run.rooflines,
+        manifest: run.manifest,
     })
 }
 
@@ -701,22 +456,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn verify_spec_caches_by_fingerprint() {
-        let shape = StencilShape::star(1);
-        let arch = GpuArch::a100();
-        let spec = build_spec(&shape, KernelConfig::BricksCodegen, arch.simd_width);
-        let cache = brick_lint::FingerprintCache::new();
-        verify_spec(&spec, &shape, &arch, &cache);
-        assert_eq!(cache.len(), 1, "vector kernel verified and cached");
-        verify_spec(&spec, &shape, &arch, &cache);
-        assert_eq!(cache.len(), 1, "second verification hits the cache");
-        // scalar kernels have no IR and don't populate the cache
-        let scalar = build_spec(&shape, KernelConfig::Array, arch.simd_width);
-        verify_spec(&scalar, &shape, &arch, &cache);
-        assert_eq!(cache.len(), 1);
     }
 
     #[test]

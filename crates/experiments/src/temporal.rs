@@ -25,28 +25,20 @@
 //! (the price of fusion) appear only in the simulated execution time,
 //! exactly as they would on hardware.
 //!
-//! Determinism and caching mirror [`crate::runner`]: cells are pure,
-//! memoisation is value-deterministic, records are byte-identical at any
-//! jobs count, and every cell is cached under a key that includes the
-//! fusion degree (see [`crate::cache`]) so a `T=2` cell can never be
-//! served a cached `T=1` record.
-
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+//! Determinism and caching are [`crate::runner`]'s: the same cell
+//! evaluator, the same cache. A cell's key carries its whole
+//! specialization vector, so a `T=2` cell can never be served a cached
+//! `T=1` record, while the `T=1` gather cell shares its record with the
+//! tuner's paper baseline (the same cell).
 
 use serde::{Deserialize, Serialize};
 
-use crate::cache::temporal_cell_key;
-use crate::runner::{build_geometry, measure_rooflines, SweepError, SweepOptions};
-use brick_codegen::{generate, CodegenOptions, LayoutKind, Strategy};
+use crate::runner::{run_cells, SweepError, SweepOptions};
+use brick_codegen::SpecParams;
 use brick_dsl::shape::StencilShape;
-use brick_dsl::StencilAnalysis;
-use brick_sweep::{map_cells, CacheOutcome, DiskCache};
-use brick_vm::{KernelSpec, TraceGeometry};
-use gpu_sim::{
-    assemble, compile_only, simulate_memory_opts, GpuArch, GpuKind, MemCounters, ProgModel,
-    SimFidelity, SimOptions,
-};
+use brick_tuner::cell::Cell;
+use brick_tuner::KernelConfig;
+use gpu_sim::{GpuArch, GpuKind, ProgModel};
 
 /// Transverse block extent the fusion degree is feasibility-checked
 /// against (`BrickDims::for_simd_width` always yields 4×4 across y/z).
@@ -135,101 +127,26 @@ impl TemporalSweep {
     }
 }
 
-/// Build the `T`-fused bricks-codegen spec for a shape at a SIMD width.
-///
-/// All degrees (including `T = 1`) use the gather schedule, so the only
-/// variable along a degree series is the fusion itself — never the
-/// spatial schedule.
-pub fn build_temporal_spec(shape: &StencilShape, width: usize, t: u32) -> KernelSpec {
-    let st = shape.stencil();
-    let b = st.default_bindings();
-    KernelSpec::Vector(
-        generate(
-            &st,
-            &b,
-            LayoutKind::Brick,
-            width,
-            CodegenOptions {
-                temporal_degree: t,
-                strategy: Strategy::Gather,
-                ..CodegenOptions::default()
-            },
-        )
-        .expect("feasible degrees are within codegen limits"),
-    )
-}
-
-/// Statically verify a fused spec against the `T`-fold composed stencil,
-/// memoised by kernel fingerprint. Panics with the rendered report on
-/// rejection — a fused kernel the footprint verifier cannot prove has no
-/// business producing paper numbers.
-pub fn verify_temporal_spec(
-    spec: &KernelSpec,
-    shape: &StencilShape,
-    t: u32,
-    cache: &brick_lint::FingerprintCache,
-) {
-    let KernelSpec::Vector(k) = spec else { return };
-    let fp = brick_lint::fingerprint(k);
-    if cache.check_or_insert(fp) {
-        brick_obs::counter_add("sweep.lint_cache_hits", 1);
-        return;
-    }
-    let _span = brick_obs::span_cat(format!("lint:temporal:{}", k.name), "lint");
-    let st = shape.stencil();
-    let b = st.default_bindings();
-    let opts = brick_lint::LintOptions {
-        expected: Some(
-            brick_lint::ExpectedStencil::resolve_temporal(&st, &b, t)
-                .expect("paper bindings resolve"),
-        ),
-        // no register budgets: fused kernels legitimately hold T levels of
-        // planes live, and the compiler model prices the resulting
-        // pressure (spills, occupancy) honestly in the simulation
-        budgets: vec![],
-    };
-    let analysis = brick_lint::analyze(k, &opts);
-    assert!(
-        analysis.is_clean(),
-        "fused kernel failed static verification against the T={t} composition:\n{}",
-        analysis.report.render(Some(k))
-    );
-    brick_obs::counter_add("sweep.lint_verified", 1);
-}
-
-/// One unit of temporal sweep work.
-#[derive(Debug, Clone)]
-struct TCell {
-    shape: StencilShape,
-    stencil: String,
-    t: u32,
-    gpu: GpuKind,
-    model: ProgModel,
-    /// Normalised FLOPs per point for the fused launch (`T ×` per-step).
-    flops_per_point: u64,
-    /// Composed theoretical AI (`T ×` the per-step Table 4 value).
-    theoretical_ai: f64,
-}
-
-fn flatten_cells() -> Vec<TCell> {
-    let matrix = ProgModel::paper_matrix();
+/// The filtered temporal matrix as bricks-codegen cells, in canonical
+/// order: stencil → degree → `(gpu, model)` pair (grouped by GPU). Every
+/// degree, `T = 1` included, uses the paper default's gather schedule,
+/// so the only variable along a degree series is the fusion itself.
+fn temporal_cells(opts: &SweepOptions) -> Vec<Cell> {
+    let config = KernelConfig::BricksCodegen;
     let mut cells = Vec::new();
     for shape in StencilShape::paper_suite() {
-        let analysis = StencilAnalysis::of_shape(&shape);
         for t in feasible_degrees(&shape) {
-            for arch in GpuArch::table() {
-                for &(gpu, model) in &matrix {
-                    if gpu != arch.kind {
-                        continue;
-                    }
-                    cells.push(TCell {
+            for (target, (gpu, model)) in ProgModel::paper_matrix().into_iter().enumerate() {
+                if opts.filter.keeps(&shape, config, gpu, model) {
+                    let spec = SpecParams {
+                        temporal_degree: t,
+                        ..SpecParams::paper_default(GpuArch::by_kind(gpu).simd_width)
+                    };
+                    cells.push(Cell {
                         shape,
-                        stencil: shape.label(),
-                        t,
-                        gpu,
-                        model,
-                        flops_per_point: analysis.flops_per_point * t as u64,
-                        theoretical_ai: analysis.theoretical_ai * t as f64,
+                        config,
+                        spec,
+                        target,
                     });
                 }
             }
@@ -239,230 +156,49 @@ fn flatten_cells() -> Vec<TCell> {
 }
 
 /// Run the temporal study matrix — every paper stencil × every feasible
-/// fusion degree × the paper's 6 (GPU, model) pairs, bricks codegen —
-/// with the same parallelism, caching and determinism contract as
-/// [`crate::runner::sweep_with`]. The `filter` field of the options is
-/// ignored (the temporal matrix is its own selection).
+/// fusion degree × the paper's 6 (GPU, model) pairs, bricks codegen,
+/// restricted by the options' filter — with the same parallelism,
+/// caching and determinism contract as [`crate::runner::sweep_with`].
 pub fn temporal_sweep_with(opts: &SweepOptions) -> Result<TemporalSweep, SweepError> {
-    opts.params.validate().map_err(SweepError::InvalidParams)?;
-    let sweep_start = std::time::Instant::now();
-    let manifest = brick_obs::RunManifest::begin(
-        &serde_json::to_string(&opts.params).expect("params serialize"),
-    );
-    let _span = brick_obs::span_cat(format!("temporal-sweep:{}^3", opts.params.n), "sweep");
-    let n = opts.params.n;
-    let cache_counters = || {
-        (
-            brick_obs::counter_value("sweep.cache.hits"),
-            brick_obs::counter_value("sweep.cache.misses"),
-            brick_obs::counter_value("sweep.cache.corrupt"),
-        )
-    };
-    let cache_before = cache_counters();
-
-    let cache = match &opts.cache_dir {
-        Some(dir) => Some(DiskCache::open(dir).map_err(|e| SweepError::Cache(e.to_string()))?),
-        None => None,
-    };
-
-    let rooflines = measure_rooflines(cache.as_ref());
-    let cells = flatten_cells();
-    brick_obs::info!(
-        "temporal sweep: {} cells at n={n} across {} rooflines",
-        cells.len(),
-        rooflines.len()
-    );
-
-    // Phase 1 — build and verify each distinct fused program once
-    // (distinct = (stencil, SIMD width, degree)).
-    let lint_memo = brick_lint::FingerprintCache::new();
-    let mut spec_jobs: Vec<(StencilShape, usize, u32)> = Vec::new();
-    for cell in &cells {
-        let width = GpuArch::by_kind(cell.gpu).simd_width;
-        if !spec_jobs
-            .iter()
-            .any(|(s, w, t)| s.label() == cell.stencil && *w == width && *t == cell.t)
-        {
-            spec_jobs.push((cell.shape, width, cell.t));
-        }
-    }
-    let specs: HashMap<(String, usize, u32), KernelSpec> = map_cells(
-        "temporal.specs",
-        &spec_jobs,
-        opts.jobs,
-        |_, &(shape, width, t)| {
-            let _phase = brick_obs::span_cat("lint-verify", "phase");
-            let spec = build_temporal_spec(&shape, width, t);
-            verify_temporal_spec(&spec, &shape, t, &lint_memo);
-            ((shape.label(), width, t), spec)
-        },
-    )
-    .into_iter()
-    .collect();
-
-    // Phase 2 — evaluate cells, sharing geometries by (width, reach) and
-    // memory counters by (gpu, stencil, degree, blocks_per_sm, fidelity).
-    type GeomKey = (usize, usize);
-    type MemKey = (GpuKind, String, u32, u32, SimFidelity);
-    let geom_memo: Mutex<HashMap<GeomKey, Arc<OnceLock<TraceGeometry>>>> =
-        Mutex::new(HashMap::new());
-    let mem_memo: Mutex<HashMap<MemKey, Arc<OnceLock<MemCounters>>>> = Mutex::new(HashMap::new());
-    fn memo_slot<K: std::hash::Hash + Eq, V>(
-        map: &Mutex<HashMap<K, Arc<OnceLock<V>>>>,
-        key: K,
-    ) -> Arc<OnceLock<V>> {
-        Arc::clone(
-            map.lock()
-                .expect("memo lock poisoned")
-                .entry(key)
-                .or_default(),
-        )
-    }
-
-    let outcomes = map_cells("temporal.cells", &cells, opts.jobs, |_, cell: &TCell| {
-        let t0 = std::time::Instant::now();
-        let _rec_span = brick_obs::span_cat(
-            format!("{}/t{}/{}/{}", cell.stencil, cell.t, cell.gpu, cell.model),
-            "record",
-        );
-        let arch = GpuArch::by_kind(cell.gpu);
-        let width = arch.simd_width;
-        let spec = &specs[&(cell.stencil.clone(), width, cell.t)];
-        let compiled = {
-            let _phase = brick_obs::span_cat("compile", "phase");
-            compile_only(spec, arch, cell.model)
-        };
-        let Some((cm, compiled, occ)) = compiled else {
-            return Ok(None); // unsupported pair: a hole, not an error
-        };
-        let Some(rl) = rooflines
-            .iter()
-            .find(|((g, m), _)| *g == cell.gpu && *m == cell.model)
-            .map(|(_, r)| *r)
-        else {
-            return Err(SweepError::MissingRoofline {
-                gpu: cell.gpu,
-                model: cell.model,
-            });
-        };
-
-        let key = cache.as_ref().map(|_| {
-            temporal_cell_key(
-                spec,
-                arch,
-                cell.model,
-                n,
-                cell.flops_per_point,
-                cell.theoretical_ai,
-                &rl,
-                opts.fidelity,
-                cell.t,
-                // the temporal sweep fixes every axis at the paper
-                // default except the fusion degree under test
-                &brick_codegen::SpecParams {
-                    temporal_degree: cell.t,
-                    ..brick_codegen::SpecParams::paper_default(width)
+    let run = run_cells(
+        opts,
+        "temporal-sweep",
+        "temporal.cells",
+        &temporal_cells(opts),
+        |cell, gpu, model, _, m| {
+            let t = cell.spec.temporal_degree;
+            let applied_points = m.points as f64 * t as f64;
+            TemporalRecord {
+                shape: cell.shape,
+                stencil: cell.shape.label(),
+                temporal_degree: t,
+                gpu,
+                model,
+                gflops: m.gflops,
+                ai: m.ai,
+                dram_bytes: m.dram_bytes,
+                dram_bytes_per_point: if applied_points > 0.0 {
+                    m.dram_bytes as f64 / applied_points
+                } else {
+                    0.0
                 },
-            )
-        });
-        if let (Some(c), Some(key)) = (cache.as_ref(), key.as_ref()) {
-            let _phase = brick_obs::span_cat("cache-io", "phase");
-            if let CacheOutcome::Hit(record) = c.get::<TemporalRecord>(key) {
-                return Ok(Some((record, t0.elapsed().as_secs_f64())));
+                l1_bytes: m.l1_bytes,
+                l2_bytes: m.l2_bytes,
+                time_s: m.time_s,
+                occupancy: m.occupancy,
+                regs_per_thread: m.regs_per_thread,
+                spilled: m.spilled,
+                limiter: m.limiter,
             }
-        }
-
-        // the fused footprint reaches T·r, so the trace geometry's ghost
-        // shell must cover the composed radius, not the spatial one
-        let reach = cell.t as usize * cell.shape.radius as usize;
-        let geom_slot = memo_slot(&geom_memo, (width, reach));
-        let mem_slot = memo_slot(
-            &mem_memo,
-            (
-                cell.gpu,
-                cell.stencil.clone(),
-                cell.t,
-                occ.blocks_per_sm,
-                opts.fidelity,
-            ),
-        );
-        let (geom, mem) = {
-            let _phase = brick_obs::span_cat("simulate", "phase");
-            let geom = geom_slot.get_or_init(|| build_geometry(LayoutKind::Brick, n, width, reach));
-            let mem = *mem_slot.get_or_init(|| {
-                let sim_opts = SimOptions {
-                    fidelity: opts.fidelity,
-                    ..SimOptions::default()
-                };
-                simulate_memory_opts(spec, geom, arch, occ.blocks_per_sm, &sim_opts).counters()
-            });
-            (geom, mem)
-        };
-        let score = brick_obs::span_cat("score", "phase");
-        let sim = assemble(spec, geom, arch, &cm, &compiled, mem, cell.flops_per_point);
-        let applied_points = sim.points as f64 * cell.t as f64;
-        let record = TemporalRecord {
-            shape: cell.shape,
-            stencil: cell.stencil.clone(),
-            temporal_degree: cell.t,
-            gpu: cell.gpu,
-            model: cell.model,
-            gflops: sim.gflops,
-            ai: sim.ai,
-            dram_bytes: sim.mem.dram_bytes,
-            dram_bytes_per_point: if applied_points > 0.0 {
-                sim.mem.dram_bytes as f64 / applied_points
-            } else {
-                0.0
-            },
-            l1_bytes: sim.mem.l1_bytes,
-            l2_bytes: sim.mem.l2_bytes,
-            time_s: sim.time_s,
-            occupancy: sim.occupancy.occupancy,
-            regs_per_thread: sim.regs_per_thread,
-            spilled: sim.spilled,
-            limiter: sim.breakdown.limiter().to_string(),
-        };
-        drop(score); // phases never nest: close scoring before cache-io
-        if let (Some(c), Some(key)) = (cache.as_ref(), key.as_ref()) {
-            let _phase = brick_obs::span_cat("cache-io", "phase");
-            if let Err(e) = c.put(key, &record) {
-                brick_obs::warn!("could not cache {}: {e}", key.file_name());
-            }
-        }
-        Ok(Some((record, t0.elapsed().as_secs_f64())))
-    });
-
-    let mut records = Vec::new();
-    let mut record_wall_s = Vec::new();
-    for outcome in outcomes {
-        if let Some((record, wall)) = outcome? {
-            records.push(record);
-            record_wall_s.push(wall);
-        }
-    }
-
-    let mut degrees: Vec<u32> = records.iter().map(|r| r.temporal_degree).collect();
+        },
+    )?;
+    let mut degrees: Vec<u32> = run.records.iter().map(|r| r.temporal_degree).collect();
     degrees.sort_unstable();
     degrees.dedup();
-
-    let cache_after = cache_counters();
-    let manifest = manifest
-        .finish(sweep_start.elapsed().as_secs_f64(), record_wall_s)
-        .with_sweep_info(
-            &opts.fidelity.to_string(),
-            opts.jobs.count() as u64,
-            (
-                cache_after.0 - cache_before.0,
-                cache_after.1 - cache_before.1,
-                cache_after.2 - cache_before.2,
-            ),
-        )
-        .with_temporal_degrees(&degrees);
     Ok(TemporalSweep {
         params: opts.params,
-        records,
-        manifest,
+        records: run.records,
+        manifest: run.manifest.with_temporal_degrees(&degrees),
     })
 }
 
@@ -566,6 +302,7 @@ pub fn run_bench_temporal(
 mod tests {
     use super::*;
     use crate::testutil::shared_temporal_sweep;
+    use brick_dsl::StencilAnalysis;
 
     #[test]
     fn matrix_covers_every_feasible_degree() {

@@ -8,6 +8,11 @@
 //! model)` pair, producing a ranked table per group and the
 //! tuned-vs-paper comparison (`EXPERIMENTS.md`).
 //!
+//! Tuner cells go through the same cell evaluator and the same cache as
+//! the paper and temporal sweeps ([`brick_tuner::cell`]): each group's
+//! paper baseline is the temporal sweep's `T = 1` cell and shares its
+//! cached record.
+//!
 //! `--bench-tune` additionally measures the incremental machinery itself:
 //! a cold sweep into a fresh cache followed by a warm rerun, gated at
 //! [`WARM_FRAC_MAX`] (`BENCH_tune.json`).
@@ -75,9 +80,8 @@ impl std::fmt::Display for SpaceChoice {
 }
 
 /// Assemble the tuner request the way the sweep drivers assemble
-/// [`crate::SweepOptions`]: same jobs plumbing, same cache layout
-/// (`<out>/simcache` — the tuner's `tune` domain keeps its entries apart
-/// from the sweep's `cell`/`tcell` files).
+/// [`crate::SweepOptions`]: same jobs plumbing, same cache
+/// (`<out>/simcache`, whose cells the three pipelines share).
 pub fn tune_options(
     n: usize,
     jobs: Option<usize>,

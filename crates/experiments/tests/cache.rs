@@ -1,9 +1,10 @@
-//! Sweep-level behaviour of the content-addressed result cache: entries
-//! are keyed by everything the result depends on, invalidated by kernel
-//! or simulation-config changes, and corruption degrades to a recompute
-//! (with a repair) rather than a wrong or failed run. Key-construction
-//! unit tests live in `experiments::cache`; the generic store's in
-//! `brick_sweep::cache`.
+//! Sweep-level behaviour of the content-addressed result cache the paper
+//! sweep, the temporal sweep and the tuner share: entries are keyed by
+//! everything the result depends on, cells with one identity share one
+//! record, cells with different identities never do, and corruption
+//! degrades to a recompute (with a repair) rather than a wrong or failed
+//! run. Key-construction unit tests live in `brick_tuner::cell`; the
+//! generic store's in `brick_sweep::cache`.
 
 use std::fs;
 use std::path::PathBuf;
@@ -40,18 +41,14 @@ fn counter(name: &str) -> u64 {
         .map_or(0, |(_, v)| *v)
 }
 
-fn entries_with_prefix(dir: &PathBuf, prefix: &str) -> Vec<String> {
+fn cell_entries(dir: &PathBuf) -> Vec<String> {
     let mut names: Vec<String> = fs::read_dir(dir)
         .unwrap()
         .map(|e| e.unwrap().file_name().into_string().unwrap())
-        .filter(|n| n.starts_with(prefix))
+        .filter(|n| n.starts_with("cell-"))
         .collect();
     names.sort();
     names
-}
-
-fn cell_entries(dir: &PathBuf) -> Vec<String> {
-    entries_with_prefix(dir, "cell-")
 }
 
 #[test]
@@ -83,59 +80,83 @@ fn entries_are_stable_across_runs_and_invalidated_by_config_change() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+fn temporal_json(opts: &SweepOptions) -> String {
+    let sweep = experiments::temporal_sweep_with(opts).expect("temporal sweep runs");
+    serde_json::to_string(&sweep.records).expect("records serialize")
+}
+
 #[test]
 fn temporal_degrees_never_alias_in_the_cache() {
-    // the satellite invariant: a T=2 cell can never be served a cached
-    // T=1 record, in either direction, even over a shared cache directory
+    // a T=2 cell can never be served a cached T=1 record, in either
+    // direction: every degree owns its entry, and cold, warm and uncached
+    // runs agree byte for byte
     let dir = scratch_dir("temporal");
-
-    // warm the cache with the base sweep's 7pt/A100/CUDA cells (all T=1)
-    let base = experiments::sweep_with(&opts(64, &dir)).unwrap();
-    let base_entries = cell_entries(&dir);
-    assert!(!base_entries.is_empty());
-
-    // a temporal sweep over the same directory must miss every cell —
-    // temporal records live in their own `tcell` domain, so even a T=1
-    // fused cell with an identical program cannot touch a base entry
-    let misses_before = counter("sweep.cache.misses");
-    let topts = SweepOptions::new(ExperimentParams { n: 64 }).cache_dir(&dir);
-    let temporal = experiments::temporal_sweep_with(&topts).unwrap();
-    assert!(
-        counter("sweep.cache.misses") >= misses_before + temporal.records.len() as u64,
-        "no temporal cell may be served from a base (T=1) entry"
-    );
+    let topts = SweepOptions::new(ExperimentParams { n: 64 }).filter(one_cell());
+    let cold = temporal_json(&topts.clone().cache_dir(&dir));
     assert_eq!(
-        entries_with_prefix(&dir, "tcell-").len(),
-        temporal.records.len(),
-        "every temporal cell wrote its own tcell entry"
+        cell_entries(&dir).len(),
+        4,
+        "7pt on A100/CUDA fuses T = 1..=4, one entry each"
     );
-    assert_eq!(
-        cell_entries(&dir),
-        base_entries,
-        "the temporal sweep left every base entry untouched"
-    );
-
-    // and the base results are reproduced bit-for-bit from the shared
-    // cache afterwards — temporal entries cannot satisfy base lookups
-    let hits_before = counter("sweep.cache.hits");
-    let base_again = experiments::sweep_with(&opts(64, &dir)).unwrap();
-    assert!(counter("sweep.cache.hits") > hits_before);
-    assert_eq!(
-        serde_json::to_string(&base.records).unwrap(),
-        serde_json::to_string(&base_again.records).unwrap()
-    );
+    let warm = temporal_json(&topts.clone().cache_dir(&dir));
+    let uncached = temporal_json(&topts);
+    assert_eq!(cold, uncached);
+    assert_eq!(warm, uncached);
 
     // degree is visible in the data too: the fused launch moves different
     // bytes than the baseline, so any aliasing would be caught here
-    let t1 = temporal
-        .point(GpuKind::A100, ProgModel::Cuda, "7pt", 1)
-        .unwrap();
-    let t2 = temporal
-        .point(GpuKind::A100, ProgModel::Cuda, "7pt", 2)
-        .unwrap();
-    assert_ne!(t1.dram_bytes, t2.dram_bytes);
-    assert!(t2.ai > t1.ai);
+    let records: Vec<experiments::TemporalRecord> = serde_json::from_str(&warm).unwrap();
+    assert_ne!(records[0].dram_bytes, records[1].dram_bytes);
+    assert!(records[1].ai > records[0].ai);
     let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn paper_auto_and_temporal_gather_cells_stay_distinct() {
+    // the paper's 125pt bricks cell lets the generator choose (Auto →
+    // scatter); the temporal T=1 cell is gather. Over one cache directory
+    // they keep separate entries, and both match an uncached run
+    let dir = scratch_dir("auto_gather");
+    let filter = CellFilter {
+        stencils: Some(vec!["125pt".into()]),
+        configs: Some(vec![experiments::KernelConfig::BricksCodegen]),
+        ..one_cell()
+    };
+    let popts = SweepOptions::new(ExperimentParams { n: 64 }).filter(filter.clone());
+    let topts = popts.clone().filter(CellFilter {
+        configs: None,
+        ..filter
+    });
+    let paper = |o: &SweepOptions| experiments::sweep_with(o).expect("sweep runs").records;
+    let cold_paper = records_json(&paper(&popts.clone().cache_dir(&dir)));
+    let cold_temporal = temporal_json(&topts.clone().cache_dir(&dir));
+    assert_eq!(
+        cell_entries(&dir).len(),
+        3,
+        "one paper cell plus 125pt's two fused degrees"
+    );
+    for _warm in 0..2 {
+        assert_eq!(
+            records_json(&paper(&popts.clone().cache_dir(&dir))),
+            cold_paper
+        );
+        assert_eq!(temporal_json(&topts.clone().cache_dir(&dir)), cold_temporal);
+    }
+    assert_eq!(
+        records_json(&paper(&popts)),
+        cold_paper,
+        "paper vs uncached"
+    );
+    assert_eq!(temporal_json(&topts), cold_temporal, "temporal vs uncached");
+
+    let scatter = &paper(&popts)[0];
+    let gather: Vec<experiments::TemporalRecord> = serde_json::from_str(&cold_temporal).unwrap();
+    assert_ne!(scatter.gflops, gather[0].gflops, "Auto resolved to scatter");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+fn records_json(records: &[experiments::Record]) -> String {
+    serde_json::to_string(records).expect("records serialize")
 }
 
 fn tune_opts(dir: &std::path::Path) -> brick_tuner::TuneOptions {
@@ -156,44 +177,40 @@ fn tune_groups_json(opts: &brick_tuner::TuneOptions) -> String {
     serde_json::to_string(&report.groups).expect("groups serialize")
 }
 
-fn tune_cell_entries(dir: &PathBuf) -> Vec<String> {
-    entries_with_prefix(dir, "tune-")
-        .into_iter()
-        .filter(|n| !n.starts_with("tune-roofline-"))
-        .collect()
-}
-
 #[test]
-fn tuner_entries_never_touch_sweep_entries() {
-    // the tuner shares the sweep's cache directory but owns its `tune`
-    // domain: warming one side must be invisible to the other
-    let dir = scratch_dir("tune_domain");
-    let base = experiments::sweep_with(&opts(64, &dir)).unwrap();
-    let base_entries = cell_entries(&dir);
-    assert!(!base_entries.is_empty());
+fn tuner_baseline_shares_the_temporal_t1_record() {
+    // the tuner's paper baseline and the temporal sweep's 7pt T=1 cell
+    // are one cell: over a shared cache they share one record
+    let dir = scratch_dir("shared_cell");
+    let topts = SweepOptions::new(ExperimentParams { n: 64 })
+        .filter(one_cell())
+        .cache_dir(&dir);
+    let temporal = experiments::temporal_sweep_with(&topts).unwrap();
+    let before = cell_entries(&dir);
 
-    let cold = tune_groups_json(&tune_opts(&dir));
-    assert!(
-        !tune_cell_entries(&dir).is_empty(),
-        "tune wrote its own entries"
-    );
+    let report = brick_tuner::tune_matrix(&tune_opts(&dir)).unwrap();
+    let after = cell_entries(&dir);
     assert_eq!(
-        cell_entries(&dir),
-        base_entries,
-        "tuning left every sweep entry untouched"
+        after.len(),
+        before.len() + 1,
+        "the minimal space adds one candidate; the baseline was cached"
     );
-
-    // warm tune rerun: served from cache, byte-identical ranked tables
-    let hits_before = counter("sweep.cache.hits");
-    let warm = tune_groups_json(&tune_opts(&dir));
-    assert!(counter("sweep.cache.hits") > hits_before);
-    assert_eq!(cold, warm, "warm tune reproduces the cold ranked tables");
-
-    // and the base sweep still reproduces bit-for-bit over the shared dir
-    let base_again = experiments::sweep_with(&opts(64, &dir)).unwrap();
+    assert!(before.iter().all(|e| after.contains(e)));
+    let (base, t1) = (&report.groups[0].baseline, &temporal.records[0]);
+    assert_eq!(t1.temporal_degree, 1);
     assert_eq!(
-        serde_json::to_string(&base.records).unwrap(),
-        serde_json::to_string(&base_again.records).unwrap()
+        (base.gflops, base.ai, base.time_s),
+        (t1.gflops, t1.ai, t1.time_s)
+    );
+    assert_eq!(base.dram_bytes, t1.dram_bytes);
+
+    // warm tune rerun: byte-identical ranked tables, and the temporal
+    // sweep still reproduces bit-for-bit over the shared directory
+    let cold = serde_json::to_string(&report.groups).unwrap();
+    assert_eq!(cold, tune_groups_json(&tune_opts(&dir)));
+    assert_eq!(
+        serde_json::to_string(&temporal.records).unwrap(),
+        serde_json::to_string(&experiments::temporal_sweep_with(&topts).unwrap().records).unwrap()
     );
     let _ = fs::remove_dir_all(&dir);
 }
@@ -202,7 +219,7 @@ fn tuner_entries_never_touch_sweep_entries() {
 fn corrupt_and_stale_tuner_entries_read_as_misses() {
     let dir = scratch_dir("tune_corrupt");
     let cold = tune_groups_json(&tune_opts(&dir));
-    let entries = tune_cell_entries(&dir);
+    let entries = cell_entries(&dir);
     assert!(!entries.is_empty());
 
     // torn writes: unparsable JSON
@@ -241,43 +258,43 @@ fn corrupt_and_stale_tuner_entries_read_as_misses() {
 }
 
 #[test]
-fn specialized_cells_never_alias_pre_specialization_records() {
-    // v4 made the specialization vector an explicit key field; the schema
-    // bump must keep every v3-era file name out of reach of v4 lookups,
-    // so a pre-specialization record can never satisfy a specialized cell
+fn cells_never_read_entries_of_the_previous_schema() {
+    // v5 keys cells on shape + specialization vector; a v4-era file (keyed
+    // on the program text, under the same `cell` domain) must stay out of
+    // reach, so a poisoned one can never satisfy a v5 lookup
     use brick_codegen::SpecParams;
     use brick_dsl::shape::StencilShape;
     use brick_dsl::StencilAnalysis;
-    use experiments::cache::{cell_key, spec_fingerprint, SIM_SCHEMA_VERSION};
+    use brick_tuner::cell::{
+        arch_fingerprint, paper_spec, program, spec_fingerprint, CellId, SCHEMA_VERSION,
+    };
     use experiments::KernelConfig;
 
     let arch = gpu_sim::GpuArch::a100();
-    let spec =
-        experiments::runner::build_spec(&StencilShape::star(1), KernelConfig::BricksCodegen, 32);
-    let a = StencilAnalysis::of_shape(&StencilShape::star(1));
-    let rl = roofline::Roofline {
-        peak_gflops: 8000.0,
-        bandwidth_gbs: 1500.0,
-    };
-    let v4 = cell_key(
-        &spec,
-        &arch,
-        ProgModel::Cuda,
-        64,
-        a.flops_per_point,
-        a.theoretical_ai,
-        &rl,
-        gpu_sim::SimFidelity::default(),
-        1,
-        &SpecParams::paper_default(32),
-    );
-    assert_eq!(SIM_SCHEMA_VERSION, 4, "key recipe below mirrors v3");
-    assert!(v4.desc.contains(";spec="), "v4 keys carry the spec vector");
+    let shape = StencilShape::star(1);
+    let spec = paper_spec(32);
+    let a = StencilAnalysis::of_shape(&shape);
+    let rl = roofline::measure(&arch, ProgModel::Cuda).unwrap();
+    let v5 = CellId {
+        shape,
+        config: KernelConfig::BricksCodegen,
+        spec,
+        arch: arch_fingerprint(&arch),
+        model: ProgModel::Cuda,
+        n: 64,
+        fidelity: gpu_sim::SimFidelity::default(),
+    }
+    .disk_key();
+    assert_eq!(SCHEMA_VERSION, 5, "the recipe below is v4's");
 
-    // the exact v3 recipe: same fields, no spec fingerprint, version 3
-    let v3 = brick_sweep::KeyBuilder::new("cell", 3)
-        .fingerprint("kernel", spec_fingerprint(&spec))
-        .fingerprint("arch", experiments::cache::arch_fingerprint(&arch))
+    // the exact v4 recipe of the paper's 7pt bricks cell
+    let v4 = brick_sweep::KeyBuilder::new("cell", 4)
+        .fingerprint(
+            "kernel",
+            spec_fingerprint(&program(&shape, KernelConfig::BricksCodegen, &spec)),
+        )
+        .fingerprint("spec", SpecParams::paper_default(32).fingerprint())
+        .fingerprint("arch", arch_fingerprint(&arch))
         .field("model", ProgModel::Cuda)
         .field("n", 64usize)
         .field("flops", a.flops_per_point)
@@ -287,53 +304,22 @@ fn specialized_cells_never_alias_pre_specialization_records() {
         .f64_bits("rl_peak", rl.peak_gflops)
         .f64_bits("rl_bw", rl.bandwidth_gbs)
         .build();
-    assert_ne!(v3.hash, v4.hash);
-    assert_ne!(v3.file_name(), v4.file_name());
+    assert_ne!(v4.file_name(), v5.file_name());
 
-    // end to end: a poisoned v3-era file in the cache directory is never
-    // read by a v4 sweep — the cell misses, recomputes, and matches an
-    // uncached run bit-for-bit
-    let dir = scratch_dir("v3_alias");
+    // end to end: the poisoned v4 file is never read — the sweep matches
+    // an uncached run bit-for-bit
+    let dir = scratch_dir("v4_alias");
     fs::create_dir_all(&dir).unwrap();
-    fs::write(dir.join(v3.file_name()), r#"{"desc":"poison","value":{}}"#).unwrap();
-    let misses_before = counter("sweep.cache.misses");
+    fs::write(dir.join(v4.file_name()), r#"{"desc":"poison","value":{}}"#).unwrap();
     let cached = experiments::sweep_with(&opts(64, &dir)).unwrap();
-    assert!(counter("sweep.cache.misses") > misses_before);
+    assert!(dir.join(v5.file_name()).exists(), "v5 entry written");
     let clean =
         experiments::sweep_with(&SweepOptions::new(ExperimentParams { n: 64 }).filter(one_cell()))
             .unwrap();
     assert_eq!(
         serde_json::to_string(&cached.records).unwrap(),
         serde_json::to_string(&clean.records).unwrap(),
-        "the stale v3 record is unreachable and results are unchanged"
+        "the stale v4 record is unreachable and results are unchanged"
     );
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn corrupted_entries_recompute_and_repair() {
-    let dir = scratch_dir("corrupt");
-    let cold = experiments::sweep_with(&opts(64, &dir)).unwrap();
-
-    // mangle every cached cell
-    for name in cell_entries(&dir) {
-        fs::write(dir.join(name), "{torn write").unwrap();
-    }
-    let corrupt_before = counter("sweep.cache.corrupt");
-    let repaired = experiments::sweep_with(&opts(64, &dir)).unwrap();
-    assert!(
-        counter("sweep.cache.corrupt") > corrupt_before,
-        "corruption was noticed (and warned about via brick-obs)"
-    );
-    assert_eq!(
-        serde_json::to_string(&cold.records).unwrap(),
-        serde_json::to_string(&repaired.records).unwrap(),
-        "corrupted cache never changes results"
-    );
-
-    // the rerun repaired the entries: a third run hits cleanly
-    let hits_before = counter("sweep.cache.hits");
-    let _ = experiments::sweep_with(&opts(64, &dir)).unwrap();
-    assert!(counter("sweep.cache.hits") > hits_before);
     let _ = fs::remove_dir_all(&dir);
 }

@@ -129,6 +129,44 @@ fn temporal_sweep_is_jobs_independent() {
 }
 
 #[test]
+fn filtered_temporal_sweeps_are_subsets_of_the_full_one() {
+    // the temporal sweep honours the filter: a filtered run is
+    // byte-identical to the matching records of the full run
+    let opts = SweepOptions::new(ExperimentParams { n: 64 }).jobs(2);
+    let full = experiments::temporal_sweep_with(&opts).expect("temporal sweep runs");
+    // stencils × gpus × models × configs masks, as in the property above
+    for (s, g, m, c) in [
+        (0b100001, 0, 0, 0),
+        (0, 0b110, 0b100, 0),
+        (0b11, 0b1, 0, 0b100),
+        (0, 0, 0, 0b011),
+    ] {
+        let filter = filter_from_masks(s, g, m, c);
+        let subset: Vec<_> = full
+            .records
+            .iter()
+            .filter(|r| {
+                filter
+                    .stencils
+                    .as_ref()
+                    .is_none_or(|v| v.contains(&r.stencil))
+                    && filter.gpus.as_ref().is_none_or(|v| v.contains(&r.gpu))
+                    && filter.models.as_ref().is_none_or(|v| v.contains(&r.model))
+                    && filter
+                        .configs
+                        .as_ref()
+                        .is_none_or(|v| v.contains(&KernelConfig::BricksCodegen))
+            })
+            .collect();
+        assert_eq!(
+            temporal_records_json(&opts.clone().filter(filter.clone())),
+            serde_json::to_string(&subset).unwrap(),
+            "{filter:?}"
+        );
+    }
+}
+
+#[test]
 fn temporal_cache_warm_rerun_is_byte_identical_to_cold() {
     let dir = scratch_dir("temporal_warm");
     let opts = SweepOptions::new(ExperimentParams { n: 64 })

@@ -21,10 +21,11 @@
 //!    compulsory-traffic AI, derated by an occupancy *upper* bound from
 //!    the register-demand *lower* bound). Candidates bounded below the
 //!    already-measured paper baseline are dropped without simulation.
-//! 3. **Measurement** — surviving cells are generated, statically
-//!    verified by `brick-lint`, simulated through the shared substrate,
-//!    and ranked by GFLOP/s with fingerprint tie-breaks, in parallel via
-//!    [`brick_sweep::map_cells`] with content-addressed caching.
+//! 3. **Measurement** — surviving cells go through the cell evaluator
+//!    ([`cell`], shared with the paper and temporal sweeps): generated,
+//!    statically verified by `brick-lint`, simulated and cached. They are
+//!    ranked by GFLOP/s with fingerprint tie-breaks, in parallel via
+//!    [`brick_sweep::map_cells`].
 //!
 //! The ranked table is deterministic: byte-identical at any `--jobs`
 //! count and across warm/cold cache runs.
@@ -45,127 +46,32 @@
 //! println!("best: {} at {:.0} GFLOP/s", group.best().params, group.best().gflops);
 //! ```
 
+pub mod cell;
 pub mod space;
 pub mod validity;
 
+pub use cell::KernelConfig;
 pub use space::TuningSpace;
 pub use validity::{validate, Invalid};
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
-use brick_codegen::{generate, LayoutKind, SpecParams};
-use brick_core::{BrickDecomp, BrickNav};
+use brick_codegen::SpecParams;
 use brick_dsl::shape::StencilShape;
 use brick_dsl::{min_live_registers, StencilAnalysis};
-use brick_sweep::{map_cells, CacheKey, CacheOutcome, DiskCache, Jobs, KeyBuilder};
-use brick_vm::{KernelSpec, TraceGeometry};
-use gpu_sim::{
-    assemble, compile_only, simulate_memory_opts, GpuArch, GpuKind, MemCounters, ProgModel,
-    SimFidelity, SimOptions,
-};
-use roofline::Roofline;
+use brick_sweep::{map_cells, Jobs};
+use gpu_sim::{GpuArch, GpuKind, ProgModel, SimFidelity};
 
-/// Version of the tuner's cache schema. The `tune` domain was introduced
-/// at v1 **after** the specialization-vector refactor, so no pre-spec
-/// record can alias a specialized one: older tuner runs never wrote to
-/// this domain at all, and the key embeds the [`SpecParams`] fingerprint
-/// explicitly.
-///
-/// v2 keys cells on the *stencil shape* fingerprint instead of the
-/// generated kernel's: the program is a pure function of `(shape, spec
-/// vector, generator version)`, and hashing the shape lets a warm rerun
-/// serve every cell — including pruned ones, cached as markers — without
-/// generating or lint-verifying a single kernel. The flip side of
-/// dropping the program hash from the key: a codegen or analyzer change
-/// that alters tuner records MUST bump this version.
-pub const TUNE_SCHEMA_VERSION: u64 = 2;
+use cell::{Cell, Evaluator, Measurement, Outcome};
 
 /// Safety margin on the pruning bound: a candidate is dropped only when
 /// its upper bound times this margin is still below the measured paper
 /// baseline (absorbs the simulator's ≤0.1% AI accounting slop).
 const PRUNE_MARGIN: f64 = 1.05;
-
-/// Stable fingerprint of a full architecture description (every field,
-/// via its canonical JSON) — editing the arch table invalidates that
-/// GPU's cached tuner cells.
-pub fn arch_fingerprint(arch: &GpuArch) -> u64 {
-    let json = serde_json::to_string(arch).expect("GpuArch serializes");
-    brick_obs::manifest::fnv1a64(json.as_bytes())
-}
-
-/// Stable fingerprint of a stencil shape: label, radius and the full
-/// tap list (offsets + coefficient symbol per tap, which pins the class
-/// structure). Together with the spec-vector fingerprint this identifies
-/// the generated program for a fixed generator version.
-pub fn shape_fingerprint(shape: &StencilShape) -> u64 {
-    let st = shape.stencil();
-    let mut desc = format!("{};r={}", shape.label(), shape.radius);
-    for t in st.taps() {
-        use std::fmt::Write as _;
-        let _ = write!(
-            &mut desc,
-            ";{},{},{}:{}",
-            t.offset[0], t.offset[1], t.offset[2], t.coeff
-        );
-    }
-    brick_obs::manifest::fnv1a64(desc.as_bytes())
-}
-
-/// Cache key for one tuner cell. Identity = stencil shape + full
-/// specialization vector (its own fingerprint — two cells whose
-/// *programs* coincide, e.g. differing only in ordering or interleave
-/// chunk, must still never share a record) + architecture + model +
-/// domain + scoring inputs + the pruning mode (a pruned-marker written
-/// under `prune` must never mask a measurement a full run owes).
-#[allow(clippy::too_many_arguments)]
-pub fn tune_cell_key(
-    shape_fp: u64,
-    params: &SpecParams,
-    arch: &GpuArch,
-    model: ProgModel,
-    n: usize,
-    flops_per_point: u64,
-    theoretical_ai: f64,
-    roofline: &Roofline,
-    fidelity: SimFidelity,
-    prune: bool,
-) -> CacheKey {
-    KeyBuilder::new("tune", TUNE_SCHEMA_VERSION)
-        .fingerprint("shape", shape_fp)
-        .fingerprint("spec", params.fingerprint())
-        .fingerprint("arch", arch_fingerprint(arch))
-        .field("model", model)
-        .field("n", n)
-        .field("flops", flops_per_point)
-        .field("fidelity", fidelity)
-        .field("prune", prune)
-        .f64_bits("theory_ai", theoretical_ai)
-        .f64_bits("rl_peak", roofline.peak_gflops)
-        .f64_bits("rl_bw", roofline.bandwidth_gbs)
-        .build()
-}
-
-/// The cached value of one tuner cell: a measured record, or `None` for
-/// a cell the Roofline bound pruned — cached too, so warm reruns skip
-/// the (kernel-compiling) prune pass entirely.
-#[derive(Serialize, Deserialize)]
-struct CachedCell {
-    record: Option<TunedRecord>,
-}
-
-/// Cache key for a target's empirical Roofline (the tuner's own domain so
-/// schema bumps here never collide with the experiment harness's).
-pub fn tune_roofline_key(arch: &GpuArch, model: ProgModel) -> CacheKey {
-    KeyBuilder::new("tune-roofline", TUNE_SCHEMA_VERSION)
-        .fingerprint("arch", arch_fingerprint(arch))
-        .field("model", model)
-        .build()
-}
 
 /// Provable upper bound on the simulated GFLOP/s of a candidate, used for
 /// pruning. Sound by construction:
@@ -472,47 +378,20 @@ struct TuneConfig {
     space: TuningSpace,
 }
 
-/// Kernel-program identity: everything the generated IR depends on.
-/// Candidates differing only in ordering or interleave chunk share one
-/// generated (and one lint-verified) program.
-type KernelKey = (String, usize, usize, usize, brick_codegen::Strategy, u32);
-
-fn kernel_key(label: &str, p: &SpecParams) -> KernelKey {
-    (
-        label.to_string(),
-        p.width(),
-        p.block_yz.0,
-        p.block_yz.1,
-        p.strategy,
-        p.temporal_degree,
-    )
-}
-
-/// Generate and statically verify the program for one kernel key.
-/// Panics with the rendered lint report if the analyzer rejects the
-/// kernel — the tuner must never rank a program the oracle would reject.
-fn build_verified_spec(shape: &StencilShape, p: &SpecParams) -> KernelSpec {
-    let st = shape.stencil();
-    let b = st.default_bindings();
-    let kernel = generate(&st, &b, LayoutKind::Brick, p.width(), p.codegen_options())
-        .expect("validity predicate admits only generatable candidates");
-    let opts = brick_lint::LintOptions {
-        expected: Some(
-            brick_lint::ExpectedStencil::resolve_temporal(&st, &b, p.temporal_degree)
-                .expect("paper bindings resolve"),
-        ),
-        // no register budgets here: the validity predicate already
-        // enforced the per-target floor, and the compiler model prices
-        // residual pressure (spills, occupancy) honestly in simulation
-        budgets: vec![],
-    };
-    let analysis = brick_lint::analyze(&kernel, &opts);
-    assert!(
-        analysis.is_clean(),
-        "tuner candidate failed static verification ({p}):\n{}",
-        analysis.report.render(Some(&kernel))
-    );
-    KernelSpec::Vector(kernel)
+/// A cell's measurement (`None` when pruned), counting fresh
+/// measurements and prunes.
+fn tally(outcome: Outcome) -> Option<Measurement> {
+    match outcome {
+        Outcome::Measured(m) => {
+            brick_obs::counter_add("tune.cells.evaluated", 1);
+            Some(m)
+        }
+        Outcome::Cached(m) => Some(m),
+        Outcome::Pruned => {
+            brick_obs::counter_add("tune.pruned", 1);
+            None
+        }
+    }
 }
 
 /// Run the full tuning matrix. Deterministic: the serialized `groups`
@@ -541,38 +420,19 @@ pub fn tune_matrix(opts: &TuneOptions) -> Result<TuneReport, TuneError> {
     let manifest =
         brick_obs::RunManifest::begin(&serde_json::to_string(&config).expect("config serializes"));
     let _span = brick_obs::span_cat(format!("tune:{}^3", opts.n), "sweep");
-    let cache = match &opts.cache_dir {
-        Some(dir) => Some(DiskCache::open(dir).map_err(|e| TuneError::Cache(e.to_string()))?),
-        None => None,
-    };
-    let cache_counters = || {
-        (
-            brick_obs::counter_value("sweep.cache.hits"),
-            brick_obs::counter_value("sweep.cache.misses"),
-            brick_obs::counter_value("sweep.cache.corrupt"),
-        )
-    };
-    let cache_before = cache_counters();
-
     // Empirical rooflines per target (reported in records; pruning uses
     // the theoretical ceilings, which dominate these).
-    let rooflines: Vec<Roofline> = opts
-        .targets
-        .iter()
-        .map(|t| {
-            let measure =
-                || roofline::measure(&t.arch, t.model).expect("supported targets have rooflines");
-            match &cache {
-                Some(c) => c.get_or_compute(&tune_roofline_key(&t.arch, t.model), measure),
-                None => measure(),
-            }
-        })
-        .collect();
+    let ev = Evaluator::open(
+        opts.n,
+        opts.fidelity,
+        opts.cache_dir.as_deref(),
+        opts.targets.iter().map(|t| (t.arch.clone(), t.model)),
+    )
+    .map_err(|e| TuneError::Cache(e.to_string()))?;
 
     // Plan groups: enumerate + validate, in canonical order.
     struct GroupPlan {
         shape: StencilShape,
-        shape_fp: u64,
         label: String,
         target: usize,
         baseline: SpecParams,
@@ -620,7 +480,6 @@ pub fn tune_matrix(opts: &TuneOptions) -> Result<TuneReport, TuneError> {
             }
             plans.push(GroupPlan {
                 shape: *shape,
-                shape_fp: shape_fingerprint(shape),
                 label: shape.label(),
                 target: ti,
                 baseline,
@@ -641,218 +500,72 @@ pub fn tune_matrix(opts: &TuneOptions) -> Result<TuneReport, TuneError> {
         start.elapsed().as_secs_f64()
     );
 
-    // Phase 1 — one lazy slot per distinct program. Generation and lint
-    // verification run at most once per program, on demand from the
-    // measurement fan-out: a cache-warm rerun never compiles anything,
-    // which is what keeps warm wall time a small fraction of cold.
-    let specs: HashMap<KernelKey, OnceLock<KernelSpec>> = {
-        let mut slots = HashMap::new();
-        for plan in &plans {
-            for p in std::iter::once(&plan.baseline).chain(plan.valid.iter()) {
-                slots.entry(kernel_key(&plan.label, p)).or_default();
-            }
-        }
-        slots
+    let cell_of = |plan: &GroupPlan, spec: SpecParams| Cell {
+        shape: plan.shape,
+        config: KernelConfig::BricksCodegen,
+        spec,
+        target: plan.target,
     };
-    let spec_of = |plan: &GroupPlan, p: &SpecParams| -> &KernelSpec {
-        specs[&kernel_key(&plan.label, p)].get_or_init(|| {
-            let _phase = brick_obs::span_cat("lint-verify", "phase");
-            build_verified_spec(&plan.shape, p)
-        })
+    let record_of = |plan: &GroupPlan, params: SpecParams, m: Measurement| TunedRecord {
+        params,
+        fingerprint: params.fingerprint(),
+        kernel_fingerprint: m.kernel_fingerprint,
+        roofline_frac: ev.targets()[plan.target]
+            .roofline
+            .expect("supported targets have rooflines")
+            .fraction(m.gflops, m.ai),
+        gflops: m.gflops,
+        ai: m.ai,
+        time_s: m.time_s,
+        dram_bytes: m.dram_bytes,
+        occupancy: m.occupancy,
+        regs_per_thread: m.regs_per_thread,
+        spilled: m.spilled,
+        limiter: m.limiter,
     };
 
-    // Shared evaluation machinery: geometry and memory-counter memos.
-    // The memory counters depend on the traced geometry (which carries
-    // the brick ordering), not just the generated program — so MemKey
-    // embeds the full GeomKey: two candidates differing only in
-    // ordering must never share a counter slot.
-    type GeomKey = (usize, usize, usize, brick_core::BrickOrdering, usize);
-    type MemKey = (u64, GpuKind, u32, usize, GeomKey);
-    let geom_memo: Mutex<HashMap<GeomKey, Arc<OnceLock<TraceGeometry>>>> =
-        Mutex::new(HashMap::new());
-    let mem_memo: Mutex<HashMap<MemKey, Arc<OnceLock<MemCounters>>>> = Mutex::new(HashMap::new());
-    fn memo_slot<K: std::hash::Hash + Eq, V>(
-        map: &Mutex<HashMap<K, Arc<OnceLock<V>>>>,
-        key: K,
-    ) -> Arc<OnceLock<V>> {
-        Arc::clone(
-            map.lock()
-                .expect("memo lock poisoned")
-                .entry(key)
-                .or_default(),
-        )
-    }
-
-    // Evaluate one cell end to end: cache lookup (measured record or
-    // pruned marker), then — only on a miss — the Roofline prune tiers
-    // (when `prune_ref` carries the group's baseline GFLOP/s) and the
-    // full compile + simulate pipeline. `None` means pruned. A warm
-    // rerun resolves every cell in the first step, before any kernel is
-    // generated.
-    let eval_cell =
-        |plan: &GroupPlan, p: &SpecParams, prune_ref: Option<f64>| -> (Option<TunedRecord>, f64) {
-            let t0 = std::time::Instant::now();
-            let target = &opts.targets[plan.target];
-            let arch = &target.arch;
-            let rl = &rooflines[plan.target];
-            let _rec_span = brick_obs::span_cat(
-                format!("{}/{}/{}/{p}", plan.label, arch.kind, target.model),
-                "record",
-            );
-            let analysis = StencilAnalysis::of_shape(&plan.shape);
-            let t = p.temporal_degree;
-            let flops_per_point = analysis.flops_per_point * t as u64;
-            let theoretical_ai = analysis.theoretical_ai * t as f64;
-            let key = cache.as_ref().map(|_| {
-                tune_cell_key(
-                    plan.shape_fp,
-                    p,
-                    arch,
-                    target.model,
-                    opts.n,
-                    flops_per_point,
-                    theoretical_ai,
-                    rl,
-                    opts.fidelity,
-                    opts.prune,
-                )
-            });
-            if let (Some(c), Some(key)) = (cache.as_ref(), key.as_ref()) {
-                let _phase = brick_obs::span_cat("cache-io", "phase");
-                match c.get::<CachedCell>(key) {
-                    CacheOutcome::Hit(CachedCell {
-                        record: Some(record),
-                    }) => return (Some(record), t0.elapsed().as_secs_f64()),
-                    // a marker only settles cells this run may prune; the
-                    // baseline owes a measurement regardless
-                    CacheOutcome::Hit(CachedCell { record: None }) if prune_ref.is_some() => {
-                        brick_obs::counter_add("tune.pruned", 1);
-                        return (None, t0.elapsed().as_secs_f64());
-                    }
-                    _ => {}
-                }
-            }
-            if let Some(reference) = prune_ref {
-                // two tiers: the structural bound costs nothing; when it is
-                // inconclusive, a cheap compile pass yields the real
-                // occupancy, tightening the bound without a memory trace
-                let mut bound = roofline_upper_bound(p, &plan.shape, arch);
-                if bound * PRUNE_MARGIN >= reference {
-                    if let Some((_, _, occ)) = compile_only(spec_of(plan, p), arch, target.model) {
-                        bound = occupancy_upper_bound(p, &plan.shape, arch, occ.occupancy);
-                    }
-                }
-                if bound * PRUNE_MARGIN < reference {
-                    brick_obs::counter_add("tune.pruned", 1);
-                    if let (Some(c), Some(key)) = (cache.as_ref(), key.as_ref()) {
-                        let _phase = brick_obs::span_cat("cache-io", "phase");
-                        if let Err(e) = c.put(key, &CachedCell { record: None }) {
-                            brick_obs::warn!("could not cache {}: {e}", key.file_name());
-                        }
-                    }
-                    return (None, t0.elapsed().as_secs_f64());
-                }
-            }
-            let spec = spec_of(plan, p);
-            let (cm, compiled, occ) = compile_only(spec, arch, target.model)
-                .expect("targets were support-checked up front");
-            let kernel_fp = match spec {
-                KernelSpec::Vector(k) => brick_lint::fingerprint(k),
-                KernelSpec::Scalar(_) => unreachable!("tuner specs are vector kernels"),
-            };
-            let reach = t as usize * plan.shape.radius as usize;
-            let gkey: GeomKey = (p.width(), p.block_yz.0, p.block_yz.1, p.ordering, reach);
-            let geom_slot = memo_slot(&geom_memo, gkey);
-            let mem_slot = memo_slot(
-                &mem_memo,
-                (
-                    kernel_fp,
-                    arch.kind,
-                    occ.blocks_per_sm,
-                    p.interleave_chunk,
-                    gkey,
-                ),
-            );
-            let (geom, mem) = {
-                let _phase = brick_obs::span_cat("simulate", "phase");
-                let geom = geom_slot.get_or_init(|| {
-                    let decomp = Arc::new(BrickDecomp::new(
-                        (opts.n, opts.n, opts.n),
-                        p.brick_dims(),
-                        reach,
-                        p.ordering,
-                    ));
-                    TraceGeometry::brick(Arc::new(BrickNav::new(decomp)))
-                });
-                let mem = *mem_slot.get_or_init(|| {
-                    let sim_opts = SimOptions {
-                        fidelity: opts.fidelity,
-                        interleave_chunk: p.interleave_chunk,
-                    };
-                    simulate_memory_opts(spec, geom, arch, occ.blocks_per_sm, &sim_opts).counters()
-                });
-                (geom, mem)
-            };
-            let sim = {
-                let _phase = brick_obs::span_cat("score", "phase");
-                assemble(spec, geom, arch, &cm, &compiled, mem, flops_per_point)
-            };
-            let record = TunedRecord {
-                params: *p,
-                fingerprint: p.fingerprint(),
-                kernel_fingerprint: kernel_fp,
-                gflops: sim.gflops,
-                ai: sim.ai,
-                time_s: sim.time_s,
-                dram_bytes: sim.mem.dram_bytes,
-                occupancy: sim.occupancy.occupancy,
-                regs_per_thread: sim.regs_per_thread,
-                spilled: sim.spilled,
-                limiter: sim.breakdown.limiter().to_string(),
-                roofline_frac: rl.fraction(sim.gflops, sim.ai),
-            };
-            brick_obs::counter_add("tune.cells.evaluated", 1);
-            if let (Some(c), Some(key)) = (cache.as_ref(), key.as_ref()) {
-                let _phase = brick_obs::span_cat("cache-io", "phase");
-                let cell = CachedCell {
-                    record: Some(record.clone()),
-                };
-                if let Err(e) = c.put(key, &cell) {
-                    brick_obs::warn!("could not cache {}: {e}", key.file_name());
-                }
-            }
-            (Some(record), t0.elapsed().as_secs_f64())
-        };
-
-    // Phase 2 — measure every group's paper baseline (never pruned:
-    // it is both the comparison anchor and the pruning reference).
+    // Phase 1 — measure every group's paper baseline (never pruned: it
+    // is both the comparison anchor and the pruning reference).
     let t_base = std::time::Instant::now();
     let plan_refs: Vec<usize> = (0..plans.len()).collect();
     let baselines: Vec<(TunedRecord, f64)> =
         map_cells("tune.baselines", &plan_refs, opts.jobs, |_, &gi| {
-            let (record, wall) = eval_cell(&plans[gi], &plans[gi].baseline, None);
-            (record.expect("the baseline is never pruned"), wall)
+            let t0 = std::time::Instant::now();
+            let plan = &plans[gi];
+            let m = tally(ev.evaluate(&cell_of(plan, plan.baseline), None))
+                .expect("the baseline is never pruned");
+            (
+                record_of(plan, plan.baseline, m),
+                t0.elapsed().as_secs_f64(),
+            )
         });
     brick_obs::info!("tune: baselines in {:.2}s", t_base.elapsed().as_secs_f64());
 
-    // Phase 3 — prune + measure candidates, all groups in one fan-out.
+    // Phase 2 — prune + measure candidates, all groups in one fan-out.
+    // Two prune tiers: the structural bound costs nothing; when it is
+    // inconclusive, the compiled occupancy tightens it without a memory
+    // trace.
     let flat: Vec<(usize, SpecParams)> = plans
         .iter()
         .enumerate()
         .flat_map(|(gi, plan)| plan.valid.iter().map(move |p| (gi, *p)))
         .collect();
-    enum Outcome {
-        Measured(TunedRecord, f64),
-        Pruned,
-    }
     let t_cells = std::time::Instant::now();
     let outcomes = map_cells("tune.cells", &flat, opts.jobs, |_, &(gi, p)| {
+        let t0 = std::time::Instant::now();
         let plan = &plans[gi];
-        let prune_ref = opts.prune.then(|| baselines[gi].0.gflops);
-        match eval_cell(plan, &p, prune_ref) {
-            (Some(record), wall) => Outcome::Measured(record, wall),
-            (None, _) => Outcome::Pruned,
-        }
+        let arch = &opts.targets[plan.target].arch;
+        let reference = baselines[gi].0.gflops;
+        let pruned = |occupancy: Option<f64>| {
+            let mut bound = roofline_upper_bound(&p, &plan.shape, arch);
+            if let (true, Some(occ)) = (bound * PRUNE_MARGIN >= reference, occupancy) {
+                bound = occupancy_upper_bound(&p, &plan.shape, arch, occ);
+            }
+            bound * PRUNE_MARGIN < reference
+        };
+        let prune = opts.prune.then_some(&pruned as cell::PruneTest<'_>);
+        tally(ev.evaluate(&cell_of(plan, p), prune))
+            .map(|m| (record_of(plan, p, m), t0.elapsed().as_secs_f64()))
     });
     brick_obs::info!(
         "tune: {} cells in {:.2}s",
@@ -866,11 +579,11 @@ pub fn tune_matrix(opts: &TuneOptions) -> Result<TuneReport, TuneError> {
     let mut record_wall_s: Vec<f64> = baselines.iter().map(|(_, w)| *w).collect();
     for (&(gi, _), outcome) in flat.iter().zip(outcomes) {
         match outcome {
-            Outcome::Measured(record, wall) => {
+            Some((record, wall)) => {
                 per_group[gi].push(record);
                 record_wall_s.push(wall);
             }
-            Outcome::Pruned => pruned_per_group[gi] += 1,
+            None => pruned_per_group[gi] += 1,
         }
     }
 
@@ -906,17 +619,12 @@ pub fn tune_matrix(opts: &TuneOptions) -> Result<TuneReport, TuneError> {
         });
     }
 
-    let cache_after = cache_counters();
     let manifest = manifest
         .finish(start.elapsed().as_secs_f64(), record_wall_s)
         .with_sweep_info(
             &opts.fidelity.to_string(),
             opts.jobs.count() as u64,
-            (
-                cache_after.0 - cache_before.0,
-                cache_after.1 - cache_before.1,
-                cache_after.2 - cache_before.2,
-            ),
+            ev.cache_counts(),
         )
         .with_tune_info(
             opts.space.fingerprint(),

@@ -9,11 +9,11 @@
 
 use bricks_repro::dsl::shape::StencilShape;
 use bricks_repro::dsl::StencilAnalysis;
-use bricks_repro::experiments::runner::{build_geometry, build_spec};
 use bricks_repro::experiments::KernelConfig;
 use bricks_repro::gpu_sim::{simulate, GpuArch, ProgModel};
 use bricks_repro::metrics::pennycook_p;
 use bricks_repro::roofline::measure;
+use bricks_repro::tuner::cell::{geometry, paper_spec, program};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -50,13 +50,9 @@ fn main() {
         (GpuArch::mi250x_gcd(), ProgModel::Sycl),
         (GpuArch::pvc_stack(), ProgModel::Sycl),
     ] {
-        let spec = build_spec(&shape, KernelConfig::BricksCodegen, arch.simd_width);
-        let geom = build_geometry(
-            KernelConfig::BricksCodegen.layout(),
-            n,
-            arch.simd_width,
-            shape.radius as usize,
-        );
+        let params = paper_spec(arch.simd_width);
+        let spec = program(&shape, KernelConfig::BricksCodegen, &params);
+        let geom = geometry(&shape, KernelConfig::BricksCodegen, &params, n);
         let rl = measure(&arch, model).expect("supported pair");
         let sim =
             simulate(&spec, &geom, &arch, model, analysis.flops_per_point).expect("supported pair");
