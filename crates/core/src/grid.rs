@@ -3,6 +3,7 @@
 
 use std::sync::Arc;
 
+use brick_dsl::dense::zeroed_buffer;
 use brick_dsl::DenseGrid;
 use rayon::prelude::*;
 
@@ -36,7 +37,7 @@ impl BrickGrid {
         let len = decomp.num_bricks() * decomp.dims().volume();
         BrickGrid {
             nav: BrickNav::from_parts(decomp, info),
-            data: vec![0.0; len],
+            data: zeroed_buffer(len),
         }
     }
 

@@ -37,6 +37,7 @@
 pub mod analysis;
 pub mod dense;
 pub mod expr;
+mod hugepage;
 pub mod reference;
 pub mod shape;
 pub mod stencil;

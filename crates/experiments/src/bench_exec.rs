@@ -6,7 +6,11 @@
 //! dispatch selects — the acceptance cell behind the native execution
 //! backend (`brick_vm::native`). Best-of-N wall times, the relative
 //! spread across repetitions (the gate's noise figure), and the full run
-//! provenance (including the dispatched mode) are recorded.
+//! provenance (including the dispatched mode) are recorded. So is the
+//! first native call into the freshly allocated output grid, which pays
+//! the first touch of its pages that the warm best-of-N walls never see,
+//! and how much of the process the kernel backed with transparent huge
+//! pages.
 //!
 //! [`run_bench_exec`] fails (so CI fails) when a real SIMD backend was
 //! dispatched at full scale and the speedup over the interpreter fell
@@ -48,10 +52,10 @@ pub const BENCH_EXEC_WIDTH: usize = 32;
 /// there even in principle — the L1-resident kernel micro-benchmark
 /// (`eval_block_micro`, no DRAM traffic at all) peaks near 570 Mpts/s,
 /// while 10× of the measured interpreter is ≈600 Mpts/s *including* the
-/// sweep's full memory traffic; the cell is DRAM-bound on one core (see
-/// `DESIGN.md` §12 for the roofline argument). 2.5 sits below the
-/// measured band by a noise margin and still catches any regression of
-/// the compiled path toward interpreter-class throughput.
+/// sweep's full memory traffic (`DESIGN.md` §12 gives the measured
+/// envelope). 2.5 sits below the measured band by a noise margin and
+/// still catches any regression of the compiled path toward
+/// interpreter-class throughput.
 pub const MIN_NATIVE_SPEEDUP: f64 = 2.5;
 
 /// Wall time and throughput of one backend over the measured cell.
@@ -106,12 +110,29 @@ pub struct BenchExec {
     /// The floor `speedup` was gated against (0 when no SIMD backend
     /// dispatched or the run was at reduced scale).
     pub min_speedup: f64,
+    /// Wall seconds of the first native call, made into the freshly
+    /// allocated output grid: the best-of-N walls plus the first touch
+    /// of every output page.
+    pub first_call_s: f64,
+    /// `AnonHugePages` of this process in MB (10⁶ bytes) once both grids
+    /// are built and the first call has written the output; `None` where
+    /// `/proc/self/smaps_rollup` cannot be read.
+    pub anon_huge_mb: Option<f64>,
     /// Provenance: git SHA, exec mode, per-repetition wall times.
     pub manifest: brick_obs::RunManifest,
 }
 
 /// `BENCH_exec.json` schema version.
-pub const EXEC_SCHEMA_VERSION: u64 = 1;
+pub const EXEC_SCHEMA_VERSION: u64 = 2;
+
+/// `AnonHugePages` of this process in MB (10⁶ bytes), read from
+/// `/proc/self/smaps_rollup`; `None` where that file cannot be read.
+fn anon_huge_mb() -> Option<f64> {
+    let rollup = fs::read_to_string("/proc/self/smaps_rollup").ok()?;
+    let line = rollup.lines().find(|l| l.starts_with("AnonHugePages:"))?;
+    let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb * 1024.0 / 1e6)
+}
 
 /// Measure the cell at size `n` under `mode` and, when `out_dir` is
 /// given, write `BENCH_exec.json` there.
@@ -151,6 +172,12 @@ pub fn run_bench_exec(
     let input = BrickGrid::from_dense(&dense, BrickDims::for_simd_width(BENCH_EXEC_WIDTH));
     let mut output = BrickGrid::with_metadata(Arc::clone(input.decomp()), Arc::clone(input.info()));
     drop(dense);
+
+    let t_first = Instant::now();
+    run_vector_brick_backend(&kernel, &input, &mut output, backend)
+        .map_err(|e| format!("{backend}: {e}"))?;
+    let first_call_s = t_first.elapsed().as_secs_f64();
+    let anon_huge_mb = anon_huge_mb();
 
     // Best-of-N per series: full-scale sweeps are seconds each, so three
     // repetitions bound the cost while the min discards scheduler noise;
@@ -208,6 +235,8 @@ pub fn run_bench_exec(
         speedup,
         speedup_spread: spread_of(&rep_speedups),
         min_speedup,
+        first_call_s,
+        anon_huge_mb,
         manifest: manifest.finish(t_run.elapsed().as_secs_f64(), all_walls),
     };
     if let Some(dir) = out_dir {
@@ -240,12 +269,18 @@ mod tests {
         assert_eq!(b.min_speedup, 0.0);
         assert!(b.interpreter.wall_s > 0.0 && b.native.wall_s > 0.0);
         assert!(b.speedup > 0.0);
+        assert!(b.first_call_s > 0.0);
+        if cfg!(target_os = "linux") {
+            assert!(b.anon_huge_mb.is_some_and(|mb| mb >= 0.0));
+        }
         assert_eq!(b.manifest.exec_mode.as_deref(), Some("auto"));
         assert_eq!(b.manifest.jobs, Some(executor_threads() as u64));
         let json = serde_json::to_string(&b).unwrap();
         let back: BenchExec = serde_json::from_str(&json).unwrap();
         assert_eq!(back.exec.backend, b.exec.backend);
         assert_eq!(back.schema, EXEC_SCHEMA_VERSION);
+        assert_eq!(back.first_call_s, b.first_call_s);
+        assert_eq!(back.anon_huge_mb, b.anon_huge_mb);
     }
 
     #[test]

@@ -5,11 +5,15 @@
 //! for callers that need an explicit worker count (the sweep scheduler's
 //! `--jobs` knob, the executor's recorded thread count).
 //!
-//! Work items are materialised eagerly and evaluated on `std::thread`
-//! scoped workers pulling from an atomic cursor (dynamic scheduling, like
-//! rayon's work stealing at this granularity). `map` is eager — it
-//! evaluates in parallel immediately and yields an ordered result — which
-//! is observationally equivalent for the pipelines here.
+//! Work items are materialised eagerly and split into contiguous batches
+//! of [`batch_len`] items, about 64 per worker. `std::thread` scoped
+//! workers claim whole batches from an atomic cursor (dynamic scheduling,
+//! like rayon's work stealing), so each worker sees ascending runs of
+//! neighbouring items, as rayon's splitter hands out index ranges, and
+//! one claim plus one `Mutex` covers a batch, not an item. A call with at
+//! most 64 items per worker keeps batches of one item. `map` is eager —
+//! it evaluates in parallel immediately and yields an ordered result —
+//! which is observationally equivalent for the pipelines here.
 //!
 //! A worker runs any parallel call it makes itself inline, as a nested
 //! call in a fixed-size rayon pool adds no threads: a call evaluated on
@@ -63,8 +67,9 @@ impl ThreadPoolBuilder {
 /// A "pool" that scopes a worker-count override: parallel iterators
 /// evaluated inside [`ThreadPool::install`] use the pool's thread count,
 /// and the parallel calls its workers make run inline on them.
-/// (Workers are still scoped per call — this shim has no persistent
-/// threads — which preserves rayon's observable ordering semantics.)
+/// (Each call still spawns its own scoped workers, which claim contiguous
+/// batches of its items — this shim has no persistent threads — and
+/// results keep rayon's input order.)
 #[derive(Debug)]
 pub struct ThreadPool {
     num_threads: usize,
@@ -119,8 +124,20 @@ fn par_eval<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R
     par_eval_init(items, || (), |_, t| f(t))
 }
 
+/// Batches each worker of a call gets on average: enough for dynamic
+/// scheduling to even out uneven items, few enough that claims and locks
+/// cost nothing next to the items.
+const BATCHES_PER_WORKER: usize = 64;
+
+/// Items per contiguous batch when `n` items run on `threads` workers:
+/// `max(1, n / (threads · 64))`.
+fn batch_len(n: usize, threads: usize) -> usize {
+    (n / (threads * BATCHES_PER_WORKER)).max(1)
+}
+
 /// [`par_eval`] with per-worker state: each worker thread calls `init`
-/// once and threads the value through every item it evaluates.
+/// once and threads the value through every item it evaluates. Workers
+/// claim contiguous batches of [`batch_len`] items in ascending order.
 fn par_eval_init<T: Send, S, R: Send>(
     items: Vec<T>,
     init: impl Fn() -> S + Sync,
@@ -132,30 +149,39 @@ fn par_eval_init<T: Send, S, R: Send>(
         let mut state = init();
         return items.into_iter().map(|t| f(&mut state, t)).collect();
     }
-    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let out: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let batch = batch_len(n, threads);
+    let mut rest = items.into_iter();
+    let batches: Vec<Mutex<Vec<T>>> = (0..n.div_ceil(batch))
+        .map(|_| Mutex::new(rest.by_ref().take(batch).collect()))
+        .collect();
     let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                // nested parallel calls run inline on this worker
-                POOL_THREADS.with(|c| c.set(Some(1)));
-                let mut state = init();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
+    // each worker returns its batches' results tagged with the batch index
+    let mut done: Vec<(usize, Vec<R>)> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                s.spawn(|| {
+                    // nested parallel calls run inline on this worker
+                    POOL_THREADS.with(|c| c.set(Some(1)));
+                    let mut state = init();
+                    let mut done = Vec::new();
+                    loop {
+                        let b = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(batch) = batches.get(b) else {
+                            break done;
+                        };
+                        let items = std::mem::take(&mut *batch.lock().expect("batch lock"));
+                        done.push((b, items.into_iter().map(|t| f(&mut state, t)).collect()));
                     }
-                    let item = slots[i].lock().unwrap().take().expect("item taken once");
-                    let r = f(&mut state, item);
-                    *out[i].lock().unwrap() = Some(r);
-                }
-            });
-        }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
     });
-    out.into_iter()
-        .map(|m| m.into_inner().unwrap().expect("worker wrote result"))
-        .collect()
+    done.sort_unstable_by_key(|&(b, _)| b);
+    done.into_iter().flat_map(|(_, rs)| rs).collect()
 }
 
 /// A materialised parallel iterator.
@@ -319,6 +345,112 @@ mod tests {
         let mut v: Vec<u32> = (0..100).collect();
         let out: Vec<u32> = pool.install(|| v.par_iter_mut().map(|x| *x * 3).collect());
         assert_eq!(out, (0..100).map(|x| x * 3).collect::<Vec<_>>());
+    }
+
+    /// Item counts around the batching threshold (64 items per worker)
+    /// and the worker counts the batching tests run at.
+    const SIZES: [usize; 6] = [0, 1, 127, 128, 129, 10_007];
+    const THREADS: [usize; 4] = [1, 2, 3, 8];
+
+    fn pool(threads: usize) -> crate::ThreadPool {
+        crate::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn batched_map_runs_every_item_once_in_order() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        for threads in THREADS {
+            for n in SIZES {
+                let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                let mut v: Vec<usize> = (0..n).collect();
+                let out: Vec<usize> = pool(threads).install(|| {
+                    v.par_iter_mut()
+                        .map(|x| {
+                            runs[*x].fetch_add(1, Ordering::Relaxed);
+                            *x * 2
+                        })
+                        .collect()
+                });
+                assert_eq!(out, (0..n).map(|x| x * 2).collect::<Vec<_>>());
+                assert!(
+                    runs.iter().all(|r| r.load(Ordering::Relaxed) == 1),
+                    "n = {n}, threads = {threads}: an item ran other than once"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn batched_for_each_init_inits_once_per_worker_on_contiguous_runs() {
+        use std::collections::HashMap;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Mutex;
+        for threads in THREADS {
+            for n in SIZES {
+                let inits = AtomicUsize::new(0);
+                // (worker, item) in the order each worker ran its items
+                let seen: Mutex<Vec<(std::thread::ThreadId, usize)>> = Mutex::new(Vec::new());
+                let mut v: Vec<usize> = (0..n).collect();
+                pool(threads).install(|| {
+                    v.par_iter_mut().for_each_init(
+                        || inits.fetch_add(1, Ordering::Relaxed),
+                        |_, x| {
+                            let id = std::thread::current().id();
+                            seen.lock().unwrap().push((id, *x));
+                        },
+                    )
+                });
+                let workers = threads.min(n).max(1);
+                assert!(
+                    inits.load(Ordering::Relaxed) <= workers,
+                    "n = {n}, threads = {threads}: init ran more than once per worker"
+                );
+                let mut per_worker: HashMap<_, Vec<usize>> = HashMap::new();
+                for (id, i) in seen.into_inner().unwrap() {
+                    per_worker.entry(id).or_default().push(i);
+                }
+                let mut all: Vec<usize> = per_worker.values().flatten().copied().collect();
+                all.sort_unstable();
+                assert_eq!(
+                    all,
+                    (0..n).collect::<Vec<_>>(),
+                    "n = {n}, threads = {threads}"
+                );
+                if n < threads * super::BATCHES_PER_WORKER {
+                    continue;
+                }
+                // each worker's items ascend in runs of whole batches: a run
+                // starts on a batch boundary and ends on one or at `n`
+                let batch = super::batch_len(n, workers);
+                for items in per_worker.values() {
+                    assert!(items.windows(2).all(|p| p[0] < p[1]), "items not ascending");
+                    let mut run_start = items[0];
+                    for (k, &i) in items.iter().enumerate() {
+                        let run_ends = items.get(k + 1) != Some(&(i + 1));
+                        if run_ends {
+                            assert_eq!(run_start % batch, 0, "run starts mid-batch");
+                            assert!((i + 1) % batch == 0 || i + 1 == n, "run ends mid-batch");
+                            if let Some(&next) = items.get(k + 1) {
+                                run_start = next;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn small_calls_keep_batches_of_one() {
+        for threads in THREADS {
+            assert_eq!(super::batch_len(threads * 64, threads), 1);
+            assert_eq!(super::batch_len(1, threads), 1);
+            assert_eq!(super::batch_len(threads * 128, threads), 2);
+        }
+        assert_eq!(super::batch_len(10_007, 2), 78);
     }
 
     #[test]

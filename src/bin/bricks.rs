@@ -638,15 +638,23 @@ fn prof_sim_cmd(
     use bricks_repro::gpu_sim::{compile_only, simulate_memory_introspect};
     use bricks_repro::prof::render_introspection;
 
+    let w = arch.simd_width;
+    let dims = BrickDims::for_simd_width(w);
+    let tiles = |b: usize| n.is_multiple_of(b);
+    if n == 0 || !(tiles(dims.bx) && tiles(dims.by) && tiles(dims.bz)) {
+        return Err(format!(
+            "--n {n} must be a positive multiple of each brick extent ({dims} on {})",
+            arch.name
+        ));
+    }
     let st = shape.stencil();
     let b = st.default_bindings();
-    let w = arch.simd_width;
     let kernel = generate(&st, &b, LayoutKind::Brick, w, CodegenOptions::default())
         .map_err(|e| e.to_string())?;
     let spec = KernelSpec::Vector(kernel);
     let decomp = Arc::new(BrickDecomp::new(
         (n, n, n),
-        BrickDims::for_simd_width(w),
+        dims,
         shape.radius as usize,
         BrickOrdering::Lexicographic,
     ));
