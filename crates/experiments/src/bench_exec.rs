@@ -32,13 +32,13 @@ use brick_vm::{
     executor_threads, resolve_with, run_vector_brick_backend, Backend, CpuFeatures, ExecutionMode,
 };
 
-use crate::bench_sim::{min_of, spread_of};
+use crate::bench::{min_of, spread_of, write_bench, BenchKind};
 
 /// Domain size of the acceptance cell: the paper's full scale.
 pub const BENCH_EXEC_N: usize = 512;
 
-/// Vector width / brick x-extent of the measured kernel (matches the
-/// `kernel_throughput` and `exec_throughput` criterion benches).
+/// Vector width / brick x-extent of the measured kernel (the A100's
+/// warp width, as in the paper's CUDA runs).
 pub const BENCH_EXEC_WIDTH: usize = 32;
 
 /// Floor on `native.points_per_s / interpreter.points_per_s` when a real
@@ -240,9 +240,7 @@ pub fn run_bench_exec(
         manifest: manifest.finish(t_run.elapsed().as_secs_f64(), all_walls),
     };
     if let Some(dir) = out_dir {
-        let path = dir.join("BENCH_exec.json");
-        let json = serde_json::to_string_pretty(&bench).map_err(|e| e.to_string())?;
-        fs::write(&path, json).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        write_bench(dir, BenchKind::Exec, &bench)?;
     }
     if bench.speedup < min_speedup {
         return Err(format!(

@@ -26,6 +26,7 @@ use gpu_sim::{
 
 use brick_tuner::cell::{geometry, paper_spec, program, SCHEMA_VERSION};
 
+use crate::bench::{min_of, spread_of, write_bench, BenchKind};
 use crate::config::{ExperimentParams, KernelConfig};
 use crate::runner::{sweep_with, SweepOptions};
 
@@ -179,23 +180,6 @@ fn measure_sweep(
     Ok((throughput, cold.manifest))
 }
 
-/// Minimum of a set of wall-time samples.
-pub(crate) fn min_of(samples: &[f64]) -> f64 {
-    samples.iter().copied().fold(f64::INFINITY, f64::min)
-}
-
-/// Relative spread `max/min - 1` of a set of positive samples — the
-/// noise figure the BENCH files record next to each gated metric.
-pub(crate) fn spread_of(samples: &[f64]) -> f64 {
-    let min = min_of(samples);
-    let max = samples.iter().copied().fold(0.0f64, f64::max);
-    if min > 0.0 {
-        max / min - 1.0
-    } else {
-        0.0
-    }
-}
-
 fn measure_fidelity(n: usize) -> Result<FidelityComparison, String> {
     let shape = StencilShape::star(2);
     let config = KernelConfig::BricksCodegen;
@@ -281,9 +265,7 @@ pub fn run_bench_sim(
         fidelity_full,
         manifest,
     };
-    let path = out_dir.join("BENCH_sim.json");
-    let json = serde_json::to_string_pretty(&bench).map_err(|e| e.to_string())?;
-    fs::write(&path, json).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    let path = write_bench(out_dir, BenchKind::Sim, &bench)?;
     for f in std::iter::once(&bench.fidelity).chain(bench.fidelity_full.as_ref()) {
         if f.speedup < 1.0 {
             return Err(format!(

@@ -24,7 +24,9 @@
 //! The `experiments` binary drives them (`cargo run -p experiments
 //! --release -- --all`).
 
+pub mod bench;
 pub mod bench_exec;
+pub mod bench_overhead;
 pub mod bench_sim;
 pub mod config;
 pub mod figures;

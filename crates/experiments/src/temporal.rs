@@ -287,9 +287,7 @@ pub fn run_bench_temporal(
             .collect(),
         manifest: sweep.manifest.clone(),
     };
-    let path = out.join("BENCH_temporal.json");
-    let json = serde_json::to_string_pretty(&bench).map_err(|e| e.to_string())?;
-    std::fs::write(&path, json).map_err(|e| format!("write {}: {e}", path.display()))?;
+    crate::bench::write_bench(out, crate::bench::BenchKind::Temporal, &bench)?;
 
     if gate_failures.is_empty() {
         Ok(bench)
@@ -347,7 +345,7 @@ mod tests {
     fn dram_bytes_per_applied_step_shrink_with_degree() {
         // the AN5D headline at test scale: star-7 fused 4 deep moves well
         // under half the DRAM bytes per applied timestep of the spatial
-        // baseline (the 512³ acceptance run is `--bench-temporal`)
+        // baseline (the 512³ acceptance run is `--bench temporal`)
         let s = shared_temporal_sweep();
         let t1 = s.point(GpuKind::A100, ProgModel::Cuda, "7pt", 1).unwrap();
         let t4 = s.point(GpuKind::A100, ProgModel::Cuda, "7pt", 4).unwrap();

@@ -13,7 +13,7 @@
 //! paper baseline is the temporal sweep's `T = 1` cell and shares its
 //! cached record.
 //!
-//! `--bench-tune` additionally measures the incremental machinery itself:
+//! `--bench tune` additionally measures the incremental machinery itself:
 //! a cold sweep into a fresh cache followed by a warm rerun, gated at
 //! [`WARM_FRAC_MAX`] (`BENCH_tune.json`).
 
@@ -278,9 +278,7 @@ pub fn run_bench_tune(
         compare: tuned_vs_paper(&warm),
         manifest: warm.manifest.clone(),
     };
-    let path = out.join("BENCH_tune.json");
-    let json = serde_json::to_string_pretty(&bench).map_err(|e| e.to_string())?;
-    std::fs::write(&path, json).map_err(|e| format!("write {}: {e}", path.display()))?;
+    crate::bench::write_bench(out, crate::bench::BenchKind::Tune, &bench)?;
 
     if gate_failures.is_empty() {
         Ok(bench)

@@ -17,7 +17,8 @@
 //! backwards and produce negative deltas under churn.
 //!
 //! The counting costs one thread-local add per allocation on top of the
-//! system allocator; the `obs_overhead` bench gates the end-to-end cost.
+//! system allocator; `experiments --bench overhead` gates the end-to-end
+//! cost.
 //!
 //! This crate is the workspace's single sanctioned `unsafe` island: the
 //! `GlobalAlloc` trait is unsafe by signature, so the crate opts out of

@@ -39,7 +39,7 @@ usage:
   bricks lint     [kernel.json] [--json]                static kernel analysis
   bricks lint     --native [--json]                     brick-safe memory proof
   bricks obs      <file> [--summary]                    inspect saved observability
-  bricks exec     [--bench N]                           execution-backend report
+  bricks exec                                           execution-backend report
   bricks prof sweep <spans.jsonl|PROF_sweep.json> [--json]
                                                         sweep self-profile report
   bricks prof sim <star|cube> <radius> <gpu> <model> [--n N]
@@ -89,13 +89,14 @@ run's git SHA.
 
 `bricks exec` reports how the CPU execution backend resolves on this
 host: detected SIMD features, the BRICK_EXEC default, and the backend
-each mode (scalar|auto|avx2|neon) dispatches to. With --bench N it also
-measures the star-7 cell at N^3 under the interpreter and the Auto
-backend and prints the speedup (every backend is bit-identical to the
-interpreter; see the differential suite in brick-vm).
+each mode (scalar|auto|avx2|neon) dispatches to (every backend is
+bit-identical to the interpreter; see the differential suite in
+brick-vm).
 
-For the paper's tables and figures use:
-  cargo run -p experiments --release -- --all";
+For the paper's tables and figures, and for every measurement that
+writes a BENCH file, use the experiments binary:
+  cargo run -p experiments --release -- --all
+  cargo run -p experiments --release -- --bench sim|exec|temporal|tune|overhead";
 
 fn shape_of(kind: &str, radius: &str) -> Result<StencilShape, String> {
     let r: u32 = radius.parse().map_err(|e| format!("radius: {e}"))?;
@@ -688,9 +689,8 @@ fn load_json(path: &str) -> Result<serde_json::Value, String> {
 
 /// Report the host's execution-backend resolution: CPU features, the
 /// `BRICK_EXEC` default, and the backend each [`ExecutionMode`] would
-/// dispatch to; with `--bench N`, also a quick interpreter-vs-native
-/// throughput measurement of the star-7 cell at `N`³.
-fn exec_cmd(bench_n: Option<usize>) -> Result<(), String> {
+/// dispatch to.
+fn exec_cmd() -> Result<(), String> {
     use bricks_repro::vm::{resolve_with, CpuFeatures, ExecutionMode};
 
     let features = CpuFeatures::detect();
@@ -702,22 +702,6 @@ fn exec_cmd(bench_n: Option<usize>) -> Result<(), String> {
             Ok(b) => println!("  {name} -> {b}"),
             Err(e) => println!("  {name} -> unavailable: {e}"),
         }
-    }
-    if let Some(n) = bench_n {
-        if n == 0 || n % 64 != 0 {
-            return Err(format!(
-                "--bench size {n} must be a positive multiple of 64"
-            ));
-        }
-        let bench =
-            bricks_repro::experiments::bench_exec::run_bench_exec(n, ExecutionMode::Auto, None)?;
-        println!(
-            "star-7 at {n}^3: interpreter {:.1} Mpts/s, {} {:.1} Mpts/s — {:.2}x",
-            bench.interpreter.points_per_s / 1e6,
-            bench.native.backend,
-            bench.native.points_per_s / 1e6,
-            bench.speedup,
-        );
     }
     Ok(())
 }
@@ -832,11 +816,7 @@ fn run() -> Result<(), String> {
                 json,
             )
         }
-        ["exec"] => exec_cmd(None),
-        ["exec", "--bench", n] => {
-            let n: usize = n.parse().map_err(|e| format!("--bench size: {e}"))?;
-            exec_cmd(Some(n))
-        }
+        ["exec"] => exec_cmd(),
         ["prof", "diff", base, new] => prof_diff_cmd(base, new, false),
         ["prof", "gate", base, new] => prof_diff_cmd(base, new, true),
         ["prof", "history", path] => prof_history_cmd(path, None),
