@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 
 use brick_dsl::shape::StencilShape;
 use brick_dsl::StencilAnalysis;
-use gpu_sim::{GpuKind, ProgModel};
+use gpu_sim::ProgModel;
 
 use crate::config::KernelConfig;
 use crate::runner::Sweep;
@@ -161,11 +161,6 @@ pub fn table5(sweep: &Sweep) -> PortabilityTable {
     portability_table(sweep, "fraction of theoretical AI", |r| {
         r.frac_theoretical_ai
     })
-}
-
-/// The five platform columns of Tables 3/5, as `(GpuKind, ProgModel)`.
-pub fn platform_columns() -> Vec<(GpuKind, ProgModel)> {
-    ProgModel::portability_columns()
 }
 
 #[cfg(test)]

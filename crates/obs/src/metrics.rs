@@ -191,11 +191,6 @@ pub fn snapshot() -> MetricsSnapshot {
     })
 }
 
-/// Reset the registry to empty.
-pub fn clear_metrics() {
-    *REGISTRY.lock().unwrap() = None;
-}
-
 /// Number of distinct metrics currently registered.
 pub fn metrics_recorded() -> u64 {
     with_registry(|r| (r.counters.len() + r.gauges.len() + r.histograms.len()) as u64)

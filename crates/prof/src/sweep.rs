@@ -139,11 +139,6 @@ impl SweepProfile {
             hot_cells: hot,
         }
     }
-
-    /// Build the profile from the process's current span store.
-    pub fn from_current() -> SweepProfile {
-        SweepProfile::from_spans(&brick_obs::trace::spans_data())
-    }
 }
 
 #[cfg(test)]
