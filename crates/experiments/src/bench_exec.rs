@@ -2,15 +2,14 @@
 //!
 //! One measurement, re-run by CI on every PR: the 7-point star (`star1`)
 //! at the paper's 512³, bricks layout, executed numerically on the host
-//! CPU under the interpreter and under the backend [`ExecutionMode`]
-//! dispatch selects — the acceptance cell behind the native execution
-//! backend (`brick_vm::native`). Best-of-N wall times, the relative
-//! spread across repetitions (the gate's noise figure), and the full run
-//! provenance (including the dispatched mode) are recorded. So is the
-//! first native call into the freshly allocated output grid, which pays
-//! the first touch of its pages that the warm best-of-N walls never see,
-//! and how much of the process the kernel backed with transparent huge
-//! pages.
+//! CPU under the interpreter and under the host's `Auto` backend — the
+//! acceptance cell behind the native execution backend
+//! (`brick_vm::native`). Best-of-N wall times, the relative spread across
+//! repetitions (the gate's noise figure), and the full run provenance are
+//! recorded. So is the first native call into the freshly allocated
+//! output grid, which pays the first touch of its pages that the warm
+//! best-of-N walls never see, and how much of the process the kernel
+//! backed with transparent huge pages.
 //!
 //! [`run_bench_exec`] fails (so CI fails) when a real SIMD backend was
 //! dispatched at full scale and the speedup over the interpreter fell
@@ -86,9 +85,7 @@ pub struct ExecCell {
     pub width: usize,
     /// CPU features detected on the measuring host.
     pub cpu_features: String,
-    /// Execution mode the native series was requested under.
-    pub mode: String,
-    /// Backend that mode dispatched to on this host.
+    /// Backend `Auto` dispatched to on this host.
     pub backend: String,
 }
 
@@ -118,12 +115,13 @@ pub struct BenchExec {
     /// are built and the first call has written the output; `None` where
     /// `/proc/self/smaps_rollup` cannot be read.
     pub anon_huge_mb: Option<f64>,
-    /// Provenance: git SHA, exec mode, per-repetition wall times.
+    /// Provenance: git SHA, exec mode (always `auto`), per-repetition
+    /// wall times.
     pub manifest: brick_obs::RunManifest,
 }
 
 /// `BENCH_exec.json` schema version.
-pub const EXEC_SCHEMA_VERSION: u64 = 2;
+pub const EXEC_SCHEMA_VERSION: u64 = 3;
 
 /// `AnonHugePages` of this process in MB (10⁶ bytes), read from
 /// `/proc/self/smaps_rollup`; `None` where that file cannot be read.
@@ -134,19 +132,14 @@ fn anon_huge_mb() -> Option<f64> {
     Some(kb * 1024.0 / 1e6)
 }
 
-/// Measure the cell at size `n` under `mode` and, when `out_dir` is
-/// given, write `BENCH_exec.json` there.
+/// Measure the cell at size `n` and, when `out_dir` is given, write
+/// `BENCH_exec.json` there.
 ///
-/// Fails when `mode` cannot be dispatched on this host, or when the
-/// dispatched backend is SIMD, `n == BENCH_EXEC_N`, and the measured
-/// speedup is below [`MIN_NATIVE_SPEEDUP`].
-pub fn run_bench_exec(
-    n: usize,
-    mode: ExecutionMode,
-    out_dir: Option<&Path>,
-) -> Result<BenchExec, String> {
+/// Fails when the dispatched backend is SIMD, `n == BENCH_EXEC_N`, and
+/// the measured speedup is below [`MIN_NATIVE_SPEEDUP`].
+pub fn run_bench_exec(n: usize, out_dir: Option<&Path>) -> Result<BenchExec, String> {
     let features = CpuFeatures::detect();
-    let backend = resolve_with(mode, features)?;
+    let backend = resolve_with(ExecutionMode::Auto, features)?;
     let shape = StencilShape::star(1);
     let st = shape.stencil();
     let b = st.default_bindings();
@@ -164,7 +157,7 @@ pub fn run_bench_exec(
         BENCH_EXEC_WIDTH
     );
     let manifest = brick_obs::RunManifest::begin(&config_json)
-        .with_exec_mode(&mode.to_string())
+        .with_exec_mode("auto")
         .with_jobs(executor_threads() as u64);
 
     let mut dense = DenseGrid::cubic(n, st.radius() as usize);
@@ -227,7 +220,6 @@ pub fn run_bench_exec(
             n,
             width: BENCH_EXEC_WIDTH,
             cpu_features: features.to_string(),
-            mode: mode.to_string(),
             backend: backend.to_string(),
         },
         interpreter,
@@ -261,7 +253,7 @@ mod tests {
         // 32³ keeps this cheap in debug; the speedup floor only arms at
         // full scale with a SIMD backend, so this asserts structure and
         // sanity, not the acceptance bar.
-        let b = run_bench_exec(32, ExecutionMode::Auto, None).expect("bench runs");
+        let b = run_bench_exec(32, None).expect("bench runs");
         assert_eq!(b.exec.stencil, "7pt");
         assert_eq!(b.exec.n, 32);
         assert_eq!(b.min_speedup, 0.0);
@@ -279,12 +271,5 @@ mod tests {
         assert_eq!(back.schema, EXEC_SCHEMA_VERSION);
         assert_eq!(back.first_call_s, b.first_call_s);
         assert_eq!(back.anon_huge_mb, b.anon_huge_mb);
-    }
-
-    #[test]
-    fn scalar_mode_pits_the_interpreter_against_itself() {
-        let b = run_bench_exec(32, ExecutionMode::Scalar, None).expect("bench runs");
-        assert_eq!(b.exec.backend, "interpreter");
-        assert_eq!(b.min_speedup, 0.0);
     }
 }

@@ -13,7 +13,6 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
-use brick_vm::ExecutionMode;
 use experiments::bench::BenchKind;
 use experiments::report::*;
 use experiments::{
@@ -30,7 +29,6 @@ struct Args {
     jobs: Option<usize>,
     no_cache: bool,
     fidelity: Option<SimFidelity>,
-    exec_mode: Option<ExecutionMode>,
     bench: Vec<BenchKind>,
     temporal: bool,
     temporal_degree: Option<u32>,
@@ -73,7 +71,6 @@ fn parse_args() -> Result<Args, String> {
         jobs: None,
         no_cache: false,
         fidelity: None,
-        exec_mode: None,
         bench: Vec::new(),
         temporal: false,
         temporal_degree: None,
@@ -186,13 +183,6 @@ fn parse_args() -> Result<Args, String> {
                 args.temporal = true;
                 args.temporal_degree = Some(t);
             }
-            "--exec-mode" => {
-                let v = it
-                    .next()
-                    .ok_or("--exec-mode needs a value (scalar|auto|avx2|neon)")?;
-                args.exec_mode =
-                    Some(ExecutionMode::parse(&v).map_err(|e| format!("--exec-mode: {e}"))?);
-            }
             "--out" => args.out = PathBuf::from(it.next().ok_or("--out needs a value")?),
             "--help" | "-h" => {
                 return Err(HELP.to_string());
@@ -217,7 +207,6 @@ const HELP: &str = "usage: experiments [--all] [--table1..5] [--compare] [--fig3
                    [--tune] [--tune-space full|smoke|minimal]
                    [--out DIR] [--jobs N] [--no-cache] [--fidelity exact|fast]
                    [--bench sim|exec|temporal|tune|overhead]...
-                   [--exec-mode scalar|auto|avx2|neon]
                    [--bless] [--trace] [--prof]
 
 Regenerates the tables and figures of 'Performance Portability Evaluation
@@ -248,10 +237,10 @@ whose size is fixed).
             time of the star-2 CUDA/A100 cell at N^3 (default 128) and at
             512^3; fails if the fast path is slower than exact at either.
   exec      the 7-point star, bricks layout, at N^3 (default 512) under the
-            interpreter and the backend --exec-mode selects (default 'auto':
-            AVX2 on x86_64, NEON on aarch64, portable otherwise); prints
-            the CPU features and the dispatched backend, and fails if a SIMD
-            backend runs below 2.5x the interpreter at 512^3.
+            interpreter and the host's 'auto' backend (AVX2 on x86_64, NEON
+            on aarch64, portable otherwise); prints the CPU features and the
+            dispatched backend, and fails if a SIMD backend runs below 2.5x
+            the interpreter at 512^3.
   temporal  the temporal sweep at N^3 (default 256); fails unless AI
             strictly increases with T for the fusible star stencils on
             every platform and star-7's DRAM bytes per applied timestep at
@@ -265,8 +254,6 @@ whose size is fixed).
             counter gates < 5% of simulate(), full attribution (--prof)
             < 15% of a sweep, verifying the 36 paper kernels < 6% of a
             sweep, and the brick-safe proof < 2% of Plan::compile.
---exec-mode also sets the dispatch for any other numeric kernel
-execution in the process.
 
 --temporal runs the temporal-blocking sweep: every paper stencil at
 every feasible fusion degree T (T*radius <= 4 under the 4x4 block),
@@ -344,16 +331,12 @@ fn run_bench(kind: BenchKind, args: &Args) -> Result<(), String> {
             }
         }
         BenchKind::Exec => {
-            let mode = args.exec_mode.unwrap_or(ExecutionMode::Auto);
-            let features = brick_vm::CpuFeatures::detect();
+            eprintln!("benchmarking execution backend: star-7 bricks at {n}^3...");
+            let b = bench_exec::run_bench_exec(n, Some(out))?;
             eprintln!(
-                "benchmarking execution backend: star-7 bricks at {n}^3, \
-                 cpu features [{features}], mode {mode} -> {}",
-                brick_vm::resolve_with(mode, features)
-                    .map(|b| b.to_string())
-                    .unwrap_or_else(|e| format!("unsupported ({e})"))
+                "cpu features [{}], auto -> {}",
+                b.exec.cpu_features, b.exec.backend
             );
-            let b = bench_exec::run_bench_exec(n, mode, Some(out))?;
             eprintln!(
                 "interpreter: {:.2}s ({:.1} Mpts/s)  {}: {:.2}s ({:.1} Mpts/s) — {:.1}x speedup",
                 b.interpreter.wall_s,
@@ -414,11 +397,6 @@ fn main() -> ExitCode {
     };
     if args.trace {
         brick_obs::set_tracing(true);
-    }
-    if let Some(mode) = args.exec_mode {
-        // Make the choice the process default so every numeric kernel
-        // execution (not just `--bench exec`) dispatches under it.
-        std::env::set_var("BRICK_EXEC", mode.to_string());
     }
     let params = ExperimentParams {
         n: args.n.unwrap_or(ExperimentParams::default().n),

@@ -26,9 +26,7 @@ use brick_core::BrickGrid;
 use brick_dsl::shape::StencilShape;
 use brick_dsl::{reference, CoeffBindings, DenseGrid};
 use brick_tuner::{validate, TuningSpace};
-use brick_vm::{
-    run_numeric_dense_mode, run_vector_brick_backend, Backend, ExecutionMode, KernelSpec,
-};
+use brick_vm::{run_numeric_dense_backend, run_vector_brick_backend, Backend, KernelSpec};
 use gpu_sim::GpuArch;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -102,7 +100,7 @@ fn check_execution(shape: &StencilShape, b: &CoeffBindings, p: &SpecParams) {
     let input = input_grid(p, shape);
     let spec = KernelSpec::Vector(kernel.clone());
 
-    let interp = run_numeric_dense_mode(&spec, &input, ExecutionMode::Scalar)
+    let interp = run_numeric_dense_backend(&spec, &input, Backend::Interpreter)
         .unwrap_or_else(|e| panic!("{ctx}: interpreter run failed: {e}"));
 
     // semantic oracle: the scalar reference on the same grid

@@ -26,9 +26,9 @@ pub enum VmError {
     InvalidKernel(Box<brick_lint::Report>),
     /// Kernel and grid disagree (layout, block shape, extents, halo).
     Mismatch(String),
-    /// The request has no compiled form here: a forced [`ExecutionMode`]
-    /// the running host cannot execute (e.g. `avx2` without AVX2+FMA), or
-    /// a kernel the fuser refuses, with the limit it crosses. `Scalar`
+    /// The request has no compiled form here: a [`Backend`] the running
+    /// host cannot execute (e.g. `Avx2` without AVX2+FMA), or a kernel the
+    /// fuser refuses, with the limit it crosses. `Backend::Interpreter`
     /// never produces this.
     Unsupported(String),
     /// The compiled plan failed the brick-safe memory-safety proof; the
@@ -206,31 +206,20 @@ fn check_brick(
 /// bricks, in parallel (one Rayon task per brick; output bricks are
 /// disjoint storage chunks, so no synchronisation is needed).
 ///
-/// Back-compat wrapper for [`run_vector_brick_mode`] using the process
-/// default mode (`BRICK_EXEC`, else `Auto`). Every mode computes
-/// bit-identical results; see [`crate::native`].
+/// Runs on the host's `Auto` backend; every backend computes
+/// bit-identical results, see [`crate::native`].
 pub fn run_vector_brick(
     kernel: &VectorKernel,
     input: &BrickGrid,
     output: &mut BrickGrid,
 ) -> Result<(), VmError> {
-    run_vector_brick_mode(kernel, input, output, ExecutionMode::from_env())
-}
-
-/// [`run_vector_brick`] under an explicit [`ExecutionMode`].
-pub fn run_vector_brick_mode(
-    kernel: &VectorKernel,
-    input: &BrickGrid,
-    output: &mut BrickGrid,
-    mode: ExecutionMode,
-) -> Result<(), VmError> {
-    let backend = native::resolve(mode)?;
+    let backend = native::resolve(ExecutionMode::Auto)?;
     run_vector_brick_backend(kernel, input, output, backend)
 }
 
-/// [`run_vector_brick`] under an explicitly resolved [`Backend`] —
-/// the differential-test and benchmark entry (e.g. to force the portable
-/// compiled backend on a host whose `Auto` resolves to a SIMD one).
+/// [`run_vector_brick`] under an explicit [`Backend`] — the
+/// differential-test and benchmark entry (e.g. the interpreter oracle, or
+/// the portable compiled backend on a host whose `Auto` is a SIMD one).
 /// Errors (never panics) when this host cannot execute `backend`.
 pub fn run_vector_brick_backend(
     kernel: &VectorKernel,
@@ -258,7 +247,7 @@ pub fn run_vector_brick_backend(
     }
 }
 
-/// The interpreter path of [`run_vector_brick_mode`] — retained verbatim
+/// The interpreter path of [`run_vector_brick_backend`] — retained verbatim
 /// as the differential oracle for the compiled backends.
 fn run_brick_interp(kernel: &VectorKernel, input: &BrickGrid, output: &mut BrickGrid) {
     let nav = input.nav().clone();
@@ -296,7 +285,7 @@ fn run_brick_interp(kernel: &VectorKernel, input: &BrickGrid, output: &mut Brick
         });
 }
 
-/// Compiled path of [`run_vector_brick_mode`]: per interior block,
+/// Compiled path of [`run_vector_brick_backend`]: per interior block,
 /// resolve every grid tap once through the 27-neighbour table (indices
 /// precomputed at plan-compile time — no `div_euclid` chains here), then
 /// evaluate the block's scratch rows and each output row's tape straight
@@ -391,29 +380,18 @@ fn check_array(
 /// parallel over z-slabs of tiles (whose output rows are disjoint,
 /// contiguous storage ranges).
 ///
-/// Back-compat wrapper for [`run_vector_array_mode`] using the process
-/// default mode (`BRICK_EXEC`, else `Auto`). Every mode computes
-/// bit-identical results; see [`crate::native`].
+/// Runs on the host's `Auto` backend; every backend computes
+/// bit-identical results, see [`crate::native`].
 pub fn run_vector_array(
     kernel: &VectorKernel,
     input: &ArrayGrid,
     output: &mut ArrayGrid,
 ) -> Result<(), VmError> {
-    run_vector_array_mode(kernel, input, output, ExecutionMode::from_env())
-}
-
-/// [`run_vector_array`] under an explicit [`ExecutionMode`].
-pub fn run_vector_array_mode(
-    kernel: &VectorKernel,
-    input: &ArrayGrid,
-    output: &mut ArrayGrid,
-    mode: ExecutionMode,
-) -> Result<(), VmError> {
-    let backend = native::resolve(mode)?;
+    let backend = native::resolve(ExecutionMode::Auto)?;
     run_vector_array_backend(kernel, input, output, backend)
 }
 
-/// [`run_vector_array`] under an explicitly resolved [`Backend`]; see
+/// [`run_vector_array`] under an explicit [`Backend`]; see
 /// [`run_vector_brick_backend`].
 pub fn run_vector_array_backend(
     kernel: &VectorKernel,
@@ -441,7 +419,7 @@ pub fn run_vector_array_backend(
     }
 }
 
-/// The interpreter path of [`run_vector_array_mode`] — retained verbatim
+/// The interpreter path of [`run_vector_array_backend`] — retained verbatim
 /// as the differential oracle for the compiled backends.
 fn run_array_interp(kernel: &VectorKernel, input: &ArrayGrid, output: &mut ArrayGrid) {
     let (nx, ny, nz) = input.extents();
@@ -502,7 +480,7 @@ fn run_array_interp(kernel: &VectorKernel, input: &ArrayGrid, output: &mut Array
         });
 }
 
-/// Compiled path of [`run_vector_array_mode`]. On the dense layout
+/// Compiled path of [`run_vector_array_backend`]. On the dense layout
 /// every grid tap — including shifted ones, since rows are contiguous in
 /// `x` across tile seams — collapses to a single stride delta from the
 /// tile origin, computed once per run; per tile the grid taps resolve
@@ -696,6 +674,15 @@ mod tests {
     use brick_dsl::{reference, DenseGrid};
     use std::sync::Arc;
 
+    /// The interpreter is checked against the reference here directly,
+    /// not only through the compiled backends' bit-identity to it.
+    fn oracle_and_auto() -> [Backend; 2] {
+        [
+            Backend::Interpreter,
+            native::resolve(ExecutionMode::Auto).unwrap(),
+        ]
+    }
+
     fn run_brick_case(shape: StencilShape, width: usize, strategy: Strategy, n: usize) {
         let st = shape.stencil();
         let b = st.default_bindings();
@@ -718,12 +705,16 @@ mod tests {
         reference::apply(&st, &b, &dense, &mut expect).unwrap();
 
         let input = BrickGrid::from_dense(&dense, BrickDims::for_simd_width(width));
-        let mut output =
-            BrickGrid::with_metadata(Arc::clone(input.decomp()), Arc::clone(input.info()));
-        run_vector_brick(&kernel, &input, &mut output).unwrap();
-        let got = output.to_dense();
-        let diff = got.max_rel_diff(&expect);
-        assert!(diff < 1e-12, "{shape} {strategy} w{width}: rel diff {diff}");
+        for backend in oracle_and_auto() {
+            let mut output =
+                BrickGrid::with_metadata(Arc::clone(input.decomp()), Arc::clone(input.info()));
+            run_vector_brick_backend(&kernel, &input, &mut output, backend).unwrap();
+            let diff = output.to_dense().max_rel_diff(&expect);
+            assert!(
+                diff < 1e-12,
+                "{shape} {strategy} w{width} {backend}: rel diff {diff}"
+            );
+        }
     }
 
     fn run_array_case(shape: StencilShape, width: usize, strategy: Strategy, n: usize) {
@@ -748,10 +739,15 @@ mod tests {
         reference::apply(&st, &b, &dense, &mut expect).unwrap();
 
         let input = ArrayGrid::from_dense(&dense);
-        let mut output = ArrayGrid::new(n.max(width), n, n, halo);
-        run_vector_array(&kernel, &input, &mut output).unwrap();
-        let diff = output.to_dense().max_rel_diff(&expect);
-        assert!(diff < 1e-12, "{shape} {strategy} w{width}: rel diff {diff}");
+        for backend in oracle_and_auto() {
+            let mut output = ArrayGrid::new(n.max(width), n, n, halo);
+            run_vector_array_backend(&kernel, &input, &mut output, backend).unwrap();
+            let diff = output.to_dense().max_rel_diff(&expect);
+            assert!(
+                diff < 1e-12,
+                "{shape} {strategy} w{width} {backend}: rel diff {diff}"
+            );
+        }
     }
 
     #[test]
@@ -868,11 +864,12 @@ mod tests {
         let input = BrickGrid::from_dense(&dense, BrickDims::for_simd_width(16));
         let mut output =
             BrickGrid::with_metadata(Arc::clone(input.decomp()), Arc::clone(input.info()));
-        match run_vector_brick_mode(&k, &input, &mut output, ExecutionMode::Auto) {
+        let auto = native::resolve(ExecutionMode::Auto).unwrap();
+        match run_vector_brick_backend(&k, &input, &mut output, auto) {
             Err(VmError::Unsupported(why)) => assert!(why.contains("value stack"), "{why}"),
             other => panic!("expected Unsupported, got {other:?}"),
         }
-        run_vector_brick_mode(&k, &input, &mut output, ExecutionMode::Scalar).unwrap();
+        run_vector_brick_backend(&k, &input, &mut output, Backend::Interpreter).unwrap();
         // 64 copies of the 7-point sum: a power-of-two scaling, so exact
         let st = StencilShape::star(1).stencil();
         let mut expect = DenseGrid::cubic(16, 1);

@@ -21,9 +21,8 @@ pub mod trace;
 
 pub use classes::{BlockClasses, CompiledTrace, StreamEvent};
 pub use exec::{
-    executor_threads, kernel_reach, run_vector_array, run_vector_array_backend,
-    run_vector_array_mode, run_vector_brick, run_vector_brick_backend, run_vector_brick_mode,
-    trace_vector_block, VmError,
+    executor_threads, kernel_reach, run_vector_array, run_vector_array_backend, run_vector_brick,
+    run_vector_brick_backend, trace_vector_block, VmError,
 };
 pub use geom::{ArrayAddr, TraceGeometry, DEFAULT_IN_BASE, DEFAULT_OUT_BASE};
 pub use native::{resolve, resolve_with, Backend, CpuFeatures, ExecutionMode, Plan, SafetySummary};
@@ -98,19 +97,18 @@ impl KernelSpec {
 /// Builds the layout-appropriate grids (brick decomposition or padded
 /// array), executes out-of-place, and converts back.
 ///
-/// Back-compat wrapper for [`run_numeric_dense_mode`] using the process
-/// default mode (`BRICK_EXEC`, else `Auto`); all modes are bit-identical.
+/// Runs on the host's `Auto` backend; all backends are bit-identical.
 pub fn run_numeric_dense(spec: &KernelSpec, input: &DenseGrid) -> Result<DenseGrid, VmError> {
-    run_numeric_dense_mode(spec, input, ExecutionMode::from_env())
+    run_numeric_dense_backend(spec, input, resolve(ExecutionMode::Auto)?)
 }
 
-/// [`run_numeric_dense`] under an explicit [`ExecutionMode`]. Scalar
-/// (SIMT) kernels have no vector IR to compile and always run their own
-/// reference loop, whatever the mode.
-pub fn run_numeric_dense_mode(
+/// [`run_numeric_dense`] under an explicit [`Backend`]. Scalar (SIMT)
+/// kernels have no vector IR to compile and always run their own
+/// reference loop, whatever the backend.
+pub fn run_numeric_dense_backend(
     spec: &KernelSpec,
     input: &DenseGrid,
-    mode: ExecutionMode,
+    backend: Backend,
 ) -> Result<DenseGrid, VmError> {
     match (spec, spec.layout()) {
         (KernelSpec::Vector(k), LayoutKind::Brick) => {
@@ -119,14 +117,14 @@ pub fn run_numeric_dense_mode(
                 std::sync::Arc::clone(in_grid.decomp()),
                 std::sync::Arc::clone(in_grid.info()),
             );
-            run_vector_brick_mode(k, &in_grid, &mut out_grid, mode)?;
+            run_vector_brick_backend(k, &in_grid, &mut out_grid, backend)?;
             Ok(out_grid.to_dense())
         }
         (KernelSpec::Vector(k), LayoutKind::Array) => {
             let in_grid = ArrayGrid::from_dense(input);
             let (nx, ny, nz) = input.extents();
             let mut out_grid = ArrayGrid::new(nx, ny, nz, input.halo());
-            run_vector_array_mode(k, &in_grid, &mut out_grid, mode)?;
+            run_vector_array_backend(k, &in_grid, &mut out_grid, backend)?;
             Ok(out_grid.to_dense())
         }
         (KernelSpec::Scalar(k), LayoutKind::Brick) => {

@@ -48,7 +48,7 @@
 //! than [`MAX_STACK`], a tape longer than [`MAX_TAPE`], more taps or
 //! scratch rows than `u16` ids address, …) is refused with the reason;
 //! `Plan::compile` reports it as `VmError::Unsupported`, and the
-//! interpreter (`ExecutionMode::Scalar`) still runs it.
+//! interpreter (`Backend::Interpreter`) still runs it.
 //!
 //! Everything in this module is safe code. The preconditions the SIMD
 //! evaluators in [`super::avx2`]/[`super::neon`] rely on are discharged

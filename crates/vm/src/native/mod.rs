@@ -69,79 +69,19 @@ pub use safe::SafetySummary;
 
 use crate::exec::VmError;
 
-/// How a vector kernel should be executed.
+/// The host's backend pick, named for [`resolve`] and [`resolve_with`].
 ///
-/// Modeled on the `KernelExecutor` dispatch of cpu-sparse-experiments:
-/// `Scalar` is always available, `Auto` picks the best backend the host
-/// supports, and the forced modes fail (gracefully, with a [`VmError`])
-/// when the host cannot run them.
+/// A forced executor is a [`Backend`] handed to a `_backend` entry point
+/// (e.g. [`crate::run_vector_brick_backend`]), so `Auto` is the only mode.
+/// The enum stays because the repo benchmark (`perfbench/`) calls
+/// `resolve(ExecutionMode::Auto)` and `resolve_with(ExecutionMode::Auto, ..)`;
+/// it goes when that benchmark next changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecutionMode {
-    /// The reference interpreter ([`crate::exec`]) — the differential
-    /// oracle every compiled backend is validated against.
-    Scalar,
     /// Runtime dispatch: AVX2+FMA when detected, NEON on aarch64,
     /// otherwise the portable compiled backend. Never fails.
     #[default]
     Auto,
-    /// Force the AVX2+FMA backend; errors when the host lacks it.
-    Avx2,
-    /// Force the NEON backend; errors off aarch64.
-    Neon,
-}
-
-impl ExecutionMode {
-    /// All modes, for CLI help and test sweeps.
-    pub const ALL: [ExecutionMode; 4] = [
-        ExecutionMode::Scalar,
-        ExecutionMode::Auto,
-        ExecutionMode::Avx2,
-        ExecutionMode::Neon,
-    ];
-
-    /// Parse a mode name (`scalar`/`auto`/`avx2`/`neon`, case-insensitive).
-    pub fn parse(s: &str) -> Result<ExecutionMode, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "scalar" | "interp" | "interpreter" => Ok(ExecutionMode::Scalar),
-            "auto" => Ok(ExecutionMode::Auto),
-            "avx2" => Ok(ExecutionMode::Avx2),
-            "neon" => Ok(ExecutionMode::Neon),
-            other => Err(format!(
-                "unknown execution mode `{other}` (expected scalar, auto, avx2, or neon)"
-            )),
-        }
-    }
-
-    /// The process-wide default mode: `BRICK_EXEC` when set to a valid mode
-    /// name, otherwise [`ExecutionMode::Auto`]. An unset, empty, or invalid
-    /// variable falls back to `Auto` (the CLIs parse `--exec-mode`
-    /// strictly; this lossy path only backs the parameterless wrappers).
-    pub fn from_env() -> ExecutionMode {
-        match std::env::var("BRICK_EXEC") {
-            Ok(v) if !v.trim().is_empty() => {
-                ExecutionMode::parse(v.trim()).unwrap_or(ExecutionMode::Auto)
-            }
-            _ => ExecutionMode::Auto,
-        }
-    }
-}
-
-impl std::fmt::Display for ExecutionMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ExecutionMode::Scalar => "scalar",
-            ExecutionMode::Auto => "auto",
-            ExecutionMode::Avx2 => "avx2",
-            ExecutionMode::Neon => "neon",
-        })
-    }
-}
-
-impl std::str::FromStr for ExecutionMode {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        ExecutionMode::parse(s)
-    }
 }
 
 /// SIMD capabilities of a host, as used by backend resolution.
@@ -196,7 +136,8 @@ impl std::fmt::Display for CpuFeatures {
     }
 }
 
-/// The concrete executor a mode resolved to on a given host.
+/// A concrete executor. The `_backend` entry points take one directly;
+/// one this host cannot run is a [`VmError::Unsupported`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
     /// The reference interpreter.
@@ -220,41 +161,20 @@ impl std::fmt::Display for Backend {
     }
 }
 
-/// Resolve a mode against an explicit feature set. Pure: the only
-/// fallible cases are the forced modes on hosts that lack them, which
-/// return `Err` (degrade with a message, never panic).
+/// The backend `Auto` picks for a feature set. Pure, so the
+/// AVX2-unavailable fallback is testable on any machine; never fails.
 pub fn resolve_with(mode: ExecutionMode, features: CpuFeatures) -> Result<Backend, String> {
-    match mode {
-        ExecutionMode::Scalar => Ok(Backend::Interpreter),
-        ExecutionMode::Auto => Ok(if features.avx2 && features.fma {
-            Backend::Avx2
-        } else if features.neon {
-            Backend::Neon
-        } else {
-            Backend::Portable
-        }),
-        ExecutionMode::Avx2 => {
-            if features.avx2 && features.fma {
-                Ok(Backend::Avx2)
-            } else {
-                Err(format!(
-                    "execution mode `avx2` needs avx2+fma, host has {features}"
-                ))
-            }
-        }
-        ExecutionMode::Neon => {
-            if features.neon {
-                Ok(Backend::Neon)
-            } else {
-                Err(format!(
-                    "execution mode `neon` needs aarch64 NEON, host has {features}"
-                ))
-            }
-        }
-    }
+    let ExecutionMode::Auto = mode;
+    Ok(if features.avx2 && features.fma {
+        Backend::Avx2
+    } else if features.neon {
+        Backend::Neon
+    } else {
+        Backend::Portable
+    })
 }
 
-/// Resolve a mode on the running host.
+/// The backend `Auto` picks on the running host; never fails.
 pub fn resolve(mode: ExecutionMode) -> Result<Backend, VmError> {
     resolve_with(mode, CpuFeatures::detect()).map_err(VmError::Unsupported)
 }
@@ -333,9 +253,8 @@ pub(crate) enum NativeOps {
     Neon(neon::NeonOps),
 }
 
-/// Row ops for a compiled backend. `backend` must come from [`resolve`] on
-/// this host (forced-mode errors have already been surfaced there); an
-/// unsupported backend still degrades to an error, never a panic.
+/// Row ops for a compiled backend. A backend this host cannot run
+/// degrades to an error, never a panic.
 pub(crate) fn ops_for(backend: Backend) -> Result<NativeOps, VmError> {
     match backend {
         Backend::Interpreter => Err(VmError::Unsupported(
@@ -343,9 +262,12 @@ pub(crate) fn ops_for(backend: Backend) -> Result<NativeOps, VmError> {
         )),
         Backend::Portable => Ok(NativeOps::Portable(PortableOps)),
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => avx2::Avx2Ops::new()
-            .map(NativeOps::Avx2)
-            .ok_or_else(|| VmError::Unsupported("host lost avx2+fma after resolve".into())),
+        Backend::Avx2 => avx2::Avx2Ops::new().map(NativeOps::Avx2).ok_or_else(|| {
+            VmError::Unsupported(format!(
+                "backend `avx2` needs avx2+fma, host has {}",
+                CpuFeatures::detect()
+            ))
+        }),
         #[cfg(target_arch = "aarch64")]
         Backend::Neon => Ok(NativeOps::Neon(neon::NeonOps::new())),
         #[allow(unreachable_patterns)]
@@ -358,18 +280,6 @@ pub(crate) fn ops_for(backend: Backend) -> Result<NativeOps, VmError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mode_names_round_trip() {
-        for mode in ExecutionMode::ALL {
-            assert_eq!(ExecutionMode::parse(&mode.to_string()), Ok(mode));
-        }
-        assert!(ExecutionMode::parse("sse9").is_err());
-        assert_eq!(
-            ExecutionMode::parse("Interpreter"),
-            Ok(ExecutionMode::Scalar)
-        );
-    }
 
     #[test]
     fn auto_never_fails_and_degrades_without_simd() {
@@ -399,48 +309,6 @@ mod tests {
             ..CpuFeatures::default()
         };
         assert_eq!(resolve_with(ExecutionMode::Auto, arm), Ok(Backend::Neon));
-    }
-
-    #[test]
-    fn forced_modes_error_gracefully_when_unsupported() {
-        let none = CpuFeatures::default();
-        let err = resolve_with(ExecutionMode::Avx2, none).unwrap_err();
-        assert!(err.contains("avx2"), "{err}");
-        let err = resolve_with(ExecutionMode::Neon, none).unwrap_err();
-        assert!(err.contains("neon"), "{err}");
-        // and through the host-detecting path they surface as VmError
-        let host = CpuFeatures::detect();
-        if !host.neon {
-            assert!(matches!(
-                resolve(ExecutionMode::Neon),
-                Err(VmError::Unsupported(_))
-            ));
-        }
-    }
-
-    #[test]
-    fn scalar_always_resolves_to_the_interpreter() {
-        for feats in [
-            CpuFeatures::default(),
-            CpuFeatures {
-                avx2: true,
-                fma: true,
-                neon: true,
-            },
-        ] {
-            assert_eq!(
-                resolve_with(ExecutionMode::Scalar, feats),
-                Ok(Backend::Interpreter)
-            );
-        }
-    }
-
-    #[test]
-    fn env_default_is_auto() {
-        // BRICK_EXEC is unset in the test environment
-        if std::env::var("BRICK_EXEC").is_err() {
-            assert_eq!(ExecutionMode::from_env(), ExecutionMode::Auto);
-        }
     }
 
     #[test]

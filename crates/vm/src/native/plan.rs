@@ -14,7 +14,7 @@
 //!    which must hold before the plan can reach a dispatcher.
 //!
 //! A compiled plan therefore always runs on the fused executors; the
-//! interpreter (`ExecutionMode::Scalar`) runs any verified kernel,
+//! interpreter (`Backend::Interpreter`) runs any verified kernel,
 //! including one the fuser refuses.
 
 use brick_codegen::VectorKernel;

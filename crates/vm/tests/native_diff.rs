@@ -21,8 +21,8 @@ use brick_core::{ArrayGrid, BrickGrid};
 use brick_dsl::shape::StencilShape;
 use brick_dsl::DenseGrid;
 use brick_vm::{
-    resolve_with, run_vector_array_backend, run_vector_brick_backend, Backend, CpuFeatures,
-    ExecutionMode, KernelSpec, VmError,
+    resolve_with, run_numeric_dense_backend, run_vector_array_backend, run_vector_brick_backend,
+    Backend, CpuFeatures, ExecutionMode, KernelSpec, VmError,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -140,42 +140,15 @@ proptest! {
     }
 }
 
-/// `Scalar` mode through the public mode dispatch is the interpreter —
-/// trivially bit-identical (the mode must not reroute to a compiled
-/// backend).
-#[test]
-fn scalar_mode_is_the_interpreter() {
-    let feats = CpuFeatures::detect();
-    assert_eq!(
-        resolve_with(ExecutionMode::Scalar, feats),
-        Ok(Backend::Interpreter)
-    );
-    let st = StencilShape::star(2).stencil();
-    let b = st.default_bindings();
-    let kernel = generate(&st, &b, LayoutKind::Brick, 16, CodegenOptions::default()).unwrap();
-    let mut dense = DenseGrid::new(16, 8, 8, 2);
-    dense.fill_test_pattern();
-    let input = BrickGrid::from_dense(&dense, kernel.block);
-    let mut out_interp =
-        BrickGrid::with_metadata(Arc::clone(input.decomp()), Arc::clone(input.info()));
-    let mut out_scalar =
-        BrickGrid::with_metadata(Arc::clone(input.decomp()), Arc::clone(input.info()));
-    run_vector_brick_backend(&kernel, &input, &mut out_interp, Backend::Interpreter).unwrap();
-    brick_vm::run_vector_brick_mode(&kernel, &input, &mut out_scalar, ExecutionMode::Scalar)
-        .unwrap();
-    assert_bits_equal(out_interp.raw(), out_scalar.raw(), "scalar mode");
-}
-
 /// The AVX2-unavailable fallback: on a host without AVX2+FMA, `Auto`
-/// degrades to the portable backend and still executes correctly, while a
-/// forced `avx2` mode errors gracefully (no panic). Exercised with a
-/// synthetic featureless CPU so the path is covered on every host.
+/// degrades to the portable backend and still executes correctly.
+/// Exercised with a synthetic featureless CPU so the path is covered on
+/// every host.
 #[test]
 fn auto_degrades_gracefully_without_avx2() {
     let featureless = CpuFeatures::default();
     let backend = resolve_with(ExecutionMode::Auto, featureless).unwrap();
     assert_eq!(backend, Backend::Portable);
-    assert!(resolve_with(ExecutionMode::Avx2, featureless).is_err());
 
     // The degraded backend really runs — and matches the oracle.
     let st = StencilShape::star(1).stencil();
@@ -200,17 +173,17 @@ fn forced_unsupported_mode_errors_not_panics() {
     dense.fill_test_pattern();
     let input = BrickGrid::from_dense(&dense, kernel.block);
     let mut output = BrickGrid::with_metadata(Arc::clone(input.decomp()), Arc::clone(input.info()));
-    for (supported, mode) in [
-        (feats.avx2 && feats.fma, ExecutionMode::Avx2),
-        (feats.neon, ExecutionMode::Neon),
+    for (supported, backend) in [
+        (feats.avx2 && feats.fma, Backend::Avx2),
+        (feats.neon, Backend::Neon),
     ] {
-        let r = brick_vm::run_vector_brick_mode(&kernel, &input, &mut output, mode);
+        let r = run_vector_brick_backend(&kernel, &input, &mut output, backend);
         if supported {
-            assert!(r.is_ok(), "{mode} supported but failed: {r:?}");
+            assert!(r.is_ok(), "{backend} supported but failed: {r:?}");
         } else {
             assert!(
                 matches!(r, Err(VmError::Unsupported(_))),
-                "{mode} unsupported must error gracefully, got {r:?}"
+                "{backend} unsupported must error gracefully, got {r:?}"
             );
         }
     }
@@ -250,8 +223,8 @@ fn miri_smoke_portable_array_matches_interpreter() {
     assert_bits_equal(&oracle, &got, "miri smoke: array portable");
 }
 
-/// `KernelSpec`-level numeric execution under every mode this host
-/// supports agrees with the scalar reference to the usual tolerance and
+/// `KernelSpec`-level numeric execution on the interpreter and the host's
+/// `Auto` backend agrees with the scalar reference to the usual tolerance and
 /// with the interpreter bitwise.
 #[test]
 fn numeric_dense_mode_matches_reference_and_oracle() {
@@ -266,10 +239,9 @@ fn numeric_dense_mode_matches_reference_and_oracle() {
     for layout in [LayoutKind::Brick, LayoutKind::Array] {
         let spec =
             KernelSpec::Vector(generate(&st, &b, layout, 16, CodegenOptions::default()).unwrap());
-        let oracle =
-            brick_vm::run_numeric_dense_mode(&spec, &input, ExecutionMode::Scalar).unwrap();
+        let oracle = run_numeric_dense_backend(&spec, &input, Backend::Interpreter).unwrap();
         assert!(oracle.max_rel_diff(&expect) < 1e-12);
-        let auto = brick_vm::run_numeric_dense_mode(&spec, &input, ExecutionMode::Auto).unwrap();
+        let auto = brick_vm::run_numeric_dense(&spec, &input).unwrap();
         assert_bits_equal(oracle.raw(), auto.raw(), &format!("{layout} auto"));
     }
 }

@@ -4,9 +4,9 @@
 //! `Plan::compile` produces — paper suite × layouts × widths ×
 //! strategies — proves safe (zero false positives; `compile` itself runs
 //! the prover, so a false positive would abort compilation). One verdict
-//! covers every execution mode: the obligations target the strictest
-//! backend (SIMD fused with streaming stores), and the scalar/portable
-//! modes rely on strictly weaker subsets.
+//! covers every backend: the obligations target the strictest one (SIMD
+//! fused with streaming stores), and the portable backend relies on a
+//! strictly weaker subset.
 //!
 //! Verdicts must also be *deterministic* and *fingerprint-cacheable*:
 //! same kernel → same `SafetySummary`, and kernels with equal

@@ -14,7 +14,7 @@
 //!    sequential chain writes zero output ghosts, so its values near the
 //!    boundary consume zeros where the fused kernel consumed real halo
 //!    data. Inside that margin the fusion must be exact.
-//! 3. **Native execution modes** — the fused kernel under the portable
+//! 3. **Native backends** — the fused kernel under the portable
 //!    compiled backend (and AVX2/NEON where detected) against the
 //!    interpreter, full raw storage. Temporal kernels shift *computed*
 //!    rows, which the native tape-fusion pass materializes into scratch
@@ -28,8 +28,8 @@ use brick_core::{ArrayGrid, BrickGrid};
 use brick_dsl::shape::StencilShape;
 use brick_dsl::{reference, CoeffBindings, DenseGrid};
 use brick_vm::{
-    run_numeric_dense_mode, run_vector_array_backend, run_vector_brick_backend, Backend,
-    CpuFeatures, ExecutionMode, KernelSpec,
+    run_numeric_dense, run_numeric_dense_backend, run_vector_array_backend,
+    run_vector_brick_backend, Backend, CpuFeatures, KernelSpec,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -125,7 +125,7 @@ fn check_config(shape: &StencilShape, b: &CoeffBindings, layout: LayoutKind, wid
 
     // interpreter execution of the fused kernel
     let spec = KernelSpec::Vector(kt.clone());
-    let interp = run_numeric_dense_mode(&spec, &input, ExecutionMode::Scalar).unwrap();
+    let interp = run_numeric_dense_backend(&spec, &input, Backend::Interpreter).unwrap();
 
     // 1. scalar T-step reference: the whole interior, bit for bit (the
     //    dense round-trips may carry different halo widths, so compare
@@ -155,7 +155,7 @@ fn check_config(shape: &StencilShape, b: &CoeffBindings, layout: LayoutKind, wid
     let spec1 = KernelSpec::Vector(k1);
     let mut cur = input.clone();
     for _ in 0..t {
-        cur = run_numeric_dense_mode(&spec1, &cur, ExecutionMode::Scalar).unwrap();
+        cur = run_numeric_dense_backend(&spec1, &cur, Backend::Interpreter).unwrap();
     }
     let margin = (t as i64 - 1) * shape.radius as i64;
     assert_deep_interior_equal(&cur, &interp, margin, &format!("{ctx} vs sequential"));
@@ -278,8 +278,8 @@ fn numeric_dense_auto_matches_interpreter_for_fused() {
         let spec = KernelSpec::Vector(kt);
         let mut input = DenseGrid::new(16, 8, 8, t as usize);
         input.fill_test_pattern();
-        let oracle = run_numeric_dense_mode(&spec, &input, ExecutionMode::Scalar).unwrap();
-        let auto = run_numeric_dense_mode(&spec, &input, ExecutionMode::Auto).unwrap();
+        let oracle = run_numeric_dense_backend(&spec, &input, Backend::Interpreter).unwrap();
+        let auto = run_numeric_dense(&spec, &input).unwrap();
         assert_bits_equal(oracle.raw(), auto.raw(), &format!("t{t} auto"));
     }
 }

@@ -87,10 +87,10 @@ or BENCH_exec.json, recognised by content — with noise-aware tolerances
 renders (or appends to) an append-only JSONL bench history keyed on each
 run's git SHA.
 
-`bricks exec` reports how the CPU execution backend resolves on this
-host: detected SIMD features, the BRICK_EXEC default, and the backend
-each mode (scalar|auto|avx2|neon) dispatches to (every backend is
-bit-identical to the interpreter; see the differential suite in
+`bricks exec` reports the CPU execution backends of this host: detected
+SIMD features, the backend 'auto' dispatches to, and every backend the
+host can run (interpreter, portable, avx2 or neon; every backend is
+bit-identical to the interpreter, see the differential suite in
 brick-vm).
 
 For the paper's tables and figures, and for every measurement that
@@ -104,6 +104,14 @@ fn shape_of(kind: &str, radius: &str) -> Result<StencilShape, String> {
         "star" => Ok(StencilShape::star(r)),
         "cube" => Ok(StencilShape::cube(r)),
         other => Err(format!("unknown shape {other} (star|cube)")),
+    }
+}
+
+/// A `<width>` argument: the brick's x extent, so it must be positive.
+fn width_of(width: &str) -> Result<usize, String> {
+    match width.parse().map_err(|e| format!("width: {e}"))? {
+        0 => Err("width must be positive".into()),
+        w => Ok(w),
     }
 }
 
@@ -294,6 +302,9 @@ fn tune_cmd(shape: StencilShape, arch: GpuArch, model: ProgModel) -> Result<(), 
 
 fn reuse_cmd(shape: StencilShape, width: usize) -> Result<(), String> {
     let n = 128;
+    if n % width != 0 {
+        return Err(format!("width {width} must divide the {n}^3 reuse domain"));
+    }
     let st = shape.stencil();
     let b = st.default_bindings();
     let radius = shape.radius as usize;
@@ -687,22 +698,28 @@ fn load_json(path: &str) -> Result<serde_json::Value, String> {
     serde_json::parse(&text).map_err(|e| format!("{path}: not JSON: {e}"))
 }
 
-/// Report the host's execution-backend resolution: CPU features, the
-/// `BRICK_EXEC` default, and the backend each [`ExecutionMode`] would
-/// dispatch to.
+/// Report the host's execution backends: CPU features, the backend
+/// `Auto` dispatches to, and every [`Backend`] this host can run.
 fn exec_cmd() -> Result<(), String> {
-    use bricks_repro::vm::{resolve_with, CpuFeatures, ExecutionMode};
+    use bricks_repro::vm::{resolve_with, Backend, CpuFeatures, ExecutionMode};
 
     let features = CpuFeatures::detect();
+    let runnable: Vec<String> = [
+        (true, Backend::Interpreter),
+        (true, Backend::Portable),
+        (features.avx2 && features.fma, Backend::Avx2),
+        (features.neon, Backend::Neon),
+    ]
+    .iter()
+    .filter(|(runs, _)| *runs)
+    .map(|(_, b)| b.to_string())
+    .collect();
     println!("cpu features: [{features}]");
-    println!("BRICK_EXEC default: {}", ExecutionMode::from_env());
-    for mode in ExecutionMode::ALL {
-        let name = format!("{mode:<6}", mode = mode.to_string());
-        match resolve_with(mode, features) {
-            Ok(b) => println!("  {name} -> {b}"),
-            Err(e) => println!("  {name} -> unavailable: {e}"),
-        }
-    }
+    println!(
+        "auto backend: {}",
+        resolve_with(ExecutionMode::Auto, features)?
+    );
+    println!("runnable backends: {}", runnable.join(", "));
     Ok(())
 }
 
@@ -742,12 +759,9 @@ fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let strs: Vec<&str> = args.iter().map(String::as_str).collect();
     match strs.as_slice() {
-        ["inspect", kind, radius, width] => {
-            let w: usize = width.parse().map_err(|e| format!("width: {e}"))?;
-            inspect(shape_of(kind, radius)?, w, 1)
-        }
+        ["inspect", kind, radius, width] => inspect(shape_of(kind, radius)?, width_of(width)?, 1),
         ["inspect", kind, radius, width, "--temporal", t] => {
-            let w: usize = width.parse().map_err(|e| format!("width: {e}"))?;
+            let w = width_of(width)?;
             let t: u32 = t.parse().map_err(|e| format!("--temporal: {e}"))?;
             if !(1..=4).contains(&t) {
                 return Err(format!("--temporal {t}: the 4x4 block caps T at 4"));
@@ -769,10 +783,7 @@ fn run() -> Result<(), String> {
         ["tune", kind, radius, gpu, model] => {
             tune_cmd(shape_of(kind, radius)?, arch_of(gpu)?, model_of(model)?)
         }
-        ["reuse", kind, radius, width] => {
-            let w: usize = width.parse().map_err(|e| format!("width: {e}"))?;
-            reuse_cmd(shape_of(kind, radius)?, w)
-        }
+        ["reuse", kind, radius, width] => reuse_cmd(shape_of(kind, radius)?, width_of(width)?),
         ["lint"] => lint_cmd(None, false),
         ["lint", "--json"] => lint_cmd(None, true),
         ["lint", "--native"] => lint_native_cmd(false),

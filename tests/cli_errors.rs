@@ -26,3 +26,23 @@ fn prof_sim_rejects_a_domain_its_bricks_cannot_tile() {
         assert!(!stderr.contains("panicked"), "--n {n}: {stderr}");
     }
 }
+
+#[test]
+fn inspect_and_reuse_reject_a_width_their_bricks_cannot_take() {
+    // width 0 is an empty brick; reuse traces a fixed 128^3 domain,
+    // which 7 does not divide
+    for (args, expect) in [
+        (&["inspect", "star", "1", "0"][..], "width must be positive"),
+        (&["reuse", "star", "1", "0"], "width must be positive"),
+        (
+            &["reuse", "star", "1", "7"],
+            "width 7 must divide the 128^3 reuse domain",
+        ),
+    ] {
+        let out = bricks(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(expect), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}

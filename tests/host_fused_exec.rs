@@ -18,8 +18,8 @@ use bricks_repro::core::{ArrayGrid, BrickDims, BrickGrid};
 use bricks_repro::dsl::shape::StencilShape;
 use bricks_repro::dsl::DenseGrid;
 use bricks_repro::vm::{
-    run_vector_array_backend, run_vector_array_mode, run_vector_brick_backend,
-    run_vector_brick_mode, Backend, ExecutionMode, Plan,
+    run_vector_array, run_vector_array_backend, run_vector_brick, run_vector_brick_backend,
+    Backend, Plan,
 };
 
 const N: usize = 32;
@@ -58,7 +58,7 @@ fn run(k: &VectorKernel, input: &DenseGrid, native: bool) -> Vec<f64> {
                 BrickGrid::with_metadata(Arc::clone(grid.decomp()), Arc::clone(grid.info()));
             out.raw_mut().fill(SENTINEL);
             if native {
-                run_vector_brick_mode(k, &grid, &mut out, ExecutionMode::Auto).unwrap();
+                run_vector_brick(k, &grid, &mut out).unwrap();
             } else {
                 run_vector_brick_backend(k, &grid, &mut out, Backend::Interpreter).unwrap();
             }
@@ -70,7 +70,7 @@ fn run(k: &VectorKernel, input: &DenseGrid, native: bool) -> Vec<f64> {
             let mut out = ArrayGrid::new(nx, ny, nz, input.halo());
             out.dense_mut().raw_mut().fill(SENTINEL);
             if native {
-                run_vector_array_mode(k, &grid, &mut out, ExecutionMode::Auto).unwrap();
+                run_vector_array(k, &grid, &mut out).unwrap();
             } else {
                 run_vector_array_backend(k, &grid, &mut out, Backend::Interpreter).unwrap();
             }

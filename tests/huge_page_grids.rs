@@ -11,7 +11,7 @@ use bricks_repro::core::{BrickDecomp, BrickDims, BrickGrid, BrickOrdering};
 use bricks_repro::dsl::dense::zeroed_buffer;
 use bricks_repro::dsl::shape::StencilShape;
 use bricks_repro::dsl::DenseGrid;
-use bricks_repro::vm::{run_vector_brick_backend, run_vector_brick_mode, Backend, ExecutionMode};
+use bricks_repro::vm::{run_vector_brick, run_vector_brick_backend, Backend};
 
 const N: usize = 64;
 const WIDTH: usize = 32;
@@ -49,7 +49,7 @@ fn star7_bricks_above_the_threshold_match_the_interpreter_on_two_threads() {
         out.raw_mut().fill(SENTINEL);
         pool.install(|| {
             if native {
-                run_vector_brick_mode(&k, &input, &mut out, ExecutionMode::Auto)
+                run_vector_brick(&k, &input, &mut out)
             } else {
                 run_vector_brick_backend(&k, &input, &mut out, Backend::Interpreter)
             }
