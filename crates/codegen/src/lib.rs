@@ -27,7 +27,6 @@
 //! ```
 
 pub mod emit;
-pub mod emit_cpu;
 pub mod generate;
 pub mod ir;
 pub mod regalloc;
@@ -35,7 +34,6 @@ pub mod spec;
 pub(crate) mod temporal;
 
 pub use emit::{emit_scalar, emit_vector, Dialect};
-pub use emit_cpu::{emit_cpu_vector, CpuIsa};
 pub use generate::{fused_vreg_count, generate, CodegenError, CodegenOptions, VREG_CAPACITY};
 pub use ir::{KernelStats, LayoutKind, Strategy, VOp, VectorKernel};
 pub use spec::SpecParams;

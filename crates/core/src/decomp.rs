@@ -46,7 +46,8 @@ impl BrickDecomp {
     /// `radius` on every axis.
     ///
     /// Each interior extent must be a positive multiple of the brick
-    /// extent on that axis.
+    /// extent on that axis, and the bricks must fit the `u32` ids
+    /// ([`BrickDecomp::brick_count`] is `Some`).
     pub fn new(
         extents: (usize, usize, usize),
         dims: BrickDims,
@@ -64,19 +65,14 @@ impl BrickDecomp {
                 b[d]
             );
         }
+        let total = Self::brick_count(extents, dims, radius).expect("too many bricks for u32 ids");
         let interior = [nx / dims.bx, ny / dims.by, nz / dims.bz];
-        let ghost = [
-            radius.div_ceil(dims.bx).max(1),
-            radius.div_ceil(dims.by).max(1),
-            radius.div_ceil(dims.bz).max(1),
-        ];
+        let ghost = ghost_layers(dims, radius);
         let shell = [
             interior[0] + 2 * ghost[0],
             interior[1] + 2 * ghost[1],
             interior[2] + 2 * ghost[2],
         ];
-        let total = shell[0] * shell[1] * shell[2];
-        assert!(total < u32::MAX as usize, "too many bricks for u32 ids");
 
         // Enumerate all brick-grid coordinates, then order them.
         let mut order: Vec<[u32; 3]> = Vec::with_capacity(total);
@@ -106,6 +102,28 @@ impl BrickDecomp {
             grid,
             coords,
         }
+    }
+
+    /// Bricks, ghost shell included, that [`BrickDecomp::new`] lays out
+    /// for these arguments; `None` when an extent is not a positive
+    /// multiple of its brick extent or when the bricks outnumber the
+    /// `u32` ids (`u32::MAX` is [`NO_BRICK`]).
+    pub fn brick_count(
+        extents: (usize, usize, usize),
+        dims: BrickDims,
+        radius: usize,
+    ) -> Option<usize> {
+        let n = [extents.0, extents.1, extents.2];
+        let b = [dims.bx, dims.by, dims.bz];
+        let ghost = ghost_layers(dims, radius);
+        let mut total = 1usize;
+        for d in 0..3 {
+            if n[d] == 0 || !n[d].is_multiple_of(b[d]) {
+                return None;
+            }
+            total = total.checked_mul((n[d] / b[d]).checked_add(2 * ghost[d])?)?;
+        }
+        (total < NO_BRICK as usize).then_some(total)
     }
 
     #[inline]
@@ -262,6 +280,11 @@ impl BrickDecomp {
     }
 }
 
+/// Ghost-brick layers per axis that cover a stencil of `radius`.
+fn ghost_layers(dims: BrickDims, radius: usize) -> [usize; 3] {
+    [dims.bx, dims.by, dims.bz].map(|b| radius.div_ceil(b).max(1))
+}
+
 /// 3-D Morton code (bit interleave) of brick-grid coordinates; supports
 /// coordinates up to 2^21 − 1 which is far beyond any realistic brick
 /// count.
@@ -295,6 +318,16 @@ mod tests {
         assert_eq!(d.num_bricks(), 64);
         assert_eq!(d.num_interior_bricks(), 8);
         assert_eq!(d.extents(), (8, 8, 8));
+        let dims = BrickDims::new(4, 4, 4);
+        assert_eq!(BrickDecomp::brick_count((8, 8, 8), dims, 1), Some(64));
+        assert_eq!(BrickDecomp::brick_count((6, 8, 8), dims, 1), None);
+        assert_eq!(BrickDecomp::brick_count((0, 8, 8), dims, 1), None);
+        // 1024002^2 x 128002 bricks: more than u32 ids can number
+        let n = 4_096_000;
+        assert_eq!(
+            BrickDecomp::brick_count((n, n, n), BrickDims::new(4, 4, 32), 1),
+            None
+        );
     }
 
     #[test]

@@ -156,9 +156,7 @@ pub fn run_bench_exec(n: usize, out_dir: Option<&Path>) -> Result<BenchExec, Str
         shape.label(),
         BENCH_EXEC_WIDTH
     );
-    let manifest = brick_obs::RunManifest::begin(&config_json)
-        .with_exec_mode("auto")
-        .with_jobs(executor_threads() as u64);
+    let manifest = brick_obs::RunManifest::begin(&config_json).with_jobs(executor_threads() as u64);
 
     let mut dense = DenseGrid::cubic(n, st.radius() as usize);
     dense.fill_test_pattern();
@@ -263,7 +261,6 @@ mod tests {
         if cfg!(target_os = "linux") {
             assert!(b.anon_huge_mb.is_some_and(|mb| mb >= 0.0));
         }
-        assert_eq!(b.manifest.exec_mode.as_deref(), Some("auto"));
         assert_eq!(b.manifest.jobs, Some(executor_threads() as u64));
         let json = serde_json::to_string(&b).unwrap();
         let back: BenchExec = serde_json::from_str(&json).unwrap();

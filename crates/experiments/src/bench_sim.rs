@@ -95,8 +95,8 @@ pub struct BenchSim {
     /// the wave-periodic fast-forward engages (`None` when the base run
     /// already is 512³).
     pub fidelity_full: Option<FidelityComparison>,
-    /// Provenance of the cold throughput sweep: git SHA, fidelity, jobs,
-    /// cache outcome — what `bricks prof history` keys its timeline on.
+    /// Provenance of the cold throughput sweep: git SHA, jobs and cache
+    /// outcome.
     pub manifest: brick_obs::RunManifest,
 }
 

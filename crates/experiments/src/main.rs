@@ -19,7 +19,6 @@ use experiments::{
     bench_exec, bench_overhead, bench_sim, figures, golden, tables, temporal, tune,
     ExperimentParams, SweepOptions,
 };
-use gpu_sim::SimFidelity;
 
 struct Args {
     n: Option<usize>,
@@ -28,7 +27,6 @@ struct Args {
     prof: bool,
     jobs: Option<usize>,
     no_cache: bool,
-    fidelity: Option<SimFidelity>,
     bench: Vec<BenchKind>,
     temporal: bool,
     temporal_degree: Option<u32>,
@@ -70,7 +68,6 @@ fn parse_args() -> Result<Args, String> {
         prof: false,
         jobs: None,
         no_cache: false,
-        fidelity: None,
         bench: Vec::new(),
         temporal: false,
         temporal_degree: None,
@@ -145,14 +142,6 @@ fn parse_args() -> Result<Args, String> {
                         .map_err(|e| format!("--n: {e}"))?,
                 );
             }
-            "--fidelity" => {
-                args.fidelity = Some(
-                    it.next()
-                        .ok_or("--fidelity needs a value (exact|fast)")?
-                        .parse()
-                        .map_err(|e: String| format!("--fidelity: {e}"))?,
-                );
-            }
             "--bench" => {
                 let v = it
                     .next()
@@ -205,7 +194,7 @@ fn parse_args() -> Result<Args, String> {
 const HELP: &str = "usage: experiments [--all] [--table1..5] [--compare] [--fig3..7] [--listings]
                    [--temporal] [--temporal-degree T] [--n N] [--full]
                    [--tune] [--tune-space full|smoke|minimal]
-                   [--out DIR] [--jobs N] [--no-cache] [--fidelity exact|fast]
+                   [--out DIR] [--jobs N] [--no-cache]
                    [--bench sim|exec|temporal|tune|overhead]...
                    [--bless] [--trace] [--prof]
 
@@ -222,12 +211,6 @@ reruns are incremental; --no-cache disables the cache for this run.
 the smoke-space tuner run) and rewrites the checked-in golden artifacts
 under crates/experiments/tests/golden (only after an intentional model
 change — see EXPERIMENTS.md).
-
---fidelity selects the memory-simulation path: 'fast' (default) replays
-one compiled access stream per block equivalence class, 'exact' traces
-every block through the interpreter. Both produce bit-identical results
-(enforced in CI); exact exists as the oracle and for debugging the fast
-path.
 
 --bench KIND runs one gated measurement, writes DIR/BENCH_KIND.json and
 exits non-zero if a gate fails; repeat it to run several kinds. --n N
@@ -433,9 +416,6 @@ fn main() -> ExitCode {
         }
         if !args.no_cache {
             opts.cache_dir = Some(args.out.join("simcache"));
-        }
-        if let Some(f) = args.fidelity {
-            opts.fidelity = f;
         }
         opts
     };

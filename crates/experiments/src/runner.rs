@@ -21,7 +21,7 @@ use brick_dsl::shape::StencilShape;
 use brick_dsl::StencilAnalysis;
 use brick_sweep::{map_cells, Jobs};
 use brick_tuner::cell::{paper_spec, Cell, Evaluator, Measurement};
-use gpu_sim::{GpuArch, GpuKind, ProgModel, SimFidelity};
+use gpu_sim::{GpuArch, GpuKind, ProgModel};
 use roofline::Roofline;
 
 use crate::config::{ExperimentParams, KernelConfig};
@@ -201,21 +201,17 @@ pub struct SweepOptions {
     /// Sub-matrix to run, in the paper and the temporal sweep (default:
     /// the full matrix).
     pub filter: CellFilter,
-    /// Simulation fidelity (default `Fast`; bit-identical to `Exact` by
-    /// the differential contract, and part of every cell's cache key).
-    pub fidelity: SimFidelity,
 }
 
 impl SweepOptions {
     /// Defaults: full matrix, no disk cache, jobs from `BRICK_JOBS` or
-    /// all hardware threads, fast fidelity.
+    /// all hardware threads.
     pub fn new(params: ExperimentParams) -> SweepOptions {
         SweepOptions {
             params,
             jobs: Jobs::from_flag_or_env(None),
             cache_dir: None,
             filter: CellFilter::default(),
-            fidelity: SimFidelity::default(),
         }
     }
 
@@ -234,12 +230,6 @@ impl SweepOptions {
     /// Restrict to a sub-matrix.
     pub fn filter(mut self, filter: CellFilter) -> SweepOptions {
         self.filter = filter;
-        self
-    }
-
-    /// Simulate with the given fidelity.
-    pub fn fidelity(mut self, fidelity: SimFidelity) -> SweepOptions {
-        self.fidelity = fidelity;
         self
     }
 }
@@ -297,7 +287,7 @@ pub(crate) fn run_cells<R: Send>(
     let targets = ProgModel::paper_matrix()
         .into_iter()
         .map(|(gpu, model)| (GpuArch::by_kind(gpu).clone(), model));
-    let ev = Evaluator::open(n, opts.fidelity, opts.cache_dir.as_deref(), targets)
+    let ev = Evaluator::open(n, opts.cache_dir.as_deref(), targets)
         .map_err(|e| SweepError::Cache(e.to_string()))?;
     let rooflines: Vec<_> = ev
         .targets()
@@ -330,11 +320,7 @@ pub(crate) fn run_cells<R: Send>(
     }
     let manifest = manifest
         .finish(start.elapsed().as_secs_f64(), record_wall_s)
-        .with_sweep_info(
-            &opts.fidelity.to_string(),
-            opts.jobs.count() as u64,
-            ev.cache_counts(),
-        );
+        .with_sweep_info(opts.jobs.count() as u64, ev.cache_counts());
     Ok(CellRun {
         records,
         rooflines,

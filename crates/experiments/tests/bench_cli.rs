@@ -1,7 +1,7 @@
 //! `experiments --bench KIND` is the one bench entry point: an unknown
 //! kind or a removed per-kind flag exits 1 with the valid kinds, never
-//! a panic; `overhead` refuses a domain size; the removed executor
-//! switch is an unknown argument; and the overhead document
+//! a panic; `overhead` refuses a domain size; the removed executor and
+//! simulation-path switches are unknown arguments; and the overhead document
 //! it writes is finite, records its bounds and survives a serde round
 //! trip.
 
@@ -17,6 +17,8 @@ fn bad_bench_arguments_exit_1_without_panicking() {
     let removed = ["--bench", "-sim"].concat();
     // the removed executor switch: `--bench exec` always runs `Auto`
     let exec_switch = ["--exec", "-mode"].concat();
+    // the removed simulation-path switch: sweeps always simulate fast
+    let fidelity_switch = ["--fid", "elity"].concat();
     let kinds = "sim|exec|temporal|tune|overhead";
     // overhead's bounds hold at a fixed 64^3; a larger sweep would
     // inflate the denominators and let the gates pass trivially
@@ -31,6 +33,7 @@ fn bad_bench_arguments_exit_1_without_panicking() {
         ),
         (&["--bench", "overhead", "--full"], fixed),
         (&[exec_switch.as_str(), "avx2"], "unknown argument"),
+        (&[fidelity_switch.as_str(), "exact"], "unknown argument"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
             .args(args)

@@ -282,7 +282,6 @@ fn cells_never_read_entries_of_the_previous_schema() {
         arch: arch_fingerprint(&arch),
         model: ProgModel::Cuda,
         n: 64,
-        fidelity: gpu_sim::SimFidelity::default(),
     }
     .disk_key();
     assert_eq!(SCHEMA_VERSION, 5, "the recipe below is v4's");
@@ -298,7 +297,7 @@ fn cells_never_read_entries_of_the_previous_schema() {
         .field("model", ProgModel::Cuda)
         .field("n", 64usize)
         .field("flops", a.flops_per_point)
-        .field("fidelity", gpu_sim::SimFidelity::default())
+        .field("fidelity", "fast")
         .field("temporal", 1u32)
         .f64_bits("theory_ai", a.theoretical_ai)
         .f64_bits("rl_peak", rl.peak_gflops)

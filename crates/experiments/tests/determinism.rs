@@ -4,13 +4,21 @@
 //! the serialized records are byte-identical at **any** jobs count, and a
 //! cache-warm rerun equals the cold run that populated the cache. The
 //! property test drives random sub-matrices through `--jobs 1/2/8`; the
-//! cache test compares cold vs warm byte-for-byte.
+//! cache test compares cold vs warm byte-for-byte. The pipelines simulate
+//! on gpu-sim's fast path only; a differential here holds it to the
+//! exact oracle on every cell both sweeps measure.
 
 use std::fs;
 use std::path::PathBuf;
 
+use brick_codegen::SpecParams;
+use brick_dsl::shape::StencilShape;
+use brick_tuner::cell::{geometry, paper_spec, program};
+use experiments::temporal::feasible_degrees;
 use experiments::{CellFilter, ExperimentParams, KernelConfig, SweepOptions};
-use gpu_sim::{GpuKind, ProgModel, SimFidelity};
+use gpu_sim::{
+    compile_only, simulate_memory_opts, GpuArch, GpuKind, ProgModel, SimFidelity, SimOptions,
+};
 use proptest::prelude::*;
 
 /// Records serialized exactly as artifact writers see them.
@@ -52,13 +60,10 @@ proptest! {
         cmask in 0u8..8,
     ) {
         let filter = filter_from_masks(smask, gmask, mmask, cmask);
-        // pinned to the fast (block-class) fidelity: the production
-        // default must be schedule-independent like the exact oracle
         let opts = |jobs: usize| {
             SweepOptions::new(ExperimentParams { n: 64 })
                 .jobs(jobs)
                 .filter(filter.clone())
-                .fidelity(SimFidelity::Fast)
         };
         let serial = records_json(&opts(1));
         let two = records_json(&opts(2));
@@ -69,27 +74,49 @@ proptest! {
 }
 
 #[test]
-fn fast_and_exact_sweeps_are_byte_identical() {
-    // the fidelity contract at the record level: every serialized field —
-    // gflops, ai, byte counts, occupancy — agrees to the last byte, on a
-    // sub-matrix spanning both kernel families and all platforms
-    let filter = CellFilter {
-        stencils: Some(vec!["7pt".to_string(), "125pt".to_string()]),
-        ..CellFilter::default()
-    };
-    let run = |fidelity: SimFidelity| {
-        records_json(
-            &SweepOptions::new(ExperimentParams { n: 64 })
-                .jobs(4)
-                .filter(filter.clone())
-                .fidelity(fidelity),
-        )
-    };
-    assert_eq!(
-        run(SimFidelity::Fast),
-        run(SimFidelity::Exact),
-        "fast records must reproduce exact records bit-for-bit"
-    );
+fn exact_oracle_matches_fast_counters_on_every_sweep_cell() {
+    // A record is a pure function of the memory counters, the compile
+    // result and the Roofline, so equal counters on every cell of the
+    // 64^3 paper matrix and temporal matrix (with
+    // `fresh_sweep_matches_checked_in_goldens`) pin the exact oracle to
+    // the goldens. Each cell is built as the evaluator builds it; the
+    // temporal matrix puts the T-fused kernels under the oracle.
+    let n = 64;
+    let mut cells = Vec::new();
+    for shape in StencilShape::paper_suite() {
+        for (gpu, model) in ProgModel::paper_matrix() {
+            let width = GpuArch::by_kind(gpu).simd_width;
+            for config in KernelConfig::all() {
+                cells.push((shape, config, paper_spec(width), gpu, model));
+            }
+            for t in feasible_degrees(&shape) {
+                let spec = SpecParams {
+                    temporal_degree: t,
+                    ..SpecParams::paper_default(width)
+                };
+                cells.push((shape, KernelConfig::BricksCodegen, spec, gpu, model));
+            }
+        }
+    }
+    assert_eq!(cells.len(), 108 + 84, "paper + temporal matrix");
+    for (shape, config, spec, gpu, model) in cells {
+        let arch = GpuArch::by_kind(gpu);
+        let kernel = program(&shape, config, &spec);
+        let geom = geometry(&shape, config, &spec, n);
+        let (_, _, occ) = compile_only(&kernel, arch, model).expect("paper pairs are supported");
+        let counters = |fidelity| {
+            let opts = SimOptions {
+                fidelity,
+                interleave_chunk: spec.interleave_chunk,
+            };
+            simulate_memory_opts(&kernel, &geom, arch, occ.blocks_per_sm, &opts).counters()
+        };
+        assert_eq!(
+            counters(SimFidelity::Exact),
+            counters(SimFidelity::Fast),
+            "{shape} {config} {spec} on {gpu}/{model}"
+        );
+    }
 }
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -116,11 +143,7 @@ fn temporal_records_json(opts: &SweepOptions) -> String {
 fn temporal_sweep_is_jobs_independent() {
     // the fused matrix under the same contract as the base sweep: the
     // serialized records are byte-identical at any worker count
-    let opts = |jobs: usize| {
-        SweepOptions::new(ExperimentParams { n: 64 })
-            .jobs(jobs)
-            .fidelity(SimFidelity::Fast)
-    };
+    let opts = |jobs: usize| SweepOptions::new(ExperimentParams { n: 64 }).jobs(jobs);
     let serial = temporal_records_json(&opts(1));
     let two = temporal_records_json(&opts(2));
     let eight = temporal_records_json(&opts(8));

@@ -16,7 +16,6 @@ use std::fs;
 use std::path::Path;
 
 use experiments::{golden, ExperimentParams, SweepOptions};
-use gpu_sim::SimFidelity;
 
 /// Check `artifacts` against the goldens; on a mismatch leave the fresh
 /// copies and the diff list where CI picks them up, then fail.
@@ -48,18 +47,6 @@ fn golden_opts() -> SweepOptions {
 fn fresh_sweep_matches_checked_in_goldens() {
     let sweep = experiments::sweep_with(&golden_opts()).expect("golden sweep runs");
     check_or_dump(&golden::golden_artifacts(&sweep), "sweep");
-}
-
-#[test]
-fn goldens_hold_in_both_fidelity_modes() {
-    // the checked-in goldens are fidelity-neutral: the exact oracle and
-    // the fast block-class replay must both reproduce them, which pins
-    // the bit-identical contract to the shipped artifacts themselves
-    for fidelity in [SimFidelity::Exact, SimFidelity::Fast] {
-        let sweep =
-            experiments::sweep_with(&golden_opts().fidelity(fidelity)).expect("golden sweep runs");
-        check_or_dump(&golden::golden_artifacts(&sweep), &format!("{fidelity}"));
-    }
 }
 
 #[test]

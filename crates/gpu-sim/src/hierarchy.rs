@@ -13,8 +13,6 @@
 //! output.
 
 use std::collections::HashMap;
-use std::fmt;
-use std::str::FromStr;
 
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -201,27 +199,6 @@ struct IntroAcc {
 struct IntroSnap {
     l1: Vec<Vec<CacheStats>>,
     buckets: Vec<TrafficBucket>,
-}
-
-impl fmt::Display for SimFidelity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            SimFidelity::Exact => "exact",
-            SimFidelity::Fast => "fast",
-        })
-    }
-}
-
-impl FromStr for SimFidelity {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "exact" => Ok(SimFidelity::Exact),
-            "fast" => Ok(SimFidelity::Fast),
-            other => Err(format!("unknown fidelity '{other}' (exact|fast)")),
-        }
-    }
 }
 
 /// Tunables of the memory-hierarchy simulation.

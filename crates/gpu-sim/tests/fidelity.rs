@@ -225,12 +225,3 @@ fn default_options_are_the_documented_schema() {
     assert_eq!(a.l1, bft.l1);
     assert_eq!(a.l2, bft.l2);
 }
-
-#[test]
-fn fidelity_parses_and_displays() {
-    assert_eq!("exact".parse::<SimFidelity>().unwrap(), SimFidelity::Exact);
-    assert_eq!("fast".parse::<SimFidelity>().unwrap(), SimFidelity::Fast);
-    assert!("quick".parse::<SimFidelity>().is_err());
-    assert_eq!(SimFidelity::Exact.to_string(), "exact");
-    assert_eq!(SimFidelity::Fast.to_string(), "fast");
-}

@@ -27,9 +27,6 @@ pub struct RunManifest {
     pub spans_recorded: u64,
     /// Distinct metrics registered during the run.
     pub metrics_recorded: u64,
-    /// Simulation fidelity the run used (`"fast"`/`"exact"`), when the
-    /// producing workload has one.
-    pub fidelity: Option<String>,
     /// Resolved worker-thread count of the run's cell fan-out, when the
     /// producing workload schedules one.
     pub jobs: Option<u64>,
@@ -39,10 +36,6 @@ pub struct RunManifest {
     pub cache_misses: u64,
     /// Sweep result-cache entries found corrupt during this run.
     pub cache_corrupt: u64,
-    /// Execution mode the run's vector kernels were dispatched under
-    /// (`"scalar"`/`"auto"`/`"avx2"`/`"neon"`), when the producing
-    /// workload executes kernels numerically.
-    pub exec_mode: Option<String>,
     /// Temporal fusion degrees the run swept (empty for the unfused base
     /// matrix, where every kernel is implicitly `T = 1`).
     pub temporal_degrees: Vec<u32>,
@@ -82,17 +75,11 @@ impl RunManifest {
         self
     }
 
-    /// Record the sweep-level provenance: fidelity mode, the resolved
-    /// worker count, and the run's result-cache outcome counts (hits,
-    /// misses, corrupt) — the parts of an incremental run's identity the
-    /// timing fields alone cannot reconstruct.
-    pub fn with_sweep_info(
-        mut self,
-        fidelity: &str,
-        jobs: u64,
-        cache: (u64, u64, u64),
-    ) -> RunManifest {
-        self.fidelity = Some(fidelity.to_string());
+    /// Record the sweep-level provenance: the resolved worker count and
+    /// the run's result-cache outcome counts (hits, misses, corrupt) — the
+    /// parts of an incremental run's identity the timing fields alone
+    /// cannot reconstruct.
+    pub fn with_sweep_info(mut self, jobs: u64, cache: (u64, u64, u64)) -> RunManifest {
         self.jobs = Some(jobs);
         (self.cache_hits, self.cache_misses, self.cache_corrupt) = cache;
         self
@@ -102,13 +89,6 @@ impl RunManifest {
     /// sweep (e.g. the host executor's per-block parallelism).
     pub fn with_jobs(mut self, jobs: u64) -> RunManifest {
         self.jobs = Some(jobs);
-        self
-    }
-
-    /// Record the execution mode the run's vector kernels were dispatched
-    /// under, for workloads that execute kernels numerically.
-    pub fn with_exec_mode(mut self, exec_mode: &str) -> RunManifest {
-        self.exec_mode = Some(exec_mode.to_string());
         self
     }
 
@@ -216,12 +196,10 @@ mod tests {
             record_wall_s: vec![0.5, 1.0],
             spans_recorded: 7,
             metrics_recorded: 3,
-            fidelity: Some("fast".into()),
             jobs: Some(8),
             cache_hits: 100,
             cache_misses: 8,
             cache_corrupt: 1,
-            exec_mode: Some("avx2".into()),
             temporal_degrees: vec![1, 2, 4],
             tune_space_fingerprint: 7,
             tune_raw_cells: 1000,

@@ -1,4 +1,4 @@
-//! Continuous benchmark regression: diffing, gating, history.
+//! Continuous benchmark regression: diffing and gating.
 //!
 //! Operates on `BENCH_sim.json` documents as loosely-typed JSON values,
 //! so a baseline produced by an older build (fewer fields) still diffs
@@ -96,7 +96,7 @@ pub const EXEC_RULES: &[MetricRule] = &[
 /// Pick the rule set for a bench document by its distinguishing key:
 /// `BENCH_exec.json` documents carry an `exec` object (the measured
 /// cell's identity), `BENCH_sim.json` documents do not. Keying on the
-/// document rather than the filename lets `bricks prof diff/gate/history`
+/// document rather than the filename lets `bricks prof diff/gate`
 /// accept either artifact without a mode flag.
 pub fn rules_for(doc: &Value) -> &'static [MetricRule] {
     if doc.get("exec").is_some() {
@@ -198,36 +198,6 @@ pub fn gate(deltas: &[MetricDelta]) -> Result<(), String> {
             bad.join("\n  ")
         ))
     }
-}
-
-/// Append one `BENCH_sim.json` document to a JSONL bench history file.
-pub fn history_append(path: &std::path::Path, doc: &Value) -> Result<(), String> {
-    use std::io::Write;
-    let line = serde_json::to_string(doc).map_err(|e| e.to_string())?;
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .map_err(|e| format!("cannot open {}: {e}", path.display()))?;
-    writeln!(f, "{line}").map_err(|e| format!("cannot append {}: {e}", path.display()))
-}
-
-/// Load a bench history file (one JSON document per line; blank lines
-/// skipped), oldest first.
-pub fn history_load(path: &std::path::Path) -> Result<Vec<Value>, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let mut out = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        out.push(
-            serde_json::parse(line)
-                .map_err(|e| format!("{}:{}: {}", path.display(), i + 1, e.0))?,
-        );
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -349,19 +319,5 @@ mod tests {
         let deltas = diff_bench(&base, &collapse, BENCH_RULES);
         assert_eq!(deltas[0].tolerance, MAX_TOLERANCE);
         assert!(gate(&deltas).is_err());
-    }
-
-    #[test]
-    fn history_round_trips() {
-        let dir = std::env::temp_dir().join(format!("brick-prof-hist-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("history.jsonl");
-        let _ = std::fs::remove_file(&path);
-        history_append(&path, &bench_doc(10.0, 100.0, 8.0)).unwrap();
-        history_append(&path, &bench_doc(11.0, 105.0, 8.5)).unwrap();
-        let h = history_load(&path).unwrap();
-        assert_eq!(h.len(), 2);
-        assert_eq!(lookup(&h[1], "sweep.cold_cells_per_s"), Some(11.0));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

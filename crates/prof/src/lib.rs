@@ -15,7 +15,7 @@
 //!   fraction of sweep wall time, and the top-N hottest cells.
 //! * [`bench`] — the continuous benchmark-regression pipeline: noise-aware
 //!   metric diffing of `BENCH_sim.json` documents, the CI gate that fails
-//!   on regressions beyond tolerance, and an append-only bench history.
+//!   on regressions beyond tolerance.
 //! * [`report`] — rustc-style text renderers for all of the above plus
 //!   [`gpu_sim::SimIntrospection`], driven by `bricks prof`.
 //!
@@ -30,12 +30,9 @@ pub mod sweep;
 pub mod tree;
 
 pub use bench::{
-    diff_bench, gate, history_append, history_load, lookup, rules_for, MetricDelta, MetricRule,
-    BENCH_RULES, EXEC_RULES,
+    diff_bench, gate, lookup, rules_for, MetricDelta, MetricRule, BENCH_RULES, EXEC_RULES,
 };
-pub use report::{
-    render_diff, render_history, render_introspection, render_sweep_profile, render_tree,
-};
+pub use report::{render_diff, render_introspection, render_sweep_profile, render_tree};
 pub use sweep::SweepProfile;
 pub use tree::{normalize_name, ProfileNode, ProfileTree};
 

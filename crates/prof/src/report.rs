@@ -3,9 +3,8 @@
 //! themselves).
 
 use gpu_sim::SimIntrospection;
-use serde_json::Value;
 
-use crate::bench::{lookup, MetricDelta};
+use crate::bench::MetricDelta;
 use crate::sweep::SweepProfile;
 use crate::tree::{ProfileNode, ProfileTree};
 
@@ -222,36 +221,6 @@ pub fn render_diff(deltas: &[MetricDelta]) -> String {
         out.push_str(&format!(
             "{:<26} {:>12} {:>12} {:>9}  {}\n",
             d.path, base, new, change, verdict
-        ));
-    }
-    out
-}
-
-/// Render a bench history: one line per record with provenance (git SHA
-/// from the embedded manifest) and the gated metrics.
-pub fn render_history(history: &[Value]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<4} {:<12} {:>14} {:>14} {:>9} {:>9}\n",
-        "#", "git", "cold cells/s", "warm cells/s", "fast x", "full x"
-    ));
-    for (i, doc) in history.iter().enumerate() {
-        let sha = doc
-            .get("manifest")
-            .and_then(|m| m.get("git_sha"))
-            .and_then(|v| v.as_str())
-            .unwrap_or("-");
-        let sha = &sha[..sha.len().min(10)];
-        let num = |p: &str| lookup(doc, p).map_or("-".into(), |v| format!("{v:.3e}"));
-        let spd = |p: &str| lookup(doc, p).map_or("-".into(), |v| format!("{v:.2}"));
-        out.push_str(&format!(
-            "{:<4} {:<12} {:>14} {:>14} {:>9} {:>9}\n",
-            i + 1,
-            sha,
-            num("sweep.cold_cells_per_s"),
-            num("sweep.warm_cells_per_s"),
-            spd("fidelity.speedup"),
-            spd("fidelity_full.speedup")
         ));
     }
     out

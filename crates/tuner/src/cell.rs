@@ -4,12 +4,12 @@
 //! A *cell* is one kernel on one target at one domain size: a stencil
 //! shape, a layout/codegen configuration ([`KernelConfig`]), a
 //! specialization vector ([`SpecParams`]), an architecture, a
-//! programming model, `n` and a simulation fidelity. [`CellId`] holds
-//! exactly those inputs. The on-disk cache key, the geometry memo key and
-//! the memory-counter memo key are all projections of it, so no key can
-//! leave an input out. The paper and temporal sweeps are fixed points of
-//! the tuner's space: a cell two pipelines share (the tuner's baseline is
-//! the temporal sweep's `T = 1` cell) is simulated and cached once.
+//! programming model and `n`. [`CellId`] holds exactly those inputs. The
+//! on-disk cache key, the geometry memo key and the memory-counter memo
+//! key are all projections of it, so no key can leave an input out. The
+//! paper and temporal sweeps are fixed points of the tuner's space: a cell
+//! two pipelines share (the tuner's baseline is the temporal sweep's
+//! `T = 1` cell) is simulated and cached once.
 //!
 //! [`Evaluator::evaluate`] owns the whole per-cell path, one phase span
 //! after another (phases never nest):
@@ -43,8 +43,7 @@ use brick_dsl::StencilAnalysis;
 use brick_sweep::{CacheKey, CacheOutcome, DiskCache, KeyBuilder};
 use brick_vm::{KernelSpec, ScalarKernel, TraceGeometry};
 use gpu_sim::{
-    assemble, compile_only, simulate_memory_opts, GpuArch, MemCounters, ProgModel, SimFidelity,
-    SimOptions,
+    assemble, compile_only, simulate_memory_opts, GpuArch, MemCounters, ProgModel, SimOptions,
 };
 use roofline::Roofline;
 
@@ -205,8 +204,6 @@ pub struct CellId {
     pub model: ProgModel,
     /// Cubic domain extent.
     pub n: usize,
-    /// Simulation fidelity.
-    pub fidelity: SimFidelity,
 }
 
 /// What a program depends on: the shape, the configuration and the
@@ -216,15 +213,7 @@ type ProgramKey = (StencilShape, KernelConfig, SpecParams);
 
 /// Every input of the memory counters: the cell without its model, which
 /// reaches the memory system only through the resident blocks per SM.
-type CountersKey = (
-    StencilShape,
-    KernelConfig,
-    SpecParams,
-    u64,
-    usize,
-    SimFidelity,
-    u32,
-);
+type CountersKey = (StencilShape, KernelConfig, SpecParams, u64, usize, u32);
 
 impl CellId {
     /// The on-disk cache key.
@@ -236,7 +225,6 @@ impl CellId {
             arch,
             model,
             n,
-            fidelity,
         } = *self;
         KeyBuilder::new("cell", SCHEMA_VERSION)
             .field("shape", shape.full_name())
@@ -245,7 +233,6 @@ impl CellId {
             .fingerprint("arch", arch)
             .field("model", model)
             .field("n", n)
-            .field("fidelity", fidelity)
             .build()
     }
 
@@ -270,9 +257,8 @@ impl CellId {
             arch,
             model: _,
             n,
-            fidelity,
         } = *self;
-        (shape, config, spec, arch, n, fidelity, blocks_per_sm)
+        (shape, config, spec, arch, n, blocks_per_sm)
     }
 }
 
@@ -429,12 +415,11 @@ fn roofline_key(arch_fingerprint: u64, model: ProgModel) -> CacheKey {
         .build()
 }
 
-/// Evaluates cells over a fixed target list at one domain size and
-/// fidelity. Every memo is value-deterministic, so results are identical
-/// at any schedule and with or without a disk cache.
+/// Evaluates cells over a fixed target list at one domain size. Every
+/// memo is value-deterministic, so results are identical at any schedule
+/// and with or without a disk cache.
 pub struct Evaluator {
     n: usize,
-    fidelity: SimFidelity,
     cache: Option<DiskCache>,
     targets: Vec<Target>,
     counters_at_open: (u64, u64, u64),
@@ -449,7 +434,6 @@ impl Evaluator {
     /// measure, or load, the Roofline of every target (`rooflines` phase).
     pub fn open(
         n: usize,
-        fidelity: SimFidelity,
         cache_dir: Option<&Path>,
         targets: impl IntoIterator<Item = (GpuArch, ProgModel)>,
     ) -> std::io::Result<Evaluator> {
@@ -481,7 +465,6 @@ impl Evaluator {
         );
         Ok(Evaluator {
             n,
-            fidelity,
             cache,
             targets,
             counters_at_open,
@@ -520,7 +503,6 @@ impl Evaluator {
             arch: t.fingerprint,
             model: t.model,
             n: self.n,
-            fidelity: self.fidelity,
         }
     }
 
@@ -610,8 +592,8 @@ impl Evaluator {
             let geom = geom_slot.get_or_init(|| id.geometry_key().build());
             let mem = *mem_slot.get_or_init(|| {
                 let sim_opts = SimOptions {
-                    fidelity: self.fidelity,
                     interleave_chunk: cell.spec.interleave_chunk,
+                    ..SimOptions::default()
                 };
                 simulate_memory_opts(spec, geom, arch, occ.blocks_per_sm, &sim_opts).counters()
             });
@@ -677,13 +659,7 @@ mod tests {
     use super::*;
 
     fn a100_evaluator(cache_dir: Option<&Path>) -> Evaluator {
-        Evaluator::open(
-            64,
-            SimFidelity::default(),
-            cache_dir,
-            [(GpuArch::a100(), ProgModel::Cuda)],
-        )
-        .unwrap()
+        Evaluator::open(64, cache_dir, [(GpuArch::a100(), ProgModel::Cuda)]).unwrap()
     }
 
     fn star7(spec: SpecParams) -> Cell {
@@ -749,7 +725,6 @@ mod tests {
             arch: arch_fingerprint(&GpuArch::a100()),
             model: ProgModel::Cuda,
             n: 64,
-            fidelity: SimFidelity::Fast,
         }
     }
 
@@ -794,10 +769,6 @@ mod tests {
                 ..base
             },
             CellId { n: 128, ..base },
-            CellId {
-                fidelity: SimFidelity::Exact,
-                ..base
-            },
         ];
         let mut names = vec![base.disk_key().file_name()];
         for v in variants {

@@ -64,7 +64,7 @@ use brick_codegen::SpecParams;
 use brick_dsl::shape::StencilShape;
 use brick_dsl::{min_live_registers, StencilAnalysis};
 use brick_sweep::{map_cells, Jobs};
-use gpu_sim::{GpuArch, GpuKind, ProgModel, SimFidelity};
+use gpu_sim::{GpuArch, GpuKind, ProgModel};
 
 use cell::{Cell, Evaluator, Measurement, Outcome};
 
@@ -254,8 +254,6 @@ pub struct TuneOptions {
     pub jobs: Jobs,
     /// On-disk cache directory (`None` = no persistent cache).
     pub cache_dir: Option<PathBuf>,
-    /// Simulation fidelity.
-    pub fidelity: SimFidelity,
     /// Enable Roofline upper-bound pruning.
     pub prune: bool,
     /// Ranked-table truncation per group.
@@ -278,7 +276,6 @@ impl TuneOptions {
             space: TuningSpace::default(),
             jobs: Jobs::Auto,
             cache_dir: None,
-            fidelity: SimFidelity::default(),
             prune: true,
             top_k: 10,
         }
@@ -372,7 +369,6 @@ impl std::error::Error for TuneError {}
 #[derive(Serialize)]
 struct TuneConfig {
     n: usize,
-    fidelity: String,
     prune: bool,
     targets: Vec<(GpuKind, ProgModel)>,
     space: TuningSpace,
@@ -408,7 +404,6 @@ pub fn tune_matrix(opts: &TuneOptions) -> Result<TuneReport, TuneError> {
     let start = std::time::Instant::now();
     let config = TuneConfig {
         n: opts.n,
-        fidelity: opts.fidelity.to_string(),
         prune: opts.prune,
         targets: opts
             .targets
@@ -424,7 +419,6 @@ pub fn tune_matrix(opts: &TuneOptions) -> Result<TuneReport, TuneError> {
     // the theoretical ceilings, which dominate these).
     let ev = Evaluator::open(
         opts.n,
-        opts.fidelity,
         opts.cache_dir.as_deref(),
         opts.targets.iter().map(|t| (t.arch.clone(), t.model)),
     )
@@ -621,11 +615,7 @@ pub fn tune_matrix(opts: &TuneOptions) -> Result<TuneReport, TuneError> {
 
     let manifest = manifest
         .finish(start.elapsed().as_secs_f64(), record_wall_s)
-        .with_sweep_info(
-            &opts.fidelity.to_string(),
-            opts.jobs.count() as u64,
-            ev.cache_counts(),
-        )
+        .with_sweep_info(opts.jobs.count() as u64, ev.cache_counts())
         .with_tune_info(
             opts.space.fingerprint(),
             groups.iter().map(|g| g.raw_candidates).sum(),
@@ -660,7 +650,6 @@ pub fn autotune(
         space: space.clone(),
         jobs: Jobs::Auto,
         cache_dir: None,
-        fidelity: SimFidelity::default(),
         prune: false,
         top_k: usize::MAX,
     };

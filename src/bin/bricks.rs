@@ -13,15 +13,11 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use bricks_repro::codegen::{
-    emit_cpu_vector, emit_vector, generate, CodegenOptions, CpuIsa, Dialect, LayoutKind,
-};
+use bricks_repro::codegen::{emit_vector, generate, CodegenOptions, Dialect, LayoutKind};
 use bricks_repro::core::{BrickDecomp, BrickDims, BrickNav, BrickOrdering};
 use bricks_repro::dsl::shape::StencilShape;
 use bricks_repro::dsl::StencilAnalysis;
-use bricks_repro::gpu_sim::{
-    simulate_opts, GpuArch, ProgModel, ReuseAnalyzer, SimFidelity, SimOptions,
-};
+use bricks_repro::gpu_sim::{simulate, GpuArch, ProgModel, ReuseAnalyzer, SimOptions};
 use bricks_repro::metrics::potential_speedup;
 use bricks_repro::roofline::measure;
 use bricks_repro::tuner::{autotune, TuningSpace};
@@ -32,8 +28,7 @@ const HELP: &str = "bricks — BrickLib reproduction toolkit
 usage:
   bricks inspect  <star|cube> <radius> <width> [--temporal T]
                                                         kernel inspection
-  bricks simulate <star|cube> <radius> <gpu> <model> [--fidelity exact|fast]
-                                                        one measurement
+  bricks simulate <star|cube> <radius> <gpu> <model>    one measurement
   bricks tune     <star|cube> <radius> <gpu> <model>    autotune bricks
   bricks reuse    <star|cube> <radius> <width>          reuse distances
   bricks lint     [kernel.json] [--json]                static kernel analysis
@@ -42,20 +37,13 @@ usage:
   bricks exec                                           execution-backend report
   bricks prof sweep <spans.jsonl|PROF_sweep.json> [--json]
                                                         sweep self-profile report
-  bricks prof sim <star|cube> <radius> <gpu> <model> [--n N]
-                  [--fidelity exact|fast] [--json]      simulator introspection
+  bricks prof sim <star|cube> <radius> <gpu> <model> [--n N] [--json]
+                                                        simulator introspection
   bricks prof diff <base.json> <new.json>               compare two BENCH_sim.json
   bricks prof gate <base.json> <new.json>               diff + fail on regression
-  bricks prof history <file.jsonl> [--append BENCH_sim.json]
-                                                        bench history timeline
 
   gpu   = a100 | mi250x | pvc
   model = cuda | hip | sycl
-
-`bricks simulate --fidelity` picks the memory-simulation path: 'fast'
-(default) replays one compiled stream per block equivalence class,
-'exact' traces every block individually. Both are bit-identical by
-contract; exact is the debugging oracle.
 
 `bricks lint` runs the brick-lint static analyzer (verifier, footprint
 proof, reuse and occupancy lints) over every paper stencil at SIMD
@@ -83,9 +71,7 @@ sweep self-profile from a span capture or a saved PROF_sweep.json;
 and per-SM-group traffic, wave timeline — rows sum bit-for-bit to the
 totals); 'diff'/'gate' compare two bench documents — BENCH_sim.json
 or BENCH_exec.json, recognised by content — with noise-aware tolerances
-(gate exits non-zero on a >10% regression, the CI contract); 'history'
-renders (or appends to) an append-only JSONL bench history keyed on each
-run's git SHA.
+(gate exits non-zero on a >10% regression, the CI contract).
 
 `bricks exec` reports the CPU execution backends of this host: detected
 SIMD features, the backend 'auto' dispatches to, and every backend the
@@ -180,21 +166,10 @@ fn inspect(shape: StencilShape, width: usize, temporal: u32) -> Result<(), Strin
     for line in emit_vector(&k, Dialect::Cuda).lines().take(16) {
         println!("{line}");
     }
-    if width.is_multiple_of(8) {
-        println!("\n--- AVX-512 rendering (first 10 lines) ---");
-        for line in emit_cpu_vector(&k, CpuIsa::Avx512).lines().take(10) {
-            println!("{line}");
-        }
-    }
     Ok(())
 }
 
-fn simulate_cmd(
-    shape: StencilShape,
-    arch: GpuArch,
-    model: ProgModel,
-    fidelity: SimFidelity,
-) -> Result<(), String> {
+fn simulate_cmd(shape: StencilShape, arch: GpuArch, model: ProgModel) -> Result<(), String> {
     let n = 256;
     let st = shape.stencil();
     let b = st.default_bindings();
@@ -209,26 +184,18 @@ fn simulate_cmd(
         BrickOrdering::Lexicographic,
     ));
     let geom = TraceGeometry::brick(Arc::new(BrickNav::new(decomp)));
-    let opts = SimOptions {
-        fidelity,
-        ..SimOptions::default()
-    };
-    let sim = simulate_opts(
+    let sim = simulate(
         &KernelSpec::Vector(kernel),
         &geom,
         &arch,
         model,
         a.flops_per_point,
-        &opts,
     )
     .ok_or_else(|| format!("{model} is not supported on {}", arch.name))?;
     let rl = measure(&arch, model).expect("support checked");
     let frac = rl.fraction(sim.gflops, sim.ai);
     let frac_ai = sim.ai / a.theoretical_ai;
-    println!(
-        "bricks codegen, {}^3 on {} / {model} ({fidelity} fidelity)",
-        n, arch.name
-    );
+    println!("bricks codegen, {}^3 on {} / {model}", n, arch.name);
     println!(
         "  performance : {:8.0} GFLOP/s  ({:.0}% of roofline)",
         sim.gflops,
@@ -560,12 +527,8 @@ fn obs_cmd(path: &str) -> Result<(), String> {
         "  observability: {} spans, {} metrics recorded",
         m.spans_recorded, m.metrics_recorded
     );
-    if m.fidelity.is_some() || m.jobs.is_some() {
-        println!(
-            "  sweep        : fidelity {}, jobs {}",
-            m.fidelity.as_deref().unwrap_or("-"),
-            m.jobs.map_or("-".to_string(), |j| j.to_string())
-        );
+    if let Some(jobs) = m.jobs {
+        println!("  sweep        : jobs {jobs}");
         println!(
             "  result cache : {} hits, {} misses, {} corrupt",
             m.cache_hits, m.cache_misses, m.cache_corrupt
@@ -644,7 +607,6 @@ fn prof_sim_cmd(
     arch: GpuArch,
     model: ProgModel,
     n: usize,
-    fidelity: SimFidelity,
     json: bool,
 ) -> Result<(), String> {
     use bricks_repro::gpu_sim::{compile_only, simulate_memory_introspect};
@@ -659,6 +621,12 @@ fn prof_sim_cmd(
             arch.name
         ));
     }
+    let radius = shape.radius as usize;
+    if BrickDecomp::brick_count((n, n, n), dims, radius).is_none() {
+        return Err(format!(
+            "--n {n} makes more {dims} bricks than u32 ids can number"
+        ));
+    }
     let st = shape.stencil();
     let b = st.default_bindings();
     let kernel = generate(&st, &b, LayoutKind::Brick, w, CodegenOptions::default())
@@ -667,27 +635,26 @@ fn prof_sim_cmd(
     let decomp = Arc::new(BrickDecomp::new(
         (n, n, n),
         dims,
-        shape.radius as usize,
+        radius,
         BrickOrdering::Lexicographic,
     ));
     let geom = TraceGeometry::brick(Arc::new(BrickNav::new(decomp)));
     let (_, _, occ) = compile_only(&spec, &arch, model)
         .ok_or_else(|| format!("{model} is not supported on {}", arch.name))?;
-    let opts = SimOptions {
-        fidelity,
-        ..SimOptions::default()
-    };
-    let (_, intro) = simulate_memory_introspect(&spec, &geom, &arch, occ.blocks_per_sm, &opts);
+    let (_, intro) = simulate_memory_introspect(
+        &spec,
+        &geom,
+        &arch,
+        occ.blocks_per_sm,
+        &SimOptions::default(),
+    );
     if json {
         println!(
             "{}",
             serde_json::to_string_pretty(&intro).map_err(|e| e.to_string())?
         );
     } else {
-        println!(
-            "bricks codegen, {n}^3 on {} / {model} ({fidelity} fidelity)\n",
-            arch.name
-        );
+        println!("bricks codegen, {n}^3 on {} / {model}\n", arch.name);
         print!("{}", render_introspection(&intro));
     }
     Ok(())
@@ -741,20 +708,6 @@ fn prof_diff_cmd(base: &str, new: &str, gate: bool) -> Result<(), String> {
     Ok(())
 }
 
-/// Render a bench-history JSONL timeline, optionally appending a new
-/// BENCH_sim.json record first.
-fn prof_history_cmd(path: &str, append: Option<&str>) -> Result<(), String> {
-    use bricks_repro::prof::{history_append, history_load, render_history};
-
-    if let Some(bench) = append {
-        history_append(std::path::Path::new(path), &load_json(bench)?)?;
-        println!("appended {bench} to {path}");
-    }
-    let history = history_load(std::path::Path::new(path))?;
-    print!("{}", render_history(&history));
-    Ok(())
-}
-
 fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let strs: Vec<&str> = args.iter().map(String::as_str).collect();
@@ -768,18 +721,9 @@ fn run() -> Result<(), String> {
             }
             inspect(shape_of(kind, radius)?, w, t)
         }
-        ["simulate", kind, radius, gpu, model] => simulate_cmd(
-            shape_of(kind, radius)?,
-            arch_of(gpu)?,
-            model_of(model)?,
-            SimFidelity::default(),
-        ),
-        ["simulate", kind, radius, gpu, model, "--fidelity", f] => simulate_cmd(
-            shape_of(kind, radius)?,
-            arch_of(gpu)?,
-            model_of(model)?,
-            f.parse()?,
-        ),
+        ["simulate", kind, radius, gpu, model] => {
+            simulate_cmd(shape_of(kind, radius)?, arch_of(gpu)?, model_of(model)?)
+        }
         ["tune", kind, radius, gpu, model] => {
             tune_cmd(shape_of(kind, radius)?, arch_of(gpu)?, model_of(model)?)
         }
@@ -796,7 +740,6 @@ fn run() -> Result<(), String> {
         ["prof", "sweep", path, "--json"] => prof_sweep_cmd(path, true),
         ["prof", "sim", kind, radius, gpu, model, rest @ ..] => {
             let mut n = 256usize;
-            let mut fidelity = SimFidelity::default();
             let mut json = false;
             let mut it = rest.iter();
             while let Some(flag) = it.next() {
@@ -808,12 +751,6 @@ fn run() -> Result<(), String> {
                             .parse()
                             .map_err(|e| format!("--n: {e}"))?;
                     }
-                    "--fidelity" => {
-                        fidelity = it
-                            .next()
-                            .ok_or("--fidelity needs a value (exact|fast)")?
-                            .parse()?;
-                    }
                     "--json" => json = true,
                     other => return Err(format!("unknown prof sim flag {other}")),
                 }
@@ -823,15 +760,12 @@ fn run() -> Result<(), String> {
                 arch_of(gpu)?,
                 model_of(model)?,
                 n,
-                fidelity,
                 json,
             )
         }
         ["exec"] => exec_cmd(),
         ["prof", "diff", base, new] => prof_diff_cmd(base, new, false),
         ["prof", "gate", base, new] => prof_diff_cmd(base, new, true),
-        ["prof", "history", path] => prof_history_cmd(path, None),
-        ["prof", "history", path, "--append", bench] => prof_history_cmd(path, Some(bench)),
         [] | ["--help"] | ["-h"] | ["help"] => {
             println!("{HELP}");
             Ok(())

