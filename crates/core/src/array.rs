@@ -9,6 +9,7 @@
 //! quantifies.
 
 use brick_dsl::DenseGrid;
+use rayon::prelude::*;
 
 use crate::layout::BrickDims;
 
@@ -124,10 +125,11 @@ pub struct ArrayGrid {
 }
 
 impl ArrayGrid {
-    /// Wrap an existing dense grid (copies).
+    /// Wrap a copy of an existing dense grid. The copy is a fresh
+    /// [`DenseGrid::new`] buffer (huge-page advised) filled in parallel.
     pub fn from_dense(dense: &DenseGrid) -> Self {
         ArrayGrid {
-            dense: dense.clone(),
+            dense: par_copy(dense),
         }
     }
 
@@ -148,9 +150,10 @@ impl ArrayGrid {
         &mut self.dense
     }
 
-    /// Convert back to a dense grid (copies).
+    /// Convert back to a dense grid: a parallel copy, as in
+    /// [`Self::from_dense`].
     pub fn to_dense(&self) -> DenseGrid {
-        self.dense.clone()
+        par_copy(&self.dense)
     }
 
     /// Interior extents.
@@ -193,6 +196,27 @@ impl ArrayGrid {
     pub fn tile_address_streams(dims: BrickDims, reach: [i32; 3]) -> usize {
         (dims.by + 2 * reach[1] as usize) * (dims.bz + 2 * reach[2] as usize)
     }
+}
+
+/// Elements per parallel copy chunk (512 KiB).
+const COPY_CHUNK: usize = 1 << 16;
+
+/// A bit-identical copy of `src` in a fresh [`DenseGrid::new`] buffer.
+/// `DenseGrid::clone` copies on one thread into memory without huge-page
+/// advice; this copies in parallel chunks, so the first touch of the new
+/// pages is spread over the workers too.
+fn par_copy(src: &DenseGrid) -> DenseGrid {
+    let (nx, ny, nz) = src.extents();
+    let mut dst = DenseGrid::new(nx, ny, nz, src.halo());
+    let from = src.raw();
+    dst.raw_mut()
+        .par_chunks_mut(COPY_CHUNK)
+        .enumerate()
+        .for_each(|(i, chunk)| {
+            let at = i * COPY_CHUNK;
+            chunk.copy_from_slice(&from[at..at + chunk.len()]);
+        });
+    dst
 }
 
 #[cfg(test)]

@@ -65,46 +65,51 @@ impl BrickGrid {
     }
 
     /// Overwrite brick contents from a dense grid with matching extents.
+    ///
+    /// Every brick element at a logical point inside the dense grid
+    /// (halo included) takes that point's value; every other element is
+    /// zeroed. Bricks fill in parallel, one `bx` row at a time: the part
+    /// of a row inside the dense grid is one slice copy from
+    /// [`DenseGrid::raw`], and the rest of the row is zero-filled.
     pub fn copy_from_dense(&mut self, dense: &DenseGrid) {
         assert_eq!(self.decomp().extents(), dense.extents(), "extent mismatch");
         let dims = self.decomp().dims();
-        let vol = dims.volume();
         let decomp = Arc::clone(self.decomp());
         let halo = dense.halo() as i64;
         let (nx, ny, nz) = dense.extents();
-        let (nx, ny, nz) = (nx as i64, ny as i64, nz as i64);
-        let ghost = decomp.ghost_layers();
-        let b = [dims.bx as i64, dims.by as i64, dims.bz as i64];
+        // exclusive upper bounds of the dense grid's logical coordinates
+        let end = [nx as i64 + halo, ny as i64 + halo, nz as i64 + halo];
+        let src = dense.raw();
         self.data
-            .par_chunks_mut(vol)
+            .par_chunks_mut(dims.volume())
             .enumerate()
             .for_each(|(id, chunk)| {
-                let t = decomp.coords_of(id as u32);
-                let origin = [
-                    (t[0] as i64 - ghost[0] as i64) * b[0],
-                    (t[1] as i64 - ghost[1] as i64) * b[1],
-                    (t[2] as i64 - ghost[2] as i64) * b[2],
-                ];
-                for lz in 0..b[2] {
-                    for ly in 0..b[1] {
-                        for lx in 0..b[0] {
-                            let (x, y, z) = (origin[0] + lx, origin[1] + ly, origin[2] + lz);
-                            let inside = x >= -halo
-                                && x < nx + halo
-                                && y >= -halo
-                                && y < ny + halo
-                                && z >= -halo
-                                && z < nz + halo;
-                            let off = dims.element_offset(lx as usize, ly as usize, lz as usize);
-                            chunk[off] = if inside { dense.get(x, y, z) } else { 0.0 };
-                        }
+                let origin = brick_origin(&decomp, id as u32);
+                // the brick's x-span inside the dense grid, brick-local
+                let lo = (-halo - origin[0]).clamp(0, dims.bx as i64);
+                let hi = (end[0] - origin[0]).clamp(lo, dims.bx as i64);
+                let (lo, hi) = (lo as usize, hi as usize);
+                for (row, dst) in chunk.chunks_exact_mut(dims.bx).enumerate() {
+                    let y = origin[1] + (row % dims.by) as i64;
+                    let z = origin[2] + (row / dims.by) as i64;
+                    let outside = y < -halo || y >= end[1] || z < -halo || z >= end[2];
+                    if outside || lo == hi {
+                        dst.fill(0.0);
+                        continue;
                     }
+                    let at = dense.storage_index(origin[0] + lo as i64, y, z);
+                    dst[..lo].fill(0.0);
+                    dst[lo..hi].copy_from_slice(&src[at..at + (hi - lo)]);
+                    dst[hi..].fill(0.0);
                 }
             });
     }
 
     /// Convert back to a dense grid (halo width = the ghost coverage the
     /// decomposition was built with, clamped to what the dense grid holds).
+    ///
+    /// Dense z-planes fill in parallel, one row at a time: each row is a
+    /// run of slice copies, one per brick it crosses.
     pub fn to_dense(&self) -> DenseGrid {
         let (nx, ny, nz) = self.decomp().extents();
         let dims = self.decomp().dims();
@@ -114,13 +119,27 @@ impl BrickGrid {
             .min(ghost[2] * dims.bz);
         let mut dense = DenseGrid::new(nx, ny, nz, halo);
         let h = halo as i64;
-        for z in -h..(nz as i64 + h) {
-            for y in -h..(ny as i64 + h) {
-                for x in -h..(nx as i64 + h) {
-                    dense.set(x, y, z, self.get(x, y, z));
+        let (sx, sy) = (nx + 2 * halo, ny + 2 * halo);
+        let decomp = self.decomp();
+        let vol = dims.volume();
+        dense
+            .raw_mut()
+            .par_chunks_mut(sx * sy)
+            .enumerate()
+            .for_each(|(iz, plane)| {
+                let z = iz as i64 - h;
+                for (iy, row) in plane.chunks_exact_mut(sx).enumerate() {
+                    let y = iy as i64 - h;
+                    let mut at = 0;
+                    while at < sx {
+                        let (b, off) = decomp.locate(at as i64 - h, y, z);
+                        let len = (dims.bx - off % dims.bx).min(sx - at);
+                        let from = b as usize * vol + off;
+                        row[at..at + len].copy_from_slice(&self.data[from..from + len]);
+                        at += len;
+                    }
                 }
-            }
-        }
+            });
         dense
     }
 
@@ -226,6 +245,16 @@ impl BrickGrid {
     pub fn element_addr(&self, brick: u32, offset: usize) -> u64 {
         ((brick as u64 * self.dims().volume() as u64) + offset as u64) * 8
     }
+}
+
+/// Logical coordinates of a brick's first element: its shell coordinates
+/// less the ghost layers, in points.
+fn brick_origin(decomp: &BrickDecomp, brick: u32) -> [i64; 3] {
+    let t = decomp.coords_of(brick);
+    let ghost = decomp.ghost_layers();
+    let dims = decomp.dims();
+    let b = [dims.bx, dims.by, dims.bz];
+    [0, 1, 2].map(|d| (t[d] as i64 - ghost[d] as i64) * b[d] as i64)
 }
 
 #[cfg(test)]

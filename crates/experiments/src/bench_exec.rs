@@ -9,7 +9,10 @@
 //! recorded. So is the first native call into the freshly allocated
 //! output grid, which pays the first touch of its pages that the warm
 //! best-of-N walls never see, and how much of the process the kernel
-//! backed with transparent huge pages.
+//! backed with transparent huge pages. A conversion row times the four
+//! layout conversions the set-up of a run pays (dense → bricks, bricks →
+//! dense, dense → array) against a measured roof: the same dense bytes
+//! copied in parallel into a fresh buffer.
 //!
 //! [`run_bench_exec`] fails (so CI fails) when a real SIMD backend was
 //! dispatched at full scale and the speedup over the interpreter fell
@@ -24,12 +27,14 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 
 use brick_codegen::{generate, CodegenOptions, LayoutKind};
-use brick_core::{BrickDims, BrickGrid};
+use brick_core::{ArrayGrid, BrickDims, BrickGrid};
+use brick_dsl::dense::zeroed_buffer;
 use brick_dsl::shape::StencilShape;
 use brick_dsl::DenseGrid;
 use brick_vm::{
     executor_threads, resolve_with, run_vector_brick_backend, Backend, CpuFeatures, ExecutionMode,
 };
+use rayon::prelude::*;
 
 use crate::bench::{min_of, spread_of, write_bench, BenchKind};
 
@@ -69,6 +74,28 @@ pub struct ExecMeasurement {
     pub points_per_s: f64,
     /// Relative spread (`max/min - 1`) of the repetitions' wall times.
     pub spread: f64,
+}
+
+/// Best-of-N wall seconds of the layout conversions at the cell's `n`,
+/// each against a measured copy roof.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct ConversionMeasurement {
+    /// `BrickGrid::copy_from_dense` from the cell's dense input into a
+    /// fresh brick slab (shared metadata), ghost bricks included.
+    pub to_bricks_s: f64,
+    /// `BrickGrid::to_dense` of that slab into a fresh dense grid.
+    pub to_dense_s: f64,
+    /// `ArrayGrid::from_dense` of the dense input: a fresh copy.
+    pub to_array_s: f64,
+    /// The roof: the dense input's bytes copied in parallel chunks into a
+    /// fresh `zeroed_buffer`.
+    pub copy_s: f64,
+    /// `copy_s / to_bricks_s`: the conversion's fraction of the roof.
+    pub to_bricks_frac: f64,
+    /// `copy_s / to_dense_s`.
+    pub to_dense_frac: f64,
+    /// `copy_s / to_array_s`.
+    pub to_array_frac: f64,
 }
 
 /// Descriptor of the measured cell (the document's `"exec"` key is also
@@ -115,13 +142,14 @@ pub struct BenchExec {
     /// are built and the first call has written the output; `None` where
     /// `/proc/self/smaps_rollup` cannot be read.
     pub anon_huge_mb: Option<f64>,
-    /// Provenance: git SHA, exec mode (always `auto`), per-repetition
-    /// wall times.
+    /// Layout conversion walls against the copy roof.
+    pub conversion: ConversionMeasurement,
+    /// Provenance: git SHA, per-repetition wall times.
     pub manifest: brick_obs::RunManifest,
 }
 
 /// `BENCH_exec.json` schema version.
-pub const EXEC_SCHEMA_VERSION: u64 = 3;
+pub const EXEC_SCHEMA_VERSION: u64 = 4;
 
 /// `AnonHugePages` of this process in MB (10⁶ bytes), read from
 /// `/proc/self/smaps_rollup`; `None` where that file cannot be read.
@@ -130,6 +158,70 @@ fn anon_huge_mb() -> Option<f64> {
     let line = rollup.lines().find(|l| l.starts_with("AnonHugePages:"))?;
     let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
     Some(kb * 1024.0 / 1e6)
+}
+
+/// Wall seconds of `f`; what `f` returns is dropped outside the clock.
+fn wall_of<T>(f: impl FnOnce() -> T) -> f64 {
+    let t = Instant::now();
+    let out = f();
+    let wall = t.elapsed().as_secs_f64();
+    drop(out);
+    wall
+}
+
+/// Elements per chunk of the copy roof (512 KiB). Halving the source
+/// into one part per worker measured slower and noisier at 512³.
+const ROOF_CHUNK: usize = 1 << 16;
+
+/// A parallel copy of `src` into a fresh `zeroed_buffer` in
+/// [`ROOF_CHUNK`]s: the roof the conversions are measured against. It
+/// shares no code with them, so a slower conversion cannot move it.
+fn copy_roof(src: &[f64]) -> Vec<f64> {
+    let mut dst = zeroed_buffer(src.len());
+    dst.par_chunks_mut(ROOF_CHUNK)
+        .enumerate()
+        .for_each(|(i, chunk)| {
+            let at = i * ROOF_CHUNK;
+            chunk.copy_from_slice(&src[at..at + chunk.len()]);
+        });
+    dst
+}
+
+/// Best-of-`reps` walls of the conversions of `dense` and of `bricks`
+/// (converted from it), each into fresh memory as a run's set-up pays
+/// them, and of the copy roof. Every round times all four in turn, so a
+/// slow stretch of the host hits each series alike.
+fn measure_conversion(dense: &DenseGrid, bricks: &BrickGrid, reps: usize) -> ConversionMeasurement {
+    let mut best = [f64::INFINITY; 4];
+    for _ in 0..reps {
+        let round = [
+            wall_of(|| {
+                let mut fresh = BrickGrid::with_metadata(
+                    Arc::clone(bricks.decomp()),
+                    Arc::clone(bricks.info()),
+                );
+                fresh.copy_from_dense(dense);
+                fresh
+            }),
+            wall_of(|| bricks.to_dense()),
+            wall_of(|| ArrayGrid::from_dense(dense)),
+            wall_of(|| copy_roof(dense.raw())),
+        ];
+        for (b, w) in best.iter_mut().zip(round) {
+            *b = b.min(w);
+        }
+    }
+    let [to_bricks_s, to_dense_s, to_array_s, copy_s] = best;
+    let frac = |s: f64| copy_s / s.max(1e-9);
+    ConversionMeasurement {
+        to_bricks_s,
+        to_dense_s,
+        to_array_s,
+        copy_s,
+        to_bricks_frac: frac(to_bricks_s),
+        to_dense_frac: frac(to_dense_s),
+        to_array_frac: frac(to_array_s),
+    }
 }
 
 /// Measure the cell at size `n` and, when `out_dir` is given, write
@@ -158,11 +250,17 @@ pub fn run_bench_exec(n: usize, out_dir: Option<&Path>) -> Result<BenchExec, Str
     );
     let manifest = brick_obs::RunManifest::begin(&config_json).with_jobs(executor_threads() as u64);
 
+    // Best-of-N per series: full-scale sweeps are seconds each, so three
+    // repetitions bound the cost while the min discards scheduler noise;
+    // smaller sizes are cheap enough for five.
+    let reps: usize = if n >= BENCH_EXEC_N { 3 } else { 5 };
+
     let mut dense = DenseGrid::cubic(n, st.radius() as usize);
     dense.fill_test_pattern();
     let input = BrickGrid::from_dense(&dense, BrickDims::for_simd_width(BENCH_EXEC_WIDTH));
-    let mut output = BrickGrid::with_metadata(Arc::clone(input.decomp()), Arc::clone(input.info()));
+    let conversion = measure_conversion(&dense, &input, reps);
     drop(dense);
+    let mut output = BrickGrid::with_metadata(Arc::clone(input.decomp()), Arc::clone(input.info()));
 
     let t_first = Instant::now();
     run_vector_brick_backend(&kernel, &input, &mut output, backend)
@@ -170,10 +268,6 @@ pub fn run_bench_exec(n: usize, out_dir: Option<&Path>) -> Result<BenchExec, Str
     let first_call_s = t_first.elapsed().as_secs_f64();
     let anon_huge_mb = anon_huge_mb();
 
-    // Best-of-N per series: full-scale sweeps are seconds each, so three
-    // repetitions bound the cost while the min discards scheduler noise;
-    // smaller sizes are cheap enough for five.
-    let reps: usize = if n >= BENCH_EXEC_N { 3 } else { 5 };
     let t_run = Instant::now();
     let mut measure = |series: Backend| -> Result<(ExecMeasurement, Vec<f64>), String> {
         let mut walls = Vec::with_capacity(reps);
@@ -227,6 +321,7 @@ pub fn run_bench_exec(n: usize, out_dir: Option<&Path>) -> Result<BenchExec, Str
         min_speedup,
         first_call_s,
         anon_huge_mb,
+        conversion,
         manifest: manifest.finish(t_run.elapsed().as_secs_f64(), all_walls),
     };
     if let Some(dir) = out_dir {
@@ -268,5 +363,17 @@ mod tests {
         assert_eq!(back.schema, EXEC_SCHEMA_VERSION);
         assert_eq!(back.first_call_s, b.first_call_s);
         assert_eq!(back.anon_huge_mb, b.anon_huge_mb);
+        let c = &b.conversion;
+        for (s, frac) in [
+            (c.to_bricks_s, c.to_bricks_frac),
+            (c.to_dense_s, c.to_dense_frac),
+            (c.to_array_s, c.to_array_frac),
+        ] {
+            assert!(s > 0.0 && frac > 0.0 && frac.is_finite(), "{c:?}");
+            assert_eq!(frac, c.copy_s / s.max(1e-9));
+        }
+        assert!(c.copy_s > 0.0);
+        assert_eq!(back.conversion.to_bricks_s, c.to_bricks_s);
+        assert_eq!(back.conversion.to_array_frac, c.to_array_frac);
     }
 }

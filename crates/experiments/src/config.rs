@@ -3,6 +3,10 @@
 
 use serde::{Deserialize, Serialize};
 
+use brick_core::{BrickDecomp, BrickDims};
+use brick_dsl::shape::StencilShape;
+use gpu_sim::GpuArch;
+
 pub use brick_tuner::KernelConfig;
 
 /// Sweep parameters.
@@ -26,17 +30,40 @@ impl ExperimentParams {
         ExperimentParams { n: 512 }
     }
 
-    /// Validate divisibility by the largest brick extent (MI250X, 64).
+    /// Validate divisibility by the largest brick extent (MI250X, 64),
+    /// and that every platform's bricks, with the ghost shell of the
+    /// widest reach a sweep uses, fit the `u32` brick ids
+    /// ([`BrickDecomp::brick_count`]). Runs before anything is built.
     pub fn validate(&self) -> Result<(), String> {
-        if self.n == 0 || !self.n.is_multiple_of(64) {
+        let n = self.n;
+        if n == 0 || !n.is_multiple_of(64) {
             return Err(format!(
-                "domain extent {} must be a positive multiple of 64 \
-                 (the widest brick, MI250X wave width)",
-                self.n
+                "domain extent {n} must be a positive multiple of 64 \
+                 (the widest brick, MI250X wave width)"
             ));
+        }
+        let reach = max_reach();
+        for arch in GpuArch::table() {
+            let dims = BrickDims::for_simd_width(arch.simd_width);
+            if BrickDecomp::brick_count((n, n, n), dims, reach).is_none() {
+                return Err(format!(
+                    "domain extent {n} makes more {dims} bricks ({}) than u32 ids can number",
+                    arch.name
+                ));
+            }
         }
         Ok(())
     }
+}
+
+/// The widest ghost shell a sweep needs: the largest `T·r` over the paper
+/// stencils and their feasible fusion degrees.
+fn max_reach() -> usize {
+    StencilShape::paper_suite()
+        .iter()
+        .map(|s| (s.radius * crate::temporal::feasible_degrees(s).end()) as usize)
+        .max()
+        .unwrap_or(1)
 }
 
 #[cfg(test)]
@@ -49,6 +76,10 @@ mod tests {
         assert!(ExperimentParams::paper_full().validate().is_ok());
         assert!(ExperimentParams { n: 100 }.validate().is_err());
         assert!(ExperimentParams { n: 0 }.validate().is_err());
+        // a multiple of 64 whose bricks outnumber the u32 ids
+        let err = ExperimentParams { n: 5_000_000 }.validate().unwrap_err();
+        assert!(err.contains("u32 ids"), "{err}");
+        assert_eq!(max_reach(), 4);
         assert_eq!(ExperimentParams::paper_full().n, 512);
     }
 }

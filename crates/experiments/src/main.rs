@@ -329,6 +329,18 @@ fn run_bench(kind: BenchKind, args: &Args) -> Result<(), String> {
                 b.native.points_per_s / 1e6,
                 b.speedup
             );
+            let c = &b.conversion;
+            eprintln!(
+                "conversion vs {:.3}s copy roof: to bricks {:.3}s ({:.2}), to dense {:.3}s ({:.2}), \
+                 to array {:.3}s ({:.2})",
+                c.copy_s,
+                c.to_bricks_s,
+                c.to_bricks_frac,
+                c.to_dense_s,
+                c.to_dense_frac,
+                c.to_array_s,
+                c.to_array_frac
+            );
         }
         BenchKind::Temporal => {
             eprintln!("benchmarking temporal blocking: fused sweep at {n}^3...");

@@ -1,6 +1,8 @@
 //! `experiments --bench KIND` is the one bench entry point: an unknown
 //! kind or a removed per-kind flag exits 1 with the valid kinds, never
-//! a panic; `overhead` refuses a domain size; the removed executor and
+//! a panic; `overhead` refuses a domain size; a domain whose bricks
+//! outnumber the `u32` ids exits 1 before anything is built; the removed
+//! executor and
 //! simulation-path switches are unknown arguments; and the overhead document
 //! it writes is finite, records its bounds and survives a serde round
 //! trip.
@@ -34,6 +36,9 @@ fn bad_bench_arguments_exit_1_without_panicking() {
         (&["--bench", "overhead", "--full"], fixed),
         (&[exec_switch.as_str(), "avx2"], "unknown argument"),
         (&[fidelity_switch.as_str(), "exact"], "unknown argument"),
+        // a multiple of 64 whose bricks outnumber the u32 ids: rejected
+        // before any sweep or bench builds (or allocates) a grid
+        (&["--all", "--n", "5000000"], "u32 ids"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
             .args(args)
