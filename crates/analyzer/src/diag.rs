@@ -33,7 +33,7 @@ impl fmt::Display for Severity {
 /// safety prover discharges over compiled plans.
 ///
 /// `BL0xx` are structural errors (verifier pass), `BL02x` semantic errors
-/// (footprint pass), `BL1xx` warnings (dead code, reuse, occupancy).
+/// (footprint pass), `BL1xx` warnings (dead code, reuse, liveness).
 /// `BSxxx` codes are raised by `brick_vm`'s compile-time safety pass over
 /// lowered `Plan`/`RowProg` programs; each names one precondition the
 /// `unsafe` SIMD row backends rely on (see DESIGN.md §13 for the
@@ -83,12 +83,6 @@ pub enum LintCode {
     /// The kernel declares more registers than are ever simultaneously
     /// live.
     OverProvisionedRegs,
-    /// Register demand exceeds an architecture's per-thread budget: the
-    /// compiler will spill.
-    WillSpill,
-    /// Register demand caps resident warps below the bandwidth-saturation
-    /// occupancy of an architecture.
-    LowOccupancy,
     /// brick-safe: a tap row's resolved address range can escape its
     /// operand slab for some block of some grid.
     UnsafeTapEscapesSlab,
@@ -155,8 +149,9 @@ impl LintCode {
             LintCode::RedundantShift => "BL102",
             LintCode::UnusedCoefficient => "BL103",
             LintCode::OverProvisionedRegs => "BL104",
-            LintCode::WillSpill => "BL110",
-            LintCode::LowOccupancy => "BL111",
+            // BL110/BL111 priced register demand against per-architecture
+            // budgets, which the simulator's compiler models now own; the
+            // codes are never reused.
             LintCode::UnsafeTapEscapesSlab => "BS001",
             LintCode::UnsafeTapNeighborInvalid => "BS002",
             LintCode::UnsafeSeamInvalid => "BS003",
@@ -207,9 +202,7 @@ impl LintCode {
             | LintCode::DuplicateLoad
             | LintCode::RedundantShift
             | LintCode::UnusedCoefficient
-            | LintCode::OverProvisionedRegs
-            | LintCode::WillSpill
-            | LintCode::LowOccupancy => Severity::Warning,
+            | LintCode::OverProvisionedRegs => Severity::Warning,
         }
     }
 }
@@ -402,7 +395,7 @@ mod tests {
         for code in [
             LintCode::DeadDef,
             LintCode::DuplicateLoad,
-            LintCode::WillSpill,
+            LintCode::OverProvisionedRegs,
         ] {
             assert_eq!(code.severity(), Severity::Warning);
         }
@@ -461,8 +454,6 @@ mod tests {
             LintCode::RedundantShift,
             LintCode::UnusedCoefficient,
             LintCode::OverProvisionedRegs,
-            LintCode::WillSpill,
-            LintCode::LowOccupancy,
             LintCode::UnsafeTapEscapesSlab,
             LintCode::UnsafeTapNeighborInvalid,
             LintCode::UnsafeSeamInvalid,

@@ -16,9 +16,13 @@
 //!    the declared weights, without executing the kernel;
 //! 3. **reuse** ([`reuse`]) — duplicate row loads and redundant shifts the
 //!    generator's §3 register-reuse optimization should have eliminated;
-//! 4. **occupancy** ([`occupancy`]) — register liveness priced against
-//!    per-architecture budgets ([`ArchBudget`]): spill and occupancy
-//!    warnings for A100/MI250X/PVC-class register files.
+//! 4. **liveness** ([`liveness`]) — the register high-water mark, recomputed
+//!    from op-level liveness, must not fall below the declared register
+//!    count.
+//!
+//! The analyzer only verifies. What a register count costs (spills,
+//! occupancy) depends on each `(GPU, programming model)` compiler, which
+//! `gpu-sim` models.
 //!
 //! Passes 2–4 only run when the verifier finds no errors, so they may
 //! assume in-range indices. Each pass runs under a `brick-obs` span
@@ -27,28 +31,16 @@
 pub mod bounds;
 pub mod diag;
 pub mod footprint;
-pub mod occupancy;
+pub mod liveness;
 pub mod reuse;
 pub mod verifier;
 
 pub use bounds::{prove_bounds, BoundsProof};
 pub use diag::{Diagnostic, LintCode, Report, Severity};
 pub use footprint::{load_reach, ExpectedStencil, Footprint};
-pub use occupancy::ArchBudget;
 
 use brick_codegen::{VOp, VectorKernel};
 use std::hash::{Hash, Hasher};
-
-/// What to check a kernel against.
-#[derive(Debug, Clone, Default)]
-pub struct LintOptions {
-    /// Declared stencil the footprint pass proves the kernel computes;
-    /// without one the pass still proves all output lanes agree.
-    pub expected: Option<ExpectedStencil>,
-    /// Architecture register budgets for the occupancy pass (budgets whose
-    /// SIMD width differs from the kernel's are skipped).
-    pub budgets: Vec<ArchBudget>,
-}
 
 /// Result of [`analyze`]: the diagnostics plus, when proven, the kernel's
 /// memory footprint.
@@ -67,16 +59,18 @@ impl Analysis {
     }
 }
 
-/// Run all analyzer passes over `kernel`.
-pub fn analyze(kernel: &VectorKernel, opts: &LintOptions) -> Analysis {
+/// Run all analyzer passes over `kernel`. `expected` is the declared
+/// stencil the footprint pass proves the kernel computes; without one the
+/// pass still proves all output lanes agree.
+pub fn analyze(kernel: &VectorKernel, expected: Option<&ExpectedStencil>) -> Analysis {
     let _span = brick_obs::span_cat("lint:analyze", "lint");
     let mut report = Report::new(&kernel.name);
     verifier::run(kernel, &mut report);
     let mut fp = None;
     if !report.has_errors() {
-        fp = footprint::run(kernel, opts.expected.as_ref(), &mut report);
+        fp = footprint::run(kernel, expected, &mut report);
         reuse::run(kernel, &mut report);
-        occupancy::run(kernel, &opts.budgets, &mut report);
+        liveness::run(kernel, &mut report);
     }
     brick_obs::counter_add("lint.kernels_analyzed", 1);
     if report.has_errors() {
@@ -92,7 +86,7 @@ pub fn analyze(kernel: &VectorKernel, opts: &LintOptions) -> Analysis {
 /// VM uses before executing anything. Returns the proven footprint (whose
 /// `reach` drives ghost-coverage checks) or the full report on failure.
 pub fn verify(kernel: &VectorKernel) -> Result<Footprint, Box<Report>> {
-    let a = analyze(kernel, &LintOptions::default());
+    let a = analyze(kernel, None);
     match a.footprint {
         Some(fp) if a.is_clean() => Ok(fp),
         _ => Err(Box::new(a.report)),
@@ -265,11 +259,8 @@ mod tests {
                 let st = shape.stencil();
                 let b = st.default_bindings();
                 let k = generate(&st, &b, layout, 16, CodegenOptions::default()).unwrap();
-                let opts = LintOptions {
-                    expected: Some(ExpectedStencil::resolve(&st, &b).unwrap()),
-                    budgets: Vec::new(),
-                };
-                let a = analyze(&k, &opts);
+                let expected = ExpectedStencil::resolve(&st, &b).unwrap();
+                let a = analyze(&k, Some(&expected));
                 assert!(
                     a.is_clean(),
                     "{shape} {layout}:\n{}",
@@ -306,11 +297,8 @@ mod tests {
                         },
                     )
                     .unwrap();
-                    let opts = LintOptions {
-                        expected: Some(ExpectedStencil::resolve_temporal(&st, &b, t).unwrap()),
-                        budgets: Vec::new(),
-                    };
-                    let a = analyze(&k, &opts);
+                    let expected = ExpectedStencil::resolve_temporal(&st, &b, t).unwrap();
+                    let a = analyze(&k, Some(&expected));
                     assert!(
                         a.is_clean(),
                         "{shape} t{t} {layout}:\n{}",
@@ -341,17 +329,11 @@ mod tests {
             },
         )
         .unwrap();
-        let against_t1 = LintOptions {
-            expected: Some(ExpectedStencil::resolve(&st, &b).unwrap()),
-            budgets: Vec::new(),
-        };
-        assert!(!analyze(&k2, &against_t1).is_clean());
+        let against_t1 = ExpectedStencil::resolve(&st, &b).unwrap();
+        assert!(!analyze(&k2, Some(&against_t1)).is_clean());
         let k1 = generate(&st, &b, LayoutKind::Brick, 16, CodegenOptions::default()).unwrap();
-        let against_t2 = LintOptions {
-            expected: Some(ExpectedStencil::resolve_temporal(&st, &b, 2).unwrap()),
-            budgets: Vec::new(),
-        };
-        assert!(!analyze(&k1, &against_t2).is_clean());
+        let against_t2 = ExpectedStencil::resolve_temporal(&st, &b, 2).unwrap();
+        assert!(!analyze(&k1, Some(&against_t2)).is_clean());
         assert_ne!(fingerprint(&k1), fingerprint(&k2));
     }
 
@@ -393,7 +375,7 @@ mod tests {
                 .unwrap_or(0)
         };
         let base = count_of(&before, "lint.kernels_analyzed");
-        analyze(&tiny_kernel(), &LintOptions::default());
+        analyze(&tiny_kernel(), None);
         let after = brick_obs::metrics::snapshot();
         assert!(count_of(&after, "lint.kernels_analyzed") > base);
     }

@@ -16,7 +16,7 @@
 use brick_codegen::{generate, CodegenOptions, LayoutKind, VOp, VectorKernel};
 use brick_dsl::shape::StencilShape;
 use brick_dsl::{reference, DenseGrid};
-use brick_lint::{analyze, ExpectedStencil, LintOptions};
+use brick_lint::{analyze, ExpectedStencil};
 
 /// A paper kernel together with the stencil it claims to compute.
 fn subject(
@@ -32,11 +32,7 @@ fn subject(
 }
 
 fn is_rejected(k: &VectorKernel, expected: &ExpectedStencil) -> bool {
-    let opts = LintOptions {
-        expected: Some(expected.clone()),
-        budgets: Vec::new(),
-    };
-    !analyze(k, &opts).is_clean()
+    !analyze(k, Some(expected)).is_clean()
 }
 
 /// All deterministic single-op mutants of `k` at op index `i`, labelled.
@@ -261,11 +257,7 @@ fn wrong_coefficient_is_rejected_with_op_span() {
     // statically with a diagnostic naming the op.
     let (mut k, expected) = subject(StencilShape::star(1), LayoutKind::Brick, 16);
     k.coeffs[0] *= 1.5;
-    let opts = LintOptions {
-        expected: Some(expected),
-        budgets: Vec::new(),
-    };
-    let a = analyze(&k, &opts);
+    let a = analyze(&k, Some(&expected));
     assert!(!a.is_clean(), "corrupted coefficient must be rejected");
     assert!(
         a.report.diagnostics.iter().any(|d| d.op.is_some()),
@@ -304,11 +296,7 @@ fn out_of_adjacency_row_is_rejected_with_op_span() {
         })
         .expect("kernel has a load");
     k.ops[i] = bad;
-    let opts = LintOptions {
-        expected: Some(expected),
-        budgets: Vec::new(),
-    };
-    let a = analyze(&k, &opts);
+    let a = analyze(&k, Some(&expected));
     let hits = a
         .report
         .with_code(brick_lint::LintCode::RowOutsideAdjacency);

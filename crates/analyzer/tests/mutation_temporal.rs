@@ -24,7 +24,7 @@
 use brick_codegen::{generate, CodegenOptions, LayoutKind, Strategy, VOp, VectorKernel};
 use brick_dsl::shape::StencilShape;
 use brick_dsl::{reference, DenseGrid};
-use brick_lint::{analyze, ExpectedStencil, LintOptions};
+use brick_lint::{analyze, ExpectedStencil};
 
 /// A fused paper kernel together with the `T`-step stencil it claims to
 /// compute.
@@ -55,14 +55,10 @@ fn subject(
 /// A mutant is killed if the footprint verifier rejects it against the
 /// composed stencil, or if plan compilation (bounds proof + brick-safe)
 /// refuses to lower it. Fused kernels legitimately hold `T` levels of
-/// plane buffers, so no register budget is imposed — pressure is priced,
-/// not banned (same stance as the temporal sweep's verification).
+/// plane buffers; the simulator prices that register pressure, the
+/// verifier does not ban it.
 fn is_killed(k: &VectorKernel, expected: &ExpectedStencil) -> bool {
-    let opts = LintOptions {
-        expected: Some(expected.clone()),
-        budgets: Vec::new(),
-    };
-    if !analyze(k, &opts).is_clean() {
+    if !analyze(k, Some(expected)).is_clean() {
         return true;
     }
     brick_vm::Plan::compile(k).is_err()
@@ -360,10 +356,6 @@ fn halo_window_off_by_one_is_rejected_with_op_span() {
     // window must be load-bearing, and corrupting it must produce a
     // diagnostic anchored at the load.
     let (k, expected) = subject(StencilShape::star(1), LayoutKind::Brick, 16, 4);
-    let opts = LintOptions {
-        expected: Some(expected),
-        budgets: Vec::new(),
-    };
     let mut caught = false;
     for (i, op) in k.ops.iter().enumerate() {
         let VOp::LoadRow {
@@ -389,7 +381,7 @@ fn halo_window_off_by_one_is_rejected_with_op_span() {
             lane0,
             lanes: lanes - 1,
         };
-        let a = analyze(&m, &opts);
+        let a = analyze(&m, Some(&expected));
         if !a.is_clean() {
             assert!(
                 a.report.diagnostics.iter().any(|d| d.op.is_some()),

@@ -93,16 +93,18 @@ impl From<StencilError> for CodegenError {
     }
 }
 
+/// Live vector registers [`Strategy::Auto`] allows the gather schedule
+/// before it switches to scatter (a typical GPU exposes 255 registers per
+/// thread; sustaining occupancy needs far fewer, so the budget is
+/// conservative).
+pub const AUTO_REGISTER_BUDGET: u32 = 96;
+
 /// Generator options.
 #[derive(Debug, Clone, Copy)]
 pub struct CodegenOptions {
     /// Scheduling strategy; [`Strategy::Auto`] switches to scatter when the
-    /// gather schedule's register pressure exceeds `register_budget`.
+    /// gather schedule's register pressure exceeds [`AUTO_REGISTER_BUDGET`].
     pub strategy: Strategy,
-    /// Per-thread register budget used by [`Strategy::Auto`] (a typical
-    /// GPU exposes 255 registers per thread; sustaining occupancy needs
-    /// far fewer, so the default is conservative).
-    pub register_budget: u32,
     /// `y`/`z` extents of the home block (the brick's `by × bz`).
     pub block_yz: (usize, usize),
     /// Number of stencil timesteps to fuse into the kernel (AN5D-style
@@ -117,7 +119,6 @@ impl Default for CodegenOptions {
     fn default() -> Self {
         CodegenOptions {
             strategy: Strategy::Auto,
-            register_budget: 96,
             block_yz: (4, 4),
             temporal_degree: 1,
         }
@@ -190,7 +191,7 @@ pub fn generate(
         Strategy::Gather | Strategy::Scatter => opts.strategy,
         Strategy::Auto => {
             let gather = build(stencil, &classes, block, layout, Strategy::Gather, 1);
-            if gather.stats.max_live <= opts.register_budget {
+            if gather.stats.max_live <= AUTO_REGISTER_BUDGET {
                 return Ok(gather);
             }
             Strategy::Scatter

@@ -175,7 +175,8 @@ pub enum Strategy {
     /// block's output rows plus one row group.
     Scatter,
     /// Let the generator pick per stencil (scatter when the gather
-    /// schedule's register pressure exceeds the architecture budget).
+    /// schedule's register pressure exceeds
+    /// [`AUTO_REGISTER_BUDGET`](crate::AUTO_REGISTER_BUDGET)).
     Auto,
 }
 

@@ -34,6 +34,8 @@ pub mod spec;
 pub(crate) mod temporal;
 
 pub use emit::{emit_scalar, emit_vector, Dialect};
-pub use generate::{fused_vreg_count, generate, CodegenError, CodegenOptions, VREG_CAPACITY};
+pub use generate::{
+    fused_vreg_count, generate, CodegenError, CodegenOptions, AUTO_REGISTER_BUDGET, VREG_CAPACITY,
+};
 pub use ir::{KernelStats, LayoutKind, Strategy, VOp, VectorKernel};
 pub use spec::SpecParams;

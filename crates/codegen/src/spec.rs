@@ -103,7 +103,6 @@ impl SpecParams {
             strategy: self.strategy,
             block_yz: self.block_yz,
             temporal_degree: self.temporal_degree,
-            ..CodegenOptions::default()
         }
     }
 

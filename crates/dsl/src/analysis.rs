@@ -85,13 +85,14 @@ impl StencilAnalysis {
 ///
 /// A spatial kernel (`temporal_degree == 1`) needs at least one
 /// accumulator and one in-flight load. A fused kernel additionally keeps
-/// every intermediate plane window register-resident (the PR 9 temporal
+/// every intermediate plane window register-resident (the temporal
 /// lowering): each of the `temporal_degree − 1` intermediate stages holds
 /// a `2·radius + 1`-plane sliding window. No register allocator can go
-/// below this, so converting it through the occupancy lint's demand
-/// formula yields a sound *upper* bound on achievable occupancy — exactly
-/// what validity predicates and roofline pruning need (rejecting on a
-/// lower bound of demand never rejects a feasible kernel).
+/// below this, so converting it through the simulator's best-case demand
+/// (`gpu_sim::compiler::reg_demand`) yields a sound *upper* bound on
+/// achievable occupancy — exactly what validity predicates and roofline
+/// pruning need (rejecting on a lower bound of demand never rejects a
+/// feasible kernel).
 pub fn min_live_registers(radius: usize, temporal_degree: u32) -> u32 {
     let windows = temporal_degree.saturating_sub(1) * (2 * radius as u32 + 1);
     windows + 2

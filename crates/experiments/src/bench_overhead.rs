@@ -19,7 +19,7 @@ use brick_codegen::{generate, CodegenOptions, LayoutKind, VectorKernel};
 use brick_core::{BrickDecomp, BrickDims, BrickNav, BrickOrdering};
 use brick_dsl::shape::StencilShape;
 use brick_dsl::StencilAnalysis;
-use brick_lint::{analyze, ArchBudget, ExpectedStencil, LintOptions};
+use brick_lint::{analyze, ExpectedStencil};
 use brick_obs::span;
 use brick_vm::{KernelSpec, Plan, TraceGeometry};
 use gpu_sim::{simulate, GpuArch, ProgModel};
@@ -230,15 +230,10 @@ pub fn measure_overhead(filter: CellFilter) -> Result<BenchOverhead, String> {
         .filter(filter);
     let (disabled_gates, spans_per_simulate) = disabled_gates()?;
     let kernels = paper_kernels()?;
-    let budgets: Vec<ArchBudget> = GpuArch::all().iter().map(GpuArch::lint_budget).collect();
     let lint_all = || {
-        kernels.iter().all(|(k, expected, _)| {
-            let opts = LintOptions {
-                expected: Some(expected.clone()),
-                budgets: budgets.clone(),
-            };
-            analyze(k, &opts).is_clean()
-        })
+        kernels
+            .iter()
+            .all(|(k, expected, _)| analyze(k, Some(expected)).is_clean())
     };
     if !lint_all() {
         return Err("a paper kernel does not verify".to_string());

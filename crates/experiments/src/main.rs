@@ -203,10 +203,10 @@ of Blocked Stencil Computations on GPUs' (SC-W 2023) on the simulated
 GPU substrate. --full runs the paper's 512^3 grid (slow); the default is
 256^3. Artifacts are written to DIR (default ./artifacts).
 
-Sweep cells run in parallel: --jobs N (or BRICK_JOBS=N) sets the worker
-count, default all hardware threads; results are byte-identical at any
-jobs count. Completed cells are cached under DIR/simcache so unchanged
-reruns are incremental; --no-cache disables the cache for this run.
+Sweep cells run in parallel: --jobs N sets the worker count, default all
+hardware threads; results are byte-identical at any jobs count.
+Completed cells are cached under DIR/simcache so unchanged reruns are
+incremental; --no-cache disables the cache for this run.
 --bless reruns the pinned 64^3 golden sweep (plus the temporal sweep and
 the smoke-space tuner run) and rewrites the checked-in golden artifacts
 under crates/experiments/tests/golden (only after an intentional model
@@ -265,7 +265,8 @@ narrowed spaces are incremental.
 --trace records hierarchical spans of the run and writes DIR/trace.json
 (Chrome trace_event format, loadable in chrome://tracing or Perfetto) and
 DIR/spans.jsonl. Sweeps always write DIR/metrics.json and
-DIR/manifest.json; inspect any of them with `bricks obs <file>`.
+DIR/manifest.json. `bricks obs <file>` summarizes spans.jsonl,
+metrics.json and manifest.json.
 BRICK_LOG=info (or debug/trace, with module=level filters) enables
 progress and diagnostic logging.
 

@@ -204,12 +204,11 @@ pub struct SweepOptions {
 }
 
 impl SweepOptions {
-    /// Defaults: full matrix, no disk cache, jobs from `BRICK_JOBS` or
-    /// all hardware threads.
+    /// Defaults: full matrix, no disk cache, all hardware threads.
     pub fn new(params: ExperimentParams) -> SweepOptions {
         SweepOptions {
             params,
-            jobs: Jobs::from_flag_or_env(None),
+            jobs: Jobs::Auto,
             cache_dir: None,
             filter: CellFilter::default(),
         }
@@ -373,10 +372,9 @@ pub fn sweep_with(opts: &SweepOptions) -> Result<Sweep, SweepError> {
     })
 }
 
-/// Run the full study matrix with default scheduling (all hardware
-/// threads or `BRICK_JOBS`) and no disk cache. Panics on invalid
-/// parameters — the historical convenience entry point; use
-/// [`sweep_with`] for structured errors, caching and jobs control.
+/// Run the full study matrix on all hardware threads with no disk cache.
+/// Panics on invalid parameters — the historical convenience entry point;
+/// use [`sweep_with`] for structured errors, caching and jobs control.
 pub fn sweep(params: ExperimentParams) -> Sweep {
     sweep_with(&SweepOptions::new(params)).expect("sweep failed")
 }

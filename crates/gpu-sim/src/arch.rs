@@ -229,20 +229,6 @@ impl GpuArch {
     pub fn max_warps_per_sm(&self) -> u32 {
         self.max_threads_per_sm / self.simd_width as u32
     }
-
-    /// The register/occupancy budget of this architecture, in the form the
-    /// static analyzer's occupancy lint consumes ([`brick_lint::ArchBudget`]).
-    pub fn lint_budget(&self) -> brick_lint::ArchBudget {
-        brick_lint::ArchBudget {
-            name: self.name.to_string(),
-            simd_width: self.simd_width,
-            max_regs_per_thread: self.max_regs_per_thread,
-            regfile_per_sm: self.regfile_per_sm,
-            max_threads_per_sm: self.max_threads_per_sm,
-            max_blocks_per_sm: self.max_blocks_per_sm,
-            bw_saturation_occupancy: self.bw_saturation_occupancy,
-        }
-    }
 }
 
 #[cfg(test)]

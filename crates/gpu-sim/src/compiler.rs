@@ -21,6 +21,20 @@ const THREAD_OVERHEAD_INSTRS: f64 = 15.0;
 /// Average dynamic uses of a spilled value (1 store + `uses` reloads).
 const SPILL_USES: u64 = 2;
 
+/// Fixed per-thread architectural register overhead (prologue, block
+/// indices) of the best-case compiler: the least
+/// [`CompilerModel::reg_overhead`] of any supported pair.
+const REG_OVERHEAD: u32 = 16;
+
+/// Architectural register demand per thread under the best-case compiler:
+/// two 32-bit registers per live f64 plus fixed overhead. No supported
+/// `(GPU, model)` pair lowers a vector kernel of `vector_regs` registers
+/// to fewer (up to the per-thread ceiling), which keeps the tuner's
+/// validity and pruning tiers sound.
+pub fn reg_demand(vector_regs: u32) -> u32 {
+    2 * vector_regs + REG_OVERHEAD
+}
+
 /// A kernel lowered for one `(architecture, programming model)` pair.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CompiledKernel {
@@ -252,6 +266,52 @@ mod tests {
         let ca = compile(&KernelSpec::Vector(auto), &arch, &model);
         assert!(cg.spills());
         assert!(!ca.spills());
+    }
+
+    #[test]
+    fn best_case_demand_never_exceeds_any_compiled_demand() {
+        // the paper suite at every width and feasible temporal degree
+        let mut kernels = Vec::new();
+        for shape in StencilShape::paper_suite() {
+            let st = shape.stencil();
+            let b = st.default_bindings();
+            for layout in [LayoutKind::Brick, LayoutKind::Array] {
+                for width in [16, 32, 64] {
+                    for t in 1..=4 / shape.radius {
+                        let opts = CodegenOptions {
+                            temporal_degree: t,
+                            ..Default::default()
+                        };
+                        kernels.push(generate(&st, &b, layout, width, opts).unwrap());
+                    }
+                }
+            }
+        }
+        // and every register count up to past the per-thread ceiling
+        let base = kernels[0].clone();
+        kernels.extend((0..=160).map(|n| brick_codegen::VectorKernel {
+            num_regs: n,
+            ..base.clone()
+        }));
+
+        // the paper matrix is every supported (GPU, model) pair
+        for k in &kernels {
+            let best = reg_demand(k.num_regs as u32);
+            let spec = KernelSpec::Vector(k.clone());
+            for (gpu, model) in ProgModel::paper_matrix() {
+                let arch = GpuArch::by_kind(gpu);
+                let c = compile(&spec, arch, &cm(gpu, model));
+                assert!(
+                    best.min(arch.max_regs_per_thread) <= c.regs_per_thread,
+                    "{} ({} regs) on {} / {}: best case {best} > compiled {}",
+                    k.name,
+                    k.num_regs,
+                    arch.name,
+                    model,
+                    c.regs_per_thread
+                );
+            }
+        }
     }
 
     #[test]

@@ -20,8 +20,7 @@
 //!   alongside sweep artifacts.
 //!
 //! Binaries call [`init`] once; library crates just emit — everything is
-//! quiet and near-free until an environment variable or the caller turns
-//! it on.
+//! quiet and near-free until `BRICK_LOG` or the caller turns it on.
 
 pub mod logging;
 pub mod manifest;
@@ -40,17 +39,15 @@ pub use span::{
 };
 pub use trace::SpanData;
 
-/// Initialise observability from the environment: `BRICK_LOG` selects the
-/// log filter (default `warn`), `BRICK_TRACE=1` enables span tracing.
-/// Idempotent; binaries call it first thing in `main`.
+/// Initialise logging from the environment: `BRICK_LOG` selects the log
+/// filter (default `warn`). Span tracing stays off until the caller turns
+/// it on with [`set_tracing`]. Idempotent; binaries call it first thing
+/// in `main`.
 pub fn init() {
     if let Ok(spec) = std::env::var("BRICK_LOG") {
         match parse_filter(&spec) {
             Ok(f) => set_filter(f),
             Err(e) => eprintln!("brick-obs: ignoring invalid BRICK_LOG ({e})"),
         }
-    }
-    if std::env::var("BRICK_TRACE").is_ok_and(|v| v != "0" && !v.is_empty()) {
-        set_tracing(true);
     }
 }

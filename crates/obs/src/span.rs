@@ -7,8 +7,8 @@
 //! timeline.
 //!
 //! Tracing is **off** by default: a disabled [`span`] call is one relaxed
-//! atomic load and returns an inert guard. [`set_tracing`] (or
-//! `BRICK_TRACE=1` via [`crate::init`]) turns recording on.
+//! atomic load and returns an inert guard. [`set_tracing`] turns
+//! recording on.
 
 use std::borrow::Cow;
 use std::cell::RefCell;

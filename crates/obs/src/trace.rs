@@ -1,31 +1,17 @@
-//! Span export: Chrome `trace_event` JSON, JSONL, parse-back and text
-//! summaries.
+//! Span export: Chrome `trace_event` JSON for viewers, and JSONL, the one
+//! format the tools read back ([`parse_spans_jsonl`]).
 //!
 //! The Chrome format is the `{"traceEvents": [...]}` object form with
 //! complete (`"ph": "X"`) events — directly loadable in
 //! `chrome://tracing` and Perfetto. Timestamps and durations are
-//! microseconds (fractional), per the trace-event spec.
+//! microseconds (fractional), per the trace-event spec. It is write-only:
+//! it nests events by thread id, which cannot re-parent a cell run on a
+//! worker thread under the sweep that scheduled it; JSONL keeps each
+//! span's parent index.
 
 use serde_json::Value;
 
 use crate::span::{spans_snapshot, SpanRecord};
-
-/// One Chrome `trace_event` complete event.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChromeEvent {
-    /// Event name.
-    pub name: String,
-    /// Category.
-    pub cat: String,
-    /// Timestamp in microseconds from the trace epoch.
-    pub ts_us: f64,
-    /// Duration in microseconds.
-    pub dur_us: f64,
-    /// Process id (always 1 here).
-    pub pid: u64,
-    /// Thread id.
-    pub tid: u64,
-}
 
 fn chrome_value(spans: &[SpanRecord]) -> Value {
     let events: Vec<Value> = spans
@@ -57,45 +43,6 @@ pub fn chrome_trace_json_for(spans: &[SpanRecord]) -> String {
 /// Serialize every recorded span as Chrome `trace_event` JSON.
 pub fn chrome_trace_json() -> String {
     chrome_trace_json_for(&spans_snapshot())
-}
-
-/// Parse a Chrome trace produced by [`chrome_trace_json`] (or any trace
-/// using the object form with complete events).
-pub fn parse_chrome_trace(text: &str) -> Result<Vec<ChromeEvent>, String> {
-    let v = serde_json::parse(text).map_err(|e| e.0)?;
-    let events = v
-        .get("traceEvents")
-        .and_then(Value::as_array)
-        .ok_or("no traceEvents array")?;
-    let mut out = Vec::with_capacity(events.len());
-    for e in events {
-        if e.get("ph").and_then(Value::as_str) != Some("X") {
-            continue; // only complete events carry a duration
-        }
-        out.push(ChromeEvent {
-            name: e
-                .get("name")
-                .and_then(Value::as_str)
-                .ok_or("event without name")?
-                .to_string(),
-            cat: e
-                .get("cat")
-                .and_then(Value::as_str)
-                .unwrap_or_default()
-                .to_string(),
-            ts_us: e
-                .get("ts")
-                .and_then(Value::as_f64)
-                .ok_or("event without ts")?,
-            dur_us: e
-                .get("dur")
-                .and_then(Value::as_f64)
-                .ok_or("event without dur")?,
-            pid: e.get("pid").and_then(Value::as_u64).unwrap_or(1),
-            tid: e.get("tid").and_then(Value::as_u64).unwrap_or(0),
-        });
-    }
-    Ok(out)
 }
 
 /// Serialize `spans` as JSONL: one span object per line.
@@ -219,122 +166,4 @@ pub fn parse_spans_jsonl(text: &str) -> Result<Vec<SpanData>, String> {
         });
     }
     Ok(out)
-}
-
-/// Aggregated per-name span statistics.
-#[derive(Debug, Clone)]
-pub struct SpanStat {
-    /// Span name.
-    pub name: String,
-    /// Number of occurrences.
-    pub count: u64,
-    /// Total (inclusive) time in microseconds.
-    pub total_us: f64,
-    /// Self time — total minus time inside child spans — in microseconds.
-    pub self_us: f64,
-}
-
-/// Aggregate events by name with self-time (total minus the duration of
-/// events strictly nested inside, same tid), sorted by self-time
-/// descending.
-pub fn span_stats(events: &[ChromeEvent]) -> Vec<SpanStat> {
-    // Child time per event: for each event, find its tightest enclosing
-    // event on the same thread and charge the child's duration to it.
-    let mut child_us = vec![0.0f64; events.len()];
-    for (i, e) in events.iter().enumerate() {
-        let mut best: Option<usize> = None;
-        for (j, p) in events.iter().enumerate() {
-            if i == j || p.tid != e.tid {
-                continue;
-            }
-            let encloses = p.ts_us <= e.ts_us
-                && p.ts_us + p.dur_us >= e.ts_us + e.dur_us
-                && p.dur_us > e.dur_us;
-            if encloses && best.is_none_or(|b| events[b].dur_us > p.dur_us) {
-                best = Some(j);
-            }
-        }
-        if let Some(p) = best {
-            child_us[p] += e.dur_us;
-        }
-    }
-
-    let mut by_name: Vec<SpanStat> = Vec::new();
-    for (i, e) in events.iter().enumerate() {
-        let self_us = (e.dur_us - child_us[i]).max(0.0);
-        match by_name.iter_mut().find(|s| s.name == e.name) {
-            Some(s) => {
-                s.count += 1;
-                s.total_us += e.dur_us;
-                s.self_us += self_us;
-            }
-            None => by_name.push(SpanStat {
-                name: e.name.clone(),
-                count: 1,
-                total_us: e.dur_us,
-                self_us,
-            }),
-        }
-    }
-    by_name.sort_by(|a, b| b.self_us.total_cmp(&a.self_us));
-    by_name
-}
-
-/// Render the top-`limit` spans by self-time as a text table.
-pub fn render_span_stats(stats: &[SpanStat], limit: usize) -> String {
-    let mut out = String::from("span                              count   total ms    self ms\n");
-    for s in stats.iter().take(limit) {
-        let name: String = if s.name.len() > 32 {
-            format!("{}…", &s.name[..31])
-        } else {
-            s.name.clone()
-        };
-        out.push_str(&format!(
-            "{name:<33} {:>5} {:>10.3} {:>10.3}\n",
-            s.count,
-            s.total_us / 1e3,
-            s.self_us / 1e3
-        ));
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn ev(name: &str, tid: u64, ts: f64, dur: f64) -> ChromeEvent {
-        ChromeEvent {
-            name: name.into(),
-            cat: "t".into(),
-            ts_us: ts,
-            dur_us: dur,
-            pid: 1,
-            tid,
-        }
-    }
-
-    #[test]
-    fn self_time_subtracts_nested_children() {
-        // outer [0,100) contains mid [10,60) contains inner [20,30)
-        let events = vec![
-            ev("outer", 1, 0.0, 100.0),
-            ev("mid", 1, 10.0, 50.0),
-            ev("inner", 1, 20.0, 10.0),
-        ];
-        let stats = span_stats(&events);
-        let get = |n: &str| stats.iter().find(|s| s.name == n).unwrap();
-        assert!((get("outer").self_us - 50.0).abs() < 1e-9);
-        assert!((get("mid").self_us - 40.0).abs() < 1e-9);
-        assert!((get("inner").self_us - 10.0).abs() < 1e-9);
-        // sorted by self time descending
-        assert_eq!(stats[0].name, "outer");
-    }
-
-    #[test]
-    fn other_threads_do_not_nest() {
-        let events = vec![ev("a", 1, 0.0, 100.0), ev("b", 2, 10.0, 50.0)];
-        let stats = span_stats(&events);
-        assert!(stats.iter().all(|s| (s.self_us - s.total_us).abs() < 1e-9));
-    }
 }

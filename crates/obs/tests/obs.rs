@@ -1,15 +1,13 @@
 //! Integration tests over brick-obs's global state: span nesting and
-//! ordering (including under threads), Chrome trace export/parse
-//! round-trips, and the end-to-end span→stats path.
+//! ordering (including under threads), and the Chrome trace and JSONL
+//! exports.
 //!
 //! The span store is process-global, so tests that use it serialize on
 //! one lock and clear the store at entry.
 
 use std::sync::Mutex;
 
-use brick_obs::trace::{
-    chrome_trace_json, parse_chrome_trace, render_span_stats, span_stats, spans_jsonl,
-};
+use brick_obs::trace::{chrome_trace_json, parse_spans_jsonl, spans_jsonl};
 use brick_obs::{set_tracing, span, span_cat};
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -96,7 +94,7 @@ fn threads_get_independent_stacks() {
 }
 
 #[test]
-fn chrome_trace_round_trips_and_has_schema_fields() {
+fn chrome_trace_is_valid_json_with_one_event_per_span() {
     with_clean_tracing(|| {
         {
             let _a = span_cat("memory-sim", "memory-sim");
@@ -115,16 +113,15 @@ fn chrome_trace_round_trips_and_has_schema_fields() {
             assert!(e.get("pid").and_then(|p| p.as_u64()).is_some());
             assert!(e.get("tid").and_then(|t| t.as_u64()).is_some());
         }
-
-        let parsed = parse_chrome_trace(&json).unwrap();
-        assert_eq!(parsed.len(), 2);
-        let names: Vec<&str> = parsed.iter().map(|e| e.name.as_str()).collect();
+        let field = |k: &str| -> Vec<&str> {
+            events
+                .iter()
+                .filter_map(|e| e.get(k).and_then(|n| n.as_str()))
+                .collect()
+        };
+        let names = field("name");
         assert!(names.contains(&"memory-sim") && names.contains(&"timing"));
-        assert!(parsed.iter().any(|e| e.cat == "memory-sim"));
-
-        let stats = span_stats(&parsed);
-        let rendered = render_span_stats(&stats, 10);
-        assert!(rendered.contains("memory-sim"), "{rendered}");
+        assert!(field("cat").contains(&"memory-sim"));
     });
 }
 
@@ -156,6 +153,8 @@ fn disabled_tracing_records_nothing() {
         let _s = span("invisible");
     }
     assert_eq!(brick_obs::span::spans_recorded(), 0);
-    let parsed = parse_chrome_trace(&chrome_trace_json()).unwrap();
-    assert!(parsed.is_empty());
+    let v = serde_json::parse(&chrome_trace_json()).unwrap();
+    let events = v.get("traceEvents").and_then(|e| e.as_array()).unwrap();
+    assert!(events.is_empty());
+    assert!(parse_spans_jsonl(&spans_jsonl()).unwrap().is_empty());
 }

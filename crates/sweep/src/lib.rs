@@ -34,27 +34,6 @@ pub enum Jobs {
 }
 
 impl Jobs {
-    /// Resolve the request chain `--jobs N` → `BRICK_JOBS` → auto.
-    ///
-    /// `flag` is the CLI value when given. An unset (or invalid)
-    /// `BRICK_JOBS` falls through to [`Jobs::Auto`]; invalid values are
-    /// reported through brick-obs rather than silently swallowed.
-    pub fn from_flag_or_env(flag: Option<usize>) -> Jobs {
-        if let Some(n) = flag {
-            return Jobs::N(n.max(1));
-        }
-        match std::env::var("BRICK_JOBS") {
-            Ok(v) => match v.trim().parse::<usize>() {
-                Ok(0) | Err(_) => {
-                    brick_obs::warn!("ignoring invalid BRICK_JOBS={v:?} (want a positive integer)");
-                    Jobs::Auto
-                }
-                Ok(n) => Jobs::N(n),
-            },
-            Err(_) => Jobs::Auto,
-        }
-    }
-
     /// The concrete worker count this request resolves to.
     pub fn count(self) -> usize {
         match self {
@@ -140,8 +119,6 @@ mod tests {
 
     #[test]
     fn jobs_resolution() {
-        assert_eq!(Jobs::from_flag_or_env(Some(4)), Jobs::N(4));
-        assert_eq!(Jobs::from_flag_or_env(Some(0)), Jobs::N(1), "flag clamped");
         assert_eq!(Jobs::N(0).count(), 1);
         assert_eq!(Jobs::N(7).count(), 7);
         assert!(Jobs::Auto.count() >= 1);

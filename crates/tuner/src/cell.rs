@@ -626,9 +626,9 @@ impl Evaluator {
 
 /// Statically verify a vector program against the `T`-fold composed
 /// stencil, memoised by kernel fingerprint. Scalar kernels have no IR and
-/// pass through. No register budgets: their lints are warnings only, and
-/// the compiler model prices register pressure (spills, occupancy) in the
-/// simulation. Panics with the rendered report on rejection.
+/// pass through. Register pressure (spills, occupancy) is priced by the
+/// compiler model in the simulation, not here. Panics with the rendered
+/// report on rejection.
 fn verify(spec: &KernelSpec, shape: &StencilShape, t: u32, memo: &brick_lint::FingerprintCache) {
     let KernelSpec::Vector(k) = spec else { return };
     if memo.check_or_insert(brick_lint::fingerprint(k)) {
@@ -638,14 +638,9 @@ fn verify(spec: &KernelSpec, shape: &StencilShape, t: u32, memo: &brick_lint::Fi
     let _span = brick_obs::span_cat(format!("lint:cell:{}", k.name), "lint");
     let st = shape.stencil();
     let b = st.default_bindings();
-    let opts = brick_lint::LintOptions {
-        expected: Some(
-            brick_lint::ExpectedStencil::resolve_temporal(&st, &b, t)
-                .expect("default bindings resolve"),
-        ),
-        budgets: vec![],
-    };
-    let analysis = brick_lint::analyze(k, &opts);
+    let expected = brick_lint::ExpectedStencil::resolve_temporal(&st, &b, t)
+        .expect("default bindings resolve");
+    let analysis = brick_lint::analyze(k, Some(&expected));
     assert!(
         analysis.is_clean(),
         "generated kernel failed static verification against the T={t} composition:\n{}",

@@ -80,7 +80,7 @@ const PRUNE_MARGIN: f64 = 1.05;
 ///   `T · theoretical_ai` (DRAM moves at least 16 B per point per launch);
 /// * achieved occupancy never exceeds the bound derived from the
 ///   *structural lower bound* on register demand
-///   ([`min_live_registers`] → [`brick_lint::occupancy::reg_demand`]);
+///   ([`min_live_registers`] → [`gpu_sim::compiler::reg_demand`]);
 /// * the memory system derates bandwidth by `min(1, occ/sat)`, and
 ///   simulated time is at least the derated-DRAM time;
 /// * the theoretical ceilings dominate the measured ones.
@@ -89,7 +89,7 @@ const PRUNE_MARGIN: f64 = 1.05;
 /// dropping candidates bounded below an already-measured competitor can
 /// never drop the winner.
 pub fn roofline_upper_bound(params: &SpecParams, shape: &StencilShape, arch: &GpuArch) -> f64 {
-    let demand_lb = brick_lint::occupancy::reg_demand(min_live_registers(
+    let demand_lb = gpu_sim::compiler::reg_demand(min_live_registers(
         shape.radius as usize,
         params.temporal_degree,
     ));

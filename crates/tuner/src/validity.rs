@@ -194,7 +194,7 @@ pub fn validate(
             });
         }
     }
-    let demand = brick_lint::occupancy::reg_demand(min_live_registers(
+    let demand = gpu_sim::compiler::reg_demand(min_live_registers(
         shape.radius as usize,
         params.temporal_degree,
     ));

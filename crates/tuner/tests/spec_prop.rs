@@ -63,14 +63,9 @@ fn build_verified(
     let st = shape.stencil();
     let kernel = generate(&st, b, LayoutKind::Brick, p.width(), p.codegen_options())
         .unwrap_or_else(|e| panic!("valid candidate {p} failed to generate: {e}"));
-    let opts = brick_lint::LintOptions {
-        expected: Some(
-            brick_lint::ExpectedStencil::resolve_temporal(&st, b, p.temporal_degree)
-                .expect("bindings resolve"),
-        ),
-        budgets: vec![],
-    };
-    let analysis = brick_lint::analyze(&kernel, &opts);
+    let expected = brick_lint::ExpectedStencil::resolve_temporal(&st, b, p.temporal_degree)
+        .expect("bindings resolve");
+    let analysis = brick_lint::analyze(&kernel, Some(&expected));
     assert!(
         analysis.is_clean(),
         "valid candidate {p} failed static verification:\n{}",

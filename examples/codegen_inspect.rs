@@ -10,6 +10,7 @@
 
 use bricks_repro::codegen::{
     emit_scalar, emit_vector, generate, CodegenOptions, Dialect, LayoutKind, Strategy,
+    AUTO_REGISTER_BUDGET,
 };
 use bricks_repro::dsl::shape::StencilShape;
 
@@ -85,7 +86,6 @@ fn main() {
     .expect("codegen");
     println!(
         "\nAuto strategy selected: {} (register budget {})",
-        auto.strategy,
-        CodegenOptions::default().register_budget
+        auto.strategy, AUTO_REGISTER_BUDGET
     );
 }

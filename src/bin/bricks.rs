@@ -33,7 +33,7 @@ usage:
   bricks reuse    <star|cube> <radius> <width>          reuse distances
   bricks lint     [kernel.json] [--json]                static kernel analysis
   bricks lint     --native [--json]                     brick-safe memory proof
-  bricks obs      <file> [--summary]                    inspect saved observability
+  bricks obs      <file>                                inspect saved observability
   bricks exec                                           execution-backend report
   bricks prof sweep <spans.jsonl|PROF_sweep.json> [--json]
                                                         sweep self-profile report
@@ -46,8 +46,8 @@ usage:
   model = cuda | hip | sycl
 
 `bricks lint` runs the brick-lint static analyzer (verifier, footprint
-proof, reuse and occupancy lints) over every paper stencil at SIMD
-widths 16/32/64 in both layouts, or over one kernel saved as JSON.
+proof, reuse and register-liveness lints) over every paper stencil at
+SIMD widths 16/32/64 in both layouts, or over one kernel saved as JSON.
 Exits non-zero if any kernel has error-severity diagnostics; --json
 emits machine-readable reports.
 
@@ -59,10 +59,10 @@ array-layout geometry premise at 256^3. Exits non-zero if any plan is
 unprovable.
 
 `bricks obs` summarizes observability artifacts written by the
-experiments binary: trace.json (top spans by self-time), metrics.json
-(counter/gauge/histogram summaries), manifest.json (run provenance) and
-spans.jsonl with --summary (top spans by self-time plus per-span-name
-aggregates). Set BRICK_LOG=info|debug|trace (with optional module=level
+experiments binary: spans.jsonl (top spans by self-time plus the merged
+profile tree), metrics.json (counter/gauge/histogram summaries) and
+manifest.json (run provenance). trace.json is for chrome://tracing or
+Perfetto. Set BRICK_LOG=info|debug|trace (with optional module=level
 filters) for diagnostic logging in any subcommand.
 
 `bricks prof` is the performance-attribution suite. 'sweep' renders a
@@ -320,42 +320,39 @@ fn reuse_cmd(shape: StencilShape, width: usize) -> Result<(), String> {
 /// but don't.
 fn lint_cmd(target: Option<&str>, json: bool) -> Result<(), String> {
     use bricks_repro::codegen::VectorKernel;
-    use bricks_repro::lint::{analyze, ExpectedStencil, LintOptions};
+    use bricks_repro::lint::{analyze, ExpectedStencil};
 
-    let budgets: Vec<_> = GpuArch::all().iter().map(GpuArch::lint_budget).collect();
     let mut kernels = 0usize;
     let mut errors = 0usize;
     let mut warnings = 0usize;
 
-    let mut lint_one = |k: &VectorKernel, expected: Option<ExpectedStencil>| {
-        let opts = LintOptions {
-            expected,
-            budgets: budgets.clone(),
-        };
-        let a = analyze(k, &opts);
+    let mut lint_one = |k: &VectorKernel, expected: Option<&ExpectedStencil>| {
+        let mut report = analyze(k, expected).report;
+        // k.name encodes layout and strategy but not width
+        report.kernel = format!("{} w{}", k.name, k.width);
         kernels += 1;
-        errors += a.report.error_count();
-        warnings += a.report.warning_count();
+        errors += report.error_count();
+        warnings += report.warning_count();
         if json {
-            println!("{}", a.report.to_json());
+            println!("{}", report.to_json());
             return;
         }
-        let status = if a.report.has_errors() {
+        let status = if report.has_errors() {
             "FAIL"
-        } else if a.report.warning_count() > 0 {
+        } else if report.warning_count() > 0 {
             "warn"
         } else {
             "ok"
         };
         println!(
-            "{status:4} {:40} {:3} ops, {:2} regs, {} diagnostics",
-            k.name,
+            "{status:4} {:44} {:3} ops, {:2} regs, {} diagnostics",
+            report.kernel,
             k.ops.len(),
             k.num_regs,
-            a.report.diagnostics.len()
+            report.diagnostics.len()
         );
-        if !a.report.diagnostics.is_empty() {
-            print!("{}", a.report.render(Some(k)));
+        if !report.diagnostics.is_empty() {
+            print!("{}", report.render(Some(k)));
         }
     };
 
@@ -376,7 +373,7 @@ fn lint_cmd(target: Option<&str>, json: bool) -> Result<(), String> {
                 for width in [16usize, 32, 64] {
                     let k = generate(&st, &b, layout, width, CodegenOptions::default())
                         .map_err(|e| format!("{shape} {layout} w{width}: {e}"))?;
-                    lint_one(&k, Some(expected.clone()));
+                    lint_one(&k, Some(&expected));
                 }
             }
         }
@@ -472,26 +469,24 @@ fn lint_native_cmd(json: bool) -> Result<(), String> {
     }
 }
 
-/// Summarize a saved observability artifact: a Chrome trace, a metrics
-/// snapshot, or a run manifest (or a sweep JSON embedding one). The kind
-/// is detected from the JSON shape, not the file name.
+/// Summarize a saved observability artifact: a spans.jsonl capture, a
+/// metrics snapshot, or a run manifest (or a sweep JSON embedding one).
+/// The kind is detected from the content, not the file name.
 fn obs_cmd(path: &str) -> Result<(), String> {
-    use bricks_repro::obs::trace::{parse_chrome_trace, render_span_stats, span_stats};
     use bricks_repro::obs::{metrics::render_snapshot, MetricsSnapshot, RunManifest};
 
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let value = serde_json::parse(&text).map_err(|e| format!("{path}: not JSON: {e}"))?;
-
+    // spans.jsonl holds one JSON object per line, so it parses as a single
+    // document only when it holds a single span
+    let value = match serde_json::parse(&text) {
+        Ok(v) if v.get("dur_ns").is_none() => v,
+        _ => return obs_spans(path, &text),
+    };
     if value.get("traceEvents").is_some() {
-        let events = parse_chrome_trace(&text)?;
-        let stats = span_stats(&events);
-        println!(
-            "{path}: Chrome trace, {} events, {} distinct spans\n",
-            events.len(),
-            stats.len()
-        );
-        print!("{}", render_span_stats(&stats, 20));
-        return Ok(());
+        return Err(format!(
+            "{path}: a Chrome trace is for chrome://tracing or Perfetto; \
+             `bricks obs` reads the spans.jsonl written next to it"
+        ));
     }
     if value.get("counters").is_some() || value.get("histograms").is_some() {
         let snap: MetricsSnapshot =
@@ -506,7 +501,7 @@ fn obs_cmd(path: &str) -> Result<(), String> {
     } else {
         value
             .get("manifest")
-            .ok_or_else(|| format!("{path}: not a trace, metrics snapshot, or manifest"))?
+            .ok_or_else(|| format!("{path}: not a span capture, metrics snapshot, or manifest"))?
     };
     let m: RunManifest =
         serde_json::from_value(manifest_value).map_err(|e| format!("{path}: {e}"))?;
@@ -546,13 +541,15 @@ fn obs_cmd(path: &str) -> Result<(), String> {
 }
 
 /// Per-span-name aggregates of a spans.jsonl capture: top spans by
-/// self-time plus count/total/alloc per name.
-fn obs_summary_cmd(path: &str) -> Result<(), String> {
+/// self-time plus the merged profile tree. Spans nest by their recorded
+/// parents, so cells run on worker threads charge their time to the sweep
+/// that scheduled them.
+fn obs_spans(path: &str, text: &str) -> Result<(), String> {
     use bricks_repro::prof::{render_tree, ProfileTree};
 
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let spans = bricks_repro::obs::trace::parse_spans_jsonl(&text)
-        .map_err(|e| format!("{path}: not a spans.jsonl capture: {e}"))?;
+    let spans = bricks_repro::obs::trace::parse_spans_jsonl(text).map_err(|e| {
+        format!("{path}: not a spans.jsonl capture, metrics snapshot, or manifest: {e}")
+    })?;
     let tree = ProfileTree::build(&spans);
 
     let mut by_self: Vec<(String, u64, u64)> = Vec::new();
@@ -735,7 +732,6 @@ fn run() -> Result<(), String> {
         ["lint", path] => lint_cmd(Some(path), false),
         ["lint", path, "--json"] => lint_cmd(Some(path), true),
         ["obs", path] => obs_cmd(path),
-        ["obs", path, "--summary"] => obs_summary_cmd(path),
         ["prof", "sweep", path] => prof_sweep_cmd(path, false),
         ["prof", "sweep", path, "--json"] => prof_sweep_cmd(path, true),
         ["prof", "sim", kind, radius, gpu, model, rest @ ..] => {

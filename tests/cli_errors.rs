@@ -67,3 +67,35 @@ fn inspect_and_reuse_reject_a_width_their_bricks_cannot_take() {
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
 }
+
+#[test]
+fn obs_reads_a_span_capture_and_rejects_a_chrome_trace() {
+    use bricks_repro::obs::{set_tracing, span, trace};
+
+    set_tracing(true);
+    {
+        let _sweep = span("obs-test.sweep");
+        let _cell = span("obs-test.cell");
+    }
+    set_tracing(false);
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_obs");
+    std::fs::create_dir_all(&dir).unwrap();
+    let spans = dir.join("spans.jsonl");
+    let chrome = dir.join("trace.json");
+    std::fs::write(&spans, trace::spans_jsonl()).unwrap();
+    std::fs::write(&chrome, trace::chrome_trace_json()).unwrap();
+
+    let out = bricks(&["obs", spans.to_str().unwrap()]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert!(
+        stdout.contains("2 spans") && stdout.contains("obs-test.cell"),
+        "{stdout}"
+    );
+
+    let out = bricks(&["obs", chrome.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("spans.jsonl"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
