@@ -121,9 +121,13 @@ pub enum LintCode {
     /// has written it.
     UnsafeScratchUnwritten,
     /// brick-safe: a shifted scratch read reaches past its two rows
-    /// (`dx = 0` or `|dx| ≥ w`), or a window fill's lanes overhang its
-    /// row.
+    /// (`dx = 0` or `|dx| ≥ w`), a window fill's lanes overhang its
+    /// row, or a padded read's shift leaves its row's apron (`|dx| > PAD`).
     UnsafeScratchReach,
+    /// brick-safe: a pad fill does not copy one direct grid row plus the
+    /// `apron ≤ PAD` x-nearest lanes of its two neighbour rows, or a
+    /// padded read shifts further than the apron its row's fill wrote.
+    UnsafePadFill,
 }
 
 impl LintCode {
@@ -166,6 +170,7 @@ impl LintCode {
             LintCode::UnsafeScratchSlot => "BS012",
             LintCode::UnsafeScratchUnwritten => "BS013",
             LintCode::UnsafeScratchReach => "BS014",
+            LintCode::UnsafePadFill => "BS015",
         }
     }
 
@@ -197,7 +202,8 @@ impl LintCode {
             | LintCode::UnsafeFastRowDivergent
             | LintCode::UnsafeScratchSlot
             | LintCode::UnsafeScratchUnwritten
-            | LintCode::UnsafeScratchReach => Severity::Error,
+            | LintCode::UnsafeScratchReach
+            | LintCode::UnsafePadFill => Severity::Error,
             LintCode::DeadDef
             | LintCode::DuplicateLoad
             | LintCode::RedundantShift
@@ -466,6 +472,7 @@ mod tests {
             LintCode::UnsafeScratchSlot,
             LintCode::UnsafeScratchUnwritten,
             LintCode::UnsafeScratchReach,
+            LintCode::UnsafePadFill,
         ];
         let mut codes: Vec<&str> = all.iter().map(|c| c.code()).collect();
         codes.sort_unstable();

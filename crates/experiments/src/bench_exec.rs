@@ -12,7 +12,9 @@
 //! backed with transparent huge pages. A conversion row times the four
 //! layout conversions the set-up of a run pays (dense → bricks, bricks →
 //! dense, dense → array) against a measured roof: the same dense bytes
-//! copied in parallel into a fresh buffer.
+//! copied in parallel into a fresh buffer. Kernel rows give the fused
+//! throughput of the kernels the 7-point cell leaves out: the 125- and
+//! 27-point cubes and the `T = 2` star.
 //!
 //! [`run_bench_exec`] fails (so CI fails) when a real SIMD backend was
 //! dispatched at full scale and the speedup over the interpreter fell
@@ -33,6 +35,7 @@ use brick_dsl::shape::StencilShape;
 use brick_dsl::DenseGrid;
 use brick_vm::{
     executor_threads, resolve_with, run_vector_brick_backend, Backend, CpuFeatures, ExecutionMode,
+    Plan,
 };
 use rayon::prelude::*;
 
@@ -144,12 +147,40 @@ pub struct BenchExec {
     pub anon_huge_mb: Option<f64>,
     /// Layout conversion walls against the copy roof.
     pub conversion: ConversionMeasurement,
+    /// Fused throughput of the 125- and 27-point cubes and the `T = 2`
+    /// star at `min(n, KERNEL_ROW_N)`.
+    pub kernels: Vec<KernelRow>,
     /// Provenance: git SHA, per-repetition wall times.
     pub manifest: brick_obs::RunManifest,
 }
 
+/// Domain size of the kernel rows, or the cell's `n` when that is
+/// smaller: the size perfbench's `exec-mixed-256` runs these kernels at.
+pub const KERNEL_ROW_N: usize = 256;
+
+/// Fused throughput of one kernel the 7-point cell does not exercise
+/// (bricks, width [`BENCH_EXEC_WIDTH`], the host's `Auto` backend).
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct KernelRow {
+    /// Stencil label, e.g. `"125pt"`.
+    pub stencil: String,
+    /// Time steps fused into one call.
+    pub temporal_degree: u32,
+    /// Domain size per axis.
+    pub n: usize,
+    /// Best-of-N wall seconds of one call.
+    pub wall_s: f64,
+    /// Output points per second at `wall_s`, in millions (a `T = 2` call
+    /// advances each point two steps).
+    pub mpts_s: f64,
+    /// Relative spread across repetitions.
+    pub spread: f64,
+    /// Rows of the plan's per-worker scratch buffer.
+    pub scratch_rows: usize,
+}
+
 /// `BENCH_exec.json` schema version.
-pub const EXEC_SCHEMA_VERSION: u64 = 4;
+pub const EXEC_SCHEMA_VERSION: u64 = 5;
 
 /// `AnonHugePages` of this process in MB (10⁶ bytes), read from
 /// `/proc/self/smaps_rollup`; `None` where that file cannot be read.
@@ -224,6 +255,60 @@ fn measure_conversion(dense: &DenseGrid, bricks: &BrickGrid, reps: usize) -> Con
     }
 }
 
+/// Best-of-`reps` native calls at `n` of each kernel row's kernel: the
+/// 125-point and 27-point cubes and the `T = 2` 7-point star.
+fn measure_kernels(n: usize, backend: Backend, reps: usize) -> Result<Vec<KernelRow>, String> {
+    [
+        (StencilShape::cube(2), 1),
+        (StencilShape::cube(1), 1),
+        (StencilShape::star(1), 2),
+    ]
+    .into_iter()
+    .map(|(shape, t)| {
+        let st = shape.stencil();
+        let opts = CodegenOptions {
+            temporal_degree: t,
+            ..CodegenOptions::default()
+        };
+        let kernel = generate(
+            &st,
+            &st.default_bindings(),
+            LayoutKind::Brick,
+            BENCH_EXEC_WIDTH,
+            opts,
+        )
+        .map_err(|e| format!("codegen {}: {e}", shape.label()))?;
+        let plan = Plan::compile(&kernel).map_err(|e| format!("{}: {e}", shape.label()))?;
+        let mut dense = DenseGrid::cubic(n, (shape.radius * t) as usize);
+        dense.fill_test_pattern();
+        let input = BrickGrid::from_dense(&dense, BrickDims::for_simd_width(BENCH_EXEC_WIDTH));
+        drop(dense);
+        let mut output =
+            BrickGrid::with_metadata(Arc::clone(input.decomp()), Arc::clone(input.info()));
+        // the first call pays the output's first touch; the rows
+        // report warm calls
+        let mut walls = Vec::with_capacity(reps);
+        for _ in 0..=reps {
+            let t0 = Instant::now();
+            run_vector_brick_backend(&kernel, &input, &mut output, backend)
+                .map_err(|e| format!("{} {backend}: {e}", shape.label()))?;
+            walls.push(t0.elapsed().as_secs_f64());
+        }
+        let walls = &walls[1..];
+        let wall_s = min_of(walls);
+        Ok(KernelRow {
+            stencil: shape.label(),
+            temporal_degree: t,
+            n,
+            wall_s,
+            mpts_s: (n * n * n) as f64 / wall_s.max(1e-9) / 1e6,
+            spread: spread_of(walls),
+            scratch_rows: plan.safety().scratch_rows,
+        })
+    })
+    .collect()
+}
+
 /// Measure the cell at size `n` and, when `out_dir` is given, write
 /// `BENCH_exec.json` there.
 ///
@@ -290,6 +375,8 @@ pub fn run_bench_exec(n: usize, out_dir: Option<&Path>) -> Result<BenchExec, Str
     };
     let (interpreter, interp_walls) = measure(Backend::Interpreter)?;
     let (native, native_walls) = measure(backend)?;
+    drop((input, output));
+    let kernels = measure_kernels(n.min(KERNEL_ROW_N), backend, reps)?;
 
     let rep_speedups: Vec<f64> = interp_walls
         .iter()
@@ -322,6 +409,7 @@ pub fn run_bench_exec(n: usize, out_dir: Option<&Path>) -> Result<BenchExec, Str
         first_call_s,
         anon_huge_mb,
         conversion,
+        kernels,
         manifest: manifest.finish(t_run.elapsed().as_secs_f64(), all_walls),
     };
     if let Some(dir) = out_dir {
@@ -375,5 +463,18 @@ mod tests {
         assert!(c.copy_s > 0.0);
         assert_eq!(back.conversion.to_bricks_s, c.to_bricks_s);
         assert_eq!(back.conversion.to_array_frac, c.to_array_frac);
+        let rows: Vec<(&str, u32, usize)> = b
+            .kernels
+            .iter()
+            .map(|k| (k.stencil.as_str(), k.temporal_degree, k.n))
+            .collect();
+        assert_eq!(rows, [("125pt", 1, 32), ("27pt", 1, 32), ("7pt", 2, 32)]);
+        for (k, kb) in b.kernels.iter().zip(&back.kernels) {
+            assert!(k.wall_s > 0.0 && k.spread >= 0.0, "{k:?}");
+            assert_eq!(k.mpts_s, (32 * 32 * 32) as f64 / k.wall_s.max(1e-9) / 1e6);
+            assert!(k.scratch_rows > 0, "{k:?}");
+            assert_eq!((kb.wall_s, kb.mpts_s), (k.wall_s, k.mpts_s));
+            assert_eq!(kb.scratch_rows, k.scratch_rows);
+        }
     }
 }

@@ -342,6 +342,12 @@ fn run_bench(kind: BenchKind, args: &Args) -> Result<(), String> {
                 c.to_array_s,
                 c.to_array_frac
             );
+            for k in &b.kernels {
+                eprintln!(
+                    "{} t{} at {}^3: {:.3}s ({:.1} Mpts/s), {} scratch rows",
+                    k.stencil, k.temporal_degree, k.n, k.wall_s, k.mpts_s, k.scratch_rows
+                );
+            }
         }
         BenchKind::Temporal => {
             eprintln!("benchmarking temporal blocking: fused sweep at {n}^3...");

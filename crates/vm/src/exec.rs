@@ -516,7 +516,7 @@ fn run_array_plan<B: RowOps>(plan: &Plan, ops: &B, input: &ArrayGrid, output: &m
             Tap::Window {
                 rx, ry, rz, lane0, ..
             } => row_delta(rz, ry) + rx as i64 * w as i64 + lane0 as i64,
-            Tap::Scratch { .. } | Tap::ScratchShifted { .. } => {
+            Tap::Scratch { .. } | Tap::ScratchShifted { .. } | Tap::Padded { .. } => {
                 unreachable!("grid taps lead the table (BS004)")
             }
         })

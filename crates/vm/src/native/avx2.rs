@@ -13,7 +13,8 @@
 //!    (BS003), value-stack discipline (BS005), stores inside the home
 //!    block and non-overlapping (BS006/BS007), lane geometry (BS008),
 //!    fast-chain fidelity (BS011), and scratch rows inside the buffer,
-//!    written before read and shifted within their row (BS012–BS014) —
+//!    written before read and shifted within their row or apron
+//!    (BS012–BS015) —
 //!    is discharged *statically*, before a plan exists. Debug builds
 //!    re-assert the per-block conditions ([`fuse::check_taps`]); release
 //!    builds run on the proof alone.
@@ -32,8 +33,9 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use core::arch::x86_64::{
-    __m256d, _mm256_add_pd, _mm256_fmadd_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd,
-    _mm256_setzero_pd, _mm256_storeu_pd, _mm256_stream_pd, _mm_prefetch, _mm_sfence, _MM_HINT_T0,
+    __m256d, _mm256_add_pd, _mm256_fmadd_pd, _mm256_loadu_pd, _mm256_mul_pd,
+    _mm256_permute2f128_pd, _mm256_set1_pd, _mm256_setzero_pd, _mm256_shuffle_pd, _mm256_storeu_pd,
+    _mm256_stream_pd, _mm_prefetch, _mm_sfence, _MM_HINT_T0,
 };
 
 use super::fuse::{self, RTap, TapeOp, MAX_STACK};
@@ -90,14 +92,14 @@ impl RowOps for Avx2Ops {
         // The tap-bounds argument (every row base the tapes can load is
         // inside `raw` or `scr`, shift distances in `(0, w)`) is
         // discharged at compile time by brick-safe (BS001–BS003,
-        // BS012–BS014) plus the per-run premise checks in `crate::exec`
+        // BS012–BS015) plus the per-run premise checks in `crate::exec`
         // and the scratch-length premise asserted here; debug builds
         // re-assert it per block. The per-tape half (tap ids, stack
         // discipline) is enforced by ordinary bounds-checked indexing
         // inside `eval_tape`/`eval_fast`, so no pointer can escape its
         // buffer even for a malformed tape.
         assert!(
-            scr.len() >= fused.scratch_rows * w,
+            scr.len() >= fused.scratch_len(w),
             "scratch buffer shorter than {} rows",
             fused.scratch_rows
         );
@@ -132,7 +134,7 @@ impl RowOps for Avx2Ops {
             }
         }
         fuse::run_scratch(fused, rtaps, raw, scr, w, |tape, max_sp, scr, row| {
-            // SAFETY: tap rows in-bounds by BS001–BS003/BS012–BS014 plus
+            // SAFETY: tap rows in-bounds by BS001–BS003/BS012–BS015 plus
             // the premises above; `row.len() == w` by `run_scratch`;
             // avx2+fma verified by `Avx2Ops::new`.
             unsafe { eval_tape_w(w, max_sp, tape, rtaps, raw, scr, row) }
@@ -140,20 +142,21 @@ impl RowOps for Avx2Ops {
         for rp in fused.rows() {
             let s = row_start(rp);
             let out_row = &mut out[s..s + w];
-            // SAFETY: tap rows in-bounds by the BS001–BS003/BS012–BS014
+            // SAFETY: tap rows in-bounds by the BS001–BS003/BS012–BS015
             // proof plus the premises above (re-asserted in debug
             // builds); `out_row.len() == w` by the slice; avx2+fma
             // verified by `Avx2Ops::new`. A fast chain reads grid rows and
-            // plain scratch rows only (BS011). `max_sp` was proven equal
-            // to the tape's true depth (BS005) — and a stale value would
-            // only shift which instantiation runs, with the stack indexing
-            // inside staying bounds-checked.
+            // plain scratch rows only, and a plain one no split row
+            // (BS011). `max_sp` was proven equal to the tape's true depth
+            // (BS005) — and a stale value would only shift which
+            // instantiation runs, with the stack indexing inside staying
+            // bounds-checked.
             unsafe {
                 match (w, &rp.fast) {
-                    (16, Some(fr)) => eval_fast::<4>(fr, rtaps, raw, scr, out_row),
-                    (32, Some(fr)) => eval_fast::<8>(fr, rtaps, raw, scr, out_row),
-                    (64, Some(fr)) => eval_fast::<16>(fr, rtaps, raw, scr, out_row),
-                    (128, Some(fr)) => eval_fast::<32>(fr, rtaps, raw, scr, out_row),
+                    (16, Some(fr)) => eval_fast_w::<4>(fr, rtaps, raw, scr, out_row),
+                    (32, Some(fr)) => eval_fast_w::<8>(fr, rtaps, raw, scr, out_row),
+                    (64, Some(fr)) => eval_fast_w::<16>(fr, rtaps, raw, scr, out_row),
+                    (128, Some(fr)) => eval_fast_w::<32>(fr, rtaps, raw, scr, out_row),
                     _ => eval_tape_w(w, rp.max_sp, &rp.tape, rtaps, raw, scr, out_row),
                 }
             }
@@ -200,23 +203,47 @@ unsafe fn eval_tape_w(
     }
 }
 
+/// Run a fast chain through the [`eval_fast`] instantiation its
+/// [`fuse::FastRow::plain`] flag picks.
+///
+/// # Safety
+/// [`eval_fast`]'s contract.
+#[inline(always)]
+unsafe fn eval_fast_w<const NC: usize>(
+    fr: &fuse::FastRow,
+    rtaps: &[RTap],
+    raw: &[f64],
+    scr: &[f64],
+    out: &mut [f64],
+) {
+    // SAFETY: forwarded contract.
+    unsafe {
+        if fr.plain {
+            eval_fast::<NC, true>(fr, rtaps, raw, scr, out)
+        } else {
+            eval_fast::<NC, false>(fr, rtaps, raw, scr, out)
+        }
+    }
+}
+
 /// Straight-chain row evaluator ([`fuse::FastRow`]). Unlike
 /// [`eval_tape`], the loop body is uniform (always a broadcast + `NC`
 /// fused multiply-adds), so LLVM keeps all `NC` accumulators in ymm
 /// registers for the whole row. A plain row — of the slab (`Direct`) or
-/// of the scratch buffer (`Scratch`) — is one pointer select and `NC`
-/// loads; the seam gather of split taps is outlined cold to keep the hot
-/// loop's control flow trivial.
+/// of the scratch buffer (`Scratch`, padded reads included) — is one
+/// pointer select and `NC` loads. A `PLAIN` instantiation has no split
+/// arm at all (a split tap panics): with that arm in the loop, LLVM moves
+/// the accumulators through extra register copies on every tap op.
 ///
 /// # Safety
 /// Same contract as [`eval_tape`]: every grid tap row in-bounds for
 /// `raw.len()` and every scratch tap row for `scr.len()` at width `w`
-/// (the brick-safe proof BS001–BS003, BS012 plus the executor's per-run
-/// premises, or an explicit [`fuse::check_taps`] run), `out.len() == w ==
-/// 4·NC`, avx2+fma present. Tap ids are bounds-checked slice accesses;
-/// a tap kind BS011 keeps out of a chain panics.
+/// (the brick-safe proof BS001–BS003, BS012, BS014 plus the executor's
+/// per-run premises, or an explicit [`fuse::check_taps`] run), `out.len()
+/// == w == 4·NC`, avx2+fma present. Tap ids are bounds-checked slice
+/// accesses; a tap kind BS011 keeps out of a chain panics.
 #[target_feature(enable = "avx2,fma")]
-unsafe fn eval_fast<const NC: usize>(
+unsafe fn eval_fast<const NC: usize, const PLAIN: bool>(
     fr: &fuse::FastRow,
     rtaps: &[RTap],
     raw: &[f64],
@@ -232,7 +259,8 @@ unsafe fn eval_fast<const NC: usize>(
             RTap::Direct { base } => Some(unsafe { p.add(base) }),
             // SAFETY: as above.
             RTap::Scratch { base } => Some(unsafe { q.add(base) }),
-            RTap::Split { .. } => None,
+            RTap::Split { .. } if !PLAIN => None,
+            RTap::Split { .. } => panic!("plain fast chain reads a split tap"),
             _ => panic!("fast chain reads a window or shifted scratch tap"),
         }
     };
@@ -306,8 +334,9 @@ unsafe fn eval_fast<const NC: usize>(
     }
 }
 
-/// One 4-lane chunk of a split (shifted) tap; the rare mixed chunk at the
-/// home/neighbour seam goes through the cold outlined gather.
+/// One 4-lane chunk of a split (shifted) tap: a plain load from the home
+/// or neighbour row, or the one chunk per row that straddles the seam
+/// ([`seam_chunk`]).
 ///
 /// # Safety
 /// `check_taps` invariants (`home/nbr + w ≤ raw.len()`, `0 < |dx| < w`)
@@ -337,39 +366,51 @@ unsafe fn load_split<const NC: usize>(rt: RTap, p: *const f64, c: usize) -> __m2
         } else if dx < 0 && j0 + 3 < 0 {
             _mm256_loadu_pd(p.add(nbr).offset(j0 + w))
         } else {
-            gather_seam(p, home, nbr, w, j0)
+            seam_chunk(p, home, nbr, w, j0, dx)
         }
     }
 }
 
-/// Lane-by-lane gather of the one chunk per row that straddles the
-/// home/neighbour seam. Cold + never inlined so the hot chunk loops above
-/// stay branch-light and fully register-allocated.
+/// The chunk of lanes `j0 .. j0 + 4` (relative to the home row) that
+/// straddles a split row's seam, from two loads: the last four lanes of
+/// the lower row and the first four of the upper one (`home`, `nbr` for
+/// `dx > 0`; `nbr`, `home` for `dx < 0`), then `k = 1..=3` lanes into
+/// their concatenation by a cross-lane permute and, for odd `k`, an
+/// in-lane shuffle. Only moves, so bit-identical to a lane-by-lane
+/// gather, and the chunk never round-trips through the stack.
 ///
 /// # Safety
-/// Same invariants as [`load_split`]; `j0` is the chunk's first lane
-/// index relative to the home row.
-#[target_feature(enable = "avx2,fma")]
-#[cold]
-#[inline(never)]
-unsafe fn gather_seam(p: *const f64, home: usize, nbr: usize, w: isize, j0: isize) -> __m256d {
-    let mut t = [0.0f64; 4];
-    for (l, v) in t.iter_mut().enumerate() {
-        let j = j0 + l as isize;
-        // SAFETY: each lane reads inside the validated home or wrapped
-        // neighbour row.
-        *v = unsafe {
-            if j < 0 {
-                *p.add(nbr).offset(j + w)
-            } else if j < w {
-                *p.add(home).offset(j)
-            } else {
-                *p.add(nbr).offset(j - w)
-            }
-        };
+/// [`load_split`]'s invariants, and the chunk straddles the seam:
+/// `w − 4 < j0 < w` for `dx > 0`, `−4 < j0 < 0` for `dx < 0`.
+#[inline(always)]
+unsafe fn seam_chunk(
+    p: *const f64,
+    home: usize,
+    nbr: usize,
+    w: isize,
+    j0: isize,
+    dx: isize,
+) -> __m256d {
+    let (lo, hi, k) = if dx > 0 {
+        (home, nbr, j0 - (w - 4))
+    } else {
+        (nbr, home, j0 + 4)
+    };
+    // SAFETY: lanes [w − 4, w) of `lo` and [0, 4) of `hi`, both rows
+    // in-bounds per this fn's contract; avx2 per the callers' features.
+    unsafe {
+        let a = _mm256_loadu_pd(p.add(lo).offset(w - 4));
+        let b = _mm256_loadu_pd(p.add(hi));
+        // [a2, a3, b0, b1]
+        let mid = _mm256_permute2f128_pd::<0x21>(a, b);
+        match k {
+            // [a1, a2, a3, b0]
+            1 => _mm256_shuffle_pd::<0b0101>(a, mid),
+            2 => mid,
+            // [a3, b0, b1, b2]
+            _ => _mm256_shuffle_pd::<0b0101>(mid, b),
+        }
     }
-    // SAFETY: `t` is a local 4-lane buffer.
-    unsafe { _mm256_loadu_pd(t.as_ptr()) }
 }
 
 /// Combine one accumulator chunk with one tap chunk; `MODE` selects the
@@ -397,8 +438,8 @@ unsafe fn combine<const MODE: u8>(acc: __m256d, t: __m256d, cv: __m256d) -> __m2
 
 /// Apply one tap op across all `NC` accumulator chunks. Direct taps
 /// compile to a fully unrolled run of contiguous loads; split (shifted)
-/// taps branch per chunk, but only the one seam chunk per row gathers
-/// lane by lane. Grid taps read through `p` (the input slab), scratch
+/// taps branch per chunk, and the one seam chunk per row is built by
+/// [`seam_chunk`]. Grid taps read through `p` (the input slab), scratch
 /// taps through `q` (the block's scratch rows) with the same code.
 ///
 /// # Safety
@@ -448,18 +489,7 @@ unsafe fn apply<const NC: usize, const MODE: u8>(
                     } else if dx < 0 && j0 + 3 < 0 {
                         _mm256_loadu_pd(p.add(nbr).offset(j0 + w))
                     } else {
-                        let mut t = [0.0f64; 4];
-                        for (l, v) in t.iter_mut().enumerate() {
-                            let j = j0 + l as isize;
-                            *v = if j < 0 {
-                                *p.add(nbr).offset(j + w)
-                            } else if j < w {
-                                *p.add(home).offset(j)
-                            } else {
-                                *p.add(nbr).offset(j - w)
-                            };
-                        }
-                        _mm256_loadu_pd(t.as_ptr())
+                        seam_chunk(p, home, nbr, w, j0, dx)
                     }
                 };
                 // SAFETY: avx2+fma per this fn's contract.
@@ -480,7 +510,7 @@ unsafe fn apply<const NC: usize, const MODE: u8>(
 /// # Safety
 /// Every grid tap row must be in-bounds for `raw.len()` and every scratch
 /// tap row for `scr.len()` at width `w` — established by the brick-safe
-/// proof (BS001–BS003, BS012–BS014) plus the executor's per-run premises,
+/// proof (BS001–BS003, BS012–BS015) plus the executor's per-run premises,
 /// or by an explicit [`fuse::check_taps`]/[`fuse::check_tape`] run —
 /// `out.len() == w == 4·NC` must hold, and the host must support
 /// avx2+fma. Tap ids and the `SP`-sized value stack are accessed with
@@ -502,7 +532,7 @@ unsafe fn eval_tape<const NC: usize, const SP: usize>(
     for op in tape {
         match *op {
             // SAFETY: tap rows in-bounds per this fn's contract
-            // (BS001–BS003, BS012–BS014 + premises); tap id
+            // (BS001–BS003, BS012–BS015 + premises); tap id
             // bounds-checked here.
             TapeOp::Set { tap } => unsafe {
                 apply::<NC, 0>(&mut acc, rtaps[tap as usize], p, q, zero)
@@ -563,47 +593,84 @@ mod tests {
         let Some(ops) = Avx2Ops::new() else {
             return; // host without avx2+fma
         };
+        let same = |got: &[f64], want: &[f64], what: &str| {
+            for (i, (g, w)) in got.iter().zip(want).enumerate() {
+                assert_eq!(g.to_bits(), w.to_bits(), "{what} lane {i}");
+            }
+        };
         for w in fuse::FUSED_WIDTHS {
             let raw: Vec<f64> = (0..4 * w).map(|i| 0.173 * (i as f64) - 11.0).collect();
-            let rtaps = [
-                RTap::Direct { base: 0 },
-                RTap::Split {
-                    home: w,
-                    nbr: 2 * w,
-                    dx: 3,
-                },
-                RTap::Split {
-                    home: w,
-                    nbr: 3 * w,
-                    dx: -5,
-                },
-                RTap::Scratch { base: w },
-                RTap::ScratchSplit {
-                    home: 0,
-                    nbr: w,
-                    dx: 7,
-                },
-            ];
             let scr: Vec<f64> = (0..2 * w).map(|i| 1.0 / (3.0 + i as f64)).collect();
-            let tape = [
-                TapeOp::Set { tap: 1 },
-                TapeOp::TapAdd { tap: 0 },
-                TapeOp::Push,
-                TapeOp::Set { tap: 2 },
-                TapeOp::Mul { c: 0.75 },
-                TapeOp::PopFma { c: -1.25 },
-                TapeOp::Fma { tap: 0, c: 2.5 },
-                TapeOp::FmaRev { tap: 2, c: 0.5 },
-                TapeOp::AddTap { tap: 1 },
-                TapeOp::Fma { tap: 3, c: 0.25 },
-                TapeOp::TapAdd { tap: 4 },
-            ];
-            let mut want = vec![0.0; w];
-            fuse::eval_row_portable(&tape, &rtaps, &raw, &scr, w, &mut want);
-            let mut got = vec![0.0; w];
-            ops.eval_row(&tape, &rtaps, &raw, &scr, w, &mut got);
-            for i in 0..w {
-                assert_eq!(got[i].to_bits(), want[i].to_bits(), "w={w} lane {i}");
+            // every shift, on split grid rows (both signs at once) and on
+            // split scratch rows, so every seam chunk offset is built
+            for dx in (1 - w as isize..w as isize).filter(|&dx| dx != 0) {
+                let rtaps = [
+                    RTap::Direct { base: 0 },
+                    RTap::Split {
+                        home: w,
+                        nbr: 2 * w,
+                        dx,
+                    },
+                    RTap::Split {
+                        home: w,
+                        nbr: 3 * w,
+                        dx: -dx,
+                    },
+                    RTap::Scratch { base: w },
+                    RTap::ScratchSplit {
+                        home: 0,
+                        nbr: w,
+                        dx,
+                    },
+                ];
+                let tape = [
+                    TapeOp::Set { tap: 1 },
+                    TapeOp::TapAdd { tap: 0 },
+                    TapeOp::Push,
+                    TapeOp::Set { tap: 2 },
+                    TapeOp::Mul { c: 0.75 },
+                    TapeOp::PopFma { c: -1.25 },
+                    TapeOp::Fma { tap: 0, c: 2.5 },
+                    TapeOp::FmaRev { tap: 2, c: 0.5 },
+                    TapeOp::AddTap { tap: 1 },
+                    TapeOp::Fma { tap: 3, c: 0.25 },
+                    TapeOp::TapAdd { tap: 4 },
+                ];
+                let mut want = vec![0.0; w];
+                fuse::eval_row_portable(&tape, &rtaps, &raw, &scr, w, &mut want);
+                let mut got = vec![0.0; w];
+                ops.eval_row(&tape, &rtaps, &raw, &scr, w, &mut got);
+                same(&got, &want, &format!("eval_tape w={w} dx={dx}"));
+
+                // the same shifts through the fast chain, against its tape
+                let fr = fuse::FastRow {
+                    first: 1,
+                    pre: Some(0.75),
+                    fmas: vec![(0, 2.5), (2, -0.5), (3, 1.0)],
+                    scale: Some(-1.5),
+                    plain: false,
+                };
+                let chain = [
+                    TapeOp::Set { tap: 1 },
+                    TapeOp::Mul { c: 0.75 },
+                    TapeOp::Fma { tap: 0, c: 2.5 },
+                    TapeOp::Fma { tap: 2, c: -0.5 },
+                    TapeOp::Fma { tap: 3, c: 1.0 },
+                    TapeOp::Mul { c: -1.5 },
+                ];
+                fuse::eval_row_portable(&chain, &rtaps, &raw, &scr, w, &mut want);
+                fuse::check_taps(&rtaps, raw.len(), scr.len(), w);
+                // SAFETY: every tap row checked inside `raw`/`scr` just
+                // above; `got.len() == w`; avx2+fma detected.
+                unsafe {
+                    match w {
+                        16 => eval_fast_w::<4>(&fr, &rtaps, &raw, &scr, &mut got),
+                        32 => eval_fast_w::<8>(&fr, &rtaps, &raw, &scr, &mut got),
+                        64 => eval_fast_w::<16>(&fr, &rtaps, &raw, &scr, &mut got),
+                        _ => eval_fast_w::<32>(&fr, &rtaps, &raw, &scr, &mut got),
+                    }
+                }
+                same(&got, &want, &format!("eval_fast w={w} dx={dx}"));
             }
         }
     }

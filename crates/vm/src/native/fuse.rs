@@ -22,10 +22,16 @@
 //!    [`Tap::ScratchShifted`] (the IR's shift semantics: in-range lanes
 //!    from the source row, wrapped lanes from the materialized edge row).
 //!    Grid rows materialize through [`Fill::Copy`] (a partial load
-//!    zero-fills the lanes the IR's `LoadRow` leaves zero); a shifted grid
-//!    row several tapes read is staged the same way, so its seam is
-//!    gathered once per block. Scratch slots are reused
-//!    once their last reader has run (a linear scan over the program).
+//!    zero-fills the lanes the IR's `LoadRow` leaves zero). A grid row
+//!    whose shifts several tapes read is copied once per block into a
+//!    *padded* scratch row by a [`Fill::Pad`] — the home row plus its
+//!    x-neighbours' nearest `apron` lanes on either side — and every
+//!    shift of it becomes a plain unaligned load at lane `PAD + dx`
+//!    ([`Tap::Padded`]): no seam is gathered anywhere. In a kernel that
+//!    pads rows every scratch row sits at stride `w + 2·PAD`, its lanes
+//!    at `PAD..PAD + w` ([`FusedKernel::pad`]); other kernels keep their
+//!    rows packed at stride `w`. Scratch slots are reused once their
+//!    last reader has run (a linear scan over the program).
 //! 3. **Tape linearization**: each stored or materialized tree is
 //!    flattened to a short accumulator program ([`TapeOp`]) over *taps* —
 //!    the distinct rows the tree reads. Operand order of every
@@ -34,7 +40,8 @@
 //!    the identical floating-point expression the interpreter does: the
 //!    fused path stays bit-identical to the oracle (ULP bound 0).
 //! 4. **Tap pre-resolution**: the tap table holds the grid taps first and
-//!    the scratch taps after them ([`FusedKernel::grid_taps`]). For brick
+//!    the scratch taps after them ([`FusedKernel::grid_taps`]); taps no
+//!    tape or fill reads once shared rows are padded are dropped. For brick
 //!    layouts every grid tap's neighbour table index and in-brick offset
 //!    are computed here, once; per block the executor does one table read
 //!    and one multiply-add per grid tap — no `div_euclid` chains in the
@@ -53,7 +60,7 @@
 //! Everything in this module is safe code. The preconditions the SIMD
 //! evaluators in [`super::avx2`]/[`super::neon`] rely on are discharged
 //! *statically* by the brick-safe prover ([`super::safe`]) at
-//! `Plan::compile` time (BS001–BS008, BS011–BS014), plus one cheap
+//! `Plan::compile` time (BS001–BS008, BS011–BS015), plus one cheap
 //! per-run premise check in `crate::exec` (slab length and
 //! adjacency-table validity);
 //! [`check_taps`]/[`check_tape`] remain as the debug-build and test-entry
@@ -61,7 +68,7 @@
 //! ordinary checked Rust and doubles as the reference for what a tape
 //! computes.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use brick_codegen::{LayoutKind, VOp, VectorKernel};
 use brick_core::{neighbor_index, BrickDims, NO_BRICK};
@@ -82,10 +89,21 @@ pub(crate) const MAX_STACK: usize = 4;
 /// DAGs re-expanding into huge trees.
 const MAX_TAPE: usize = 1024;
 
+/// Lanes of apron on either side of every scratch row of a kernel that
+/// pads rows: the widest shift a [`Tap::Padded`] read may take. Rows
+/// whose shifts reach further stay split.
+pub(crate) const PAD: usize = 4;
+
+/// Index of lane 0 of scratch row `slot` at width `w` with `pad` lanes
+/// of apron on either side: `[pad | w | pad]` per row.
+fn scratch_base(slot: u16, w: usize, pad: usize) -> usize {
+    slot as usize * (w + 2 * pad) + pad
+}
+
 /// A distinct row a fused row program reads, in kernel-relative
 /// coordinates (layout-independent). `Direct`, `Shifted` and `Window`
-/// read the input grid; `Scratch` and `ScratchShifted` read the
-/// per-worker scratch buffer.
+/// read the input grid; `Scratch`, `ScratchShifted` and `Padded` read
+/// the per-worker scratch buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum Tap {
     /// Lane `i` reads grid element `(x0 + rx·w + i, y0 + ry, z0 + rz)`.
@@ -94,7 +112,8 @@ pub(crate) enum Tap {
     /// a `ShiftX` folded into its loads, `0 < |dx| < w`.
     Shifted { ry: i16, rz: i16, dx: i16 },
     /// Lanes `[lane0, lane0 + lanes)` of grid row `(rx, ry, rz)` — a
-    /// partial `LoadRow`. Read only by a [`Fill::Copy`], never by a tape.
+    /// partial `LoadRow`, or a padded row's apron. Read only by a
+    /// [`Fill::Copy`] or [`Fill::Pad`], never by a tape.
     Window {
         rx: i8,
         ry: i16,
@@ -108,6 +127,11 @@ pub(crate) enum Tap {
     /// `0 ≤ i + dx < w`, else the wrapped lane `i + dx ∓ w` of scratch row
     /// `edge` — a `ShiftX` of computed rows, `0 < |dx| < w`.
     ScratchShifted { src: u16, edge: u16, dx: i16 },
+    /// Lane `i` reads lane `i + dx` of padded scratch row `slot`, whose
+    /// [`Fill::Pad`] wrote lanes `[-apron, w + apron)` — a shifted
+    /// (`dx ≠ 0`) or direct (`dx = 0`) read of the grid row it copied,
+    /// `|dx| ≤ apron ≤ PAD`.
+    Padded { slot: u16, dx: i16 },
 }
 
 impl Tap {
@@ -122,24 +146,28 @@ impl Tap {
     /// The scratch rows this tap reads (empty for grid taps).
     pub(crate) fn scratch_slots(&self) -> impl Iterator<Item = u16> {
         let (a, b) = match *self {
-            Tap::Scratch { slot } => (Some(slot), None),
+            Tap::Scratch { slot } | Tap::Padded { slot, .. } => (Some(slot), None),
             Tap::ScratchShifted { src, edge, .. } => (Some(src), Some(edge)),
             _ => (None, None),
         };
         a.into_iter().chain(b)
     }
 
-    /// Resolve a scratch tap against `w`-lane buffer rows (`None` for
-    /// grid taps, which resolve per block).
-    pub(crate) fn resolve_scratch(&self, w: usize) -> Option<RTap> {
+    /// Resolve a scratch tap against the `w`-lane rows of a buffer with
+    /// `pad` lanes of apron around each row (`None` for grid taps, which
+    /// resolve per block). A padded read is a plain scratch row that
+    /// starts `dx` lanes off.
+    pub(crate) fn resolve_scratch(&self, w: usize, pad: usize) -> Option<RTap> {
+        let base = |slot| scratch_base(slot, w, pad);
         match *self {
-            Tap::Scratch { slot } => Some(RTap::Scratch {
-                base: slot as usize * w,
-            }),
+            Tap::Scratch { slot } => Some(RTap::Scratch { base: base(slot) }),
             Tap::ScratchShifted { src, edge, dx } => Some(RTap::ScratchSplit {
-                home: src as usize * w,
-                nbr: edge as usize * w,
+                home: base(src),
+                nbr: base(edge),
                 dx: dx as isize,
+            }),
+            Tap::Padded { slot, dx } => Some(RTap::Scratch {
+                base: base(slot).saturating_add_signed(dx as isize),
             }),
             _ => None,
         }
@@ -256,8 +284,8 @@ pub(crate) struct RowProg {
     pub(crate) max_sp: usize,
     /// Chain form of `tape` when it is a straight accumulation
     /// (`Set · Mul? · {Fma,AddTap,TapAdd}* · Mul?`) over grid rows and
-    /// plain scratch rows — the shape scatter-scheduled rows and the
-    /// 125-point cube's rows linearize to. SIMD backends evaluate this with a
+    /// plain or padded scratch rows — the shape scatter-scheduled rows and
+    /// the 125-point cube's rows linearize to. SIMD backends evaluate this with a
     /// uniform tap loop instead of the general tape interpreter, which
     /// keeps the row accumulators register-resident (the interpreter's
     /// many-armed dispatch forces them onto the stack).
@@ -271,15 +299,41 @@ pub(crate) enum Fill {
     /// gathered across its seam, or a [`Tap::Window`]'s lanes with the
     /// others zeroed — the IR's partial `LoadRow`.
     Copy { tap: u16 },
+    /// Copy grid row `home` (a `Direct { rx: 0 }`) into lanes `[0, w)`
+    /// and the `apron` x-nearest lanes of its neighbour rows into the
+    /// apron around it: window `minus` (lanes `[w − apron, w)` of the
+    /// `−x` row) into lanes `[−apron, 0)`, window `plus` (lanes
+    /// `[0, apron)` of the `+x` row) into `[w, w + apron)`.
+    /// `apron ≤ FusedKernel::pad`.
+    Pad {
+        home: u16,
+        minus: u16,
+        plus: u16,
+        apron: u16,
+    },
     /// Evaluate an accumulator program into the row.
     Tape { tape: Vec<TapeOp>, max_sp: usize },
+}
+
+impl Fill {
+    /// The grid taps a copy or pad fill reads (none for a tape).
+    pub(crate) fn grid_sources(&self) -> Vec<u16> {
+        match *self {
+            Fill::Copy { tap } => vec![tap],
+            Fill::Pad {
+                home, minus, plus, ..
+            } => vec![home, minus, plus],
+            Fill::Tape { .. } => Vec::new(),
+        }
+    }
 }
 
 /// One scratch row written per block, before any output row: the value
 /// of an IR register the tree form cannot express in place.
 #[derive(Debug, Clone)]
 pub(crate) struct ScratchProg {
-    /// Scratch-buffer row written (`slot · w ..`, `w` lanes).
+    /// Scratch-buffer row written (`w` lanes from
+    /// `slot · (w + 2·pad) + pad`, plus the apron of a pad fill).
     pub(crate) slot: u16,
     /// What the row holds.
     pub(crate) fill: Fill,
@@ -291,7 +345,8 @@ pub(crate) struct ScratchProg {
 /// rounds once with `t·1.0` exact, so it is bit-identical to the tape's
 /// `acc + t` / `t + acc` for all non-NaN inputs (addition is commutative
 /// in IEEE-754 up to NaN payload selection). Every tap is a grid row
-/// (`Direct` or `Shifted`) or a plain scratch row (`Scratch`).
+/// (`Direct` or `Shifted`) or a plain scratch row (`Scratch` or
+/// `Padded`).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct FastRow {
     /// Tap that seeds the accumulator.
@@ -302,11 +357,16 @@ pub(crate) struct FastRow {
     pub(crate) fmas: Vec<(u16, f64)>,
     /// Trailing scale, if the tape ends in a `Mul`.
     pub(crate) scale: Option<f64>,
+    /// No tap of the chain is a split (`Shifted`) grid row, so every load
+    /// is one plain row: the SIMD backends run an instantiation without
+    /// the seam arm, which keeps its accumulators out of the spill moves
+    /// that arm costs.
+    pub(crate) plain: bool,
 }
 
 /// Extract the chain form of a tape, if every op fits
 /// `Set · Mul? · {Fma,AddTap,TapAdd}* · Mul?` and every tap it reads is a
-/// `Direct`, `Shifted` or `Scratch` row of `taps`. `pub(crate)` so the
+/// `Direct`, `Shifted`, `Scratch` or `Padded` row of `taps`. `pub(crate)` so the
 /// brick-safe prover can recompute it and compare against the stored
 /// form (obligation BS011).
 pub(crate) fn fast_row(tape: &[TapeOp], taps: &[Tap]) -> Option<FastRow> {
@@ -334,14 +394,20 @@ pub(crate) fn fast_row(tape: &[TapeOp], taps: &[Tap]) -> Option<FastRow> {
     let chainable = |t: u16| {
         matches!(
             taps.get(t as usize),
-            Some(Tap::Direct { .. } | Tap::Shifted { .. } | Tap::Scratch { .. })
+            Some(
+                Tap::Direct { .. } | Tap::Shifted { .. } | Tap::Scratch { .. } | Tap::Padded { .. }
+            )
         )
     };
-    (chainable(first) && fmas.iter().all(|&(t, _)| chainable(t))).then_some(FastRow {
+    let split = |t: u16| matches!(taps.get(t as usize), Some(Tap::Shifted { .. }));
+    let read = || std::iter::once(first).chain(fmas.iter().map(|&(t, _)| t));
+    let plain = !read().any(split);
+    read().all(chainable).then_some(FastRow {
         first,
         pre,
         fmas,
         scale,
+        plain,
     })
 }
 
@@ -361,8 +427,13 @@ pub(crate) struct FusedKernel {
     pub(crate) brick_taps: Vec<BrickTap>,
     /// Scratch-row programs, evaluated in order before the output rows.
     pub(crate) scratch: Vec<ScratchProg>,
-    /// Rows of the per-worker scratch buffer (`scratch_rows · w` values).
+    /// Rows of the per-worker scratch buffer
+    /// (`scratch_rows · (w + 2·pad)` values).
     pub(crate) scratch_rows: usize,
+    /// Lanes of apron on either side of every scratch row: [`PAD`] when
+    /// the kernel pads rows, else 0, so a kernel that pads no row keeps
+    /// its scratch rows packed at stride `w`.
+    pub(crate) pad: usize,
     pub(crate) rows: Vec<RowProg>,
 }
 
@@ -388,13 +459,21 @@ impl FusedKernel {
     pub(crate) fn rtap_table(&self, w: usize) -> Vec<RTap> {
         self.taps
             .iter()
-            .map(|t| t.resolve_scratch(w).unwrap_or(RTap::Direct { base: 0 }))
+            .map(|t| {
+                t.resolve_scratch(w, self.pad)
+                    .unwrap_or(RTap::Direct { base: 0 })
+            })
             .collect()
+    }
+
+    /// Values of the per-worker scratch buffer at width `w`.
+    pub(crate) fn scratch_len(&self, w: usize) -> usize {
+        self.scratch_rows * (w + 2 * self.pad)
     }
 
     /// A zeroed per-worker scratch buffer for width `w`.
     pub(crate) fn scratch_buffer(&self, w: usize) -> Vec<f64> {
-        vec![0.0; self.scratch_rows * w]
+        vec![0.0; self.scratch_len(w)]
     }
 
     /// Resolve every grid tap against one brick's 27-neighbour row into
@@ -835,14 +914,15 @@ impl Fuser {
         Ok(())
     }
 
-    /// Assign physical scratch slots, put the grid taps first, extract
-    /// the fast chains and pre-resolve brick taps.
+    /// Pad the shared rows, assign physical scratch slots, drop the taps
+    /// nothing reads, put the grid taps first, extract the fast chains and
+    /// pre-resolve brick taps.
     fn finish(mut self, layout: LayoutKind, block: BrickDims) -> Result<FusedKernel, String> {
-        self.stage_shared_shifts()?;
+        self.pad_shared_rows()?;
         let slot_of = self.assign_slots()?;
         for t in &mut self.taps {
             match t {
-                Tap::Scratch { slot } => *slot = slot_of[*slot as usize],
+                Tap::Scratch { slot } | Tap::Padded { slot, .. } => *slot = slot_of[*slot as usize],
                 Tap::ScratchShifted { src, edge, .. } => {
                     *src = slot_of[*src as usize];
                     *edge = slot_of[*edge as usize];
@@ -854,14 +934,27 @@ impl Fuser {
             sp.slot = slot_of[sp.slot as usize];
         }
         let scratch_rows = slot_of.iter().map(|&s| s as usize + 1).max().unwrap_or(0);
+        let pads = |sp: &ScratchProg| matches!(sp.fill, Fill::Pad { .. });
+        let pad = if self.scratch.iter().any(pads) {
+            PAD
+        } else {
+            0
+        };
 
-        // Grid taps first, so the executors rewrite one leading run of
-        // the resolved table per block.
-        let order: Vec<usize> = (0..self.taps.len())
-            .filter(|&i| self.taps[i].is_grid())
-            .chain((0..self.taps.len()).filter(|&i| !self.taps[i].is_grid()))
-            .collect();
-        let mut new_id = vec![0u16; order.len()];
+        // Only the taps a tape or fill reads, grid taps first, so the
+        // executors rewrite one leading run of the resolved table per
+        // block and resolve and prefetch nothing a padded row replaced.
+        let mut read = vec![false; self.taps.len()];
+        let fills = self.scratch.iter().flat_map(|sp| sp.fill.grid_sources());
+        for t in self.tapes().flatten().filter_map(TapeOp::tap).chain(fills) {
+            read[t as usize] = true;
+        }
+        let kept = |grid: bool| {
+            let (taps, read) = (&self.taps, &read);
+            (0..taps.len()).filter(move |&i| read[i] && taps[i].is_grid() == grid)
+        };
+        let order: Vec<usize> = kept(true).chain(kept(false)).collect();
+        let mut new_id = vec![u16::MAX; self.taps.len()];
         for (new, &old) in order.iter().enumerate() {
             new_id[old] = new as u16;
         }
@@ -875,6 +968,13 @@ impl Fuser {
         for sp in &mut self.scratch {
             match &mut sp.fill {
                 Fill::Copy { tap } => *tap = new_id[*tap as usize],
+                Fill::Pad {
+                    home, minus, plus, ..
+                } => {
+                    for t in [home, minus, plus] {
+                        *t = new_id[*t as usize];
+                    }
+                }
                 Fill::Tape { tape, .. } => remap(tape),
             }
         }
@@ -899,44 +999,46 @@ impl Fuser {
             brick_taps,
             scratch: self.scratch,
             scratch_rows,
+            pad,
             rows: self.rows,
         })
     }
 
-    /// Stage every shifted grid tap more than one tape op reads: a
-    /// scratch program at the front of the block gathers it across the
-    /// seam once, and its readers load the staged row lane for lane. The
-    /// 125-point cube reads each of its shifted rows from up to 25 output
-    /// rows, the 27-point cube from up to 9. A tap read once (every
-    /// `T = 1` star row's) stays in place.
-    fn stage_shared_shifts(&mut self) -> Result<(), String> {
+    /// Pad every grid row whose shifted taps tape ops read more than
+    /// once: a [`Fill::Pad`] at the front of the block copies the home
+    /// row with an apron of its x-neighbours' nearest `max |dx|` lanes
+    /// on either side, and every shifted or direct read of that row loads
+    /// the padded copy at lane `dx` ([`Tap::Padded`]) — one copy per row
+    /// instead of one per shift, and no seam gather. The 125-point cube
+    /// reads each of its shifted rows from up to 25 output rows, the
+    /// 27-point cube from up to 9. A row whose shifts are each read once
+    /// (every `T = 1` star row's, the cubes' corner rows) stays in place,
+    /// and so does one whose shifts reach past [`PAD`].
+    fn pad_shared_rows(&mut self) -> Result<(), String> {
         let mut reads = vec![0u32; self.taps.len()];
-        let tapes = self
-            .scratch
-            .iter()
-            .filter_map(|sp| match &sp.fill {
-                Fill::Tape { tape, .. } => Some(tape),
-                Fill::Copy { .. } => None,
-            })
-            .chain(self.rows.iter().map(|rp| &rp.tape));
-        for op in tapes.flatten() {
-            if let Some(t) = op.tap() {
-                reads[t as usize] += 1;
+        for t in self.tapes().flatten().filter_map(TapeOp::tap) {
+            reads[t as usize] += 1;
+        }
+        // (shared, apron) per grid row `(rz, ry)` whose shifts tapes read,
+        // in memory order
+        let mut rows: BTreeMap<(i16, i16), (bool, u16)> = BTreeMap::new();
+        for (tap, &n) in self.taps.iter().zip(&reads) {
+            if let (Tap::Shifted { ry, rz, dx }, 1..) = (*tap, n) {
+                let row = rows.entry((rz, ry)).or_default();
+                row.0 |= n > 1;
+                row.1 = row.1.max(dx.unsigned_abs());
             }
         }
-        let staged: Vec<u16> = (0..self.taps.len())
-            .filter(|&t| matches!(self.taps[t], Tap::Shifted { .. }) && reads[t] > 1)
-            .map(|t| t as u16)
-            .collect();
-        let k = u16::try_from(staged.len()).map_err(|_| id_overflow("scratch rows"))?;
+        rows.retain(|_, &mut (shared, apron)| shared && apron as usize <= PAD);
+        let k = u16::try_from(rows.len()).map_err(|_| id_overflow("scratch rows"))?;
         if k == 0 {
             return Ok(());
         }
-        // the staging programs take virtual slots 0..k
+        // the pad programs take virtual slots 0..k
         u16::try_from(self.scratch.len() + k as usize).map_err(|_| id_overflow("scratch rows"))?;
         for t in &mut self.taps {
             match t {
-                Tap::Scratch { slot } => *slot += k,
+                Tap::Scratch { slot } | Tap::Padded { slot, .. } => *slot += k,
                 Tap::ScratchShifted { src, edge, .. } => {
                     *src += k;
                     *edge += k;
@@ -944,22 +1046,42 @@ impl Fuser {
                 _ => {}
             }
         }
-        let mut to_staged = HashMap::new();
-        let mut front = Vec::with_capacity(staged.len());
-        for (slot, &t) in (0..k).zip(&staged) {
-            to_staged.insert(
-                t,
-                u16::try_from(self.taps.len()).map_err(|_| id_overflow("taps"))?,
-            );
-            self.taps.push(Tap::Scratch { slot });
-            front.push(ScratchProg {
-                slot,
-                fill: Fill::Copy { tap: t },
-            });
+        let w = self.w as u16;
+        let mut padded = HashMap::new();
+        let mut front = Vec::with_capacity(rows.len());
+        for (slot, (&(rz, ry), &(_, apron))) in (0..k).zip(&rows) {
+            let window = |rx: i8, lane0: u16| Tap::Window {
+                rx,
+                ry,
+                rz,
+                lane0,
+                lanes: apron,
+            };
+            let fill = Fill::Pad {
+                home: self.tap_id(Tap::Direct { rx: 0, ry, rz })?,
+                minus: self.tap_id(window(-1, w - apron))?,
+                plus: self.tap_id(window(1, 0))?,
+                apron,
+            };
+            front.push(ScratchProg { slot, fill });
+            padded.insert((ry, rz), slot);
+        }
+        // every read of a padded row's home or shifts goes to its copy
+        let mut to_padded = HashMap::new();
+        let read = (0..reads.len()).filter(|&t| reads[t] > 0);
+        for t in read {
+            let (ry, rz, dx) = match self.taps[t] {
+                Tap::Shifted { ry, rz, dx } => (ry, rz, dx),
+                Tap::Direct { rx: 0, ry, rz } => (ry, rz, 0),
+                _ => continue,
+            };
+            if let Some(&slot) = padded.get(&(ry, rz)) {
+                to_padded.insert(t as u16, self.tap_id(Tap::Padded { slot, dx })?);
+            }
         }
         let redirect = |tape: &mut Vec<TapeOp>| {
             for op in tape.iter_mut() {
-                *op = op.map_tap(|t| to_staged.get(&t).copied().unwrap_or(t));
+                *op = op.map_tap(|t| to_padded.get(&t).copied().unwrap_or(t));
             }
         };
         for sp in &mut self.scratch {
@@ -974,6 +1096,16 @@ impl Fuser {
         front.append(&mut self.scratch);
         self.scratch = front;
         Ok(())
+    }
+
+    /// Every tape of the block program: the scratch programs', then the
+    /// output rows'.
+    fn tapes(&self) -> impl Iterator<Item = &[TapeOp]> {
+        let fills = self.scratch.iter().filter_map(|sp| match &sp.fill {
+            Fill::Tape { tape, .. } => Some(tape.as_slice()),
+            Fill::Copy { .. } | Fill::Pad { .. } => None,
+        });
+        fills.chain(self.rows.iter().map(|rp| rp.tape.as_slice()))
     }
 
     /// Linear-scan slot assignment: virtual slot `k` (written by scratch
@@ -1119,7 +1251,7 @@ fn brick_tap(t: &Tap, b: BrickDims) -> Option<BrickTap> {
                 dx: dx as isize,
             })
         }
-        Tap::Scratch { .. } | Tap::ScratchShifted { .. } => None,
+        Tap::Scratch { .. } | Tap::ScratchShifted { .. } | Tap::Padded { .. } => None,
     }
 }
 
@@ -1168,6 +1300,29 @@ pub(crate) fn fill_copy(rt: RTap, raw: &[f64], row: &mut [f64]) {
     }
 }
 
+/// Fill a padded scratch row (a [`Fill::Pad`]): `row` is its lanes
+/// `[-a, w + a)`, `home` a direct grid row, `minus`/`plus` the `a`-lane
+/// windows of its x-neighbours.
+pub(crate) fn fill_pad(
+    home: RTap,
+    minus: RTap,
+    plus: RTap,
+    raw: &[f64],
+    a: usize,
+    row: &mut [f64],
+) {
+    let (RTap::Direct { base }, RTap::Window { base: mb, .. }, RTap::Window { base: pb, .. }) =
+        (home, minus, plus)
+    else {
+        panic!("pad fill reads a row that is not a direct row and two windows");
+    };
+    let (apron, rest) = row.split_at_mut(a);
+    let (mid, tail) = rest.split_at_mut(rest.len() - a);
+    apron.copy_from_slice(&raw[mb..mb + a]);
+    mid.copy_from_slice(&raw[base..base + mid.len()]);
+    tail.copy_from_slice(&raw[pb..pb + a]);
+}
+
 /// Run every scratch program of `f` for one block, in order, into `scr`.
 /// `eval(tape, max_sp, scr, out)` is the backend's tape evaluator; it
 /// computes into a stack row that is then copied into the slot, so a
@@ -1182,9 +1337,26 @@ pub(crate) fn run_scratch(
 ) {
     let mut row = [0.0f64; MAX_W];
     for sp in &f.scratch {
-        let s = sp.slot as usize * w;
+        let s = scratch_base(sp.slot, w, f.pad);
         match &sp.fill {
             Fill::Copy { tap } => fill_copy(rtaps[*tap as usize], raw, &mut scr[s..s + w]),
+            &Fill::Pad {
+                home,
+                minus,
+                plus,
+                apron,
+            } => {
+                let a = apron as usize;
+                let r = |t: u16| rtaps[t as usize];
+                fill_pad(
+                    r(home),
+                    r(minus),
+                    r(plus),
+                    raw,
+                    a,
+                    &mut scr[s - a..s + w + a],
+                );
+            }
             Fill::Tape { tape, max_sp } => {
                 eval(tape, *max_sp, scr, &mut row[..w]);
                 scr[s..s + w].copy_from_slice(&row[..w]);
@@ -1415,7 +1587,7 @@ mod tests {
                     lane0,
                     lanes,
                 },
-                scratch => scratch.resolve_scratch(w).unwrap(),
+                scratch => scratch.resolve_scratch(w, f.pad).unwrap(),
             })
             .collect()
     }
@@ -1438,38 +1610,36 @@ mod tests {
                 };
                 let f = fuse(&k).expect("paper kernels fuse");
                 let ops: usize = f.rows().iter().map(|r| r.tape.len()).sum();
-                let copies = f
-                    .scratch
-                    .iter()
-                    .filter(|sp| matches!(sp.fill, Fill::Copy { .. }))
-                    .count();
-                let staged = f
-                    .scratch
-                    .iter()
-                    .filter(|sp| match sp.fill {
-                        Fill::Copy { tap } => matches!(f.taps[tap as usize], Tap::Shifted { .. }),
-                        Fill::Tape { .. } => false,
-                    })
-                    .count();
+                let count =
+                    |pred: fn(&Fill) -> bool| f.scratch.iter().filter(|sp| pred(&sp.fill)).count();
+                let copies = count(|fill| matches!(fill, Fill::Copy { .. }));
+                let padded = count(|fill| matches!(fill, Fill::Pad { .. }));
                 let scratch_ops: usize = f
                     .scratch
                     .iter()
                     .map(|sp| match &sp.fill {
                         Fill::Tape { tape, .. } => tape.len(),
-                        Fill::Copy { .. } => 0,
+                        Fill::Copy { .. } | Fill::Pad { .. } => 0,
                     })
                     .sum();
+                let fast = |plain: bool| {
+                    f.rows()
+                        .iter()
+                        .filter(|r| r.fast.as_ref().is_some_and(|fr| fr.plain == plain))
+                        .count()
+                };
                 println!(
-                    "{shape} t{t}: taps={} (grid {}) rows={} ops/row={:.1} fast={} \
-                     scratch: {} copies ({} staged shifts), {} tapes ({} ops), {} rows",
+                    "{shape} t{t}: taps={} (grid {}) rows={} ops/row={:.1} fast={} (plain {}) \
+                     scratch: {} padded rows, {} copies, {} tapes ({} ops), {} rows",
                     f.taps_len(),
                     f.grid_taps,
                     f.rows().len(),
                     ops as f64 / f.rows().len() as f64,
-                    f.rows().iter().filter(|r| r.fast.is_some()).count(),
+                    fast(true) + fast(false),
+                    fast(true),
+                    padded,
                     copies,
-                    staged,
-                    f.scratch.len() - copies,
+                    f.scratch.len() - copies - padded,
                     scratch_ops,
                     f.scratch_rows,
                 );
@@ -1495,22 +1665,28 @@ mod tests {
 
     #[test]
     fn cube125_tap_table_is_sized_by_the_kernel() {
-        // 64 y/z row groups x 5 x-offsets on a 32x4x4 block; the shifted
-        // rows several output rows read are staged into scratch rows
+        // 64 y/z rows x 5 x-offsets on a 32x4x4 block. The 60 rows several
+        // output rows shift are padded: one direct row and two 2-lane
+        // windows each, read at 5 offsets. The 4 corner rows are read by
+        // one output row each and stay split: a direct and 4 shifted taps.
         for strategy in [Strategy::Gather, Strategy::Scatter] {
             let k = kernel(StencilShape::cube(2), LayoutKind::Brick, strategy);
             let f = fuse(&k).expect("125-point cube fuses");
-            assert_eq!(f.grid_taps, 320, "{strategy}");
-            assert_eq!(f.taps_len(), f.grid_taps + f.scratch.len(), "{strategy}");
+            assert_eq!(f.grid_taps, 60 * 3 + 4 * 5, "{strategy}");
+            assert_eq!(f.taps_len(), f.grid_taps + 60 * 5, "{strategy}");
+            assert_eq!((f.scratch.len(), f.scratch_rows), (60, 60), "{strategy}");
             assert!(f
                 .scratch
                 .iter()
-                .all(|sp| matches!(sp.fill, Fill::Copy { .. })));
+                .all(|sp| matches!(sp.fill, Fill::Pad { apron: 2, .. })));
         }
-        // scatter rows become straight chains over the staged rows
+        // scatter rows become straight chains over the padded rows; the
+        // 12 that read no corner row are plain
         let k = kernel(StencilShape::cube(2), LayoutKind::Brick, Strategy::Scatter);
         let f = fuse(&k).unwrap();
         assert!(f.rows().iter().all(|rp| rp.fast.is_some()));
+        let plain = f.rows().iter().filter(|rp| rp.fast.as_ref().unwrap().plain);
+        assert_eq!(plain.count(), 12);
     }
 
     #[test]

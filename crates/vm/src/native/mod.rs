@@ -43,7 +43,7 @@
 //!   footprint pass's load reach bounds every out-of-block access (checked
 //!   against ghost/halo coverage by the callers in [`crate::exec`]);
 //! * brick-safe's obligations over the fused form (BS001–BS008,
-//!   BS011–BS014) — tap, scratch and store rows in bounds for all blocks,
+//!   BS011–BS015) — tap, scratch and store rows in bounds for all blocks,
 //!   seam shifts in range, tape stack discipline, lane geometry, fast
 //!   chains faithful to their tapes, scratch rows written before they are
 //!   read — plus the cheap

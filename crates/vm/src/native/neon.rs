@@ -60,12 +60,12 @@ impl RowOps for NeonOps {
         row_start: F,
     ) {
         // Same split as the AVX2 backend: tap-table bounds hold by the
-        // brick-safe proof (BS001–BS003, BS012–BS014) plus the executor's
+        // brick-safe proof (BS001–BS003, BS012–BS015) plus the executor's
         // per-run premise and the scratch-length premise asserted here,
         // re-asserted in debug builds; tap ids and stack depth stay
         // bounds-checked per op.
         assert!(
-            scr.len() >= fused.scratch_rows * w,
+            scr.len() >= fused.scratch_len(w),
             "scratch buffer shorter than {} rows",
             fused.scratch_rows
         );
@@ -73,7 +73,7 @@ impl RowOps for NeonOps {
             fuse::check_taps(rtaps, raw.len(), scr.len(), w);
         }
         fuse::run_scratch(fused, rtaps, raw, scr, w, |tape, max_sp, scr, row| {
-            // SAFETY: tap rows in-bounds by BS001–BS003/BS012–BS014 plus
+            // SAFETY: tap rows in-bounds by BS001–BS003/BS012–BS015 plus
             // the premises above; `row.len() == w` by `run_scratch`;
             // NEON is aarch64 baseline.
             unsafe { eval_tape_w(w, max_sp, tape, rtaps, raw, scr, row) }
@@ -81,7 +81,7 @@ impl RowOps for NeonOps {
         for rp in fused.rows() {
             let s = row_start(rp);
             let out_row = &mut out[s..s + w];
-            // SAFETY: tap rows in-bounds by the BS001–BS003/BS012–BS014
+            // SAFETY: tap rows in-bounds by the BS001–BS003/BS012–BS015
             // proof plus the premises above (re-asserted in debug
             // builds); `out_row.len() == w` by the slice; a fast chain
             // reads grid rows and plain scratch rows only (BS011); NEON
@@ -266,7 +266,7 @@ unsafe fn eval_fast<const NC: usize>(
 /// # Safety
 /// Every grid tap row must be in-bounds for `raw.len()` and every scratch
 /// tap row for `scr.len()` at width `w` — established by the brick-safe
-/// proof (BS001–BS003, BS012–BS014) plus the executor's per-run premises,
+/// proof (BS001–BS003, BS012–BS015) plus the executor's per-run premises,
 /// or by an explicit [`fuse::check_taps`]/[`fuse::check_tape`] run — and
 /// `out.len() == w == 2·NC` must hold. Tap ids and the
 /// `SP`-sized value stack are accessed with bounds-checked indexing, so

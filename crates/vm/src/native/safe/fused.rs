@@ -12,10 +12,15 @@
 //! lives in [`super::geometry`].
 //!
 //! Scratch taps address the per-worker scratch buffer the executors size
-//! at `scratch_rows · w`: a slot below `scratch_rows` (BS012) with a
-//! shift inside `(0, w)` (BS014) keeps every scratch read and write
-//! inside it. BS013 adds that the block program writes a row before any
-//! tape reads it, so no tape sees a previous block's (or no) value.
+//! at `scratch_rows · (w + 2·pad)`, row `slot`'s lanes at
+//! `slot · (w + 2·pad) + pad`: a slot below `scratch_rows` (BS012) with
+//! a shift inside `(0, w)` (BS014) keeps every scratch read and write
+//! inside it, and so does a padded read's `|dx| ≤ pad` (BS014) and a pad
+//! fill's `apron ≤ pad` (BS015). BS013 adds that the block program
+//! writes a row before any tape reads it, so no tape sees a previous
+//! block's (or no) value; BS015 that a padded read stays within the
+//! apron its row's fill wrote, and that the fill copies the home row and
+//! exactly the x-nearest neighbour lanes the reads take.
 
 use brick_core::BrickDims;
 use brick_lint::LintCode;
@@ -44,8 +49,9 @@ pub(crate) fn prove_fused(p: &mut Prover, w: usize, block: BrickDims, f: &FusedK
     prove_tap_table(p, w, vol, f);
 
     // BS012/BS013: scratch programs write inside the buffer, and read
-    // only rows an earlier program of the block wrote.
-    let mut written = vec![false; f.scratch_rows];
+    // only rows an earlier program of the block wrote. `written[s]` is
+    // the apron the last write of slot `s` filled (0 for a plain row).
+    let mut written: Vec<Option<u16>> = vec![None; f.scratch_rows];
     for (k, sp) in f.scratch.iter().enumerate() {
         let slot = sp.slot as usize;
         p.obligation(
@@ -59,17 +65,27 @@ pub(crate) fn prove_fused(p: &mut Prover, w: usize, block: BrickDims, f: &FusedK
                 )
             },
         );
+        // BS004: a copy or pad fill reads the input slab, so its taps
+        // must be grid taps (resolved per block).
+        for t in sp.fill.grid_sources().into_iter().map(usize::from) {
+            p.obligation(
+                t < f.grid_taps && f.taps.get(t).is_some_and(Tap::is_grid),
+                LintCode::UnsafeTapIndexInvalid,
+                Some(k),
+                || format!("scratch program {k}: fill reads tap {t}, not a grid tap"),
+            );
+        }
+        let mut apron = 0;
         match &sp.fill {
-            Fill::Copy { tap } => {
-                // BS004: a copy fill reads the input slab, so its tap must
-                // be a grid tap (resolved per block).
-                let t = *tap as usize;
-                p.obligation(
-                    t < f.grid_taps && f.taps.get(t).is_some_and(Tap::is_grid),
-                    LintCode::UnsafeTapIndexInvalid,
-                    Some(k),
-                    || format!("scratch program {k}: copy fill reads tap {t}, not a grid tap"),
-                );
+            Fill::Copy { .. } => {}
+            &Fill::Pad {
+                home,
+                minus,
+                plus,
+                apron: a,
+            } => {
+                prove_pad(p, k, w, f, [home, minus, plus], a);
+                apron = a;
             }
             Fill::Tape { tape, max_sp } => {
                 let what = format!("scratch program {k}");
@@ -77,7 +93,7 @@ pub(crate) fn prove_fused(p: &mut Prover, w: usize, block: BrickDims, f: &FusedK
             }
         }
         if slot < f.scratch_rows {
-            written[slot] = true;
+            written[slot] = Some(apron);
         }
     }
 
@@ -190,7 +206,7 @@ fn prove_tap_table(p: &mut Prover, w: usize, vol: usize, f: &FusedKernel) {
                 Some(i),
                 || format!("tap {i}: window lanes {lane0}+{lanes} overhang a {w}-lane row"),
             ),
-            Tap::Scratch { .. } | Tap::ScratchShifted { .. } => {
+            Tap::Scratch { .. } | Tap::ScratchShifted { .. } | Tap::Padded { .. } => {
                 for s in tap.scratch_slots() {
                     p.obligation(
                         (s as usize) < f.scratch_rows,
@@ -204,13 +220,21 @@ fn prove_tap_table(p: &mut Prover, w: usize, vol: usize, f: &FusedKernel) {
                         },
                     );
                 }
-                if let Tap::ScratchShifted { dx, .. } = *tap {
-                    p.obligation(
+                match *tap {
+                    Tap::ScratchShifted { dx, .. } => p.obligation(
                         dx != 0 && (dx.unsigned_abs() as usize) < w,
                         LintCode::UnsafeScratchReach,
                         Some(i),
                         || format!("tap {i}: scratch shift {dx} reaches past a {w}-lane row"),
-                    );
+                    ),
+                    // the row's lanes start `pad` values into its slot
+                    Tap::Padded { dx, .. } => p.obligation(
+                        dx.unsigned_abs() as usize <= f.pad,
+                        LintCode::UnsafeScratchReach,
+                        Some(i),
+                        || format!("tap {i}: padded shift {dx} leaves the {}-lane apron", f.pad),
+                    ),
+                    _ => {}
                 }
             }
             Tap::Direct { .. } => {}
@@ -264,8 +288,54 @@ fn prove_tap_table(p: &mut Prover, w: usize, vol: usize, f: &FusedKernel) {
     }
 }
 
+/// BS015 for scratch program `k`, a pad fill of `apron` lanes reading
+/// `[home, minus, plus]`: the apron fits the slot's `pad` lanes on
+/// either side (memory), and the fill copies one direct home row and
+/// exactly the `apron` lanes of its `−x` and `+x` neighbour rows that
+/// wrap into the apron (values).
+fn prove_pad(p: &mut Prover, k: usize, w: usize, f: &FusedKernel, taps: [u16; 3], apron: u16) {
+    p.obligation(
+        apron as usize <= f.pad,
+        LintCode::UnsafePadFill,
+        Some(k),
+        || {
+            format!(
+                "scratch program {k}: pad apron {apron} exceeds the {}-lane slot apron",
+                f.pad
+            )
+        },
+    );
+    let tap = |t: u16| f.taps.get(t as usize).copied();
+    let Some(Tap::Direct { rx: 0, ry, rz }) = tap(taps[0]) else {
+        p.obligation(false, LintCode::UnsafePadFill, Some(k), || {
+            format!("scratch program {k}: pad fill's home tap is not a direct home row")
+        });
+        return;
+    };
+    let window = |rx: i8, lane0: usize| Tap::Window {
+        rx,
+        ry,
+        rz,
+        lane0: lane0 as u16,
+        lanes: apron,
+    };
+    let lanes_ok = apron > 0 && apron as usize <= w;
+    for (t, want) in [
+        (taps[1], window(-1, w.saturating_sub(apron as usize))),
+        (taps[2], window(1, 0)),
+    ] {
+        p.obligation(
+            lanes_ok && tap(t) == Some(want),
+            LintCode::UnsafePadFill,
+            Some(k),
+            || format!("scratch program {k}: pad window tap {t} is not {want:?}"),
+        );
+    }
+}
+
 /// Per-tape obligations: tap indices and kinds (BS004), scratch rows
-/// written before read (BS013), and stack discipline (BS005). `(what, at)`
+/// written before read (BS013), padded reads within their apron (BS015),
+/// and stack discipline (BS005). `(what, at)`
 /// names the tape's owner — an output row or a scratch program — and its
 /// index, which anchors the whole-tape BS005 diagnostic.
 fn prove_tape(
@@ -274,7 +344,7 @@ fn prove_tape(
     tape: &[TapeOp],
     declared_sp: usize,
     f: &FusedKernel,
-    written: &[bool],
+    written: &[Option<u16>],
 ) {
     let ntaps = f.taps.len();
     let mut sp: usize = 0;
@@ -292,12 +362,26 @@ fn prove_tape(
                 || format!("{what} tape op {i}: tap {tap} is not an operand of the {ntaps}-entry table"),
             );
             for s in t.into_iter().flat_map(Tap::scratch_slots) {
+                let apron = written.get(s as usize).copied().flatten();
                 p.obligation(
-                    written.get(s as usize).copied().unwrap_or(false),
+                    apron.is_some(),
                     LintCode::UnsafeScratchUnwritten,
                     Some(i),
                     || format!("{what} tape op {i}: scratch slot {s} read before it is written"),
                 );
+                if let (Some(&Tap::Padded { dx, .. }), Some(a)) = (t, apron) {
+                    p.obligation(
+                        dx.unsigned_abs() <= a,
+                        LintCode::UnsafePadFill,
+                        Some(i),
+                        || {
+                            format!(
+                                "{what} tape op {i}: padded shift {dx} reads past the \
+                                 {a}-lane apron slot {s}'s fill wrote"
+                            )
+                        },
+                    );
+                }
             }
         }
         match op {

@@ -67,7 +67,7 @@ pub(crate) fn check(
                 ry as i64,
                 rz as i64,
             ),
-            Tap::Scratch { .. } | Tap::ScratchShifted { .. } => continue,
+            Tap::Scratch { .. } | Tap::ScratchShifted { .. } | Tap::Padded { .. } => continue,
         };
         // Tap base address decomposes per axis; each axis index is
         // monotone in the tile origin, so the two extreme origins bound

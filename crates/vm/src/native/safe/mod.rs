@@ -12,7 +12,7 @@
 //! program.
 //!
 //! Every property is an explicit **proof obligation** with a stable
-//! diagnostic code (`BS001`–`BS014`, catalogued in
+//! diagnostic code (`BS001`–`BS015`, catalogued in
 //! [`brick_lint::LintCode`] and DESIGN.md §13; `BS009`/`BS010` are
 //! retired). A violated obligation becomes a [`brick_lint::Diagnostic`]
 //! anchored at the offending tap, tape op, row or scratch program; the

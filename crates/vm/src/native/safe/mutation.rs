@@ -5,9 +5,10 @@
 //! 1. **Sensitivity**: of all single-site perturbations of compiled
 //!    plans — tap offsets, neighbour indices, seam splits, store
 //!    targets, tape indices, stack depths, fast chains (on a base whose
-//!    chains read staged scratch rows too), widths, declared tap counts,
-//!    and (on temporal bases) scratch
-//!    slots, scratch write order, scratch shifts and window fills — the
+//!    chains read padded scratch rows too), widths, declared tap counts,
+//!    padded reads and pad fills (on the cube bases), and (on temporal
+//!    bases) scratch slots, scratch write order, scratch shifts and
+//!    window fills — the
 //!    prover (compile-time pass plus the per-run array geometry check)
 //!    must reject at least 95%.
 //! 2. **Soundness of survivors**: every accepted mutant is proven
@@ -29,6 +30,8 @@ use brick_codegen::{generate, CodegenOptions, LayoutKind, Strategy};
 use brick_core::BrickGrid;
 use brick_dsl::shape::StencilShape;
 use brick_dsl::DenseGrid;
+
+use brick_lint::LintCode;
 
 use super::super::fuse::{self, BrickTap, Fill, Tap, TapeOp, MAX_STACK};
 use super::super::plan::Plan;
@@ -87,7 +90,7 @@ fn bases() -> Vec<Base> {
             1,
             32,
         ),
-        // rows are fast chains over grid and staged scratch rows
+        // rows are fast chains over grid and padded scratch rows
         mk(
             "cube2-brick",
             StencilShape::cube(2),
@@ -292,7 +295,7 @@ fn mutants_of(base: &Base) -> Vec<(String, Plan)> {
                 .iter()
                 .filter_map(TapeOp::tap)
                 .any(|t| !f.taps[t as usize].is_grid()),
-            Fill::Copy { .. } => false,
+            Fill::Copy { .. } | Fill::Pad { .. } => false,
         };
         if let Some(k) = f.scratch.iter().position(|sp| reads_scratch(&sp.fill)) {
             // hoist a program that reads scratch rows ahead of every write
@@ -360,6 +363,8 @@ fn mutants_of(base: &Base) -> Vec<(String, Plan)> {
         }
     }
 
+    out.extend(padded_mutants(p).into_iter().map(|(l, _, m)| (l, m)));
+
     // --- width killers ---
     for (label, bad_w) in [("width-18", 18usize), ("width-doubled", 2 * w)] {
         let mut m = p.clone();
@@ -421,6 +426,81 @@ fn mutants_of(base: &Base) -> Vec<(String, Plan)> {
     out
 }
 
+/// Single-site mutants of `p`'s padded rows, each with the code brick-safe
+/// must reject it with: a read past its fill's apron, padded slots past
+/// the buffer, pad windows at the wrong lanes or of the wrong width, an
+/// apron wider than the slot's, rows packed without aprons, and a window
+/// as the home row. Empty for plans without padded rows.
+fn padded_mutants(p: &Plan) -> Vec<(String, LintCode, Plan)> {
+    let f = &p.fused;
+    let mut out = Vec::new();
+    let Some((k, minus, apron)) = f
+        .scratch
+        .iter()
+        .enumerate()
+        .find_map(|(k, sp)| match sp.fill {
+            Fill::Pad { minus, apron, .. } => Some((k, minus, apron)),
+            _ => None,
+        })
+    else {
+        return out;
+    };
+    let slot = f.scratch[k].slot;
+    let read = f.taps.iter().position(
+        |t| matches!(*t, Tap::Padded { slot: s, dx } if s == slot && dx.unsigned_abs() == apron),
+    );
+    if let Some(i) = read {
+        // still inside the slot's apron, past the lanes the fill wrote
+        let mut m = p.clone();
+        if let Tap::Padded { dx, .. } = &mut m.fused.taps[i] {
+            *dx = dx.signum() * (apron as i16 + 1);
+        }
+        out.push(("pad-read-past-apron".into(), LintCode::UnsafePadFill, m));
+        let mut m = p.clone();
+        if let Tap::Padded { slot, .. } = &mut m.fused.taps[i] {
+            *slot = f.scratch_rows as u16;
+        }
+        out.push((
+            "pad-tap-slot-past-buffer".into(),
+            LintCode::UnsafeScratchSlot,
+            m,
+        ));
+    }
+    let mut m = p.clone();
+    m.fused.scratch[k].slot = f.scratch_rows as u16;
+    out.push((
+        "pad-fill-slot-past-buffer".into(),
+        LintCode::UnsafeScratchSlot,
+        m,
+    ));
+    for (label, lane0_delta, lanes_delta) in [
+        ("pad-window-lane0", -1i32, 0i32),
+        ("pad-window-lanes", 0, 1),
+    ] {
+        let mut m = p.clone();
+        if let Tap::Window { lane0, lanes, .. } = &mut m.fused.taps[minus as usize] {
+            *lane0 = (*lane0 as i32 + lane0_delta) as u16;
+            *lanes = (*lanes as i32 + lanes_delta) as u16;
+        }
+        out.push((label.into(), LintCode::UnsafePadFill, m));
+    }
+    let mut m = p.clone();
+    if let Fill::Pad { apron, .. } = &mut m.fused.scratch[k].fill {
+        *apron = f.pad as u16 + 1;
+    }
+    out.push(("pad-apron-past-slot".into(), LintCode::UnsafePadFill, m));
+    // rows packed at stride w: no apron left for any shifted read
+    let mut m = p.clone();
+    m.fused.pad = 0;
+    out.push(("pad-stride-dropped".into(), LintCode::UnsafeScratchReach, m));
+    let mut m = p.clone();
+    if let Fill::Pad { home: h, .. } = &mut m.fused.scratch[k].fill {
+        *h = minus;
+    }
+    out.push(("pad-home-is-window".into(), LintCode::UnsafePadFill, m));
+    out
+}
+
 /// Memory-harmlessness oracle for brick survivors: per interior brick of
 /// a real grid, resolve the mutant's taps and run the debug-build
 /// checks plus the portable block evaluator. Any address outside the
@@ -473,6 +553,7 @@ fn array_survivor_is_harmless(m: &Plan, nx: usize, ny: usize, nz: usize, halo: u
             t.scratch_slots().all(in_buffer)
                 && !matches!(*t, Tap::ScratchShifted { dx, .. }
                     if dx == 0 || dx.unsigned_abs() as usize >= m.width)
+                && !matches!(*t, Tap::Padded { dx, .. } if dx.unsigned_abs() as usize > f.pad)
         });
     if !scratch_ok {
         return false;
@@ -508,7 +589,9 @@ fn array_survivor_is_harmless(m: &Plan, nx: usize, ny: usize, nz: usize, halo: u
                             rz as i64 * plane + ry as i64 * sx + rx as i64 * w + lane0 as i64,
                             lanes as i64,
                         ),
-                        Tap::Scratch { .. } | Tap::ScratchShifted { .. } => continue,
+                        Tap::Scratch { .. } | Tap::ScratchShifted { .. } | Tap::Padded { .. } => {
+                            continue
+                        }
                     };
                     let base = origin + delta;
                     if base < 0 || base + len > slab_len {
@@ -549,6 +632,7 @@ fn single_site_mutants_are_killed_at_95_percent() {
         }
     }
     let rate = kills as f64 / total as f64;
+    println!("kill rate {rate:.3} ({kills}/{total})");
     assert!(
         rate >= 0.95,
         "kill rate {rate:.3} ({kills}/{total}) below 0.95; survivors: {survivors:?}"
@@ -559,6 +643,25 @@ fn single_site_mutants_are_killed_at_95_percent() {
         survivors.iter().any(|(_, l)| l.starts_with("benign")),
         "benign control mutants were unexpectedly killed"
     );
+}
+
+#[test]
+fn padded_row_mutants_are_rejected_with_their_codes() {
+    for shape in [StencilShape::cube(1), StencilShape::cube(2)] {
+        for layout in [LayoutKind::Brick, LayoutKind::Array] {
+            let p = compile(shape, layout, 1);
+            let mutants = padded_mutants(&p);
+            assert_eq!(mutants.len(), 8, "{shape} {layout}");
+            for (label, code, m) in mutants {
+                let report = prove_plan(&m).expect_err(&label);
+                assert!(
+                    !report.with_code(code).is_empty(),
+                    "{shape} {layout} {label}: no {} in {report:?}",
+                    code.code()
+                );
+            }
+        }
+    }
 }
 
 #[test]

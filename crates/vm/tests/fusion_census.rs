@@ -130,7 +130,7 @@ fn every_census_kernel_fuses_and_matches_the_interpreter() {
 
 #[test]
 fn scratch_rows_hold_temporal_planes_and_shared_shifts_only() {
-    for (label, k, _) in census() {
+    for (label, k, halo) in census() {
         let s = Plan::compile(&k).unwrap().safety();
         if k.temporal_degree > 1 {
             assert!(
@@ -139,8 +139,24 @@ fn scratch_rows_hold_temporal_planes_and_shared_shifts_only() {
             );
         } else if label.starts_with("star") {
             // a T = 1 star row reads each shifted row once: nothing is
-            // staged, the rows read the grid directly
-            assert_eq!(s.scratch_rows, 0, "{label}");
+            // padded, the rows read the grid directly — its own row, its
+            // 2r shifts and the 2r(by + bz) y/z rows around the block
+            let (r, b) = (halo, k.block);
+            let taps = b.by * b.bz * (1 + 2 * r) + 2 * r * (b.by + b.bz);
+            assert_eq!((s.scratch_rows, s.taps), (0, taps), "{label}");
+        } else {
+            // a cube of radius r reads (by + 2r)(bz + 2r) grid rows at
+            // 2r + 1 offsets each. Every row but the 4 corners is read by
+            // several output rows and padded: one direct and two window
+            // grid taps, and 2r + 1 padded reads. The corners stay split.
+            let (r, b) = (halo, k.block);
+            let padded = (b.by + 2 * r) * (b.bz + 2 * r) - 4;
+            assert_eq!(s.scratch_rows, padded, "{label}");
+            assert_eq!(
+                s.taps,
+                padded * (3 + 2 * r + 1) + 4 * (2 * r + 1),
+                "{label}"
+            );
         }
         // every scratch row is read through at least one scratch tap
         assert!(s.scratch_rows <= s.taps, "{label}");

@@ -10,6 +10,7 @@
 //! Each subcommand is a thin veneer over the library crates; the full
 //! table/figure harness lives in the `experiments` binary.
 
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -22,6 +23,37 @@ use bricks_repro::metrics::potential_speedup;
 use bricks_repro::roofline::measure;
 use bricks_repro::tuner::{autotune, TuningSpace};
 use bricks_repro::vm::{KernelSpec, ScalarKernel, TraceGeometry};
+
+/// `print!` for every report: a reader that closes the pipe early
+/// (`bricks lint | head`) ends the program quietly with exit 0 instead of
+/// the panic `print!` raises on a failed write.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`emit`], as [`out!`].
+macro_rules! outln {
+    () => {
+        emit(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Write to stdout. A closed pipe exits 0, as a producer piped into
+/// `head` should; any other write error exits 1 with the reason.
+fn emit(args: std::fmt::Arguments) {
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("bricks: cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
 
 const HELP: &str = "bricks — BrickLib reproduction toolkit
 
@@ -52,7 +84,7 @@ Exits non-zero if any kernel has error-severity diagnostics; --json
 emits machine-readable reports.
 
 `bricks lint --native` runs the brick-safe prover standalone: the
-compile-time memory-safety proof (obligations BS001-BS014) the native
+compile-time memory-safety proof (obligations BS001-BS015) the native
 SIMD backend relies on, re-discharged for every paper stencil at SIMD
 widths 16/32/64 in both layouts and both codegen strategies, plus the
 array-layout geometry premise at 256^3. Exits non-zero if any plan is
@@ -123,10 +155,13 @@ fn inspect(shape: StencilShape, width: usize, temporal: u32) -> Result<(), Strin
     let st = shape.stencil();
     let b = st.default_bindings();
     let a = StencilAnalysis::of_shape(&shape);
-    println!("{st}");
-    println!(
+    outln!("{st}");
+    outln!(
         "points {}  classes {}  flops/point {}  theoretical AI {:.4} FLOP/B\n",
-        a.points, a.classes, a.flops_per_point, a.theoretical_ai
+        a.points,
+        a.classes,
+        a.flops_per_point,
+        a.theoretical_ai
     );
     let opts = if temporal > 1 {
         // fused kernels are inherently gather-scheduled
@@ -141,18 +176,20 @@ fn inspect(shape: StencilShape, width: usize, temporal: u32) -> Result<(), Strin
     let k = generate(&st, &b, LayoutKind::Brick, width, opts).map_err(|e| e.to_string())?;
     let s = &k.stats;
     if temporal > 1 {
-        println!(
+        outln!(
             "fused T={temporal}: stores stencil^{temporal}, flops/point {} \
              theoretical AI {:.4} FLOP/B",
             a.flops_per_point * temporal as u64,
             a.theoretical_ai * temporal as f64
         );
     }
-    println!(
+    outln!(
         "generated {} — strategy {}, {} regs/thread",
-        k.name, k.strategy, k.num_regs
+        k.name,
+        k.strategy,
+        k.num_regs
     );
-    println!(
+    outln!(
         "per brick: {} loads ({} B), {} shuffles, {} FMA, {} add, {} mul, {} stores\n",
         s.loads,
         k.loaded_bytes(),
@@ -162,9 +199,9 @@ fn inspect(shape: StencilShape, width: usize, temporal: u32) -> Result<(), Strin
         s.muls,
         s.stores
     );
-    println!("--- CUDA rendering (first 16 lines) ---");
+    outln!("--- CUDA rendering (first 16 lines) ---");
     for line in emit_vector(&k, Dialect::Cuda).lines().take(16) {
-        println!("{line}");
+        outln!("{line}");
     }
     Ok(())
 }
@@ -195,24 +232,24 @@ fn simulate_cmd(shape: StencilShape, arch: GpuArch, model: ProgModel) -> Result<
     let rl = measure(&arch, model).expect("support checked");
     let frac = rl.fraction(sim.gflops, sim.ai);
     let frac_ai = sim.ai / a.theoretical_ai;
-    println!("bricks codegen, {}^3 on {} / {model}", n, arch.name);
-    println!(
+    outln!("bricks codegen, {}^3 on {} / {model}", n, arch.name);
+    outln!(
         "  performance : {:8.0} GFLOP/s  ({:.0}% of roofline)",
         sim.gflops,
         frac * 100.0
     );
-    println!(
+    outln!(
         "  arith. int. : {:8.3} FLOP/B   ({:.0}% of theoretical)",
         sim.ai,
         frac_ai * 100.0
     );
-    println!(
+    outln!(
         "  data moved  : DRAM {:.2} GB | L2 {:.2} GB | L1 {:.2} GB",
         sim.mem.dram_bytes as f64 / 1e9,
         sim.mem.l2_bytes as f64 / 1e9,
         sim.mem.l1_bytes as f64 / 1e9
     );
-    println!(
+    outln!(
         "  kernel      : {:.3} ms, limiter {}, occupancy {:.0}%, {} regs/thread{}",
         sim.time_s * 1e3,
         sim.breakdown.limiter(),
@@ -220,7 +257,7 @@ fn simulate_cmd(shape: StencilShape, arch: GpuArch, model: ProgModel) -> Result<
         sim.regs_per_thread,
         if sim.spilled { " (spilled)" } else { "" }
     );
-    println!(
+    outln!(
         "  potential   : {:.1}x (speed-up headroom, Fig. 7 metric)",
         potential_speedup(frac_ai.min(1.0), frac.min(1.0))
     );
@@ -231,9 +268,11 @@ fn tune_cmd(shape: StencilShape, arch: GpuArch, model: ProgModel) -> Result<(), 
     let n = 128;
     let group =
         autotune(&shape, &arch, model, n, &TuningSpace::default()).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "autotuning {shape} on {} / {model} ({n}^3, {} evaluated / {} skipped)",
-        arch.name, group.evaluated, group.skipped
+        arch.name,
+        group.evaluated,
+        group.skipped
     );
     if !group.skip_reasons.is_empty() {
         let reasons: Vec<String> = group
@@ -241,10 +280,10 @@ fn tune_cmd(shape: StencilShape, arch: GpuArch, model: ProgModel) -> Result<(), 
             .iter()
             .map(|(kind, count)| format!("{kind} x{count}"))
             .collect();
-        println!("  skipped     : {}", reasons.join(", "));
+        outln!("  skipped     : {}", reasons.join(", "));
     }
     for (i, rec) in group.ranked.iter().take(6).enumerate() {
-        println!(
+        outln!(
             "  #{:<2} {:32} {:8.0} GFLOP/s  occ {:3.0}%, {} regs{}, {}",
             i + 1,
             rec.params.to_string(),
@@ -255,11 +294,12 @@ fn tune_cmd(shape: StencilShape, arch: GpuArch, model: ProgModel) -> Result<(), 
             rec.limiter
         );
     }
-    println!(
+    outln!(
         "  paper config: {:8.0} GFLOP/s ({})",
-        group.baseline.gflops, group.baseline.params
+        group.baseline.gflops,
+        group.baseline.params
     );
-    println!(
+    outln!(
         "  gain over paper 4x4xW gather default: {:.2}x (spread {:.2}x across the space)",
         group.gain_over_paper(),
         group.spread()
@@ -303,7 +343,7 @@ fn reuse_cmd(shape: StencilShape, width: usize) -> Result<(), String> {
                 .map_err(|e| e.to_string())?;
         }
         let p = an.profile();
-        println!(
+        outln!(
             "{name:15} footprint {:6.1} MB, cold {:5.1}%, miss@8MB {:5.1}%, miss@40MB {:5.1}%",
             p.footprint_bytes() as f64 / 1e6,
             100.0 * p.cold as f64 / p.total as f64,
@@ -334,7 +374,7 @@ fn lint_cmd(target: Option<&str>, json: bool) -> Result<(), String> {
         errors += report.error_count();
         warnings += report.warning_count();
         if json {
-            println!("{}", report.to_json());
+            outln!("{}", report.to_json());
             return;
         }
         let status = if report.has_errors() {
@@ -344,7 +384,7 @@ fn lint_cmd(target: Option<&str>, json: bool) -> Result<(), String> {
         } else {
             "ok"
         };
-        println!(
+        outln!(
             "{status:4} {:44} {:3} ops, {:2} regs, {} diagnostics",
             report.kernel,
             k.ops.len(),
@@ -352,7 +392,7 @@ fn lint_cmd(target: Option<&str>, json: bool) -> Result<(), String> {
             report.diagnostics.len()
         );
         if !report.diagnostics.is_empty() {
-            print!("{}", report.render(Some(k)));
+            out!("{}", report.render(Some(k)));
         }
     };
 
@@ -379,7 +419,7 @@ fn lint_cmd(target: Option<&str>, json: bool) -> Result<(), String> {
         }
     }
     if !json {
-        println!("\n{kernels} kernels analyzed: {errors} errors, {warnings} warnings");
+        outln!("\n{kernels} kernels analyzed: {errors} errors, {warnings} warnings");
     }
     if errors > 0 {
         Err(format!("lint failed: {errors} error-severity diagnostics"))
@@ -428,30 +468,37 @@ fn lint_native_cmd(json: bool) -> Result<(), String> {
                     match &verdict {
                         Ok(s) => {
                             if json {
-                                println!(
+                                outln!(
                                     "{{\"kernel\":\"{name}\",\"safe\":true,\
                                      \"obligations\":{},\"fused\":{},\
                                      \"taps\":{},\"rows\":{},\"scratch_rows\":{}}}",
-                                    s.obligations, s.fused, s.taps, s.rows, s.scratch_rows
+                                    s.obligations,
+                                    s.fused,
+                                    s.taps,
+                                    s.rows,
+                                    s.scratch_rows
                                 );
                             } else {
-                                println!(
+                                outln!(
                                     "ok   {name:44} {:4} obligations, {:3} taps, {:2} rows, \
                                      {:3} scratch rows",
-                                    s.obligations, s.taps, s.rows, s.scratch_rows
+                                    s.obligations,
+                                    s.taps,
+                                    s.rows,
+                                    s.scratch_rows
                                 );
                             }
                         }
                         Err(e) => {
                             failures += 1;
                             if json {
-                                println!(
+                                outln!(
                                     "{{\"kernel\":\"{name}\",\"safe\":false,\
                                      \"error\":\"{}\"}}",
                                     e.replace('\\', "\\\\").replace('"', "\\\"")
                                 );
                             } else {
-                                println!("FAIL {name:44} {e}");
+                                outln!("FAIL {name:44} {e}");
                             }
                         }
                     }
@@ -460,7 +507,7 @@ fn lint_native_cmd(json: bool) -> Result<(), String> {
         }
     }
     if !json {
-        println!("\n{kernels} plans proved: {failures} unsafe");
+        outln!("\n{kernels} plans proved: {failures} unsafe");
     }
     if failures > 0 {
         Err(format!("lint --native failed: {failures} unprovable plans"))
@@ -491,8 +538,8 @@ fn obs_cmd(path: &str) -> Result<(), String> {
     if value.get("counters").is_some() || value.get("histograms").is_some() {
         let snap: MetricsSnapshot =
             serde_json::from_value(&value).map_err(|e| format!("{path}: {e}"))?;
-        println!("{path}: metrics snapshot\n");
-        print!("{}", render_snapshot(&snap));
+        outln!("{path}: metrics snapshot\n");
+        out!("{}", render_snapshot(&snap));
         return Ok(());
     }
     // a bare manifest, or a sweep with one embedded
@@ -505,28 +552,31 @@ fn obs_cmd(path: &str) -> Result<(), String> {
     };
     let m: RunManifest =
         serde_json::from_value(manifest_value).map_err(|e| format!("{path}: {e}"))?;
-    println!("{path}: run manifest");
-    println!(
+    outln!("{path}: run manifest");
+    outln!(
         "  git sha      : {}",
         m.git_sha.as_deref().unwrap_or("(not a checkout)")
     );
-    println!("  config hash  : {:016x}", m.config_hash);
-    println!("  started      : unix {}", m.started_unix);
-    println!(
+    outln!("  config hash  : {:016x}", m.config_hash);
+    outln!("  started      : unix {}", m.started_unix);
+    outln!(
         "  wall time    : {:.2}s total, {} records, {:.3}s/record mean",
         m.wall_s,
         m.record_wall_s.len(),
         m.mean_record_s()
     );
-    println!(
+    outln!(
         "  observability: {} spans, {} metrics recorded",
-        m.spans_recorded, m.metrics_recorded
+        m.spans_recorded,
+        m.metrics_recorded
     );
     if let Some(jobs) = m.jobs {
-        println!("  sweep        : jobs {jobs}");
-        println!(
+        outln!("  sweep        : jobs {jobs}");
+        outln!(
             "  result cache : {} hits, {} misses, {} corrupt",
-            m.cache_hits, m.cache_misses, m.cache_corrupt
+            m.cache_hits,
+            m.cache_misses,
+            m.cache_corrupt
         );
     }
     if let Some(slowest) = m
@@ -535,7 +585,7 @@ fn obs_cmd(path: &str) -> Result<(), String> {
         .cloned()
         .max_by(|a, b| a.total_cmp(b))
     {
-        println!("  slowest rec  : {slowest:.3}s");
+        outln!("  slowest rec  : {slowest:.3}s");
     }
     Ok(())
 }
@@ -556,18 +606,18 @@ fn obs_spans(path: &str, text: &str) -> Result<(), String> {
     tree.walk(&mut |n| by_self.push((n.name.clone(), n.self_ns, n.count)));
     by_self.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
 
-    println!("{path}: {} spans\n", spans.len());
-    println!("top spans by self-time:");
+    outln!("{path}: {} spans\n", spans.len());
+    outln!("top spans by self-time:");
     for (name, self_ns, count) in by_self.iter().take(15).filter(|(_, s, _)| *s > 0) {
-        println!(
+        outln!(
             "  {:<44} {:>12} ({} calls)",
             name,
             bricks_repro::prof::report::fmt_ns(*self_ns),
             count
         );
     }
-    println!("\nmerged profile tree:");
-    print!("{}", render_tree(&tree));
+    outln!("\nmerged profile tree:");
+    out!("{}", render_tree(&tree));
     Ok(())
 }
 
@@ -588,12 +638,12 @@ fn prof_sweep_cmd(path: &str, json: bool) -> Result<(), String> {
         }
     };
     if json {
-        println!(
+        outln!(
             "{}",
             serde_json::to_string_pretty(&profile).map_err(|e| e.to_string())?
         );
     } else {
-        print!("{}", render_sweep_profile(&profile));
+        out!("{}", render_sweep_profile(&profile));
     }
     Ok(())
 }
@@ -646,13 +696,13 @@ fn prof_sim_cmd(
         &SimOptions::default(),
     );
     if json {
-        println!(
+        outln!(
             "{}",
             serde_json::to_string_pretty(&intro).map_err(|e| e.to_string())?
         );
     } else {
-        println!("bricks codegen, {n}^3 on {} / {model}\n", arch.name);
-        print!("{}", render_introspection(&intro));
+        outln!("bricks codegen, {n}^3 on {} / {model}\n", arch.name);
+        out!("{}", render_introspection(&intro));
     }
     Ok(())
 }
@@ -678,12 +728,12 @@ fn exec_cmd() -> Result<(), String> {
     .filter(|(runs, _)| *runs)
     .map(|(_, b)| b.to_string())
     .collect();
-    println!("cpu features: [{features}]");
-    println!(
+    outln!("cpu features: [{features}]");
+    outln!(
         "auto backend: {}",
         resolve_with(ExecutionMode::Auto, features)?
     );
-    println!("runnable backends: {}", runnable.join(", "));
+    outln!("runnable backends: {}", runnable.join(", "));
     Ok(())
 }
 
@@ -697,10 +747,10 @@ fn prof_diff_cmd(base: &str, new: &str, gate: bool) -> Result<(), String> {
     let base_doc = load_json(base)?;
     let rules = rules_for(&base_doc);
     let deltas = diff_bench(&base_doc, &load_json(new)?, rules);
-    print!("{}", render_diff(&deltas));
+    out!("{}", render_diff(&deltas));
     if gate {
         bricks_repro::prof::gate(&deltas)?;
-        println!("gate: ok");
+        outln!("gate: ok");
     }
     Ok(())
 }
@@ -763,7 +813,7 @@ fn run() -> Result<(), String> {
         ["prof", "diff", base, new] => prof_diff_cmd(base, new, false),
         ["prof", "gate", base, new] => prof_diff_cmd(base, new, true),
         [] | ["--help"] | ["-h"] | ["help"] => {
-            println!("{HELP}");
+            outln!("{HELP}");
             Ok(())
         }
         other => Err(format!("unknown command {other:?}\n\n{HELP}")),

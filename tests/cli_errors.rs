@@ -99,3 +99,27 @@ fn obs_reads_a_span_capture_and_rejects_a_chrome_trace() {
     assert!(stderr.contains("spans.jsonl"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
+
+#[test]
+fn a_reader_that_closes_the_pipe_early_ends_the_report_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_bricks"))
+        .arg("lint")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("the bricks binary runs");
+    let mut first = String::new();
+    // the reader goes out of scope after one line, closing the pipe while
+    // the rest of the report is still being written
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("a first report line");
+    assert!(first.contains("diagnostics"), "{first}");
+    let out = child.wait_with_output().expect("bricks exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+}
