@@ -14,7 +14,10 @@
 //! dense, dense → array) against a measured roof: the same dense bytes
 //! copied in parallel into a fresh buffer. Kernel rows give the fused
 //! throughput of the kernels the 7-point cell leaves out: the 125- and
-//! 27-point cubes and the `T = 2` star.
+//! 27-point cubes and the `T = 2` star. The cell's bandwidth roof is
+//! measured too: STREAM copy and triad at one thread and at every
+//! executor thread, run before the grids exist, and the cell's
+//! `triad_frac` is its 16 B/pt traffic over the all-thread triad.
 //!
 //! [`run_bench_exec`] fails (so CI fails) when a real SIMD backend was
 //! dispatched at full scale and the speedup over the interpreter fell
@@ -101,6 +104,26 @@ pub struct ConversionMeasurement {
     pub to_array_frac: f64,
 }
 
+/// STREAM copy (`c = a`, 16 B per element) and triad (`a = b + q·c`,
+/// 24 B per element) on the measuring host, best of N passes each, in
+/// STREAM's byte convention (bytes the kernel names, no write-allocate
+/// traffic).
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct HostStream {
+    /// Elements per array (three `f64` arrays).
+    pub elems: usize,
+    /// Threads of the all-thread series: the executor's thread count.
+    pub threads: usize,
+    /// Copy on one thread, GB/s (10⁹ bytes).
+    pub copy_1t_gbs: f64,
+    /// Triad on one thread, GB/s.
+    pub triad_1t_gbs: f64,
+    /// Copy on all threads, GB/s.
+    pub copy_gbs: f64,
+    /// Triad on all threads, GB/s: the roof of [`BenchExec::triad_frac`].
+    pub triad_gbs: f64,
+}
+
 /// Descriptor of the measured cell (the document's `"exec"` key is also
 /// how `bricks prof` recognizes a `BENCH_exec.json`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -147,6 +170,12 @@ pub struct BenchExec {
     pub anon_huge_mb: Option<f64>,
     /// Layout conversion walls against the copy roof.
     pub conversion: ConversionMeasurement,
+    /// The host's STREAM bandwidths, measured before the grids exist.
+    pub stream: HostStream,
+    /// `16 B/pt × native.points_per_s / stream.triad_gbs`: the native
+    /// cell's traffic (one input and one output `f64` per point) as a
+    /// fraction of the all-thread triad.
+    pub triad_frac: f64,
     /// Fused throughput of the 125- and 27-point cubes and the `T = 2`
     /// star at `min(n, KERNEL_ROW_N)`.
     pub kernels: Vec<KernelRow>,
@@ -180,7 +209,7 @@ pub struct KernelRow {
 }
 
 /// `BENCH_exec.json` schema version.
-pub const EXEC_SCHEMA_VERSION: u64 = 5;
+pub const EXEC_SCHEMA_VERSION: u64 = 6;
 
 /// `AnonHugePages` of this process in MB (10⁶ bytes), read from
 /// `/proc/self/smaps_rollup`; `None` where that file cannot be read.
@@ -253,6 +282,98 @@ fn measure_conversion(dense: &DenseGrid, bricks: &BrickGrid, reps: usize) -> Con
         to_dense_frac: frac(to_dense_s),
         to_array_frac: frac(to_array_s),
     }
+}
+
+/// Last-level cache of this host in bytes, when sysfs reports it.
+fn l3_bytes() -> Option<usize> {
+    let s = fs::read_to_string("/sys/devices/system/cpu/cpu0/cache/index3/size").ok()?;
+    let s = s.trim();
+    let (digits, mult) = match s.chars().last()? {
+        'K' => (&s[..s.len() - 1], 1 << 10),
+        'M' => (&s[..s.len() - 1], 1 << 20),
+        'G' => (&s[..s.len() - 1], 1 << 30),
+        _ => (s, 1),
+    };
+    digits.parse::<usize>().ok().map(|v| v * mult)
+}
+
+/// Elements per STREAM array for a cell of `n³` points: four times the
+/// last-level cache (STREAM's sizing rule), at least 32 Mi, but never more
+/// than the cell's point count, so the three arrays stay smaller than
+/// the cell's own grids and the command's peak memory does not rise.
+fn stream_elems(n: usize) -> usize {
+    let llc = l3_bytes().unwrap_or(32 << 20);
+    (4 * llc / 8).max(32 << 20).min(n * n * n)
+}
+
+/// STREAM copy and triad over three `elems`-element arrays, best of
+/// `reps` passes, on one thread and on `threads`. The arrays are freed
+/// before this returns.
+fn measure_stream(elems: usize, threads: usize, reps: usize) -> HostStream {
+    // Plain allocations, as in perfbench's probe, so both report the
+    // same roof.
+    let mut a = vec![0.0f64; elems];
+    let mut b = vec![0.0f64; elems];
+    let mut c = vec![0.0f64; elems];
+    // first touch from the threads that later stream the same chunks
+    par_zip3(&mut a, &mut b, &mut c, threads, |a, b, c| {
+        a.fill(1.0);
+        b.fill(2.0);
+        c.fill(0.0);
+    });
+    let q = 3.0;
+    let mut rate = |threads: usize| {
+        let (mut copy, mut triad) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..reps {
+            copy = copy.min(wall_of(|| {
+                par_zip3(&mut a, &mut b, &mut c, threads, |a, _, c| {
+                    c.copy_from_slice(a)
+                })
+            }));
+            triad = triad.min(wall_of(|| {
+                par_zip3(&mut a, &mut b, &mut c, threads, |a, b, c| {
+                    for ((a, b), c) in a.iter_mut().zip(b.iter()).zip(c.iter()) {
+                        *a = b + q * c;
+                    }
+                })
+            }));
+        }
+        let gbs = |bytes: usize, s: f64| (bytes * elems) as f64 / s.max(1e-9) / 1e9;
+        (gbs(16, copy), gbs(24, triad))
+    };
+    let (copy_1t_gbs, triad_1t_gbs) = rate(1);
+    let (copy_gbs, triad_gbs) = rate(threads);
+    std::hint::black_box((&a, &b, &c));
+    HostStream {
+        elems,
+        threads,
+        copy_1t_gbs,
+        triad_1t_gbs,
+        copy_gbs,
+        triad_gbs,
+    }
+}
+
+/// Run `f` over `threads` equal chunks of three arrays, one scoped thread
+/// per chunk: STREAM's static schedule, shared with no executor code.
+fn par_zip3(
+    a: &mut [f64],
+    b: &mut [f64],
+    c: &mut [f64],
+    threads: usize,
+    f: impl Fn(&mut [f64], &mut [f64], &mut [f64]) + Sync,
+) {
+    let chunk = a.len().div_ceil(threads.max(1)).max(1);
+    std::thread::scope(|s| {
+        for ((a, b), c) in a
+            .chunks_mut(chunk)
+            .zip(b.chunks_mut(chunk))
+            .zip(c.chunks_mut(chunk))
+        {
+            let f = &f;
+            s.spawn(move || f(a, b, c));
+        }
+    });
 }
 
 /// Best-of-`reps` native calls at `n` of each kernel row's kernel: the
@@ -340,6 +461,9 @@ pub fn run_bench_exec(n: usize, out_dir: Option<&Path>) -> Result<BenchExec, Str
     // smaller sizes are cheap enough for five.
     let reps: usize = if n >= BENCH_EXEC_N { 3 } else { 5 };
 
+    // the roof first, while no grid holds memory
+    let stream = measure_stream(stream_elems(n), executor_threads(), reps);
+
     let mut dense = DenseGrid::cubic(n, st.radius() as usize);
     dense.fill_test_pattern();
     let input = BrickGrid::from_dense(&dense, BrickDims::for_simd_width(BENCH_EXEC_WIDTH));
@@ -390,6 +514,7 @@ pub fn run_bench_exec(n: usize, out_dir: Option<&Path>) -> Result<BenchExec, Str
     } else {
         0.0
     };
+    let triad_frac = 16.0 * native.points_per_s / (stream.triad_gbs * 1e9).max(1e-9);
     let all_walls: Vec<f64> = interp_walls.iter().chain(&native_walls).copied().collect();
     let bench = BenchExec {
         schema: EXEC_SCHEMA_VERSION,
@@ -409,6 +534,8 @@ pub fn run_bench_exec(n: usize, out_dir: Option<&Path>) -> Result<BenchExec, Str
         first_call_s,
         anon_huge_mb,
         conversion,
+        stream,
+        triad_frac,
         kernels,
         manifest: manifest.finish(t_run.elapsed().as_secs_f64(), all_walls),
     };
@@ -461,6 +588,19 @@ mod tests {
             assert_eq!(frac, c.copy_s / s.max(1e-9));
         }
         assert!(c.copy_s > 0.0);
+        let h = &b.stream;
+        assert_eq!(h.elems, 32 * 32 * 32, "the arrays never outgrow the cell");
+        assert_eq!(h.threads, executor_threads());
+        for gbs in [h.copy_1t_gbs, h.triad_1t_gbs, h.copy_gbs, h.triad_gbs] {
+            assert!(gbs > 0.0 && gbs.is_finite(), "{h:?}");
+        }
+        assert_eq!(
+            b.triad_frac,
+            16.0 * b.native.points_per_s / (h.triad_gbs * 1e9).max(1e-9)
+        );
+        assert_eq!(back.stream.triad_gbs, h.triad_gbs);
+        assert_eq!(back.stream.elems, h.elems);
+        assert_eq!(back.triad_frac, b.triad_frac);
         assert_eq!(back.conversion.to_bricks_s, c.to_bricks_s);
         assert_eq!(back.conversion.to_array_frac, c.to_array_frac);
         let rows: Vec<(&str, u32, usize)> = b

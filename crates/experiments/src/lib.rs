@@ -35,6 +35,7 @@ pub mod paper;
 pub mod plot;
 pub mod report;
 pub mod runner;
+pub mod stdout;
 pub mod tables;
 pub mod temporal;
 pub mod tune;

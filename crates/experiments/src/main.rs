@@ -16,7 +16,7 @@ use std::time::Instant;
 use experiments::bench::BenchKind;
 use experiments::report::*;
 use experiments::{
-    bench_exec, bench_overhead, bench_sim, figures, golden, tables, temporal, tune,
+    bench_exec, bench_overhead, bench_sim, figures, golden, outln, tables, temporal, tune,
     ExperimentParams, SweepOptions,
 };
 
@@ -330,6 +330,18 @@ fn run_bench(kind: BenchKind, args: &Args) -> Result<(), String> {
                 b.native.points_per_s / 1e6,
                 b.speedup
             );
+            let h = &b.stream;
+            eprintln!(
+                "STREAM ({} Mi elements): copy {:.1}/{:.1} GB/s, triad {:.1}/{:.1} GB/s \
+                 (1/{} threads); the native cell runs at {:.2} of the triad",
+                h.elems >> 20,
+                h.copy_1t_gbs,
+                h.copy_gbs,
+                h.triad_1t_gbs,
+                h.triad_gbs,
+                h.threads,
+                b.triad_frac
+            );
             let c = &b.conversion;
             eprintln!(
                 "conversion vs {:.3}s copy roof: to bricks {:.3}s ({:.2}), to dense {:.3}s ({:.2}), \
@@ -413,19 +425,19 @@ fn main() -> ExitCode {
     }
 
     if args.listings {
-        println!("{}", figures::fig1_fig2_listings());
+        outln!("{}", figures::fig1_fig2_listings());
     }
     if args.table1 {
-        println!("== Table 1: systems and toolchains ==");
-        println!("{}", render_table1(&tables::table1()));
+        outln!("== Table 1: systems and toolchains ==");
+        outln!("{}", render_table1(&tables::table1()));
     }
     if args.table2 {
-        println!("== Table 2: stencil suite ==");
-        println!("{}", render_table2(&tables::table2()));
+        outln!("== Table 2: stencil suite ==");
+        outln!("{}", render_table2(&tables::table2()));
     }
     if args.table4 {
-        println!("== Table 4: theoretical arithmetic intensity ==");
-        println!("{}", render_table4(&tables::table4()));
+        outln!("== Table 4: theoretical arithmetic intensity ==");
+        outln!("{}", render_table4(&tables::table4()));
     }
 
     let sweep_opts = |params: ExperimentParams| {
@@ -470,9 +482,9 @@ fn main() -> ExitCode {
             report.manifest.tune_pruned_cells,
             report.manifest.tune_skipped_cells
         );
-        println!("== Tuned vs paper configuration ==");
+        outln!("== Tuned vs paper configuration ==");
         let rows = tune::tuned_vs_paper(&report);
-        println!("{}", tune::render_tuned_vs_paper(&rows));
+        outln!("{}", tune::render_tuned_vs_paper(&rows));
         let _ = write_json(&report, &args.out.join("tune.json"));
         let _ = write_json(&rows, &args.out.join("tune_compare.json"));
         let _ = write_json(&report.manifest, &args.out.join("manifest_tune.json"));
@@ -510,8 +522,8 @@ fn main() -> ExitCode {
             },
             None => tsweep.clone(),
         };
-        println!("== Temporal blocking: AI and DRAM bytes/point vs T (A100/CUDA) ==");
-        println!("{}", render_temporal(&shown));
+        outln!("== Temporal blocking: AI and DRAM bytes/point vs T (A100/CUDA) ==");
+        outln!("{}", render_temporal(&shown));
         if let Err(e) = write_temporal_csv(&shown, &args.out.join("temporal.csv")) {
             eprintln!("warning: could not write temporal.csv: {e}");
         }
@@ -597,56 +609,56 @@ fn main() -> ExitCode {
     }
 
     if args.table3 {
-        println!("== Table 3: P from fraction of Roofline (bricks codegen) ==");
+        outln!("== Table 3: P from fraction of Roofline (bricks codegen) ==");
         let t = tables::table3(&sweep);
-        println!("{}", render_portability(&t));
+        outln!("{}", render_portability(&t));
         let _ = write_json(&t, &args.out.join("table3.json"));
     }
     if args.table5 {
-        println!("== Table 5: P from fraction of theoretical AI (bricks codegen) ==");
+        outln!("== Table 5: P from fraction of theoretical AI (bricks codegen) ==");
         let t = tables::table5(&sweep);
-        println!("{}", render_portability(&t));
+        outln!("{}", render_portability(&t));
         let _ = write_json(&t, &args.out.join("table5.json"));
     }
     if args.compare {
-        println!("== measured vs paper (Tables 3 and 5) ==");
+        outln!("== measured vs paper (Tables 3 and 5) ==");
         let (c3, c5) = experiments::paper::compare_all(&sweep);
-        println!("{}", experiments::paper::render_comparison(&c3));
-        println!("{}", experiments::paper::render_comparison(&c5));
+        outln!("{}", experiments::paper::render_comparison(&c3));
+        outln!("{}", experiments::paper::render_comparison(&c5));
         let _ = write_json(&c3, &args.out.join("compare_table3.json"));
         let _ = write_json(&c5, &args.out.join("compare_table5.json"));
     }
     if args.fig3 {
-        println!("== Fig. 3: Rooflines ==");
+        outln!("== Fig. 3: Rooflines ==");
         let panels = figures::fig3(&sweep);
-        println!("{}", render_fig3(&panels));
+        outln!("{}", render_fig3(&panels));
         for p in &panels {
-            println!("{}", experiments::plot::roofline_ascii(p));
+            outln!("{}", experiments::plot::roofline_ascii(p));
         }
         let _ = write_json(&panels, &args.out.join("fig3.json"));
     }
     if args.fig4 {
-        println!("== Fig. 4: L1 data movement ==");
+        outln!("== Fig. 4: L1 data movement ==");
         let groups = figures::fig4(&sweep);
-        println!("{}", render_fig4(&groups));
+        outln!("{}", render_fig4(&groups));
         let _ = write_json(&groups, &args.out.join("fig4.json"));
     }
     if args.fig5 {
         let f = figures::fig5(&sweep);
-        println!("{}", render_correlation(&f, "Fig. 5"));
+        outln!("{}", render_correlation(&f, "Fig. 5"));
         let _ = write_json(&f, &args.out.join("fig5.json"));
     }
     if args.fig6 {
         let f = figures::fig6(&sweep);
-        println!("{}", render_correlation(&f, "Fig. 6"));
+        outln!("{}", render_correlation(&f, "Fig. 6"));
         let _ = write_json(&f, &args.out.join("fig6.json"));
     }
     if args.fig7 {
-        println!("== Fig. 7: potential speed-up (bricks codegen) ==");
+        outln!("== Fig. 7: potential speed-up (bricks codegen) ==");
         let pts = figures::fig7(&sweep);
-        println!("{}", experiments::plot::speedup_ascii(&pts));
+        outln!("{}", experiments::plot::speedup_ascii(&pts));
         for p in &pts {
-            println!(
+            outln!(
                 "  {:24} frac_AI {:.2}  frac_roofline {:.2}  potential {:.1}x",
                 p.label,
                 p.frac_ai,

@@ -3,9 +3,9 @@
 //! a panic; `overhead` refuses a domain size; a domain whose bricks
 //! outnumber the `u32` ids exits 1 before anything is built; the removed
 //! executor and
-//! simulation-path switches are unknown arguments; and the overhead document
+//! simulation-path switches are unknown arguments; the overhead document
 //! it writes is finite, records its bounds and survives a serde round
-//! trip.
+//! trip; and a reader that closes stdout early ends a report quietly.
 
 use std::process::Command;
 
@@ -76,4 +76,28 @@ fn overhead_document_is_finite_bounded_and_round_trips() {
     let json = serde_json::to_string(&b).unwrap();
     let back: BenchOverhead = serde_json::from_str(&json).unwrap();
     assert_eq!(serde_json::to_string(&back).unwrap(), json);
+}
+
+#[test]
+fn a_reader_that_closes_the_pipe_early_ends_the_listings_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .arg("--listings")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("the experiments binary runs");
+    let mut first = String::new();
+    // the reader goes out of scope after one line, closing the pipe while
+    // the rest of the listings is still being written
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("a first listings line");
+    assert!(first.contains("Fig. 1"), "{first}");
+    let out = child.wait_with_output().expect("experiments exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
 }

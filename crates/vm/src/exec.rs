@@ -302,23 +302,15 @@ fn run_brick_plan<B: RowOps>(plan: &Plan, ops: &B, input: &BrickGrid, output: &m
     let decomp = std::sync::Arc::clone(input.decomp());
     let grid_taps = fused.grid_taps;
     // Per-run premise of the compile-time tap-bounds proof (BS001/BS002):
-    // the slab is whole bricks, and every adjacency entry of an interior
-    // brick names an allocated one. Combined with the proved per-tap fact
-    // `off + w ≤ vol`, every resolved base `id·vol + off` then satisfies
-    // `base + w ≤ in_raw.len()` — which is why the hot loop below no
-    // longer re-checks the resolved taps per block.
+    // the slab is whole bricks (asserted here, O(1)), and every adjacency
+    // entry of an interior brick names an allocated one (asserted per
+    // brick inside the parallel loop, before any of its taps resolves).
+    // Combined with the proved per-tap fact `off + w ≤ vol`, every
+    // resolved base `id·vol + off` then satisfies `base + w ≤
+    // in_raw.len()` — which is why the hot loop below does not re-check
+    // the resolved taps per block.
     let nb = in_raw.len() / vol;
     assert_eq!(in_raw.len(), nb * vol, "input slab is not whole bricks");
-    for id in 0..nb as u32 {
-        if decomp.is_interior(id) {
-            for &n in info.row(id) {
-                assert!(
-                    n != brick_core::NO_BRICK && (n as usize) < nb,
-                    "adjacency entry {n} of interior brick {id} outside the {nb}-brick slab"
-                );
-            }
-        }
-    }
     output
         .raw_mut()
         .par_chunks_mut(vol)
@@ -330,7 +322,14 @@ fn run_brick_plan<B: RowOps>(plan: &Plan, ops: &B, input: &BrickGrid, output: &m
                 if !decomp.is_interior(home) {
                     return;
                 }
-                fused.resolve_brick(info.row(home), vol, &mut rtaps[..grid_taps]);
+                let row = info.row(home);
+                for &n in row {
+                    assert!(
+                        n != brick_core::NO_BRICK && (n as usize) < nb,
+                        "adjacency entry {n} of interior brick {home} outside the {nb}-brick slab"
+                    );
+                }
+                fused.resolve_brick(row, vol, &mut rtaps[..grid_taps]);
                 ops.eval_block(fused, rtaps, in_raw, scr, w, out_chunk, |rp| rp.out_off);
             },
         );

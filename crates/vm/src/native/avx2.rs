@@ -231,9 +231,10 @@ unsafe fn eval_fast_w<const NC: usize>(
 /// fused multiply-adds), so LLVM keeps all `NC` accumulators in ymm
 /// registers for the whole row. A plain row — of the slab (`Direct`) or
 /// of the scratch buffer (`Scratch`, padded reads included) — is one
-/// pointer select and `NC` loads. A `PLAIN` instantiation has no split
-/// arm at all (a split tap panics): with that arm in the loop, LLVM moves
-/// the accumulators through extra register copies on every tap op.
+/// pointer select and `NC` loads; a split row goes through
+/// [`apply_split`]. A `PLAIN` instantiation has no split arm at all (a
+/// split tap panics): with that arm in the loop, LLVM moves the
+/// accumulators through extra register copies on every tap op.
 ///
 /// # Safety
 /// Same contract as [`eval_tape`]: every grid tap row in-bounds for
@@ -251,33 +252,32 @@ unsafe fn eval_fast<const NC: usize, const PLAIN: bool>(
     out: &mut [f64],
 ) {
     let (p, q) = (raw.as_ptr(), scr.as_ptr());
-    // The start of a plain row, or `None` for a split (shifted) tap.
-    let plain = |rt: RTap| -> Option<*const f64> {
+    // The start of a plain row; a split tap reaches here only in a `PLAIN`
+    // instantiation, whose loop has no split arm.
+    let plain = |rt: RTap| -> *const f64 {
         match rt {
             // SAFETY: `base + w` inside the slab / scratch buffer per
             // this fn's contract, so the row start is in bounds.
-            RTap::Direct { base } => Some(unsafe { p.add(base) }),
+            RTap::Direct { base } => unsafe { p.add(base) },
             // SAFETY: as above.
-            RTap::Scratch { base } => Some(unsafe { q.add(base) }),
-            RTap::Split { .. } if !PLAIN => None,
+            RTap::Scratch { base } => unsafe { q.add(base) },
             RTap::Split { .. } => panic!("plain fast chain reads a split tap"),
             _ => panic!("fast chain reads a window or shifted scratch tap"),
         }
     };
-    let mut acc = [_mm256_setzero_pd(); NC];
-    let rt = rtaps[fr.first as usize];
-    match plain(rt) {
-        Some(r) => {
+    let zero = _mm256_setzero_pd();
+    let mut acc = [zero; NC];
+    match rtaps[fr.first as usize] {
+        // SAFETY: split-row contract of `apply_split` (BS001 rows + BS003
+        // shift), w = 4·NC.
+        RTap::Split { home, nbr, dx } if !PLAIN => unsafe {
+            apply_split::<NC, 0>(&mut acc, p, home, nbr, dx, zero)
+        },
+        rt => {
+            let r = plain(rt);
             for (c, a) in acc.iter_mut().enumerate() {
                 // SAFETY: lanes [4c, 4c+4) of an in-bounds row.
                 *a = unsafe { _mm256_loadu_pd(r.add(4 * c)) };
-            }
-        }
-        None => {
-            for (c, a) in acc.iter_mut().enumerate() {
-                // SAFETY: split-row contract of `load_split` (BS001 rows
-                // + BS003 shift), chunk c < NC.
-                *a = unsafe { load_split::<NC>(rt, p, c) };
             }
         }
     }
@@ -289,20 +289,17 @@ unsafe fn eval_fast<const NC: usize, const PLAIN: bool>(
     }
     for &(t, coeff) in &fr.fmas {
         let cv = _mm256_set1_pd(coeff);
-        let rt = rtaps[t as usize];
-        match plain(rt) {
-            Some(r) => {
+        match rtaps[t as usize] {
+            // SAFETY: split-row contract of `apply_split` (BS001 rows +
+            // BS003 shift), w = 4·NC.
+            RTap::Split { home, nbr, dx } if !PLAIN => unsafe {
+                apply_split::<NC, 3>(&mut acc, p, home, nbr, dx, cv)
+            },
+            rt => {
+                let r = plain(rt);
                 for (c, a) in acc.iter_mut().enumerate() {
                     // SAFETY: lanes [4c, 4c+4) of an in-bounds row.
                     let tv = unsafe { _mm256_loadu_pd(r.add(4 * c)) };
-                    *a = _mm256_fmadd_pd(tv, cv, *a);
-                }
-            }
-            None => {
-                for (c, a) in acc.iter_mut().enumerate() {
-                    // SAFETY: split-row contract of `load_split` (BS001
-                    // rows + BS003 shift), chunk c < NC.
-                    let tv = unsafe { load_split::<NC>(rt, p, c) };
                     *a = _mm256_fmadd_pd(tv, cv, *a);
                 }
             }
@@ -334,39 +331,72 @@ unsafe fn eval_fast<const NC: usize, const PLAIN: bool>(
     }
 }
 
-/// One 4-lane chunk of a split (shifted) tap: a plain load from the home
-/// or neighbour row, or the one chunk per row that straddles the seam
-/// ([`seam_chunk`]).
+/// Apply one split (shifted) tap op across all `NC` accumulator chunks
+/// (`MODE` as in [`combine`]). A shift of at most one chunk, `0 < |dx| ≤
+/// 4` (`fuse::PAD`: every paper star, the cubes' corner rows), fixes the
+/// pattern by its sign, so it is decided once per op: `NC − 1` unaligned
+/// loads from the home row at lane `4c + dx`, and one edge chunk — the
+/// last for `dx > 0`, the first for `dx < 0` — that is the [`seam_chunk`],
+/// or a plain neighbour-row load when `|dx| = 4`. Longer shifts test
+/// every chunk.
 ///
 /// # Safety
-/// `check_taps` invariants (`home/nbr + w ≤ raw.len()`, `0 < |dx| < w`)
-/// with `w = 4·NC` and `c < NC`.
-#[target_feature(enable = "avx2,fma")]
-#[inline]
-unsafe fn load_split<const NC: usize>(rt: RTap, p: *const f64, c: usize) -> __m256d {
-    let RTap::Split { home, nbr, dx } = rt else {
-        // Direct taps are handled by the callers' fast arms; reloading
-        // here keeps this total for the (cold) mixed dispatch.
-        let RTap::Direct { base } = rt else {
-            unreachable!()
-        };
-        // SAFETY: validated row `base`.
-        return unsafe { _mm256_loadu_pd(p.add(base + 4 * c)) };
-    };
+/// `check_taps` invariants (`home/nbr + w` inside the buffer behind `p`,
+/// `0 < |dx| < w`) with `w = 4·NC`; the host supports avx2+fma.
+// Not `#[target_feature]`, for the reason given at `apply`.
+#[inline(always)]
+unsafe fn apply_split<const NC: usize, const MODE: u8>(
+    acc: &mut [__m256d; NC],
+    p: *const f64,
+    home: usize,
+    nbr: usize,
+    dx: isize,
+    cv: __m256d,
+) {
     let w = (NC * 4) as isize;
-    let j0 = (4 * c) as isize + dx;
     // SAFETY: in every branch, lane j of `home` is read only for
-    // 0 ≤ j < w; the wrapped lane j∓w ∈ [0, w) of `nbr` otherwise —
-    // both rows in-bounds per this fn's contract (BS001 + premise).
+    // 0 ≤ j < w and the wrapped lane j∓w ∈ [0, w) of `nbr` otherwise —
+    // both rows in-bounds per this fn's contract (BS001 + premise); avx2+fma
+    // per this fn's contract.
     unsafe {
-        if j0 >= 0 && j0 + 3 < w {
-            _mm256_loadu_pd(p.add(home).offset(j0))
-        } else if dx > 0 && j0 >= w {
-            _mm256_loadu_pd(p.add(nbr).offset(j0 - w))
-        } else if dx < 0 && j0 + 3 < 0 {
-            _mm256_loadu_pd(p.add(nbr).offset(j0 + w))
+        if (1..=4).contains(&dx) {
+            // chunk c < NC − 1 reads home lanes 4c + dx .. 4c + dx + 3 ≤ w − 1
+            for (c, a) in acc[..NC - 1].iter_mut().enumerate() {
+                let t = _mm256_loadu_pd(p.add(home + 4 * c + dx as usize));
+                *a = combine::<MODE>(*a, t, cv);
+            }
+            let t = if dx == 4 {
+                _mm256_loadu_pd(p.add(nbr))
+            } else {
+                seam_chunk(p, home, nbr, w, w - 4 + dx, dx)
+            };
+            acc[NC - 1] = combine::<MODE>(acc[NC - 1], t, cv);
+        } else if (-4..=-1).contains(&dx) {
+            let t = if dx == -4 {
+                _mm256_loadu_pd(p.add(nbr + (w - 4) as usize))
+            } else {
+                seam_chunk(p, home, nbr, w, dx, dx)
+            };
+            acc[0] = combine::<MODE>(acc[0], t, cv);
+            // chunk c ≥ 1 reads home lanes 4c + dx ≥ 0 .. 4c + dx + 3 < w
+            for (c, a) in acc.iter_mut().enumerate().skip(1) {
+                let t = _mm256_loadu_pd(p.add(home + 4 * c - dx.unsigned_abs()));
+                *a = combine::<MODE>(*a, t, cv);
+            }
         } else {
-            seam_chunk(p, home, nbr, w, j0, dx)
+            for (c, a) in acc.iter_mut().enumerate() {
+                let j0 = (4 * c) as isize + dx;
+                let t = if j0 >= 0 && j0 + 3 < w {
+                    _mm256_loadu_pd(p.add(home).offset(j0))
+                } else if dx > 0 && j0 >= w {
+                    _mm256_loadu_pd(p.add(nbr).offset(j0 - w))
+                } else if dx < 0 && j0 + 3 < 0 {
+                    _mm256_loadu_pd(p.add(nbr).offset(j0 + w))
+                } else {
+                    seam_chunk(p, home, nbr, w, j0, dx)
+                };
+                *a = combine::<MODE>(*a, t, cv);
+            }
         }
     }
 }
@@ -380,7 +410,7 @@ unsafe fn load_split<const NC: usize>(rt: RTap, p: *const f64, c: usize) -> __m2
 /// gather, and the chunk never round-trips through the stack.
 ///
 /// # Safety
-/// [`load_split`]'s invariants, and the chunk straddles the seam:
+/// [`apply_split`]'s invariants, and the chunk straddles the seam:
 /// `w − 4 < j0 < w` for `dx > 0`, `−4 < j0 < 0` for `dx < 0`.
 #[inline(always)]
 unsafe fn seam_chunk(
@@ -438,9 +468,9 @@ unsafe fn combine<const MODE: u8>(acc: __m256d, t: __m256d, cv: __m256d) -> __m2
 
 /// Apply one tap op across all `NC` accumulator chunks. Direct taps
 /// compile to a fully unrolled run of contiguous loads; split (shifted)
-/// taps branch per chunk, and the one seam chunk per row is built by
-/// [`seam_chunk`]. Grid taps read through `p` (the input slab), scratch
-/// taps through `q` (the block's scratch rows) with the same code.
+/// taps go through [`apply_split`], which decides the seam once per op.
+/// Grid taps read through `p` (the input slab), scratch taps through `q`
+/// (the block's scratch rows) with the same code.
 ///
 /// # Safety
 /// `check_tape` invariants: `base/home/nbr + w` inside the slab behind
@@ -474,28 +504,10 @@ unsafe fn apply<const NC: usize, const MODE: u8>(
                 *a = unsafe { combine::<MODE>(*a, t, cv) };
             }
         }
-        RTap::Split { home, nbr, dx } => {
-            let w = (NC * 4) as isize;
-            for (c, a) in acc.iter_mut().enumerate() {
-                let j0 = (4 * c) as isize + dx;
-                // SAFETY: lane j of `home` is read only for 0 ≤ j < w and
-                // the wrapped lane j∓w ∈ [0, w) of `nbr` otherwise; both
-                // rows checked in-bounds.
-                let t = unsafe {
-                    if j0 >= 0 && j0 + 3 < w {
-                        _mm256_loadu_pd(p.add(home).offset(j0))
-                    } else if dx > 0 && j0 >= w {
-                        _mm256_loadu_pd(p.add(nbr).offset(j0 - w))
-                    } else if dx < 0 && j0 + 3 < 0 {
-                        _mm256_loadu_pd(p.add(nbr).offset(j0 + w))
-                    } else {
-                        seam_chunk(p, home, nbr, w, j0, dx)
-                    }
-                };
-                // SAFETY: avx2+fma per this fn's contract.
-                *a = unsafe { combine::<MODE>(*a, t, cv) };
-            }
-        }
+        // SAFETY: forwarded contract.
+        RTap::Split { home, nbr, dx } => unsafe {
+            apply_split::<NC, MODE>(acc, p, home, nbr, dx, cv)
+        },
         _ => unreachable!("scratch and window taps were rewritten above"),
     }
 }

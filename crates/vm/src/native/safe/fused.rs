@@ -6,7 +6,8 @@
 //! Proving `off + w ≤ vol` here (BS001), together with the per-run
 //! premise that the slab holds exactly `nb` whole bricks and every
 //! interior adjacency entry is a valid id `< nb` (checked in
-//! `crate::exec::run_brick_plan`), gives `base + w ≤ raw.len()` for
+//! `crate::exec::run_brick_plan`, the entries of each interior brick
+//! inside the parallel loop just before its taps resolve), gives `base + w ≤ raw.len()` for
 //! every tap of every interior brick — translation invariance does the
 //! rest. Array layouts leave `brick_taps` empty; their geometry half
 //! lives in [`super::geometry`].

@@ -5,15 +5,19 @@
 //! for callers that need an explicit worker count (the sweep scheduler's
 //! `--jobs` knob, the executor's recorded thread count).
 //!
-//! Work items are materialised eagerly and split into contiguous batches
-//! of [`batch_len`] items, about 64 per worker. `std::thread` scoped
-//! workers claim whole batches from an atomic cursor (dynamic scheduling,
-//! like rayon's work stealing), so each worker sees ascending runs of
-//! neighbouring items, as rayon's splitter hands out index ranges, and
-//! one claim plus one `Mutex` covers a batch, not an item. A call with at
-//! most 64 items per worker keeps batches of one item. `map` is eager —
-//! it evaluates in parallel immediately and yields an ordered result —
-//! which is observationally equivalent for the pipelines here.
+//! Slice iterators are lazy [`Producer`]s: a slice, a chunk length and an
+//! index offset, never a list of items. The terminal call (`for_each`,
+//! `for_each_init`, `map`) cuts the producer with `split_at_mut` into
+//! contiguous batches of [`batch_len`] items, about 64 per worker, so the
+//! serial work before the workers start grows with the batch count, not
+//! the item count. `std::thread` scoped workers claim whole batches from
+//! an atomic cursor (dynamic scheduling, like rayon's work stealing), so
+//! each worker sees ascending runs of neighbouring items, as rayon's
+//! splitter hands out index ranges, and one claim plus one `Mutex` covers
+//! a batch, not an item. A call with at most 64 items per worker keeps
+//! batches of one item. `map` is eager — it evaluates in parallel
+//! immediately and yields an ordered result — which is observationally
+//! equivalent for the pipelines here.
 //!
 //! A worker runs any parallel call it makes itself inline, as a nested
 //! call in a fixed-size rayon pool adds no threads: a call evaluated on
@@ -120,7 +124,7 @@ pub fn current_num_threads() -> usize {
 
 /// Evaluate `f` over `items` on scoped worker threads; results keep the
 /// input order.
-fn par_eval<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+fn par_eval<P: Producer, R: Send>(items: P, f: impl Fn(P::Item) -> R + Sync) -> Vec<R> {
     par_eval_init(items, || (), |_, t| f(t))
 }
 
@@ -135,13 +139,32 @@ fn batch_len(n: usize, threads: usize) -> usize {
     (n / (threads * BATCHES_PER_WORKER)).max(1)
 }
 
+/// Cut `items` into contiguous batches of `batch` items (the last one
+/// shorter), in ascending order. Cuts are taken from the back, so a
+/// producer whose split moves its tail (a materialised `Vec`) moves each
+/// item once; a slice producer splits in O(1).
+fn split_batches<P: Producer>(mut rest: P, batch: usize) -> Vec<Mutex<Option<P>>> {
+    let count = rest.len().div_ceil(batch);
+    let mut batches = Vec::with_capacity(count);
+    for b in (1..count).rev() {
+        let (head, tail) = rest.split_at(b * batch);
+        batches.push(Mutex::new(Some(tail)));
+        rest = head;
+    }
+    batches.push(Mutex::new(Some(rest)));
+    batches.reverse();
+    batches
+}
+
 /// [`par_eval`] with per-worker state: each worker thread calls `init`
 /// once and threads the value through every item it evaluates. Workers
 /// claim contiguous batches of [`batch_len`] items in ascending order.
-fn par_eval_init<T: Send, S, R: Send>(
-    items: Vec<T>,
+/// Only the batches are split out before the workers start, so the serial
+/// set-up grows with the batch count, not with the item count.
+fn par_eval_init<P: Producer, S, R: Send>(
+    items: P,
     init: impl Fn() -> S + Sync,
-    f: impl Fn(&mut S, T) -> R + Sync,
+    f: impl Fn(&mut S, P::Item) -> R + Sync,
 ) -> Vec<R> {
     let n = items.len();
     let threads = current_num_threads().min(n);
@@ -149,11 +172,7 @@ fn par_eval_init<T: Send, S, R: Send>(
         let mut state = init();
         return items.into_iter().map(|t| f(&mut state, t)).collect();
     }
-    let batch = batch_len(n, threads);
-    let mut rest = items.into_iter();
-    let batches: Vec<Mutex<Vec<T>>> = (0..n.div_ceil(batch))
-        .map(|_| Mutex::new(rest.by_ref().take(batch).collect()))
-        .collect();
+    let batches = split_batches(items, batch_len(n, threads));
     let next = AtomicUsize::new(0);
     // each worker returns its batches' results tagged with the batch index
     let mut done: Vec<(usize, Vec<R>)> = std::thread::scope(|s| {
@@ -169,7 +188,11 @@ fn par_eval_init<T: Send, S, R: Send>(
                         let Some(batch) = batches.get(b) else {
                             break done;
                         };
-                        let items = std::mem::take(&mut *batch.lock().expect("batch lock"));
+                        let items = batch
+                            .lock()
+                            .expect("batch lock")
+                            .take()
+                            .expect("each batch is claimed once");
                         done.push((b, items.into_iter().map(|t| f(&mut state, t)).collect()));
                     }
                 })
@@ -184,28 +207,148 @@ fn par_eval_init<T: Send, S, R: Send>(
     done.into_iter().flat_map(|(_, rs)| rs).collect()
 }
 
-/// A materialised parallel iterator.
-pub struct ParIter<T> {
+/// A source of parallel items that splits without copying them: the
+/// shim's counterpart of rayon's `Producer`. The terminal calls of
+/// [`ParIter`] cut it into contiguous batches with
+/// [`split_at`](Producer::split_at), and each worker iterates its batches
+/// in order.
+pub trait Producer: Send + Sized {
+    /// What the parallel call hands to its closure.
+    type Item: Send;
+    /// Sequential iteration over one batch.
+    type IntoIter: Iterator<Item = Self::Item>;
+    /// Number of items.
+    fn len(&self) -> usize;
+    /// True if there are no items.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+    /// Items `[0, i)` and `[i, len)`.
+    fn split_at(self, i: usize) -> (Self, Self);
+    /// Iterate the items in order.
+    fn into_iter(self) -> Self::IntoIter;
+}
+
+/// Items of [`ParallelSliceMut::par_iter_mut`]: one `&mut T` per element.
+pub struct IterMut<'a, T> {
+    slice: &'a mut [T],
+}
+
+impl<'a, T: Send> Producer for IterMut<'a, T> {
+    type Item = &'a mut T;
+    type IntoIter = std::slice::IterMut<'a, T>;
+    fn len(&self) -> usize {
+        self.slice.len()
+    }
+    fn split_at(self, i: usize) -> (Self, Self) {
+        let (a, b) = self.slice.split_at_mut(i);
+        (IterMut { slice: a }, IterMut { slice: b })
+    }
+    fn into_iter(self) -> Self::IntoIter {
+        self.slice.iter_mut()
+    }
+}
+
+/// Items of [`ParallelSliceMut::par_chunks_mut`]: `chunk`-element
+/// subslices, the last one shorter when `chunk` does not divide the slice.
+pub struct ChunksMut<'a, T> {
+    slice: &'a mut [T],
+    chunk: usize,
+}
+
+impl<'a, T: Send> Producer for ChunksMut<'a, T> {
+    type Item = &'a mut [T];
+    type IntoIter = std::slice::ChunksMut<'a, T>;
+    fn len(&self) -> usize {
+        self.slice.len().div_ceil(self.chunk)
+    }
+    fn split_at(self, i: usize) -> (Self, Self) {
+        let mid = (i * self.chunk).min(self.slice.len());
+        let (a, b) = self.slice.split_at_mut(mid);
+        let chunk = self.chunk;
+        (ChunksMut { slice: a, chunk }, ChunksMut { slice: b, chunk })
+    }
+    fn into_iter(self) -> Self::IntoIter {
+        self.slice.chunks_mut(self.chunk)
+    }
+}
+
+/// Items of [`ParIter::enumerate`]: the base items paired with their
+/// index, carried as the offset of the batch's first item.
+pub struct Enumerate<P> {
+    base: P,
+    offset: usize,
+}
+
+impl<P: Producer> Producer for Enumerate<P> {
+    type Item = (usize, P::Item);
+    type IntoIter = std::iter::Zip<std::ops::RangeFrom<usize>, P::IntoIter>;
+    fn len(&self) -> usize {
+        self.base.len()
+    }
+    fn split_at(self, i: usize) -> (Self, Self) {
+        let (a, b) = self.base.split_at(i);
+        let offset = self.offset;
+        (
+            Enumerate { base: a, offset },
+            Enumerate {
+                base: b,
+                offset: offset + i,
+            },
+        )
+    }
+    fn into_iter(self) -> Self::IntoIter {
+        (self.offset..).zip(self.base.into_iter())
+    }
+}
+
+/// Items of [`ParIter::map`]: results already computed, in input order.
+pub struct Items<T> {
     items: Vec<T>,
 }
 
-impl<T: Send> ParIter<T> {
+impl<T: Send> Producer for Items<T> {
+    type Item = T;
+    type IntoIter = std::vec::IntoIter<T>;
+    fn len(&self) -> usize {
+        self.items.len()
+    }
+    fn split_at(mut self, i: usize) -> (Self, Self) {
+        let tail = self.items.split_off(i);
+        (self, Items { items: tail })
+    }
+    fn into_iter(self) -> Self::IntoIter {
+        self.items.into_iter()
+    }
+}
+
+/// A parallel iterator over the items of a [`Producer`].
+pub struct ParIter<P> {
+    items: P,
+}
+
+impl<P: Producer> ParIter<P> {
     /// Pair each item with its index.
-    pub fn enumerate(self) -> ParIter<(usize, T)> {
+    pub fn enumerate(self) -> ParIter<Enumerate<P>> {
         ParIter {
-            items: self.items.into_iter().enumerate().collect(),
+            items: Enumerate {
+                base: self.items,
+                offset: 0,
+            },
         }
     }
 
     /// Parallel map (eager); result order matches input order.
-    pub fn map<R: Send, F: Fn(T) -> R + Sync>(self, f: F) -> ParIter<R> {
+    pub fn map<R: Send, F: Fn(P::Item) -> R + Sync>(self, f: F) -> ParIter<Items<R>> {
         ParIter {
-            items: par_eval(self.items, f),
+            items: Items {
+                items: par_eval(self.items, f),
+            },
         }
     }
 
     /// Run `f` over every item in parallel.
-    pub fn for_each<F: Fn(T) + Sync>(self, f: F) {
+    pub fn for_each<F: Fn(P::Item) + Sync>(self, f: F) {
         par_eval(self.items, f);
     }
 
@@ -215,13 +358,13 @@ impl<T: Send> ParIter<T> {
     pub fn for_each_init<S, INIT, F>(self, init: INIT, f: F)
     where
         INIT: Fn() -> S + Sync,
-        F: Fn(&mut S, T) + Sync,
+        F: Fn(&mut S, P::Item) + Sync,
     {
         par_eval_init(self.items, init, f);
     }
 
-    /// Collect the (already ordered) items.
-    pub fn collect<C: FromIterator<T>>(self) -> C {
+    /// Collect the items in order.
+    pub fn collect<C: FromIterator<P::Item>>(self) -> C {
         self.items.into_iter().collect()
     }
 }
@@ -229,21 +372,22 @@ impl<T: Send> ParIter<T> {
 /// Parallel mutable iteration over slices.
 pub trait ParallelSliceMut<T: Send> {
     /// Parallel counterpart of `iter_mut`.
-    fn par_iter_mut(&mut self) -> ParIter<&mut T>;
-    /// Parallel counterpart of `chunks_mut`.
-    fn par_chunks_mut(&mut self, chunk: usize) -> ParIter<&mut [T]>;
+    fn par_iter_mut(&mut self) -> ParIter<IterMut<'_, T>>;
+    /// Parallel counterpart of `chunks_mut`; panics if `chunk` is 0.
+    fn par_chunks_mut(&mut self, chunk: usize) -> ParIter<ChunksMut<'_, T>>;
 }
 
 impl<T: Send> ParallelSliceMut<T> for [T] {
-    fn par_iter_mut(&mut self) -> ParIter<&mut T> {
+    fn par_iter_mut(&mut self) -> ParIter<IterMut<'_, T>> {
         ParIter {
-            items: self.iter_mut().collect(),
+            items: IterMut { slice: self },
         }
     }
 
-    fn par_chunks_mut(&mut self, chunk: usize) -> ParIter<&mut [T]> {
+    fn par_chunks_mut(&mut self, chunk: usize) -> ParIter<ChunksMut<'_, T>> {
+        assert!(chunk != 0, "chunk size must be non-zero");
         ParIter {
-            items: self.chunks_mut(chunk).collect(),
+            items: ChunksMut { slice: self, chunk },
         }
     }
 }
@@ -451,6 +595,48 @@ mod tests {
             assert_eq!(super::batch_len(threads * 128, threads), 2);
         }
         assert_eq!(super::batch_len(10_007, 2), 78);
+    }
+
+    #[test]
+    fn lazy_chunks_keep_indices_and_positions() {
+        // (slice length, chunk length): short last chunks (with and
+        // without multi-item batches), an empty slice, and chunks longer
+        // than the slice
+        let cases = [(10, 3), (10_007, 3), (0, 4), (5, 8), (3, 64)];
+        for threads in THREADS {
+            for (len, chunk) in cases {
+                let what = format!("len = {len}, chunk = {chunk}, threads = {threads}");
+                let mut v: Vec<usize> = (0..len).collect();
+                let got: Vec<(usize, Vec<usize>)> = pool(threads).install(|| {
+                    v.par_chunks_mut(chunk)
+                        .enumerate()
+                        .map(|(i, c)| (i, c.to_vec()))
+                        .collect()
+                });
+                let want: Vec<(usize, Vec<usize>)> = (0..len)
+                    .collect::<Vec<_>>()
+                    .chunks(chunk)
+                    .map(<[usize]>::to_vec)
+                    .enumerate()
+                    .collect();
+                assert_eq!(got, want, "{what}");
+                // every position is written once, by the chunk that holds it
+                let mut owner = vec![usize::MAX; len];
+                pool(threads).install(|| {
+                    owner
+                        .par_chunks_mut(chunk)
+                        .enumerate()
+                        .for_each_init(|| (), |_, (i, c)| c.fill(i))
+                });
+                assert!(
+                    owner.iter().enumerate().all(|(p, &i)| i == p / chunk),
+                    "{what}"
+                );
+                let mut at = vec![usize::MAX; len];
+                pool(threads).install(|| at.par_iter_mut().enumerate().for_each(|(i, x)| *x = i));
+                assert_eq!(at, (0..len).collect::<Vec<_>>(), "{what}");
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! Each subcommand is a thin veneer over the library crates; the full
 //! table/figure harness lives in the `experiments` binary.
 
-use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -23,37 +22,7 @@ use bricks_repro::metrics::potential_speedup;
 use bricks_repro::roofline::measure;
 use bricks_repro::tuner::{autotune, TuningSpace};
 use bricks_repro::vm::{KernelSpec, ScalarKernel, TraceGeometry};
-
-/// `print!` for every report: a reader that closes the pipe early
-/// (`bricks lint | head`) ends the program quietly with exit 0 instead of
-/// the panic `print!` raises on a failed write.
-macro_rules! out {
-    ($($arg:tt)*) => {
-        emit(format_args!($($arg)*))
-    };
-}
-
-/// `println!` through [`emit`], as [`out!`].
-macro_rules! outln {
-    () => {
-        emit(format_args!("\n"))
-    };
-    ($($arg:tt)*) => {
-        emit(format_args!("{}\n", format_args!($($arg)*)))
-    };
-}
-
-/// Write to stdout. A closed pipe exits 0, as a producer piped into
-/// `head` should; any other write error exits 1 with the reason.
-fn emit(args: std::fmt::Arguments) {
-    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
-        if e.kind() == ErrorKind::BrokenPipe {
-            std::process::exit(0);
-        }
-        eprintln!("bricks: cannot write to stdout: {e}");
-        std::process::exit(1);
-    }
-}
+use experiments::{out, outln};
 
 const HELP: &str = "bricks — BrickLib reproduction toolkit
 
