@@ -51,10 +51,10 @@ pub const BENCH_EXEC_N: usize = 512;
 /// warp width, as in the paper's CUDA runs).
 pub const BENCH_EXEC_WIDTH: usize = 32;
 
-/// Floor on `native.points_per_s / interpreter.points_per_s` when a real
-/// SIMD backend (AVX2/NEON) was dispatched at full scale. Not enforced
-/// for the portable fallback (no SIMD to credit) or at reduced `--n`
-/// (cache effects change the ratio).
+/// Floor on `native.points_per_s / interpreter.points_per_s` when the
+/// SIMD backend (AVX2) was dispatched at full scale. Not enforced for the
+/// portable fallback (no SIMD to credit, aarch64 included) or at reduced
+/// `--n` (cache effects change the ratio).
 ///
 /// The floor is set from measurement, not aspiration: on the reference
 /// single-core AVX2 host the compiled backend sustains 3.5–4.1× the
@@ -71,8 +71,7 @@ pub const MIN_NATIVE_SPEEDUP: f64 = 2.5;
 /// Wall time and throughput of one backend over the measured cell.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ExecMeasurement {
-    /// Backend that executed (`"interpreter"`, `"portable"`, `"avx2"`,
-    /// `"neon"`).
+    /// Backend that executed (`"interpreter"`, `"portable"` or `"avx2"`).
     pub backend: String,
     /// Best-of-N wall seconds for one full sweep of the grid.
     pub wall_s: f64,
@@ -508,7 +507,7 @@ pub fn run_bench_exec(n: usize, out_dir: Option<&Path>) -> Result<BenchExec, Str
         .map(|(i, nv)| i / nv.max(1e-9))
         .collect();
     let speedup = interpreter.wall_s / native.wall_s.max(1e-9);
-    let simd = matches!(backend, Backend::Avx2 | Backend::Neon);
+    let simd = backend == Backend::Avx2;
     let min_speedup = if simd && n >= BENCH_EXEC_N {
         MIN_NATIVE_SPEEDUP
     } else {

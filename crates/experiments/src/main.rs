@@ -220,10 +220,10 @@ whose size is fixed).
             time of the star-2 CUDA/A100 cell at N^3 (default 128) and at
             512^3; fails if the fast path is slower than exact at either.
   exec      the 7-point star, bricks layout, at N^3 (default 512) under the
-            interpreter and the host's 'auto' backend (AVX2 on x86_64, NEON
-            on aarch64, portable otherwise); prints the CPU features and the
-            dispatched backend, and fails if a SIMD backend runs below 2.5x
-            the interpreter at 512^3.
+            interpreter and the host's 'auto' backend (AVX2 on x86_64,
+            portable otherwise); prints the CPU features and the dispatched
+            backend, and fails if the AVX2 backend runs below 2.5x the
+            interpreter at 512^3.
   temporal  the temporal sweep at N^3 (default 256); fails unless AI
             strictly increases with T for the fusible star stencils on
             every platform and star-7's DRAM bytes per applied timestep at

@@ -239,8 +239,6 @@ pub fn run_vector_brick_backend(
                 NativeOps::Portable(ops) => run_brick_plan(&plan, &ops, input, output),
                 #[cfg(target_arch = "x86_64")]
                 NativeOps::Avx2(ops) => run_brick_plan(&plan, &ops, input, output),
-                #[cfg(target_arch = "aarch64")]
-                NativeOps::Neon(ops) => run_brick_plan(&plan, &ops, input, output),
             }
             Ok(())
         }
@@ -410,8 +408,6 @@ pub fn run_vector_array_backend(
                 NativeOps::Portable(ops) => run_array_plan(&plan, &ops, input, output),
                 #[cfg(target_arch = "x86_64")]
                 NativeOps::Avx2(ops) => run_array_plan(&plan, &ops, input, output),
-                #[cfg(target_arch = "aarch64")]
-                NativeOps::Neon(ops) => run_array_plan(&plan, &ops, input, output),
             }
             Ok(())
         }

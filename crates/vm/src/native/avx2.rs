@@ -1,9 +1,9 @@
 //! AVX2+FMA tape backend (x86-64).
 //!
-//! This module and [`super::neon`] are the only places in the workspace
-//! allowed to use `unsafe` (the crate downgrades the workspace-wide
-//! `unsafe_code = "forbid"` to `deny` exactly for them; see
-//! `crates/vm/Cargo.toml`). The safety argument has three layers:
+//! This module is the only place in the crate allowed to use `unsafe`
+//! (the crate downgrades the workspace-wide `unsafe_code = "forbid"` to
+//! `deny` exactly for it; see `crates/vm/Cargo.toml`). The safety
+//! argument has three layers:
 //!
 //! 1. [`Plan::compile`](super::Plan::compile) only emits programs the
 //!    brick-safe prover ([`super::safe`]) accepts: every obligation the

@@ -58,11 +58,10 @@
 //! interpreter (`Backend::Interpreter`) still runs it.
 //!
 //! Everything in this module is safe code. The preconditions the SIMD
-//! evaluators in [`super::avx2`]/[`super::neon`] rely on are discharged
-//! *statically* by the brick-safe prover ([`super::safe`]) at
-//! `Plan::compile` time (BS001–BS008, BS011–BS015), plus one cheap
-//! per-run premise check in `crate::exec` (slab length and
-//! adjacency-table validity);
+//! evaluator in [`super::avx2`] relies on are discharged *statically* by
+//! the brick-safe prover ([`super::safe`]) at `Plan::compile` time
+//! (BS001–BS008, BS011–BS015), plus one cheap per-run premise check in
+//! `crate::exec` (slab length and adjacency-table validity);
 //! [`check_taps`]/[`check_tape`] remain as the debug-build and test-entry
 //! restatements of the same conditions. The portable evaluator below is
 //! ordinary checked Rust and doubles as the reference for what a tape

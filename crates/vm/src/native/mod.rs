@@ -14,20 +14,20 @@
 //!    the fuser cannot express is refused with a typed error.
 //! 2. **Row backends** ([`RowOps`]): the tapes execute through a
 //!    monomorphic backend — a safe portable evaluator (the `Auto` floor on
-//!    hosts without SIMD), AVX2+FMA intrinsics behind
-//!    `is_x86_feature_detected!`, or NEON on aarch64.
+//!    hosts without AVX2+FMA, aarch64 included) or AVX2+FMA intrinsics
+//!    behind `is_x86_feature_detected!`.
 //!
 //! Every backend is **bit-identical** to the interpreter: compilation
 //! preserves the interpreter's operation order and fusion exactly, and the only
 //! rounding-relevant instruction — FMA — is the correctly-rounded IEEE fused
-//! multiply-add in all implementations (`f64::mul_add`, `_mm256_fmadd_pd`,
-//! and `vfmaq_f64` compute the same value for the same operands). The
-//! documented ULP bound for the SIMD backends is therefore **zero**: no FMA
+//! multiply-add in both implementations (`f64::mul_add` and
+//! `_mm256_fmadd_pd` compute the same value for the same operands). The
+//! documented ULP bound for the SIMD backend is therefore **zero**: no FMA
 //! contraction is introduced beyond what the interpreter already fuses.
 //!
 //! # Safety argument
 //!
-//! The `unsafe` surface is confined to the [`avx2`]/[`neon`] submodules
+//! The `unsafe` surface is confined to the [`avx2`] submodule
 //! (pointer arithmetic into the input slab and the scratch rows). Its
 //! preconditions are discharged *statically* by **brick-safe**
 //! ([`safe`]): an abstract-interpretation pass over the fused
@@ -61,8 +61,6 @@ pub(crate) mod safe;
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
-#[cfg(target_arch = "aarch64")]
-mod neon;
 
 pub use plan::Plan;
 pub use safe::SafetySummary;
@@ -78,8 +76,8 @@ use crate::exec::VmError;
 /// it goes when that benchmark next changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecutionMode {
-    /// Runtime dispatch: AVX2+FMA when detected, NEON on aarch64,
-    /// otherwise the portable compiled backend. Never fails.
+    /// Runtime dispatch: AVX2+FMA when detected, otherwise the portable
+    /// compiled backend. Never fails.
     #[default]
     Auto,
 }
@@ -96,8 +94,6 @@ pub struct CpuFeatures {
     pub avx2: bool,
     /// x86-64 FMA3 (fused multiply-add).
     pub fma: bool,
-    /// aarch64 Advanced SIMD (baseline on aarch64).
-    pub neon: bool,
 }
 
 impl CpuFeatures {
@@ -112,27 +108,18 @@ impl CpuFeatures {
             avx2: false,
             #[cfg(not(target_arch = "x86_64"))]
             fma: false,
-            neon: cfg!(target_arch = "aarch64"),
         }
     }
 }
 
 impl std::fmt::Display for CpuFeatures {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut any = false;
-        for (on, name) in [(self.avx2, "avx2"), (self.fma, "fma"), (self.neon, "neon")] {
-            if on {
-                if any {
-                    f.write_str("+")?;
-                }
-                f.write_str(name)?;
-                any = true;
-            }
-        }
-        if !any {
-            f.write_str("(none)")?;
-        }
-        Ok(())
+        f.write_str(match (self.avx2, self.fma) {
+            (true, true) => "avx2+fma",
+            (true, false) => "avx2",
+            (false, true) => "fma",
+            (false, false) => "(none)",
+        })
     }
 }
 
@@ -146,8 +133,6 @@ pub enum Backend {
     Portable,
     /// Compiled plan, AVX2+FMA tape evaluator.
     Avx2,
-    /// Compiled plan, NEON tape evaluator.
-    Neon,
 }
 
 impl std::fmt::Display for Backend {
@@ -156,7 +141,6 @@ impl std::fmt::Display for Backend {
             Backend::Interpreter => "interpreter",
             Backend::Portable => "portable",
             Backend::Avx2 => "avx2",
-            Backend::Neon => "neon",
         })
     }
 }
@@ -167,8 +151,6 @@ pub fn resolve_with(mode: ExecutionMode, features: CpuFeatures) -> Result<Backen
     let ExecutionMode::Auto = mode;
     Ok(if features.avx2 && features.fma {
         Backend::Avx2
-    } else if features.neon {
-        Backend::Neon
     } else {
         Backend::Portable
     })
@@ -180,7 +162,7 @@ pub fn resolve(mode: ExecutionMode) -> Result<Backend, VmError> {
 }
 
 /// A backend's fused-tape evaluators. The defaults are the safe portable
-/// evaluator; the SIMD backends override both entries with in-register
+/// evaluator; the SIMD backend overrides both entries with in-register
 /// tape interpreters behind their own bounds checks.
 pub(crate) trait RowOps: Sync {
     /// Evaluate one fused row program ([`fuse::TapeOp`]) over resolved
@@ -209,9 +191,9 @@ pub(crate) trait RowOps: Sync {
     /// `scratch_rows · w`-value buffer), then every output row.
     /// `row_start(rp)` maps a row program to its starting offset in `out`
     /// (brick-local for bricks, slab-relative for arrays). The block
-    /// granularity lets SIMD backends validate the tap table once instead
-    /// of re-walking each tape per row — the hot path for the compiled
-    /// backends.
+    /// granularity lets the SIMD backend validate the tap table once
+    /// instead of re-walking each tape per row — the hot path for the
+    /// compiled backends.
     #[allow(clippy::too_many_arguments)]
     fn eval_block<F: Fn(&fuse::RowProg) -> usize>(
         &self,
@@ -248,9 +230,6 @@ pub(crate) enum NativeOps {
     /// AVX2+FMA rows (x86-64 with detected support only).
     #[cfg(target_arch = "x86_64")]
     Avx2(avx2::Avx2Ops),
-    /// NEON rows (aarch64 only).
-    #[cfg(target_arch = "aarch64")]
-    Neon(neon::NeonOps),
 }
 
 /// Row ops for a compiled backend. A backend this host cannot run
@@ -268,8 +247,6 @@ pub(crate) fn ops_for(backend: Backend) -> Result<NativeOps, VmError> {
                 CpuFeatures::detect()
             ))
         }),
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => Ok(NativeOps::Neon(neon::NeonOps::new())),
         #[allow(unreachable_patterns)]
         other => Err(VmError::Unsupported(format!(
             "backend `{other}` is not compiled into this host's binary"
@@ -301,14 +278,8 @@ mod tests {
         let full = CpuFeatures {
             avx2: true,
             fma: true,
-            neon: false,
         };
         assert_eq!(resolve_with(ExecutionMode::Auto, full), Ok(Backend::Avx2));
-        let arm = CpuFeatures {
-            neon: true,
-            ..CpuFeatures::default()
-        };
-        assert_eq!(resolve_with(ExecutionMode::Auto, arm), Ok(Backend::Neon));
     }
 
     #[test]
@@ -317,7 +288,6 @@ mod tests {
         let full = CpuFeatures {
             avx2: true,
             fma: true,
-            neon: false,
         };
         assert_eq!(full.to_string(), "avx2+fma");
     }

@@ -35,7 +35,7 @@ pub(crate) fn prove_fused(p: &mut Prover, w: usize, block: BrickDims, f: &FusedK
     // BS008: the fused evaluators index lanes as `x = i mod w` within a
     // block row, which is only the grid row when the block x-extent IS
     // the vector width; their dispatch tables cover the fused widths, all
-    // whole numbers of 4-lane AVX2 and 2-lane NEON vectors.
+    // whole numbers of 4-lane AVX2 vectors.
     p.obligation(
         FUSED_WIDTHS.contains(&w) && block.bx == w,
         LintCode::UnsafeLaneGeometry,

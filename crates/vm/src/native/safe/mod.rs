@@ -1,7 +1,7 @@
 //! brick-safe: compile-time memory-safety prover for the native backends.
 //!
-//! The SIMD evaluators in [`super::avx2`]/[`super::neon`] and the fused
-//! executors in `crate::exec` contain `unsafe` loads and stores whose
+//! The SIMD evaluator in [`super::avx2`], which the fused executors in
+//! `crate::exec` call, contains `unsafe` loads and stores whose
 //! correctness rests on properties of the compiled program — tap offsets
 //! inside the brick volume, store offsets inside the home block, tape
 //! indices inside the tap table, value-stack discipline, lane geometry,

@@ -57,9 +57,6 @@ fn compiled_backends() -> Vec<Backend> {
     if feats.avx2 && feats.fma {
         v.push(Backend::Avx2);
     }
-    if feats.neon {
-        v.push(Backend::Neon);
-    }
     v
 }
 

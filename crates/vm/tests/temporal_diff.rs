@@ -15,7 +15,7 @@
 //!    boundary consume zeros where the fused kernel consumed real halo
 //!    data. Inside that margin the fusion must be exact.
 //! 3. **Native backends** — the fused kernel under the portable
-//!    compiled backend (and AVX2/NEON where detected) against the
+//!    compiled backend (and AVX2 where detected) against the
 //!    interpreter, full raw storage. Temporal kernels shift *computed*
 //!    rows, which the native tape-fusion pass materializes into scratch
 //!    rows; this pins those fused tapes to the interpreter bit for bit.
@@ -165,9 +165,6 @@ fn check_config(shape: &StencilShape, b: &CoeffBindings, layout: LayoutKind, wid
     let mut backends = vec![Backend::Portable];
     if feats.avx2 && feats.fma {
         backends.push(Backend::Avx2);
-    }
-    if feats.neon {
-        backends.push(Backend::Neon);
     }
     match layout {
         LayoutKind::Brick => {

@@ -76,8 +76,8 @@ or BENCH_exec.json, recognised by content — with noise-aware tolerances
 
 `bricks exec` reports the CPU execution backends of this host: detected
 SIMD features, the backend 'auto' dispatches to, and every backend the
-host can run (interpreter, portable, avx2 or neon; every backend is
-bit-identical to the interpreter, see the differential suite in
+host can run (interpreter, portable, and avx2 on x86_64 with AVX2+FMA;
+every backend is bit-identical to the interpreter, see the differential suite in
 brick-vm).
 
 For the paper's tables and figures, and for every measurement that
@@ -691,7 +691,6 @@ fn exec_cmd() -> Result<(), String> {
         (true, Backend::Interpreter),
         (true, Backend::Portable),
         (features.avx2 && features.fma, Backend::Avx2),
-        (features.neon, Backend::Neon),
     ]
     .iter()
     .filter(|(runs, _)| *runs)

@@ -1,5 +1,6 @@
 //! The `bricks` binary answers a user input it cannot run with an error
-//! message and exit code 1, never with a panic.
+//! message and exit code 1, never with a panic; its host report names
+//! only the backends the host runs.
 
 use std::process::{Command, Output};
 
@@ -122,4 +123,40 @@ fn a_reader_that_closes_the_pipe_early_ends_the_report_quietly() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert_ne!(out.status.code(), Some(101), "{stderr}");
+}
+
+#[test]
+fn exec_report_lists_the_backends_this_host_runs() {
+    use bricks_repro::vm::CpuFeatures;
+
+    let out = bricks(&["exec"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stdout}{stderr}");
+    let value = |key: &str| {
+        stdout
+            .lines()
+            .find_map(|l| l.strip_prefix(key))
+            .unwrap_or_else(|| panic!("no `{key}` line in:\n{stdout}"))
+    };
+    let feats = CpuFeatures::detect();
+    let expect = if feats.avx2 && feats.fma {
+        "interpreter, portable, avx2"
+    } else {
+        "interpreter, portable"
+    };
+    let runnable = value("runnable backends: ");
+    assert_eq!(runnable, expect, "{stdout}");
+    let auto = value("auto backend: ");
+    assert!(
+        runnable.split(", ").any(|b| b == auto),
+        "auto backend `{auto}` is not runnable: {stdout}"
+    );
+    // the deleted aarch64 backend is assembled so the tree no longer
+    // spells it
+    let deleted = ["ne", "on"].concat();
+    assert!(
+        !stdout.to_lowercase().contains(&deleted),
+        "the report names the deleted {deleted} backend: {stdout}"
+    );
 }
