@@ -1,15 +1,13 @@
-//! Pass 1 — the structural verifier.
+//! Pass 1 — the structural verifier, the only check of a kernel's
+//! structural invariants: full def-before-use dataflow, dead-definition
+//! detection, coefficient-table bounds (both directions: out-of-range
+//! indices and never-referenced entries), lane ranges, shift distances,
+//! store coverage, and row-coordinate legality — every `LoadRow`'s
+//! `ry`/`rz` must stay within one block of the home block, because brick
+//! adjacency resolves at most one neighbour per axis.
 //!
-//! Subsumes and extends [`VectorKernel::validate`]: full def-before-use
-//! dataflow, dead-definition detection, coefficient-table bounds (both
-//! directions: out-of-range indices and never-referenced entries), lane
-//! ranges, shift distances, store coverage, and the row-coordinate
-//! legality that `validate()` historically left unchecked — every
-//! `LoadRow`'s `ry`/`rz` must stay within one block of the home block,
-//! because brick adjacency resolves at most one neighbour per axis.
-//!
-//! Unlike `validate()`, the verifier reports *every* violation, not just
-//! the first, each anchored to its op index.
+//! The verifier reports *every* violation, not just the first, each
+//! anchored to its op index.
 
 use brick_codegen::{VOp, VectorKernel};
 
@@ -263,14 +261,16 @@ mod tests {
 
     #[test]
     fn one_block_adjacency_is_legal() {
-        // ry = -1 and ry = 2*by - 1 resolve through adjacency: no error.
-        for ry in [-1i16, 1] {
+        // -1 and 2*b - 1 on either row axis resolve through adjacency: no
+        // error.
+        for (ry, rz) in [(-1i16, 0), (1, 0), (0, -1), (0, 1)] {
             let mut k = tiny_kernel();
-            if let VOp::LoadRow { ry: r, .. } = &mut k.ops[0] {
-                *r = ry;
+            if let VOp::LoadRow { ry: y, rz: z, .. } = &mut k.ops[0] {
+                *y = ry;
+                *z = rz;
             }
             let r = check(&k);
-            assert!(r.with_code(LintCode::RowOutsideAdjacency).is_empty(), "{r}");
+            assert!(!r.has_errors(), "ry {ry} rz {rz}: {r}");
         }
     }
 
@@ -320,5 +320,104 @@ mod tests {
         let r = check(&k);
         assert!(!r.with_code(LintCode::RowOutsideAdjacency).is_empty());
         assert!(!r.with_code(LintCode::CoeffIndexOutOfRange).is_empty());
+    }
+
+    /// The only error `k` raises, with its op anchor.
+    fn sole_error(k: &VectorKernel, code: LintCode) -> Option<usize> {
+        let r = check(k);
+        let hits = r.with_code(code);
+        assert_eq!(hits.len(), 1, "{r}");
+        assert_eq!(r.error_count(), 1, "{r}");
+        hits[0].op
+    }
+
+    #[test]
+    fn width_mismatch_rejected() {
+        let mut k = tiny_kernel();
+        k.width = 8;
+        assert_eq!(sole_error(&k, LintCode::WidthMismatch), None);
+    }
+
+    #[test]
+    fn empty_or_overwide_lane_range_rejected() {
+        for (lane0, lanes) in [(0u16, 0u16), (1, 4), (4, 1)] {
+            let mut k = tiny_kernel();
+            if let VOp::LoadRow {
+                lane0: l0,
+                lanes: n,
+                ..
+            } = &mut k.ops[0]
+            {
+                *l0 = lane0;
+                *n = lanes;
+            }
+            assert_eq!(sole_error(&k, LintCode::LaneRange), Some(0));
+        }
+    }
+
+    #[test]
+    fn shift_dx_zero_or_full_width_rejected() {
+        for dx in [0i16, 4, -4] {
+            let mut k = tiny_kernel();
+            k.num_regs = 2;
+            k.ops.insert(
+                1,
+                VOp::ShiftX {
+                    dst: 1,
+                    src: 0,
+                    edge: 0,
+                    dx,
+                },
+            );
+            if let VOp::Mul { a, .. } = &mut k.ops[2] {
+                *a = 1;
+            }
+            assert_eq!(sole_error(&k, LintCode::ShiftInvalid), Some(1), "dx {dx}");
+        }
+    }
+
+    #[test]
+    fn load_rx_beyond_one_block_rejected() {
+        let mut k = tiny_kernel();
+        if let VOp::LoadRow { rx, .. } = &mut k.ops[0] {
+            *rx = 2;
+        }
+        assert_eq!(sole_error(&k, LintCode::RxOutsideAdjacency), Some(0));
+    }
+
+    #[test]
+    fn store_outside_home_block_rejected() {
+        let mut k = tiny_kernel();
+        k.ops.push(VOp::StoreRow {
+            src: 0,
+            ry: 1,
+            rz: 0,
+        });
+        assert_eq!(sole_error(&k, LintCode::StoreOutsideBlock), Some(3));
+    }
+
+    #[test]
+    fn double_store_rejected() {
+        let mut k = tiny_kernel();
+        k.ops.push(VOp::StoreRow {
+            src: 0,
+            ry: 0,
+            rz: 0,
+        });
+        assert_eq!(sole_error(&k, LintCode::DuplicateStore), Some(3));
+    }
+
+    #[test]
+    fn missing_store_rejected() {
+        let mut k = tiny_kernel();
+        k.ops.pop();
+        assert_eq!(sole_error(&k, LintCode::IncompleteStores), None);
+    }
+
+    #[test]
+    fn out_of_range_coeff_rejected() {
+        let mut k = tiny_kernel();
+        k.coeffs.clear();
+        assert_eq!(sole_error(&k, LintCode::CoeffIndexOutOfRange), Some(1));
     }
 }

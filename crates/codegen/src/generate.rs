@@ -603,21 +603,6 @@ mod tests {
     }
 
     #[test]
-    fn all_paper_stencils_generate_and_validate() {
-        for shape in StencilShape::paper_suite() {
-            for strategy in [Strategy::Gather, Strategy::Scatter, Strategy::Auto] {
-                for width in [16, 32, 64] {
-                    for layout in [LayoutKind::Brick, LayoutKind::Array] {
-                        let k = gen(shape, layout, width, strategy);
-                        k.validate()
-                            .unwrap_or_else(|e| panic!("{shape} {strategy} w{width}: {e}"));
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn loads_are_unique_for_both_strategies() {
         for shape in StencilShape::paper_suite() {
             for strategy in [Strategy::Gather, Strategy::Scatter] {

@@ -272,105 +272,6 @@ pub struct VectorKernel {
 }
 
 impl VectorKernel {
-    /// Validate structural invariants; returns a description of the first
-    /// violation. Used by tests and by the VM before execution.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.block.bx != self.width {
-            return Err(format!(
-                "block x extent {} != vector width {}",
-                self.block.bx, self.width
-            ));
-        }
-        let mut defined = vec![false; self.num_regs];
-        let mut stored = std::collections::HashSet::new();
-        for (i, op) in self.ops.iter().enumerate() {
-            for r in op.uses() {
-                if r as usize >= self.num_regs {
-                    return Err(format!("op {i}: register {r} out of range"));
-                }
-                if !defined[r as usize] {
-                    return Err(format!("op {i}: register {r} read before write ({op:?})"));
-                }
-            }
-            if let Some(d) = op.def() {
-                if d as usize >= self.num_regs {
-                    return Err(format!("op {i}: def register {d} out of range"));
-                }
-                defined[d as usize] = true;
-            }
-            match *op {
-                VOp::LoadRow {
-                    rx,
-                    ry,
-                    rz,
-                    lane0,
-                    lanes,
-                    ..
-                } => {
-                    if !(-1..=1).contains(&rx) {
-                        return Err(format!("op {i}: load rx {rx} outside one block"));
-                    }
-                    // Row coordinates may reach at most one block beyond the
-                    // home block: adjacency resolves a single neighbour per
-                    // axis.
-                    let (by, bz) = (self.block.by as i16, self.block.bz as i16);
-                    if !(-by..2 * by).contains(&ry) {
-                        return Err(format!(
-                            "op {i}: load ry {ry} outside one-block adjacency ({}..{})",
-                            -by,
-                            2 * by
-                        ));
-                    }
-                    if !(-bz..2 * bz).contains(&rz) {
-                        return Err(format!(
-                            "op {i}: load rz {rz} outside one-block adjacency ({}..{})",
-                            -bz,
-                            2 * bz
-                        ));
-                    }
-                    if lanes == 0 || lane0 as usize + lanes as usize > self.width {
-                        return Err(format!(
-                            "op {i}: lane range [{lane0}, {lane0}+{lanes}) outside width {}",
-                            self.width
-                        ));
-                    }
-                }
-                VOp::ShiftX { dx, .. } if (dx == 0 || dx.unsigned_abs() as usize >= self.width) => {
-                    return Err(format!(
-                        "op {i}: shift dx {dx} invalid for width {}",
-                        self.width
-                    ));
-                }
-                VOp::StoreRow { ry, rz, .. } => {
-                    if ry < 0
-                        || ry as usize >= self.block.by
-                        || rz < 0
-                        || rz as usize >= self.block.bz
-                    {
-                        return Err(format!("op {i}: store ({ry},{rz}) outside home block"));
-                    }
-                    if !stored.insert((ry, rz)) {
-                        return Err(format!("op {i}: row ({ry},{rz}) stored twice"));
-                    }
-                }
-                _ => {}
-            }
-            if let VOp::Fma { coeff, .. } | VOp::Mul { coeff, .. } = *op {
-                if coeff as usize >= self.coeffs.len() {
-                    return Err(format!("op {i}: coefficient index {coeff} out of range"));
-                }
-            }
-        }
-        let expected_rows = self.block.by * self.block.bz;
-        if stored.len() != expected_rows {
-            return Err(format!(
-                "kernel stores {} rows, home block has {expected_rows}",
-                stored.len()
-            ));
-        }
-        Ok(())
-    }
-
     /// Rows the kernel loads, deduplicated, in first-load order.
     pub fn loaded_rows(&self) -> Vec<(i8, i16, i16)> {
         let mut out = Vec::new();
@@ -445,92 +346,6 @@ mod tests {
             ops,
             num_regs: 2,
         }
-    }
-
-    #[test]
-    fn tiny_kernel_validates() {
-        assert_eq!(tiny_kernel().validate(), Ok(()));
-    }
-
-    #[test]
-    fn read_before_write_rejected() {
-        let mut k = tiny_kernel();
-        k.ops.remove(0);
-        assert!(k.validate().unwrap_err().contains("read before write"));
-    }
-
-    #[test]
-    fn missing_store_rejected() {
-        let mut k = tiny_kernel();
-        k.ops.pop();
-        assert!(k.validate().unwrap_err().contains("stores 0 rows"));
-    }
-
-    #[test]
-    fn double_store_rejected() {
-        let mut k = tiny_kernel();
-        k.ops.push(VOp::StoreRow {
-            src: 1,
-            ry: 0,
-            rz: 0,
-        });
-        assert!(k.validate().unwrap_err().contains("stored twice"));
-    }
-
-    #[test]
-    fn out_of_range_row_coordinates_rejected() {
-        // Block is 4x1x1: legal ry/rz are -1..2 (home row ± one block).
-        let mut k = tiny_kernel();
-        if let VOp::LoadRow { ry, .. } = &mut k.ops[0] {
-            *ry = 2;
-        }
-        assert!(k.validate().unwrap_err().contains("ry 2 outside"));
-        let mut k = tiny_kernel();
-        if let VOp::LoadRow { rz, .. } = &mut k.ops[0] {
-            *rz = -2;
-        }
-        assert!(k.validate().unwrap_err().contains("rz -2 outside"));
-    }
-
-    #[test]
-    fn one_block_adjacent_rows_accepted() {
-        for (ry, rz) in [(-1, 0), (1, 0), (0, -1), (0, 1)] {
-            let mut k = tiny_kernel();
-            if let VOp::LoadRow { ry: y, rz: z, .. } = &mut k.ops[0] {
-                *y = ry;
-                *z = rz;
-            }
-            assert_eq!(k.validate(), Ok(()), "ry {ry} rz {rz}");
-        }
-    }
-
-    #[test]
-    fn out_of_range_coeff_rejected() {
-        let mut k = tiny_kernel();
-        k.coeffs.clear();
-        assert!(k.validate().unwrap_err().contains("coefficient index"));
-    }
-
-    #[test]
-    fn width_mismatch_rejected() {
-        let mut k = tiny_kernel();
-        k.width = 8;
-        assert!(k.validate().unwrap_err().contains("vector width"));
-    }
-
-    #[test]
-    fn shift_dx_zero_rejected() {
-        let mut k = tiny_kernel();
-        k.ops.insert(
-            1,
-            VOp::ShiftX {
-                dst: 1,
-                src: 0,
-                edge: 0,
-                dx: 0,
-            },
-        );
-        assert!(k.validate().unwrap_err().contains("shift dx"));
     }
 
     #[test]

@@ -22,7 +22,6 @@
 //!     CodegenOptions::default(),
 //! )
 //! .unwrap();
-//! assert!(kernel.validate().is_ok());
 //! assert!(kernel.loads_are_unique()); // every row loaded exactly once
 //! ```
 

@@ -342,12 +342,6 @@ mod tests {
     use crate::ir::{LayoutKind, VOp};
     use brick_dsl::shape::StencilShape;
 
-    /// Feasible fusion degrees for a shape under the default 4×4 block:
-    /// `T·r ≤ 4` on y/z (x allows more, width ≥ 16).
-    pub(crate) fn max_degree(shape: &StencilShape) -> u32 {
-        4 / shape.radius
-    }
-
     fn gen(shape: StencilShape, t: u32, width: usize) -> crate::ir::VectorKernel {
         let st = shape.stencil();
         let b = st.default_bindings();
@@ -362,35 +356,6 @@ mod tests {
             },
         )
         .unwrap()
-    }
-
-    #[test]
-    fn fused_paper_kernels_generate_and_validate() {
-        for shape in StencilShape::paper_suite() {
-            for t in 2..=max_degree(&shape) {
-                for width in [16, 32, 64] {
-                    for layout in [LayoutKind::Brick, LayoutKind::Array] {
-                        let st = shape.stencil();
-                        let b = st.default_bindings();
-                        let k = generate(
-                            &st,
-                            &b,
-                            layout,
-                            width,
-                            CodegenOptions {
-                                temporal_degree: t,
-                                ..Default::default()
-                            },
-                        )
-                        .unwrap();
-                        k.validate()
-                            .unwrap_or_else(|e| panic!("{shape} t{t} w{width} {layout}: {e}"));
-                        assert_eq!(k.temporal_degree, t);
-                        assert!(k.name.ends_with(&format!("_t{t}")), "{}", k.name);
-                    }
-                }
-            }
-        }
     }
 
     #[test]

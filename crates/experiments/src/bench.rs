@@ -13,7 +13,8 @@ use serde::Serialize;
 /// A measurement `--bench` can run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BenchKind {
-    /// Sweep throughput and exact-vs-fast fidelity ([`crate::bench_sim`]).
+    /// Sweep throughput and the simulator's speedup over the exact oracle
+    /// ([`crate::bench_sim`]).
     Sim,
     /// Native backend vs interpreter on star-7 ([`crate::bench_exec`]).
     Exec,

@@ -5,12 +5,13 @@
 //!
 //! * **sweep throughput** — a full 64³ matrix sweep, cold (empty result
 //!   cache) and warm (second run over the same cache), in cells/second;
-//! * **fidelity speedup** — the star-2 CUDA/A100 bricks-codegen cell
-//!   simulated under [`SimFidelity::Exact`] and [`SimFidelity::Fast`],
-//!   with the wall-time ratio and a hard check that both produce
-//!   identical [`gpu_sim::MemCounters`].
+//! * **oracle speedup** (the `fidelity` blocks) — the star-2 CUDA/A100
+//!   bricks-codegen cell simulated by the exact per-block oracle
+//!   ([`gpu_sim::simulate_memory_exact`]) and by the simulator
+//!   ([`gpu_sim::simulate_memory_opts`]), with the wall-time ratio and a
+//!   hard check that both produce identical [`gpu_sim::MemCounters`].
 //!
-//! [`run_bench_sim`] fails (so CI fails) if the fast path is slower than
+//! [`run_bench_sim`] fails (so CI fails) if the simulator is slower than
 //! the exact oracle — the memoization must never regress into a pessimum.
 
 use std::fs;
@@ -20,8 +21,10 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 
 use brick_dsl::shape::StencilShape;
+use brick_vm::{KernelSpec, TraceGeometry};
 use gpu_sim::{
-    compile_only, simulate_memory_opts, GpuArch, GpuKind, ProgModel, SimFidelity, SimOptions,
+    compile_only, simulate_memory_exact, simulate_memory_opts, GpuArch, GpuKind, MemCounters,
+    MemoryReport, ProgModel, SimOptions,
 };
 
 use brick_tuner::cell::{geometry, paper_spec, program, SCHEMA_VERSION};
@@ -53,8 +56,8 @@ pub struct SweepThroughput {
     pub warm_spread: f64,
 }
 
-/// Exact-vs-fast wall time of one representative cell's memory
-/// simulation.
+/// Exact-oracle-vs-simulator wall time of one representative cell's
+/// memory simulation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FidelityComparison {
     /// Stencil label (`"13pt"` = star-2).
@@ -67,9 +70,9 @@ pub struct FidelityComparison {
     pub model: String,
     /// Domain size.
     pub n: usize,
-    /// Memory-simulation wall seconds under `Exact` fidelity.
+    /// Wall seconds of the exact oracle, [`simulate_memory_exact`].
     pub exact_wall_s: f64,
-    /// Memory-simulation wall seconds under `Fast` fidelity.
+    /// Wall seconds of the simulator, [`simulate_memory_opts`].
     pub fast_wall_s: f64,
     /// `exact_wall_s / fast_wall_s`.
     pub speedup: f64,
@@ -77,8 +80,8 @@ pub struct FidelityComparison {
     /// the run's own measurement noise, which `bricks prof diff` widens
     /// its tolerance by.
     pub speedup_spread: f64,
-    /// Whether the two fidelities produced bit-identical counters
-    /// (always true, or the run fails).
+    /// Whether the oracle and the simulator produced bit-identical
+    /// counters (always true, or the run fails).
     pub counters_identical: bool,
 }
 
@@ -89,9 +92,9 @@ pub struct BenchSim {
     pub schema: u64,
     /// Sweep throughput block.
     pub sweep: SweepThroughput,
-    /// Fidelity speedup block at the CI size.
+    /// Oracle-vs-simulator block at the CI size.
     pub fidelity: FidelityComparison,
-    /// Fidelity speedup block at the paper's full 512³ — the scale where
+    /// Oracle-vs-simulator block at the paper's full 512³ — the scale where
     /// the wave-periodic fast-forward engages (`None` when the base run
     /// already is 512³).
     pub fidelity_full: Option<FidelityComparison>,
@@ -186,7 +189,7 @@ fn measure_fidelity(n: usize) -> Result<FidelityComparison, String> {
     let arch = GpuArch::by_kind(GpuKind::A100);
     let model = ProgModel::Cuda;
     let params = paper_spec(arch.simd_width);
-    let spec = program(&shape, config, &params);
+    let spec = program(&shape, config, &params).map_err(|e| e.to_string())?;
     let geom = geometry(&shape, config, &params, n);
     let (_, _, occ) = compile_only(&spec, arch, model)
         .ok_or_else(|| "no compiler model for CUDA on A100".to_string())?;
@@ -196,23 +199,21 @@ fn measure_fidelity(n: usize) -> Result<FidelityComparison, String> {
     // for "how fast can this code go". The CI size is cheap enough to
     // repeat five times; paper scale gets three.
     let reps: usize = if n <= BENCH_FIDELITY_N { 5 } else { 3 };
-    let run = |fidelity: SimFidelity| {
-        let opts = SimOptions {
-            fidelity,
-            ..SimOptions::default()
-        };
+    let opts = SimOptions::default();
+    type Simulate = fn(&KernelSpec, &TraceGeometry, &GpuArch, u32, &SimOptions) -> MemoryReport;
+    let run = |simulate: Simulate| {
         let mut walls = Vec::with_capacity(reps);
-        let mut counters = None;
+        let mut counters: Option<MemCounters> = None;
         for _ in 0..reps {
             let t = Instant::now();
-            let c = simulate_memory_opts(&spec, &geom, arch, occ.blocks_per_sm, &opts).counters();
+            let c = simulate(&spec, &geom, arch, occ.blocks_per_sm, &opts).counters();
             walls.push(t.elapsed().as_secs_f64());
             counters = Some(c);
         }
         (walls, counters.expect("reps > 0"))
     };
-    let (exact_walls, exact) = run(SimFidelity::Exact);
-    let (fast_walls, fast) = run(SimFidelity::Fast);
+    let (exact_walls, exact) = run(simulate_memory_exact);
+    let (fast_walls, fast) = run(simulate_memory_opts);
     let exact_wall_s = min_of(&exact_walls);
     let fast_wall_s = min_of(&fast_walls);
     // per-repetition speedups (paired by index) give this run's own
@@ -225,7 +226,7 @@ fn measure_fidelity(n: usize) -> Result<FidelityComparison, String> {
     let counters_identical = exact == fast;
     if !counters_identical {
         return Err(format!(
-            "fidelity violation at n={n}: exact {exact:?} != fast {fast:?}"
+            "oracle violation at n={n}: exact {exact:?} != simulator {fast:?}"
         ));
     }
     Ok(FidelityComparison {
@@ -244,8 +245,8 @@ fn measure_fidelity(n: usize) -> Result<FidelityComparison, String> {
 
 /// Run both measurements and write `BENCH_sim.json` under `out_dir`.
 ///
-/// Fails if the fast path is slower than the exact path (speedup < 1) or
-/// if the counters diverge — either would mean the memoization broke.
+/// Fails if the simulator is slower than the exact oracle (speedup < 1)
+/// or if the counters diverge — either would mean the memoization broke.
 pub fn run_bench_sim(
     fidelity_n: usize,
     jobs: Option<usize>,
@@ -269,7 +270,7 @@ pub fn run_bench_sim(
     for f in std::iter::once(&bench.fidelity).chain(bench.fidelity_full.as_ref()) {
         if f.speedup < 1.0 {
             return Err(format!(
-                "fast fidelity is SLOWER than exact at n={} ({:.2}x) — see {}",
+                "the simulator is SLOWER than the exact oracle at n={} ({:.2}x) — see {}",
                 f.n,
                 f.speedup,
                 path.display()

@@ -290,7 +290,7 @@ fn cells_never_read_entries_of_the_previous_schema() {
     let v4 = brick_sweep::KeyBuilder::new("cell", 4)
         .fingerprint(
             "kernel",
-            spec_fingerprint(&program(&shape, KernelConfig::BricksCodegen, &spec)),
+            spec_fingerprint(&program(&shape, KernelConfig::BricksCodegen, &spec).unwrap()),
         )
         .fingerprint("spec", SpecParams::paper_default(32).fingerprint())
         .fingerprint("arch", arch_fingerprint(&arch))

@@ -4,9 +4,9 @@
 //! the serialized records are byte-identical at **any** jobs count, and a
 //! cache-warm rerun equals the cold run that populated the cache. The
 //! property test drives random sub-matrices through `--jobs 1/2/8`; the
-//! cache test compares cold vs warm byte-for-byte. The pipelines simulate
-//! on gpu-sim's fast path only; a differential here holds it to the
-//! exact oracle on every cell both sweeps measure.
+//! cache test compares cold vs warm byte-for-byte. A differential here
+//! holds gpu-sim's simulator to its exact per-block oracle
+//! (`simulate_memory_exact`) on every cell both sweeps measure.
 
 use std::fs;
 use std::path::PathBuf;
@@ -17,7 +17,8 @@ use brick_tuner::cell::{geometry, paper_spec, program};
 use experiments::temporal::feasible_degrees;
 use experiments::{CellFilter, ExperimentParams, KernelConfig, SweepOptions};
 use gpu_sim::{
-    compile_only, simulate_memory_opts, GpuArch, GpuKind, ProgModel, SimFidelity, SimOptions,
+    compile_only, simulate_memory_exact, simulate_memory_opts, GpuArch, GpuKind, ProgModel,
+    SimOptions,
 };
 use proptest::prelude::*;
 
@@ -101,19 +102,16 @@ fn exact_oracle_matches_fast_counters_on_every_sweep_cell() {
     assert_eq!(cells.len(), 108 + 84, "paper + temporal matrix");
     for (shape, config, spec, gpu, model) in cells {
         let arch = GpuArch::by_kind(gpu);
-        let kernel = program(&shape, config, &spec);
+        let kernel = program(&shape, config, &spec).expect("paper cells generate");
         let geom = geometry(&shape, config, &spec, n);
         let (_, _, occ) = compile_only(&kernel, arch, model).expect("paper pairs are supported");
-        let counters = |fidelity| {
-            let opts = SimOptions {
-                fidelity,
-                interleave_chunk: spec.interleave_chunk,
-            };
-            simulate_memory_opts(&kernel, &geom, arch, occ.blocks_per_sm, &opts).counters()
+        let opts = SimOptions {
+            interleave_chunk: spec.interleave_chunk,
         };
+        let bpsm = occ.blocks_per_sm;
         assert_eq!(
-            counters(SimFidelity::Exact),
-            counters(SimFidelity::Fast),
+            simulate_memory_exact(&kernel, &geom, arch, bpsm, &opts).counters(),
+            simulate_memory_opts(&kernel, &geom, arch, bpsm, &opts).counters(),
             "{shape} {config} {spec} on {gpu}/{model}"
         );
     }

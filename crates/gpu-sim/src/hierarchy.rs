@@ -1,23 +1,34 @@
 //! Trace-driven memory-hierarchy simulation.
 //!
 //! Blocks launch in waves of `num_sms × blocks_per_sm` — the concurrently
-//! resident set the occupancy model predicts. Within a wave each SM runs
-//! its blocks through its private L1 (in parallel, one Rayon task per SM,
-//! run inline when the simulation is itself a sweep worker's task; L1
-//! state persists across waves), buffering the per-block L1-miss
-//! streams. The streams then feed the shared L2 sequentially, interleaved
-//! round-robin in small chunks to approximate concurrent execution —
-//! deterministically, so every simulation of the same workload produces
-//! identical byte counts. L2 misses and write-backs accumulate into the
-//! DRAM counters; a final flush accounts the write-back of the resident
-//! output.
+//! resident set the occupancy model predicts. The launch is partitioned
+//! into block classes ([`brick_vm::BlockClasses`]): one compact address
+//! stream is compiled per class and replayed for each of its blocks with
+//! a per-block rebase through the batched [`Cache::access_run`] entry.
+//! SMs whose whole launch schedule is a line-aligned translation of
+//! another SM's share one private-L1 simulation ([`plan_sm_groups`]).
+//! Within a wave each group runs its blocks through its L1 (in parallel,
+//! one Rayon task per group, run inline when the simulation is itself a
+//! sweep worker's task; L1 state persists across waves), buffering the
+//! per-block L1-miss streams. The streams then feed the shared L2
+//! sequentially, interleaved round-robin in small chunks to approximate
+//! concurrent execution — deterministically, so every simulation of the
+//! same workload produces identical byte counts. L2 misses and
+//! write-backs accumulate into the DRAM counters; a final flush accounts
+//! the write-back of the resident output. Launches whose schedule repeats
+//! under translation fast-forward whole periods once the hierarchy's
+//! state provably repeats too ([`find_wave_period`]).
+//!
+//! Every counter is bit-identical to the per-block tracer
+//! [`crate::simulate_memory_exact`], the oracle the differential suites
+//! hold this path to.
 
 use std::collections::HashMap;
 
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use brick_vm::{BlockClasses, KernelSpec, TraceGeometry, TraceSink};
+use brick_vm::{BlockClasses, KernelSpec, TraceGeometry};
 
 use crate::arch::GpuArch;
 use crate::cache::{Cache, CacheConfig, CacheStats, NextLevel, WritePolicy};
@@ -27,35 +38,23 @@ use crate::introspect::{
 };
 use crate::timing::MemCounters;
 
-/// How the simulator generates the per-block address streams.
-///
-/// Both modes produce **bit-identical** [`MemCounters`] and [`CacheStats`]
-/// — `Fast` is a memoization, not an approximation — which is enforced by
-/// the differential suite in `tests/fidelity.rs`. `Exact` is kept as the
-/// oracle the fast path is verified against.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum SimFidelity {
-    /// Trace every launch block through the full VM dispatch path
-    /// (per-lane callback dispatch, one IR decode per block).
-    Exact,
-    /// Compile one compact stream per block class
-    /// ([`brick_vm::BlockClasses`]) and replay it with a per-block address
-    /// rebase through the batched [`Cache::access_run`] entry. SMs whose
-    /// whole launch schedule is a line-aligned translation of another
-    /// SM's share one L1 simulation (see [`plan_sm_groups`]).
-    #[default]
-    Fast,
+/// SMs grouped by launch schedule: one private-L1 simulation per group,
+/// run on the group's representative SM.
+struct SmGroups {
+    /// Representative SM of each group, in order of first appearance.
+    reps: Vec<usize>,
+    /// Per SM: its group and its byte shift from the representative.
+    of_sm: Vec<(usize, i64)>,
 }
 
 /// Group SMs whose entire launch schedules are translations of each
-/// other, so the fast path simulates one private L1 per *group* instead
-/// of one per SM.
+/// other, so the simulation runs one private L1 per *group* instead of
+/// one per SM.
 ///
-/// Returns, for every SM, `(representative_sm, byte_shift)`. Soundness:
-/// the cache model's set index is `(addr / line) % sets`, its tag is
-/// `addr / line`, LRU is driven by access order only, and sector indices
-/// are offsets within a line — so translating an access stream by a
-/// multiple of the line size rotates the set mapping and shifts every
+/// Soundness: the cache model's set index is `(addr / line) % sets`, its
+/// tag is `addr / line`, LRU is driven by access order only, and sector
+/// indices are offsets within a line — so translating an access stream by
+/// a multiple of the line size rotates the set mapping and shifts every
 /// tag without changing any hit/miss/eviction decision. Two SMs whose
 /// block sequences visit the same classes with pairwise-constant,
 /// line-aligned base shifts therefore run byte-isomorphic L1
@@ -63,15 +62,14 @@ pub enum SimFidelity {
 /// only by the shift. The grouping key (per-block class ids, base deltas
 /// relative to the SM's first block, and the first base modulo the line
 /// size) encodes exactly those conditions; SMs with irregular schedules
-/// (e.g. Morton orderings) simply land in singleton groups and are
-/// simulated directly.
+/// (e.g. Morton orderings) simply land in singleton groups.
 fn plan_sm_groups(
     classes: &BlockClasses,
     num_blocks: usize,
     num_sms: usize,
     active: usize,
     line: usize,
-) -> Vec<(usize, i64)> {
+) -> SmGroups {
     let mut sched: Vec<Vec<usize>> = vec![Vec::new(); num_sms];
     let mut wave_start = 0;
     while wave_start < num_blocks {
@@ -83,23 +81,29 @@ fn plan_sm_groups(
     }
     let line = line as i64;
     type GroupKey = (Vec<usize>, Vec<i64>, i64);
-    let mut reps: HashMap<GroupKey, (usize, i64)> = HashMap::new();
-    let mut plan = Vec::with_capacity(num_sms);
-    for blocks in &sched {
+    let mut index: HashMap<GroupKey, (usize, i64)> = HashMap::new();
+    let mut groups = SmGroups {
+        reps: Vec::new(),
+        of_sm: Vec::with_capacity(num_sms),
+    };
+    for (sm, blocks) in sched.iter().enumerate() {
         let cls: Vec<usize> = blocks.iter().map(|&b| classes.class_of(b)).collect();
         let deltas: Vec<i64> = blocks.iter().map(|&b| classes.block(b).1).collect();
         let d0 = deltas.first().copied().unwrap_or(0);
         let rel: Vec<i64> = deltas.iter().map(|d| d - d0).collect();
-        let sm = plan.len();
-        let (rep, rep_d0) = *reps
+        let reps = &mut groups.reps;
+        let (group, rep_d0) = *index
             .entry((cls, rel, d0.rem_euclid(line)))
-            .or_insert((sm, d0));
-        plan.push((rep, d0 - rep_d0));
+            .or_insert_with(|| {
+                reps.push(sm);
+                (reps.len() - 1, d0)
+            });
+        groups.of_sm.push((group, d0 - rep_d0));
     }
-    plan
+    groups
 }
 
-/// Longest schedule period, in waves, the fast path will search for.
+/// Longest schedule period, in waves, the simulation will search for.
 /// Bounds the `find_wave_period` scan; the single rolling snapshot keeps
 /// memory flat regardless of the period found.
 const MAX_PERIOD_WAVES: usize = 128;
@@ -125,11 +129,10 @@ struct WavePeriod {
 /// (L1/L2 lines and the DRAM page). When such a period exists, the
 /// simulated machine — per-SM L1s, shared L2, row-buffer state — evolves
 /// periodically modulo translation once its caches shake out their cold
-/// start, which `simulate_memory_opts` detects and exploits by
-/// fast-forwarding whole periods. Lexicographic brick and array tile
-/// orderings are periodic at the wave count that realigns with the
-/// brick-grid plane; Morton orderings simply return `None` and are
-/// simulated in full.
+/// start, which the wave loop detects and exploits by fast-forwarding
+/// whole periods. Lexicographic brick and array tile orderings are
+/// periodic at the wave count that realigns with the brick-grid plane;
+/// Morton orderings simply return `None` and are simulated in full.
 fn find_wave_period(
     classes: &BlockClasses,
     num_blocks: usize,
@@ -165,7 +168,7 @@ fn find_wave_period(
 /// steady state one period later and to compute the per-period counter
 /// delta.
 struct WaveSnapshot {
-    /// Representative L1s, in `rep_ids` order.
+    /// The SM groups' L1s, in group order.
     l1s: Vec<Cache>,
     l2: Cache,
     dram: DramModel,
@@ -179,11 +182,10 @@ struct WaveSnapshot {
 
 /// Introspection accumulators, live during an instrumented simulation.
 struct IntroAcc {
-    /// Per representative-slot, per-class L1 counter deltas from block
-    /// walks (exact fidelity: one slot per SM; fast: one per SM group).
+    /// Per SM group, per-class L1 counter deltas from block walks.
     l1: Vec<Vec<CacheStats>>,
     /// Per-class L2/DRAM/page deltas from the interleaved L2 feed (the
-    /// `l1` field of these buckets stays zero; L1 is per-slot above).
+    /// `l1` field of these buckets stays zero; L1 is per group above).
     buckets: Vec<TrafficBucket>,
     /// The end-of-kernel flush, attributable to no single block.
     flush: TrafficBucket,
@@ -204,8 +206,6 @@ struct IntroSnap {
 /// Tunables of the memory-hierarchy simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct SimOptions {
-    /// Trace generation mode; see [`SimFidelity`].
-    pub fidelity: SimFidelity,
     /// Events fed to the L2 per stream before rotating to the next block's
     /// stream. Real blocks start staggered and retire continuously rather
     /// than running in lock-step, so a coarse interleave (about one block's
@@ -220,27 +220,8 @@ pub struct SimOptions {
 impl Default for SimOptions {
     fn default() -> Self {
         SimOptions {
-            fidelity: SimFidelity::default(),
             interleave_chunk: 1024,
         }
-    }
-}
-
-/// Adapter: kernel trace → L1 cache → buffered miss stream.
-struct L1Sink<'a> {
-    l1: &'a mut Cache,
-    out: &'a mut Vec<NextLevel>,
-}
-
-impl TraceSink for L1Sink<'_> {
-    fn load(&mut self, addr: u64, bytes: u32) {
-        let out = &mut *self.out;
-        self.l1.read(addr, bytes, &mut |t| out.push(t));
-    }
-
-    fn store(&mut self, addr: u64, bytes: u32) {
-        let out = &mut *self.out;
-        self.l1.write(addr, bytes, &mut |t| out.push(t));
     }
 }
 
@@ -280,7 +261,7 @@ impl MemoryReport {
     }
 }
 
-fn l1_config(arch: &GpuArch) -> CacheConfig {
+pub(crate) fn l1_config(arch: &GpuArch) -> CacheConfig {
     CacheConfig {
         bytes: arch.l1_bytes,
         line: arch.l1_line,
@@ -290,7 +271,7 @@ fn l1_config(arch: &GpuArch) -> CacheConfig {
     }
 }
 
-fn l2_config(arch: &GpuArch) -> CacheConfig {
+pub(crate) fn l2_config(arch: &GpuArch) -> CacheConfig {
     CacheConfig {
         bytes: arch.l2_bytes,
         line: arch.l2_line,
@@ -302,7 +283,7 @@ fn l2_config(arch: &GpuArch) -> CacheConfig {
 
 /// Simulate the full launch of `spec` over `geom` on `arch` with
 /// `blocks_per_sm` resident blocks per SM, under default [`SimOptions`]
-/// (fast fidelity, interleave chunk 1024).
+/// (interleave chunk 1024).
 pub fn simulate_memory(
     spec: &KernelSpec,
     geom: &TraceGeometry,
@@ -327,8 +308,8 @@ pub fn simulate_memory_opts(
 /// returns a [`SimIntrospection`] breaking every counter down by block
 /// class, SM group and wave. The attribution is computed with the same
 /// integer arithmetic as the totals, so its per-class rows (plus the
-/// flush bucket) sum to the report **bit-for-bit** in both fidelity
-/// modes; the totals themselves are unchanged by introspection.
+/// flush bucket) sum to the report **bit-for-bit**; the totals
+/// themselves are unchanged by introspection.
 pub fn simulate_memory_introspect(
     spec: &KernelSpec,
     geom: &TraceGeometry,
@@ -353,95 +334,56 @@ fn simulate_memory_inner(
     let num_sms = arch.num_sms;
     let active = num_sms * blocks_per_sm.max(1) as usize;
     let interleave_chunk = opts.interleave_chunk.max(1);
-    let replay = opts.fidelity == SimFidelity::Fast;
 
-    // Fast fidelity compiles the per-class streams once, up front; the
-    // wave loop then replays them with a per-block rebase. Introspection
-    // needs the classes as attribution *labels* even in exact mode, where
-    // every block still goes through the full VM dispatch path.
-    let classes = (replay || introspect).then(|| {
-        BlockClasses::compile(spec, geom).expect("kernel/geometry verified before simulation")
-    });
-    let replay_classes = if replay { classes.as_ref() } else { None };
-    // One (representative_sm, byte_shift) entry per SM; members of a
-    // group reuse the representative's L1 simulation. Exact mode (and
-    // irregular schedules) degenerate to every SM representing itself.
-    let plan: Option<Vec<(usize, i64)>> =
-        replay_classes.map(|c| plan_sm_groups(c, num_blocks, num_sms, active, arch.l1_line));
-    if let Some(c) = replay_classes {
-        brick_obs::counter_add("sim.classes.launches", 1);
-        brick_obs::counter_add("sim.classes.classes", c.num_classes() as u64);
-        brick_obs::counter_add("sim.classes.blocks", c.num_blocks() as u64);
-        if let Some(p) = &plan {
-            let groups = p
-                .iter()
-                .enumerate()
-                .filter(|&(sm, &(r, _))| sm == r)
-                .count();
-            brick_obs::counter_add("sim.classes.sm_groups", groups as u64);
-        }
-    }
-    let is_rep = |sm: usize| plan.as_ref().is_none_or(|p| p[sm].0 == sm);
-    let rep_ids: Vec<usize> = match &plan {
-        Some(p) => p
-            .iter()
-            .enumerate()
-            .filter(|&(sm, &(rep, _))| sm == rep)
-            .map(|(sm, _)| sm)
-            .collect(),
-        None => Vec::new(),
-    };
-    // Attribution slot per SM: its position in `rep_ids` under a grouping
-    // plan, its own id otherwise (each SM its own slot in exact mode).
-    let (slot_of, num_slots): (Vec<usize>, usize) = match &plan {
-        Some(_) => {
-            let mut slot = vec![usize::MAX; num_sms];
-            for (i, &sm) in rep_ids.iter().enumerate() {
-                slot[sm] = i;
-            }
-            (slot, rep_ids.len())
-        }
-        None => ((0..num_sms).collect(), num_sms),
-    };
+    // The per-class streams are compiled once, up front; the wave loop
+    // replays them with a per-block rebase. Members of an SM group reuse
+    // their representative's L1 simulation.
+    let classes =
+        BlockClasses::compile(spec, geom).expect("kernel/geometry verified before simulation");
+    let groups = plan_sm_groups(&classes, num_blocks, num_sms, active, arch.l1_line);
+    brick_obs::counter_add("sim.classes.launches", 1);
+    brick_obs::counter_add("sim.classes.classes", classes.num_classes() as u64);
+    brick_obs::counter_add("sim.classes.blocks", classes.num_blocks() as u64);
+    brick_obs::counter_add("sim.classes.sm_groups", groups.reps.len() as u64);
 
     let l1_line = arch.l1_line as i64;
     let l2_line = arch.l2_line as i64;
-    // Wave-periodic fast-forward (fast mode only): if the schedule repeats
-    // under translation every `period.waves` waves, detect the moment the
+    // Wave-periodic fast-forward: if the schedule repeats under
+    // translation every `period.waves` waves, detect the moment the
     // hierarchy's state does too, then account all remaining full periods
-    // at once. `None` (exact mode, aperiodic orderings, or short launches)
-    // simulates every wave.
+    // at once. `None` (aperiodic orderings, or short launches) simulates
+    // every wave.
     let full_waves = num_blocks / active;
-    let mut period = replay_classes.and_then(|c| {
-        find_wave_period(
-            c,
-            num_blocks,
-            active,
-            [l1_line, l2_line, crate::dram::PAGE_BYTES as i64],
-            MAX_PERIOD_WAVES,
-        )
-    });
+    let mut period = find_wave_period(
+        &classes,
+        num_blocks,
+        active,
+        [l1_line, l2_line, crate::dram::PAGE_BYTES as i64],
+        MAX_PERIOD_WAVES,
+    );
     if let Some(pd) = &period {
         brick_obs::counter_add("sim.classes.wave_period", pd.waves as u64);
     }
     let mut snapshot: Option<(usize, WaveSnapshot)> = None;
-    // Resident lines (L2 plus representative L1s) at the previous full-wave
+    // Resident lines (L2 plus the groups' L1s) at the previous full-wave
     // boundary; see the snapshot gate below.
     let mut last_resident: Option<usize> = None;
-    let mut intro: Option<IntroAcc> = introspect.then(|| {
-        let nc = classes.as_ref().map_or(1, |c| c.num_classes().max(1));
-        IntroAcc {
-            l1: vec![vec![CacheStats::default(); nc]; num_slots],
-            buckets: vec![TrafficBucket::default(); nc],
-            flush: TrafficBucket::default(),
-            timeline: Vec::new(),
-            stride: (full_waves / 256).max(1) as u64,
-            wave_period: period.as_ref().map(|pd| pd.waves as u64),
-            waves_skipped: 0,
-        }
+    let nc = classes.num_classes();
+    let mut intro: Option<IntroAcc> = introspect.then(|| IntroAcc {
+        l1: vec![vec![CacheStats::default(); nc]; groups.reps.len()],
+        buckets: vec![TrafficBucket::default(); nc],
+        flush: TrafficBucket::default(),
+        timeline: Vec::new(),
+        stride: (full_waves / 256).max(1) as u64,
+        wave_period: period.as_ref().map(|pd| pd.waves as u64),
+        waves_skipped: 0,
     });
 
-    let mut l1s: Vec<Cache> = (0..num_sms).map(|_| Cache::new(l1_config(arch))).collect();
+    let mut l1s: Vec<Cache> = groups
+        .reps
+        .iter()
+        .map(|_| Cache::new(l1_config(arch)))
+        .collect();
     let mut l2 = Cache::new(l2_config(arch));
     let mut dram = DramModel::new();
     let mut dram_read: u64 = 0;
@@ -450,85 +392,56 @@ fn simulate_memory_inner(
     let mut wave_start = 0;
     while wave_start < num_blocks {
         let wave_len = active.min(num_blocks - wave_start);
-        // Each representative SM simulates its blocks of the wave through
-        // its L1; grouped SMs skip the cache walk entirely and later reuse
-        // the representative's miss streams under their shift. When
-        // introspecting, each block also carries the L1 counter delta its
-        // walk caused (zero otherwise).
-        let per_sm: Vec<Vec<(usize, Vec<NextLevel>, CacheStats)>> = l1s
+        // Each group's representative SM replays its blocks of the wave
+        // (positions `rep`, `rep + num_sms`, …) through the group's L1.
+        // When introspecting, each block also carries the L1 counter
+        // delta its walk caused (zero otherwise).
+        let per_group: Vec<Vec<(Vec<NextLevel>, CacheStats)>> = l1s
             .par_iter_mut()
             .enumerate()
-            .map(|(sm, l1)| {
-                if !is_rep(sm) {
-                    return Vec::new();
-                }
-                let mut out = Vec::new();
-                let mut pos = sm;
-                while pos < wave_len {
-                    let block = wave_start + pos;
-                    let mut misses = Vec::new();
-                    let before = introspect.then_some(l1.stats);
-                    match replay_classes {
-                        Some(c) => {
-                            let (events, delta) = c.block(block);
-                            l1.access_run(
-                                events.iter().map(|e| {
-                                    (e.addr.wrapping_add_signed(delta), e.bytes, e.is_store)
-                                }),
-                                &mut |t| misses.push(t),
-                            );
-                        }
-                        None => {
-                            let mut sink = L1Sink {
-                                l1,
-                                out: &mut misses,
-                            };
-                            spec.trace_block(geom, block, &mut sink)
-                                .expect("kernel/geometry verified before simulation");
-                        }
-                    }
-                    let delta = before.map(|b| l1.stats.diff(&b)).unwrap_or_default();
-                    out.push((pos, misses, delta));
-                    pos += num_sms;
-                }
-                out
+            .map(|(g, l1)| {
+                (groups.reps[g]..wave_len)
+                    .step_by(num_sms)
+                    .map(|pos| {
+                        let mut misses = Vec::new();
+                        let before = introspect.then_some(l1.stats);
+                        let (events, delta) = classes.block(wave_start + pos);
+                        l1.access_run(
+                            events
+                                .iter()
+                                .map(|e| (e.addr.wrapping_add_signed(delta), e.bytes, e.is_store)),
+                            &mut |t| misses.push(t),
+                        );
+                        let delta = before.map(|b| l1.stats.diff(&b)).unwrap_or_default();
+                        (misses, delta)
+                    })
+                    .collect()
             })
             .collect();
 
-        // Attribute each walked block's L1 delta to its class, on the SM's
-        // slot (per-member scaling happens once at the end).
-        if let (Some(acc), Some(labels)) = (intro.as_mut(), classes.as_ref()) {
-            for (sm, sm_blocks) in per_sm.iter().enumerate() {
-                for (pos, _, delta) in sm_blocks {
-                    acc.l1[slot_of[sm]][labels.class_of(wave_start + pos)].merge(delta);
+        // Attribute each walked block's L1 delta to its class, on the
+        // group's row (per-member scaling happens once at the end).
+        if let Some(acc) = intro.as_mut() {
+            for (g, walked) in per_group.iter().enumerate() {
+                for (j, (_, delta)) in walked.iter().enumerate() {
+                    let pos = groups.reps[g] + j * num_sms;
+                    acc.l1[g][classes.class_of(wave_start + pos)].merge(delta);
                 }
             }
         }
 
-        // Order the wave's miss streams by block position. Grouped SMs
-        // view their representative's streams through their byte shift —
-        // no materialised copy.
+        // Order the wave's miss streams by block position: every SM views
+        // its group's streams through its byte shift — no materialised
+        // copy.
         let mut streams: Vec<(&[NextLevel], i64)> = vec![(&[][..], 0); wave_len];
-        match &plan {
-            None => {
-                for sm_streams in &per_sm {
-                    for (pos, stream, _) in sm_streams {
-                        streams[*pos] = (stream.as_slice(), 0);
-                    }
-                }
-            }
-            Some(p) => {
-                for (sm, &(rep, shift)) in p.iter().enumerate() {
-                    for (j, (rep_pos, stream, _)) in per_sm[rep].iter().enumerate() {
-                        let pos = sm + j * num_sms;
-                        debug_assert_eq!(*rep_pos, rep + j * num_sms);
-                        // Equal group keys force equal schedule lengths, so
-                        // a member has a block in this wave exactly when its
-                        // representative does.
-                        assert!(pos < wave_len, "SM group schedules diverged");
-                        streams[pos] = (stream.as_slice(), shift);
-                    }
-                }
+        for (sm, &(g, shift)) in groups.of_sm.iter().enumerate() {
+            for (j, (stream, _)) in per_group[g].iter().enumerate() {
+                let pos = sm + j * num_sms;
+                // Equal group keys force equal schedule lengths, so a
+                // member has a block in this wave exactly when its
+                // representative does.
+                assert!(pos < wave_len, "SM group schedules diverged");
+                streams[pos] = (stream.as_slice(), shift);
             }
         }
 
@@ -568,8 +481,7 @@ fn simulate_memory_inner(
                     }
                 }
                 if let (Some(acc), Some((s0, r0, w0, h0, m0))) = (intro.as_mut(), before) {
-                    let class = classes.as_ref().map_or(0, |c| c.class_of(wave_start + pos));
-                    let b = &mut acc.buckets[class];
+                    let b = &mut acc.buckets[classes.class_of(wave_start + pos)];
                     b.l2.merge(&l2.stats.diff(&s0));
                     b.dram_read_bytes += dram_read - r0;
                     b.dram_write_bytes += dram_write - w0;
@@ -604,11 +516,8 @@ fn simulate_memory_inner(
         if let Some(pd) = period {
             if wave_len == active {
                 let completed = wave_start / active;
-                let resident = l2.resident_lines()
-                    + rep_ids
-                        .iter()
-                        .map(|&sm| l1s[sm].resident_lines())
-                        .sum::<usize>();
+                let resident =
+                    l2.resident_lines() + l1s.iter().map(Cache::resident_lines).sum::<usize>();
                 let settled = last_resident == Some(resident);
                 last_resident = Some(resident);
                 let mut skipped = false;
@@ -622,9 +531,10 @@ fn simulate_memory_inner(
                             &snap.dram,
                             pd.shift / crate::dram::PAGE_BYTES as i64,
                         );
-                        let e_l1 = rep_ids.iter().enumerate().all(|(idx, &sm)| {
-                            l1s[sm].equiv_translated(&snap.l1s[idx], pd.shift / l1_line)
-                        });
+                        let e_l1 = l1s
+                            .iter()
+                            .zip(&snap.l1s)
+                            .all(|(l1, s)| l1.equiv_translated(s, pd.shift / l1_line));
                         let equiv = e_l2 && e_dram && e_l1;
                         if equiv {
                             // Each of the next `k` periods provably repeats
@@ -676,9 +586,9 @@ fn simulate_memory_inner(
                                     }
                                     acc.waves_skipped += k * pd.waves as u64;
                                 }
-                                for (idx, &sm) in rep_ids.iter().enumerate() {
-                                    let d = l1s[sm].stats.diff(&snap.l1s[idx].stats);
-                                    l1s[sm].stats.add_scaled(&d, k);
+                                for (l1, s) in l1s.iter_mut().zip(&snap.l1s) {
+                                    let d = l1.stats.diff(&s.stats);
+                                    l1.stats.add_scaled(&d, k);
                                 }
                                 let d = l2.stats.diff(&snap.l2.stats);
                                 l2.stats.add_scaled(&d, k);
@@ -687,8 +597,8 @@ fn simulate_memory_inner(
                                 dram.hits += (dram.hits - snap.dram.hits) * k;
                                 dram.misses += (dram.misses - snap.dram.misses) * k;
                                 let shift = pd.shift * k as i64;
-                                for &sm in &rep_ids {
-                                    l1s[sm].translate(shift / l1_line);
+                                for l1 in &mut l1s {
+                                    l1.translate(shift / l1_line);
                                 }
                                 l2.translate(shift / l2_line);
                                 dram.translate(shift / crate::dram::PAGE_BYTES as i64);
@@ -723,7 +633,7 @@ fn simulate_memory_inner(
                         snapshot = Some((
                             completed,
                             WaveSnapshot {
-                                l1s: rep_ids.iter().map(|&sm| l1s[sm].clone()).collect(),
+                                l1s: l1s.clone(),
                                 l2: l2.clone(),
                                 dram: dram.clone(),
                                 dram_read,
@@ -756,50 +666,31 @@ fn simulate_memory_inner(
         acc.flush.page_misses = dram.misses - m0;
     }
 
-    // Every SM contributes its L1 statistics; a grouped SM's are by
-    // construction identical to its representative's, so merge those.
+    // Every SM contributes its L1 statistics, which are by construction
+    // identical to its group's.
     let mut l1_total = CacheStats::default();
-    match &plan {
-        None => {
-            for l1 in &l1s {
-                l1_total.merge(&l1.stats);
-            }
-        }
-        Some(p) => {
-            for &(rep, _) in p {
-                l1_total.merge(&l1s[rep].stats);
-            }
-        }
+    for &(g, _) in &groups.of_sm {
+        l1_total.merge(&l1s[g].stats);
     }
 
-    // Assemble the introspection: per-class rows get each slot's L1
+    // Assemble the introspection: per-class rows get each group's L1
     // deltas scaled by the group's member count — the same weighting the
     // total merge above applies — so class sums reproduce the totals
     // exactly.
     let introspection = intro.map(|acc| {
-        let labels = classes
-            .as_ref()
-            .expect("classes are compiled when introspecting");
-        let nc = labels.num_classes();
         let mut blocks_per_class = vec![0u64; nc];
         for b in 0..num_blocks {
-            blocks_per_class[labels.class_of(b)] += 1;
+            blocks_per_class[classes.class_of(b)] += 1;
         }
-        let (slot_sms, members): (Vec<usize>, Vec<u64>) = match &plan {
-            Some(p) => {
-                let mut m = vec![0u64; rep_ids.len()];
-                for &(rep, _) in p {
-                    m[slot_of[rep]] += 1;
-                }
-                (rep_ids.clone(), m)
-            }
-            None => ((0..num_sms).collect(), vec![1; num_sms]),
-        };
+        let mut members = vec![0u64; groups.reps.len()];
+        for &(g, _) in &groups.of_sm {
+            members[g] += 1;
+        }
         let class_rows: Vec<ClassTraffic> = (0..nc)
             .map(|c| {
                 let mut t = acc.buckets[c].clone();
-                for (slot, row) in acc.l1.iter().enumerate() {
-                    t.l1.add_scaled(&row[c], members[slot]);
+                for (row, &m) in acc.l1.iter().zip(&members) {
+                    t.l1.add_scaled(&row[c], m);
                 }
                 ClassTraffic {
                     class: c as u64,
@@ -808,17 +699,18 @@ fn simulate_memory_inner(
                 }
             })
             .collect();
-        let sm_groups: Vec<SmGroupTraffic> = slot_sms
+        let sm_groups: Vec<SmGroupTraffic> = groups
+            .reps
             .iter()
-            .enumerate()
-            .map(|(slot, &sm)| SmGroupTraffic {
+            .zip(&members)
+            .zip(&l1s)
+            .map(|((&sm, &members), l1)| SmGroupTraffic {
                 representative: sm as u64,
-                members: members[slot],
-                l1: l1s[sm].stats,
+                members,
+                l1: l1.stats,
             })
             .collect();
         SimIntrospection {
-            fidelity: opts.fidelity,
             num_blocks: num_blocks as u64,
             num_classes: nc as u64,
             l1_line: arch.l1_line as u64,

@@ -6,15 +6,16 @@
 //! class of the block that caused it (per-class L1/L2/DRAM/page deltas),
 //! to the SM group that simulated it, and to a per-wave timeline — all in
 //! the same integer arithmetic as the totals, so the per-class rows sum
-//! **bit-for-bit** to the report's counters in both fidelity modes (the
-//! flush write-back of resident output, which no single block causes, gets
-//! its own bucket).
+//! **bit-for-bit** to the report's counters (the flush write-back of
+//! resident output, which no single block causes, gets its own bucket).
+//! The totals themselves are held to the per-block tracer
+//! [`crate::simulate_memory_exact`], which has no attribution.
 
 use serde::{Deserialize, Serialize};
 
 use crate::cache::CacheStats;
 use crate::dram::PageStats;
-use crate::hierarchy::{MemoryReport, SimFidelity};
+use crate::hierarchy::MemoryReport;
 use crate::timing::MemCounters;
 
 /// Traffic attributed to one cause (a block class, or the final flush):
@@ -81,8 +82,8 @@ pub struct ClassTraffic {
     pub traffic: TrafficBucket,
 }
 
-/// One SM group of the fast path's L1 sharing plan (in exact fidelity
-/// every SM is its own group of one).
+/// One SM group of the simulation's L1 sharing plan (an SM with an
+/// irregular schedule is its own group of one).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SmGroupTraffic {
     /// The representative SM that ran the group's L1 simulation.
@@ -118,8 +119,6 @@ pub struct WaveSample {
 /// [`crate::simulate_memory_introspect`]; rendered by `bricks prof sim`.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SimIntrospection {
-    /// Fidelity mode the simulation ran under.
-    pub fidelity: SimFidelity,
     /// Launch blocks simulated.
     pub num_blocks: u64,
     /// Distinct block classes.
@@ -222,7 +221,6 @@ mod tests {
     #[test]
     fn totals_include_flush_and_round_trip() {
         let intro = SimIntrospection {
-            fidelity: SimFidelity::Fast,
             num_blocks: 8,
             num_classes: 2,
             l1_line: 128,

@@ -58,6 +58,7 @@ pub mod arch;
 pub mod cache;
 pub mod compiler;
 pub mod dram;
+pub mod exact;
 pub mod hierarchy;
 pub mod introspect;
 pub mod progmodel;
@@ -81,7 +82,6 @@ const _: () = {
     cell_state_is_shareable::<timing::Occupancy>();
     cell_state_is_shareable::<sim::SimResult>();
     cell_state_is_shareable::<hierarchy::MemoryReport>();
-    cell_state_is_shareable::<hierarchy::SimFidelity>();
     cell_state_is_shareable::<hierarchy::SimOptions>();
     cell_state_is_shareable::<brick_vm::KernelSpec>();
     cell_state_is_shareable::<brick_vm::TraceGeometry>();
@@ -90,12 +90,12 @@ const _: () = {
 pub use cache::{Cache, CacheConfig, CacheStats, WritePolicy};
 pub use compiler::{compile, CompiledKernel};
 pub use dram::{bandwidth_efficiency, DramModel, PageStats};
+pub use exact::simulate_memory_exact;
 pub use hierarchy::{
-    simulate_memory, simulate_memory_introspect, simulate_memory_opts, MemoryReport, SimFidelity,
-    SimOptions,
+    simulate_memory, simulate_memory_introspect, simulate_memory_opts, MemoryReport, SimOptions,
 };
 pub use introspect::{ClassTraffic, SimIntrospection, SmGroupTraffic, TrafficBucket, WaveSample};
 pub use progmodel::{CompilerModel, ProgModel};
 pub use reuse::{ReuseAnalyzer, ReuseProfile};
-pub use sim::{assemble, compile_only, simulate, simulate_opts, SimResult};
+pub use sim::{assemble, compile_only, simulate, SimResult};
 pub use timing::{kernel_time, occupancy, MemCounters, Occupancy, TimeBreakdown};

@@ -9,7 +9,7 @@ use brick_vm::{KernelSpec, TraceGeometry};
 
 use crate::arch::{GpuArch, GpuKind};
 use crate::compiler::{compile, CompiledKernel};
-use crate::hierarchy::{simulate_memory_opts, SimOptions};
+use crate::hierarchy::simulate_memory;
 use crate::progmodel::{CompilerModel, ProgModel};
 use crate::timing::{kernel_time, occupancy, MemCounters, Occupancy, TimeBreakdown};
 
@@ -77,26 +77,6 @@ pub fn simulate(
     model: ProgModel,
     normalized_flops_per_point: u64,
 ) -> Option<SimResult> {
-    simulate_opts(
-        spec,
-        geom,
-        arch,
-        model,
-        normalized_flops_per_point,
-        &SimOptions::default(),
-    )
-}
-
-/// [`simulate`] with explicit [`SimOptions`] (fidelity mode and L2
-/// interleave chunk).
-pub fn simulate_opts(
-    spec: &KernelSpec,
-    geom: &TraceGeometry,
-    arch: &GpuArch,
-    model: ProgModel,
-    normalized_flops_per_point: u64,
-    opts: &SimOptions,
-) -> Option<SimResult> {
     let cm = CompilerModel::resolve(arch.kind, model)?;
     // A folded row (vector folding, paper §3) maps to several hardware
     // vectors per block; the row extent must tile the SIMD width exactly.
@@ -116,7 +96,7 @@ pub fn simulate_opts(
         compile(spec, arch, &cm)
     };
     let occ = occupancy(arch, &compiled);
-    let report = simulate_memory_opts(spec, geom, arch, occ.blocks_per_sm, opts);
+    let report = simulate_memory(spec, geom, arch, occ.blocks_per_sm);
     record_cache_metrics(arch.kind, &report);
     Some(assemble(
         spec,

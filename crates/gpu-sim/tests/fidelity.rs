@@ -1,12 +1,14 @@
-//! Differential oracle suite: `SimFidelity::Fast` vs `SimFidelity::Exact`.
+//! Differential oracle suite: the simulator vs the exact per-block tracer
+//! [`gpu_sim::simulate_memory_exact`].
 //!
-//! The fast path (block-class memoization + batched cache replay) is a
-//! pure reformulation of the exact per-block trace, so every counter the
-//! simulator produces must match to the last byte — exact `u64` equality
-//! on `MemCounters` and per-level `CacheStats`, no tolerances. The matrix
-//! covers every paper stencil (star 1–4, cube 1–2) × SIMD width
-//! {16, 32, 64} × both layouts at two domain sizes, on the architecture
-//! model that owns each width (PVC stack / A100 / MI250X GCD).
+//! The simulator (block-class memoization + batched cache replay, SM
+//! grouping, wave fast-forward) is a pure reformulation of the exact
+//! per-block trace, so every counter it produces must match to the last
+//! byte — exact `u64` equality on `MemCounters` and per-level
+//! `CacheStats`, no tolerances. The matrix covers every paper stencil
+//! (star 1–4, cube 1–2) × SIMD width {16, 32, 64} × both layouts at two
+//! domain sizes, on the architecture model that owns each width (PVC
+//! stack / A100 / MI250X GCD).
 //!
 //! Width-64 bricks need x-extents that are multiples of 64, so those
 //! cells run at 64³ and 128³ instead of 96³.
@@ -15,7 +17,7 @@ use brick_codegen::{generate, CodegenOptions, LayoutKind};
 use brick_core::{BrickDecomp, BrickDims, BrickNav, BrickOrdering};
 use brick_dsl::shape::StencilShape;
 use brick_vm::{KernelSpec, ScalarKernel, TraceGeometry};
-use gpu_sim::{simulate_memory, simulate_memory_opts, GpuArch, SimFidelity, SimOptions};
+use gpu_sim::{simulate_memory, simulate_memory_exact, simulate_memory_opts, GpuArch, SimOptions};
 use std::sync::Arc;
 
 /// star 1–4 and cube 1–2: the full paper suite.
@@ -57,28 +59,15 @@ fn geometry(layout: LayoutKind, n: usize, width: usize, radius: usize) -> TraceG
     }
 }
 
-/// Run both fidelities and demand bit-identical reports.
-fn assert_fidelity(spec: &KernelSpec, geom: &TraceGeometry, arch: &GpuArch, opts: SimOptions) {
-    let exact = simulate_memory_opts(
-        spec,
-        geom,
-        arch,
-        8,
-        &SimOptions {
-            fidelity: SimFidelity::Exact,
-            ..opts
-        },
-    );
-    let fast = simulate_memory_opts(
-        spec,
-        geom,
-        arch,
-        8,
-        &SimOptions {
-            fidelity: SimFidelity::Fast,
-            ..opts
-        },
-    );
+/// Run the simulator and the oracle and demand bit-identical reports.
+fn assert_matches_oracle(
+    spec: &KernelSpec,
+    geom: &TraceGeometry,
+    arch: &GpuArch,
+    opts: SimOptions,
+) {
+    let exact = simulate_memory_exact(spec, geom, arch, 8, &opts);
+    let fast = simulate_memory_opts(spec, geom, arch, 8, &opts);
     let tag = format!("{} on {} ({:?})", spec.name(), arch.name, geom.extents());
     assert_eq!(exact.counters(), fast.counters(), "MemCounters: {tag}");
     assert_eq!(exact.l1, fast.l1, "L1 CacheStats: {tag}");
@@ -99,7 +88,7 @@ fn run_matrix(width: usize, n: usize) {
                 generate(&st, &b, layout, width, CodegenOptions::default()).unwrap(),
             );
             let geom = geometry(layout, n, width, radius);
-            assert_fidelity(&spec, &geom, &arch, SimOptions::default());
+            assert_matches_oracle(&spec, &geom, &arch, SimOptions::default());
         }
     }
 }
@@ -147,15 +136,15 @@ fn scalar_kernels_both_layouts() {
         for layout in [LayoutKind::Brick, LayoutKind::Array] {
             let spec = KernelSpec::Scalar(ScalarKernel::new(&st, &b, layout, width).unwrap());
             let geom = geometry(layout, 64, width, radius);
-            assert_fidelity(&spec, &geom, &arch, SimOptions::default());
+            assert_matches_oracle(&spec, &geom, &arch, SimOptions::default());
         }
     }
 }
 
 #[test]
 fn morton_ordering_stays_exact() {
-    // Morton splits the launch into many classes; fidelity must not
-    // depend on the class count
+    // Morton splits the launch into many classes; agreement with the
+    // oracle must not depend on the class count
     let width = 32;
     let arch = arch_for_width(width);
     let shape = StencilShape::star(2);
@@ -171,14 +160,14 @@ fn morton_ordering_stays_exact() {
         BrickOrdering::Morton,
     ));
     let geom = TraceGeometry::brick(Arc::new(BrickNav::new(d)));
-    assert_fidelity(&spec, &geom, &arch, SimOptions::default());
+    assert_matches_oracle(&spec, &geom, &arch, SimOptions::default());
 }
 
 #[test]
 fn fidelity_holds_under_pinned_interleave_chunk() {
-    // satellite: interleave_chunk is now a SimOptions field; pin it to
-    // pathological values and the two fidelities must still agree (the
-    // chunking applies to the L2 feed, after trace generation)
+    // interleave_chunk is the one SimOptions field; pin it to
+    // pathological values and the simulator must still agree with the
+    // oracle (the chunking applies to the L2 feed, after trace generation)
     let width = 32;
     let arch = arch_for_width(width);
     let shape = StencilShape::cube(1);
@@ -189,13 +178,12 @@ fn fidelity_holds_under_pinned_interleave_chunk() {
     );
     let geom = geometry(LayoutKind::Brick, 64, width, 1);
     for chunk in [1usize, 7, 1024, 1 << 20] {
-        assert_fidelity(
+        assert_matches_oracle(
             &spec,
             &geom,
             &arch,
             SimOptions {
                 interleave_chunk: chunk,
-                ..SimOptions::default()
             },
         );
     }
@@ -203,12 +191,16 @@ fn fidelity_holds_under_pinned_interleave_chunk() {
 
 #[test]
 fn default_options_are_the_documented_schema() {
-    // the defaults are part of the simulator's schema: fast fidelity,
-    // 1024-event L2 interleave — and the no-options entry point must be
-    // exactly the default-options one
+    // the default is part of the simulator's schema: a 1024-event L2
+    // interleave — and the no-options entry point must be exactly the
+    // default-options one
     let opts = SimOptions::default();
-    assert_eq!(opts.fidelity, SimFidelity::Fast);
-    assert_eq!(opts.interleave_chunk, 1024);
+    assert_eq!(
+        opts,
+        SimOptions {
+            interleave_chunk: 1024
+        }
+    );
 
     let width = 32;
     let arch = arch_for_width(width);

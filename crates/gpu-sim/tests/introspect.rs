@@ -4,22 +4,21 @@
 //! exact `u64` equality, no tolerances. Three oracles:
 //!
 //! 1. **Conservation** — per-class traffic plus the flush bucket sums
-//!    bit-for-bit to the `MemoryReport` the same simulation returns, in
-//!    both fidelity modes, and the SM-group breakdown re-weights to the
-//!    merged L1.
+//!    bit-for-bit to the `MemoryReport` the same simulation returns, and
+//!    the SM-group breakdown re-weights to the merged L1.
 //! 2. **Non-perturbation** — running with introspection on yields the
 //!    identical report as running with it off.
-//! 3. **Fidelity agreement** — exact and fast modes produce identical
-//!    per-class rows (the fast path's scaled attribution is a pure
-//!    reformulation, like its totals).
+//! 3. **Oracle agreement** — the report the attribution sums to equals
+//!    the exact per-block tracer's ([`gpu_sim::simulate_memory_exact`]),
+//!    so the scaled per-class rows add up to independently traced totals.
 
 use brick_codegen::{generate, CodegenOptions, LayoutKind};
 use brick_core::{BrickDecomp, BrickDims, BrickNav, BrickOrdering};
 use brick_dsl::shape::StencilShape;
 use brick_vm::{KernelSpec, TraceGeometry};
 use gpu_sim::{
-    simulate_memory_introspect, simulate_memory_opts, CacheStats, GpuArch, MemoryReport,
-    SimFidelity, SimIntrospection, SimOptions,
+    simulate_memory_exact, simulate_memory_introspect, simulate_memory_opts, CacheStats, GpuArch,
+    MemoryReport, SimIntrospection, SimOptions,
 };
 use std::sync::Arc;
 
@@ -47,20 +46,12 @@ fn assert_reports_equal(a: &MemoryReport, b: &MemoryReport, tag: &str) {
     assert_eq!(a.pages, b.pages, "pages: {tag}");
 }
 
-/// Oracles 1 and 2 for one cell at one fidelity; returns the introspection.
-fn check_attribution(
-    spec: &KernelSpec,
-    geom: &TraceGeometry,
-    arch: &GpuArch,
-    fidelity: SimFidelity,
-) -> SimIntrospection {
-    let opts = SimOptions {
-        fidelity,
-        ..SimOptions::default()
-    };
+/// Oracles 1 and 2 for one cell; returns the introspection.
+fn check_attribution(spec: &KernelSpec, geom: &TraceGeometry, arch: &GpuArch) -> SimIntrospection {
+    let opts = SimOptions::default();
     let plain = simulate_memory_opts(spec, geom, arch, 8, &opts);
     let (report, intro) = simulate_memory_introspect(spec, geom, arch, 8, &opts);
-    let tag = format!("{} on {} ({fidelity:?})", spec.name(), arch.name);
+    let tag = format!("{} on {}", spec.name(), arch.name);
 
     // 2: introspection must not perturb the simulation
     assert_reports_equal(&plain, &report, &tag);
@@ -95,14 +86,17 @@ fn check_attribution(
     intro
 }
 
-/// Oracle 3 on top: both fidelities, identical per-class attribution.
-fn check_both_fidelities(spec: &KernelSpec, geom: &TraceGeometry, arch: &GpuArch) {
-    let exact = check_attribution(spec, geom, arch, SimFidelity::Exact);
-    let fast = check_attribution(spec, geom, arch, SimFidelity::Fast);
-    let tag = format!("{} on {}", spec.name(), arch.name);
-    assert_eq!(exact.classes, fast.classes, "per-class rows: {tag}");
-    assert_eq!(exact.flush, fast.flush, "flush bucket: {tag}");
-    assert_eq!(exact.num_blocks, fast.num_blocks, "{tag}");
+/// Oracle 3 on top: the attributed totals equal the exact tracer's.
+fn check_against_oracle(
+    spec: &KernelSpec,
+    geom: &TraceGeometry,
+    arch: &GpuArch,
+) -> SimIntrospection {
+    let intro = check_attribution(spec, geom, arch);
+    let exact = simulate_memory_exact(spec, geom, arch, 8, &SimOptions::default());
+    let tag = format!("{} on {} vs the exact oracle", spec.name(), arch.name);
+    assert_reports_equal(&intro.report(), &exact, &tag);
+    intro
 }
 
 #[test]
@@ -113,17 +107,17 @@ fn attribution_conserves_both_layouts() {
         let radius = shape.radius as usize;
         let spec = vector_spec(&shape, LayoutKind::Brick, width);
         let geom = brick_geom(64, width, radius, BrickOrdering::Lexicographic);
-        check_both_fidelities(&spec, &geom, &arch);
+        check_against_oracle(&spec, &geom, &arch);
 
         let spec = vector_spec(&shape, LayoutKind::Array, width);
         let geom = TraceGeometry::array((64, 64, 64), radius, BrickDims::for_simd_width(width));
-        check_both_fidelities(&spec, &geom, &arch);
+        check_against_oracle(&spec, &geom, &arch);
     }
 }
 
 #[test]
 fn attribution_survives_fast_forward() {
-    // a launch with enough full waves that the fast path's wave-periodic
+    // a launch with enough full waves that the wave-periodic
     // fast-forward engages: the scaled per-class accumulators must still
     // sum exactly, and the synthesized timeline samples must be flagged
     let width = 32;
@@ -132,7 +126,7 @@ fn attribution_survives_fast_forward() {
     let spec = vector_spec(&shape, LayoutKind::Brick, width);
     let geom = brick_geom(192, width, 1, BrickOrdering::Lexicographic);
 
-    let fast = check_attribution(&spec, &geom, &arch, SimFidelity::Fast);
+    let fast = check_against_oracle(&spec, &geom, &arch);
     assert!(
         fast.wave_period.is_some() && fast.waves_skipped > 0,
         "expected fast-forward to engage: {:?} skipped {}",
@@ -143,11 +137,6 @@ fn attribution_survives_fast_forward() {
         fast.timeline.iter().any(|s| s.fast_forwarded),
         "expected synthesized timeline samples"
     );
-
-    // and the attribution still matches an exact run of the same launch
-    let exact = check_attribution(&spec, &geom, &arch, SimFidelity::Exact);
-    assert_eq!(exact.classes, fast.classes);
-    assert_eq!(exact.flush, fast.flush);
 }
 
 #[test]
@@ -196,17 +185,16 @@ fn fast_forward_engages_on_mi250x_and_pvc() {
 #[test]
 fn morton_attributes_many_classes() {
     // Morton ordering fragments the launch into many block classes; the
-    // breakdown must stay conservative and fidelity-invariant
+    // breakdown must stay conservative and sum to the oracle's totals
     let width = 32;
     let arch = GpuArch::a100();
     let shape = StencilShape::star(2);
     let spec = vector_spec(&shape, LayoutKind::Brick, width);
     let geom = brick_geom(64, width, 2, BrickOrdering::Morton);
-    let intro = check_attribution(&spec, &geom, &arch, SimFidelity::Fast);
+    let intro = check_against_oracle(&spec, &geom, &arch);
     assert!(
         intro.num_classes > 1,
         "Morton should produce multiple classes, got {}",
         intro.num_classes
     );
-    check_both_fidelities(&spec, &geom, &arch);
 }

@@ -38,7 +38,7 @@ pub struct MetricRule {
 pub const MAX_TOLERANCE: f64 = 0.50;
 
 /// The gated metrics of `BENCH_sim.json`: cold/warm sweep throughput and
-/// the fast-fidelity speedups.
+/// the simulator's speedups over the exact oracle (the `fidelity` blocks).
 pub const BENCH_RULES: &[MetricRule] = &[
     MetricRule {
         path: "sweep.cold_cells_per_s",

@@ -114,8 +114,8 @@ pub fn render_tree(t: &ProfileTree) -> String {
 pub fn render_introspection(intro: &SimIntrospection) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "memory simulation: {:?} fidelity, {} blocks in {} classes\n",
-        intro.fidelity, intro.num_blocks, intro.num_classes
+        "memory simulation: {} blocks in {} classes\n",
+        intro.num_blocks, intro.num_classes
     ));
     match intro.wave_period {
         Some(p) => out.push_str(&format!(

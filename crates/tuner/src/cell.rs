@@ -36,7 +36,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
-use brick_codegen::{generate, LayoutKind, SpecParams, Strategy};
+use brick_codegen::{generate, CodegenError, LayoutKind, SpecParams, Strategy};
 use brick_core::{BrickDecomp, BrickDims, BrickNav, BrickOrdering};
 use brick_dsl::shape::StencilShape;
 use brick_dsl::StencilAnalysis;
@@ -123,27 +123,29 @@ pub fn paper_spec(simd_width: usize) -> SpecParams {
 }
 
 /// Generate a cell's program (unverified). Ordering and interleave chunk
-/// never reach the program.
-pub fn program(shape: &StencilShape, config: KernelConfig, spec: &SpecParams) -> KernelSpec {
+/// never reach the program. A vector kernel the generator cannot build
+/// (a reach past the brick extent) is its [`CodegenError`].
+pub fn program(
+    shape: &StencilShape,
+    config: KernelConfig,
+    spec: &SpecParams,
+) -> Result<KernelSpec, CodegenError> {
     let st = shape.stencil();
     let b = st.default_bindings();
-    if config.codegen() {
-        KernelSpec::Vector(
-            generate(
-                &st,
-                &b,
-                config.layout(),
-                spec.width(),
-                spec.codegen_options(),
-            )
-            .expect("cells are within codegen limits"),
-        )
+    Ok(if config.codegen() {
+        KernelSpec::Vector(generate(
+            &st,
+            &b,
+            config.layout(),
+            spec.width(),
+            spec.codegen_options(),
+        )?)
     } else {
         KernelSpec::Scalar(
             ScalarKernel::new(&st, &b, config.layout(), spec.width())
                 .expect("default bindings cover all symbols"),
         )
-    }
+    })
 }
 
 /// The trace geometry of a cell at `n³`.
@@ -408,11 +410,25 @@ fn cache_counters() -> (u64, u64, u64) {
     )
 }
 
-fn roofline_key(arch_fingerprint: u64, model: ProgModel) -> CacheKey {
-    KeyBuilder::new("roofline", SCHEMA_VERSION)
-        .fingerprint("arch", arch_fingerprint)
-        .field("model", model)
-        .build()
+/// The identity of one target's Roofline: every input
+/// [`roofline::measure`] depends on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct RooflineId {
+    /// [`arch_fingerprint`] of the target architecture.
+    pub arch: u64,
+    /// Programming model.
+    pub model: ProgModel,
+}
+
+impl RooflineId {
+    /// The on-disk cache key.
+    pub fn disk_key(&self) -> CacheKey {
+        let RooflineId { arch, model } = *self;
+        KeyBuilder::new("roofline", SCHEMA_VERSION)
+            .fingerprint("arch", arch)
+            .field("model", model)
+            .build()
+    }
 }
 
 /// Evaluates cells over a fixed target list at one domain size. Every
@@ -447,7 +463,13 @@ impl Evaluator {
                     let fingerprint = arch_fingerprint(&arch);
                     let measure = || roofline::measure(&arch, model);
                     let roofline = match &cache {
-                        Some(c) => c.get_or_compute(&roofline_key(fingerprint, model), measure),
+                        Some(c) => {
+                            let id = RooflineId {
+                                arch: fingerprint,
+                                model,
+                            };
+                            c.get_or_compute(&id.disk_key(), measure)
+                        }
                         None => measure(),
                     };
                     Target {
@@ -571,7 +593,7 @@ impl Evaluator {
             let _phase = brick_obs::span_cat("lint-verify", "phase");
             program_slot.get_or_init(|| {
                 let (shape, config, spec) = id.program_key();
-                let p = program(&shape, config, &spec);
+                let p = program(&shape, config, &spec).expect("cells are within codegen limits");
                 verify(&p, &shape, spec.temporal_degree, &self.lint);
                 p
             })
@@ -593,7 +615,6 @@ impl Evaluator {
             let mem = *mem_slot.get_or_init(|| {
                 let sim_opts = SimOptions {
                     interleave_chunk: cell.spec.interleave_chunk,
-                    ..SimOptions::default()
                 };
                 simulate_memory_opts(spec, geom, arch, occ.blocks_per_sm, &sim_opts).counters()
             });
@@ -697,13 +718,13 @@ mod tests {
         let shape = StencilShape::star(1);
         let spec = paper_spec(32);
         let cache = brick_lint::FingerprintCache::new();
-        let vector = program(&shape, KernelConfig::BricksCodegen, &spec);
+        let vector = program(&shape, KernelConfig::BricksCodegen, &spec).unwrap();
         verify(&vector, &shape, 1, &cache);
         verify(&vector, &shape, 1, &cache);
         assert_eq!(cache.len(), 1, "second verification hits the memo");
         // scalar kernels have no IR and never reach the memo
         verify(
-            &program(&shape, KernelConfig::Array, &spec),
+            &program(&shape, KernelConfig::Array, &spec).unwrap(),
             &shape,
             1,
             &cache,
@@ -779,6 +800,33 @@ mod tests {
     }
 
     #[test]
+    fn roofline_key_bytes_are_pinned() {
+        // the key is the cache's schema: changing its bytes without a
+        // SCHEMA_VERSION bump would read stale entries
+        let id = RooflineId {
+            arch: arch_fingerprint(&GpuArch::a100()),
+            model: ProgModel::Cuda,
+        };
+        let key = id.disk_key();
+        assert_eq!(key.desc, "roofline;v5;arch=112d437885bd8e89;model=CUDA");
+        assert_eq!(key.file_name(), "roofline-857bedc212c17352.json");
+        let mut l2_cut = GpuArch::a100();
+        l2_cut.l2_bytes /= 2;
+        for v in [
+            RooflineId {
+                arch: arch_fingerprint(&l2_cut),
+                ..id
+            },
+            RooflineId {
+                model: ProgModel::Sycl,
+                ..id
+            },
+        ] {
+            assert_ne!(v.disk_key().file_name(), key.file_name(), "{v:?}");
+        }
+    }
+
+    #[test]
     fn the_model_reaches_the_counters_only_through_occupancy() {
         let cuda = baseline_id();
         let hip = CellId {
@@ -803,10 +851,10 @@ mod tests {
     #[test]
     fn scalar_fingerprint_is_content_addressed() {
         let shape = StencilShape::star(1);
-        let a = program(&shape, KernelConfig::Array, &paper_spec(32));
-        let b = program(&shape, KernelConfig::Array, &paper_spec(32));
+        let a = program(&shape, KernelConfig::Array, &paper_spec(32)).unwrap();
+        let b = program(&shape, KernelConfig::Array, &paper_spec(32)).unwrap();
         assert_eq!(spec_fingerprint(&a), spec_fingerprint(&b));
-        let wider = program(&shape, KernelConfig::Array, &paper_spec(64));
+        let wider = program(&shape, KernelConfig::Array, &paper_spec(64)).unwrap();
         assert_ne!(spec_fingerprint(&a), spec_fingerprint(&wider));
     }
 

@@ -231,8 +231,12 @@ fn deep_shapes_generate_or_are_rejected() {
         for p in distinct_programs(&valid) {
             let k = generate(&st, &b, LayoutKind::Brick, p.width(), p.codegen_options())
                 .unwrap_or_else(|e| panic!("{shape}: valid candidate {p} failed to generate: {e}"));
-            k.validate()
-                .unwrap_or_else(|e| panic!("{shape}: {p} generated an invalid kernel: {e}"));
+            if let Err(r) = brick_lint::verify(&k) {
+                panic!(
+                    "{shape}: {p} generated an invalid kernel:\n{}",
+                    r.render(Some(&k))
+                );
+            }
         }
     }
     assert!(

@@ -51,7 +51,8 @@ fn main() {
         (GpuArch::pvc_stack(), ProgModel::Sycl),
     ] {
         let params = paper_spec(arch.simd_width);
-        let spec = program(&shape, KernelConfig::BricksCodegen, &params);
+        let spec = program(&shape, KernelConfig::BricksCodegen, &params)
+            .unwrap_or_else(|e| panic!("{shape}: {e}"));
         let geom = geometry(&shape, KernelConfig::BricksCodegen, &params, n);
         let rl = measure(&arch, model).expect("supported pair");
         let sim =

@@ -20,6 +20,7 @@ use bricks_repro::dsl::StencilAnalysis;
 use bricks_repro::gpu_sim::{simulate, GpuArch, ProgModel, ReuseAnalyzer, SimOptions};
 use bricks_repro::metrics::potential_speedup;
 use bricks_repro::roofline::measure;
+use bricks_repro::tuner::cell::{geometry, paper_spec, program, KernelConfig};
 use bricks_repro::tuner::{autotune, TuningSpace};
 use bricks_repro::vm::{KernelSpec, ScalarKernel, TraceGeometry};
 use experiments::{out, outln};
@@ -177,31 +178,18 @@ fn inspect(shape: StencilShape, width: usize, temporal: u32) -> Result<(), Strin
 
 fn simulate_cmd(shape: StencilShape, arch: GpuArch, model: ProgModel) -> Result<(), String> {
     let n = 256;
-    let st = shape.stencil();
-    let b = st.default_bindings();
     let a = StencilAnalysis::of_shape(&shape);
-    let w = arch.simd_width;
-    let kernel = generate(&st, &b, LayoutKind::Brick, w, CodegenOptions::default())
-        .map_err(|e| e.to_string())?;
-    let decomp = Arc::new(BrickDecomp::new(
-        (n, n, n),
-        BrickDims::for_simd_width(w),
-        shape.radius as usize,
-        BrickOrdering::Lexicographic,
-    ));
-    let geom = TraceGeometry::brick(Arc::new(BrickNav::new(decomp)));
-    let sim = simulate(
-        &KernelSpec::Vector(kernel),
-        &geom,
-        &arch,
-        model,
-        a.flops_per_point,
-    )
-    .ok_or_else(|| format!("{model} is not supported on {}", arch.name))?;
+    // the sweep's own bricks-codegen cell
+    let config = KernelConfig::BricksCodegen;
+    let spec = paper_spec(arch.simd_width);
+    let kernel = program(&shape, config, &spec).map_err(|e| e.to_string())?;
+    let geom = geometry(&shape, config, &spec, n);
+    let sim = simulate(&kernel, &geom, &arch, model, a.flops_per_point)
+        .ok_or_else(|| format!("{model} is not supported on {}", arch.name))?;
     let rl = measure(&arch, model).expect("support checked");
     let frac = rl.fraction(sim.gflops, sim.ai);
     let frac_ai = sim.ai / a.theoretical_ai;
-    outln!("bricks codegen, {}^3 on {} / {model}", n, arch.name);
+    outln!("{config}, {n}^3 on {} / {model}", arch.name);
     outln!(
         "  performance : {:8.0} GFLOP/s  ({:.0}% of roofline)",
         sim.gflops,
@@ -628,8 +616,9 @@ fn prof_sim_cmd(
     use bricks_repro::gpu_sim::{compile_only, simulate_memory_introspect};
     use bricks_repro::prof::render_introspection;
 
-    let w = arch.simd_width;
-    let dims = BrickDims::for_simd_width(w);
+    let config = KernelConfig::BricksCodegen;
+    let params = paper_spec(arch.simd_width);
+    let dims = params.brick_dims();
     let tiles = |b: usize| n.is_multiple_of(b);
     if n == 0 || !(tiles(dims.bx) && tiles(dims.by) && tiles(dims.bz)) {
         return Err(format!(
@@ -643,34 +632,21 @@ fn prof_sim_cmd(
             "--n {n} makes more {dims} bricks than u32 ids can number"
         ));
     }
-    let st = shape.stencil();
-    let b = st.default_bindings();
-    let kernel = generate(&st, &b, LayoutKind::Brick, w, CodegenOptions::default())
-        .map_err(|e| e.to_string())?;
-    let spec = KernelSpec::Vector(kernel);
-    let decomp = Arc::new(BrickDecomp::new(
-        (n, n, n),
-        dims,
-        radius,
-        BrickOrdering::Lexicographic,
-    ));
-    let geom = TraceGeometry::brick(Arc::new(BrickNav::new(decomp)));
+    let spec = program(&shape, config, &params).map_err(|e| e.to_string())?;
+    let geom = geometry(&shape, config, &params, n);
     let (_, _, occ) = compile_only(&spec, &arch, model)
         .ok_or_else(|| format!("{model} is not supported on {}", arch.name))?;
-    let (_, intro) = simulate_memory_introspect(
-        &spec,
-        &geom,
-        &arch,
-        occ.blocks_per_sm,
-        &SimOptions::default(),
-    );
+    let opts = SimOptions {
+        interleave_chunk: params.interleave_chunk,
+    };
+    let (_, intro) = simulate_memory_introspect(&spec, &geom, &arch, occ.blocks_per_sm, &opts);
     if json {
         outln!(
             "{}",
             serde_json::to_string_pretty(&intro).map_err(|e| e.to_string())?
         );
     } else {
-        outln!("bricks codegen, {n}^3 on {} / {model}\n", arch.name);
+        outln!("{config}, {n}^3 on {} / {model}\n", arch.name);
         out!("{}", render_introspection(&intro));
     }
     Ok(())

@@ -68,7 +68,7 @@ fn canonical_fingerprints() -> String {
             });
             let paper = KernelConfig::all().map(|c| (c, paper_spec(width)));
             for (config, spec) in paper.into_iter().chain(fused) {
-                let fp = spec_fingerprint(&program(&shape, config, &spec));
+                let fp = spec_fingerprint(&program(&shape, config, &spec).unwrap());
                 out.push_str(&format!(
                     "{} {config:?} w{width} {} t{} {fp:016x}\n",
                     shape.label(),

@@ -160,3 +160,22 @@ fn exec_report_lists_the_backends_this_host_runs() {
         "the report names the deleted {deleted} backend: {stdout}"
     );
 }
+
+#[test]
+fn simulation_commands_reject_a_reach_their_bricks_cannot_hold() {
+    // the paper's 4x4 brick rows hold a reach of at most 4, so star 5 is
+    // a generator error on both commands, reported before any simulation
+    for args in [
+        &["simulate", "star", "5", "a100", "cuda"][..],
+        &["prof", "sim", "star", "5", "a100", "cuda", "--n", "64"],
+    ] {
+        let out = bricks(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("reach 5 on axis 1 exceeds the block extent 4"),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}

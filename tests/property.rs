@@ -102,7 +102,8 @@ proptest! {
                 strategy,
                 ..Default::default()
             }).unwrap();
-            prop_assert_eq!(k.validate(), Ok(()));
+            let rejection = bricks_repro::lint::verify(&k).err().map(|r| r.render(Some(&k)));
+            prop_assert_eq!(rejection, None);
             prop_assert!(k.loads_are_unique());
             prop_assert_eq!(k.stats.stores as usize, 16);
         }
