@@ -93,8 +93,7 @@ pub(crate) fn min_of(samples: &[f64]) -> f64 {
     samples.iter().copied().fold(f64::INFINITY, f64::min)
 }
 
-/// Relative spread `max/min - 1` of a set of positive samples — the
-/// noise figure the BENCH files record next to each gated metric.
+/// Relative spread `max/min - 1` of a set of positive samples.
 pub(crate) fn spread_of(samples: &[f64]) -> f64 {
     let min = min_of(samples);
     let max = samples.iter().copied().fold(0.0f64, f64::max);

@@ -4,9 +4,8 @@
 //! at the paper's 512³, bricks layout, executed numerically on the host
 //! CPU under the interpreter and under the host's `Auto` backend — the
 //! acceptance cell behind the native execution backend
-//! (`brick_vm::native`). Best-of-N wall times, the relative spread across
-//! repetitions (the gate's noise figure), and the full run provenance are
-//! recorded. So is the first native call into the freshly allocated
+//! (`brick_vm::native`). Best-of-N wall times and the full run provenance
+//! are recorded. So is the first native call into the freshly allocated
 //! output grid, which pays the first touch of its pages that the warm
 //! best-of-N walls never see, and how much of the process the kernel
 //! backed with transparent huge pages. A conversion row times the four
@@ -77,8 +76,6 @@ pub struct ExecMeasurement {
     pub wall_s: f64,
     /// Points per second at the best-of-N wall time.
     pub points_per_s: f64,
-    /// Relative spread (`max/min - 1`) of the repetitions' wall times.
-    pub spread: f64,
 }
 
 /// Best-of-N wall seconds of the layout conversions at the cell's `n`,
@@ -154,8 +151,6 @@ pub struct BenchExec {
     pub native: ExecMeasurement,
     /// `native.points_per_s / interpreter.points_per_s`.
     pub speedup: f64,
-    /// Relative spread of the per-repetition speedups (paired by index).
-    pub speedup_spread: f64,
     /// The floor `speedup` was gated against (0 when no SIMD backend
     /// dispatched or the run was at reduced scale).
     pub min_speedup: f64,
@@ -208,7 +203,7 @@ pub struct KernelRow {
 }
 
 /// `BENCH_exec.json` schema version.
-pub const EXEC_SCHEMA_VERSION: u64 = 6;
+pub const EXEC_SCHEMA_VERSION: u64 = 7;
 
 /// `AnonHugePages` of this process in MB (10⁶ bytes), read from
 /// `/proc/self/smaps_rollup`; `None` where that file cannot be read.
@@ -491,7 +486,6 @@ pub fn run_bench_exec(n: usize, out_dir: Option<&Path>) -> Result<BenchExec, Str
                 backend: series.to_string(),
                 wall_s,
                 points_per_s: (n * n * n) as f64 / wall_s.max(1e-9),
-                spread: spread_of(&walls),
             },
             walls,
         ))
@@ -501,11 +495,6 @@ pub fn run_bench_exec(n: usize, out_dir: Option<&Path>) -> Result<BenchExec, Str
     drop((input, output));
     let kernels = measure_kernels(n.min(KERNEL_ROW_N), backend, reps)?;
 
-    let rep_speedups: Vec<f64> = interp_walls
-        .iter()
-        .zip(&native_walls)
-        .map(|(i, nv)| i / nv.max(1e-9))
-        .collect();
     let speedup = interpreter.wall_s / native.wall_s.max(1e-9);
     let simd = backend == Backend::Avx2;
     let min_speedup = if simd && n >= BENCH_EXEC_N {
@@ -528,7 +517,6 @@ pub fn run_bench_exec(n: usize, out_dir: Option<&Path>) -> Result<BenchExec, Str
         interpreter,
         native,
         speedup,
-        speedup_spread: spread_of(&rep_speedups),
         min_speedup,
         first_call_s,
         anon_huge_mb,

@@ -29,7 +29,7 @@ use gpu_sim::{
 
 use brick_tuner::cell::{geometry, paper_spec, program, SCHEMA_VERSION};
 
-use crate::bench::{min_of, spread_of, write_bench, BenchKind};
+use crate::bench::{min_of, write_bench, BenchKind};
 use crate::config::{ExperimentParams, KernelConfig};
 use crate::runner::{sweep_with, SweepOptions};
 
@@ -48,12 +48,6 @@ pub struct SweepThroughput {
     pub cold_cells_per_s: f64,
     /// Cells per second, warm.
     pub warm_cells_per_s: f64,
-    /// Relative spread (`max/min - 1`) of the cold repetitions' wall
-    /// times — the run's own measurement noise, which `bricks prof
-    /// diff` widens its tolerance by.
-    pub cold_spread: f64,
-    /// Relative spread of the warm repetitions' wall times.
-    pub warm_spread: f64,
 }
 
 /// Exact-oracle-vs-simulator wall time of one representative cell's
@@ -76,10 +70,6 @@ pub struct FidelityComparison {
     pub fast_wall_s: f64,
     /// `exact_wall_s / fast_wall_s`.
     pub speedup: f64,
-    /// Relative spread (`max/min - 1`) of the per-repetition speedups —
-    /// the run's own measurement noise, which `bricks prof diff` widens
-    /// its tolerance by.
-    pub speedup_spread: f64,
     /// Whether the oracle and the simulator produced bit-identical
     /// counters (always true, or the run fails).
     pub counters_identical: bool,
@@ -134,11 +124,8 @@ fn measure_sweep(
     };
     // Best-of-N for both phases, for the same reason as
     // `measure_fidelity`: single-shot wall times are noisier than the
-    // regression gate's 10% floor tolerance. Each cold repetition
-    // starts from a cleared cache; the warm repetitions reuse the last
-    // cold run's. The spread across repetitions is recorded alongside
-    // the min so `bricks prof diff` can judge a delta against this
-    // run's actual noise.
+    // regression gate's 10% tolerance. Each cold repetition starts from
+    // a cleared cache; the warm repetitions reuse the last cold run's.
     const COLD_REPS: usize = 3;
     let mut cold_walls = Vec::with_capacity(COLD_REPS);
     let mut cold = None;
@@ -177,8 +164,6 @@ fn measure_sweep(
         warm_wall_s,
         cold_cells_per_s: cells as f64 / cold_wall_s.max(1e-9),
         warm_cells_per_s: cells as f64 / warm_wall_s.max(1e-9),
-        cold_spread: spread_of(&cold_walls),
-        warm_spread: spread_of(&warm_walls),
     };
     Ok((throughput, cold.manifest))
 }
@@ -216,13 +201,6 @@ fn measure_fidelity(n: usize) -> Result<FidelityComparison, String> {
     let (fast_walls, fast) = run(simulate_memory_opts);
     let exact_wall_s = min_of(&exact_walls);
     let fast_wall_s = min_of(&fast_walls);
-    // per-repetition speedups (paired by index) give this run's own
-    // noise figure for the gated ratio
-    let rep_speedups: Vec<f64> = exact_walls
-        .iter()
-        .zip(&fast_walls)
-        .map(|(e, f)| e / f.max(1e-9))
-        .collect();
     let counters_identical = exact == fast;
     if !counters_identical {
         return Err(format!(
@@ -238,7 +216,6 @@ fn measure_fidelity(n: usize) -> Result<FidelityComparison, String> {
         exact_wall_s,
         fast_wall_s,
         speedup: exact_wall_s / fast_wall_s.max(1e-9),
-        speedup_spread: spread_of(&rep_speedups),
         counters_identical,
     })
 }
@@ -306,8 +283,6 @@ mod tests {
                 warm_wall_s: 1.0,
                 cold_cells_per_s: 10.8,
                 warm_cells_per_s: 108.0,
-                cold_spread: 0.05,
-                warm_spread: 0.2,
             },
             fidelity: FidelityComparison {
                 stencil: "13pt".into(),
@@ -318,7 +293,6 @@ mod tests {
                 exact_wall_s: 8.0,
                 fast_wall_s: 1.0,
                 speedup: 8.0,
-                speedup_spread: 0.1,
                 counters_identical: true,
             },
             fidelity_full: None,

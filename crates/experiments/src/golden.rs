@@ -349,7 +349,9 @@ mod tests {
     fn bless_round_trips_all_six_artifacts() {
         // the artifact renderers need the full matrix, so run a real (but
         // small) GOLDEN_N sweep against an empty golden directory
-        let sweep = crate::runner::sweep(crate::config::ExperimentParams { n: GOLDEN_N });
+        let params = crate::config::ExperimentParams { n: GOLDEN_N };
+        let sweep = crate::runner::sweep_with(&crate::runner::SweepOptions::new(params))
+            .expect("golden-size sweep runs");
         let mut artifacts = golden_artifacts(&sweep);
         artifacts.extend(temporal_artifacts(crate::testutil::shared_temporal_sweep()));
         artifacts.extend(tune_artifacts(crate::testutil::shared_tune_report()));

@@ -42,8 +42,8 @@ pub mod tune;
 
 pub use brick_sweep::Jobs;
 pub use config::{ExperimentParams, KernelConfig};
-pub use runner::{sweep, sweep_with, CellFilter, Record, Sweep, SweepError, SweepOptions};
-pub use temporal::{temporal_sweep, temporal_sweep_with, TemporalRecord, TemporalSweep};
+pub use runner::{sweep_with, CellFilter, Record, Sweep, SweepError, SweepOptions};
+pub use temporal::{temporal_sweep_with, TemporalRecord, TemporalSweep};
 pub use tune::{run_bench_tune, run_tune, tune_options, tuned_vs_paper, SpaceChoice, TuneBench};
 
 #[cfg(test)]
@@ -51,8 +51,8 @@ pub(crate) mod testutil {
     //! One shared 128³ sweep for the whole test suite — the sweep is the
     //! expensive part, the assertions are cheap.
     use crate::config::ExperimentParams;
-    use crate::runner::{sweep, Sweep};
-    use crate::temporal::{temporal_sweep, TemporalSweep};
+    use crate::runner::{sweep_with, Sweep, SweepOptions};
+    use crate::temporal::{temporal_sweep_with, TemporalSweep};
     use std::sync::OnceLock;
 
     static SWEEP: OnceLock<Sweep> = OnceLock::new();
@@ -60,13 +60,18 @@ pub(crate) mod testutil {
     static TUNE: OnceLock<brick_tuner::TuneReport> = OnceLock::new();
 
     pub fn shared_sweep() -> &'static Sweep {
-        SWEEP.get_or_init(|| sweep(ExperimentParams { n: 128 }))
+        SWEEP.get_or_init(|| {
+            sweep_with(&SweepOptions::new(ExperimentParams { n: 128 })).expect("128³ sweep runs")
+        })
     }
 
     /// One shared 64³ temporal sweep (the golden size — big enough that
     /// every fused footprint still exercises all cache levels).
     pub fn shared_temporal_sweep() -> &'static TemporalSweep {
-        TEMPORAL.get_or_init(|| temporal_sweep(ExperimentParams { n: 64 }))
+        TEMPORAL.get_or_init(|| {
+            temporal_sweep_with(&SweepOptions::new(ExperimentParams { n: 64 }))
+                .expect("64³ temporal sweep runs")
+        })
     }
 
     /// One shared golden-configuration tune report (7pt × A100/CUDA ×

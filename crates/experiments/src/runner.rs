@@ -372,13 +372,6 @@ pub fn sweep_with(opts: &SweepOptions) -> Result<Sweep, SweepError> {
     })
 }
 
-/// Run the full study matrix on all hardware threads with no disk cache.
-/// Panics on invalid parameters — the historical convenience entry point;
-/// use [`sweep_with`] for structured errors, caching and jobs control.
-pub fn sweep(params: ExperimentParams) -> Sweep {
-    sweep_with(&SweepOptions::new(params)).expect("sweep failed")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -202,12 +202,6 @@ pub fn temporal_sweep_with(opts: &SweepOptions) -> Result<TemporalSweep, SweepEr
     })
 }
 
-/// [`temporal_sweep_with`] with default scheduling and no disk cache.
-/// Panics on invalid parameters.
-pub fn temporal_sweep(params: crate::config::ExperimentParams) -> TemporalSweep {
-    temporal_sweep_with(&SweepOptions::new(params)).expect("temporal sweep failed")
-}
-
 /// `BENCH_temporal.json`: the temporal scaling benchmark and its gates.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TemporalBench {

@@ -4,7 +4,7 @@
 
 use gpu_sim::SimIntrospection;
 
-use crate::bench::MetricDelta;
+use crate::bench::{MetricDelta, SideStats};
 use crate::sweep::SweepProfile;
 use crate::tree::{ProfileNode, ProfileTree};
 
@@ -196,31 +196,37 @@ pub fn render_introspection(intro: &SimIntrospection) -> String {
     out
 }
 
-/// Render a bench diff as one line per rule; regressions are flagged.
+/// Render a bench comparison as one line per rule: each side's median
+/// over its rounds and its spread, the change of the median, the
+/// tolerance and the verdict.
 pub fn render_diff(deltas: &[MetricDelta]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{:<26} {:>12} {:>12} {:>9}  verdict\n",
-        "metric", "base", "new", "change"
+        "{:<26} {:>16} {:>7} {:>16} {:>7} {:>8} {:>4}  verdict\n",
+        "metric", "base median", "spread", "new median", "spread", "change", "tol"
     ));
+    let side = |s: Option<SideStats>| match s {
+        Some(s) => (
+            format!("{:.3} x{}", s.median, s.rounds),
+            format!("{:.1}%", s.spread() * 100.0),
+        ),
+        None => ("-".into(), "-".into()),
+    };
     for d in deltas {
-        let (base, new) = (
-            d.base.map_or("-".into(), |v| format!("{v:.3}")),
-            d.new.map_or("-".into(), |v| format!("{v:.3}")),
-        );
+        let ((base, base_spread), (new, new_spread)) = (side(d.base), side(d.new));
         let change = d
             .ratio
             .map_or("-".into(), |q| format!("{:+.1}%", (q - 1.0) * 100.0));
-        let verdict = if d.regression {
-            "REGRESSION"
-        } else if d.ratio.is_none() {
-            "skipped"
-        } else {
-            "ok"
-        };
         out.push_str(&format!(
-            "{:<26} {:>12} {:>12} {:>9}  {}\n",
-            d.path, base, new, change, verdict
+            "{:<26} {:>16} {:>7} {:>16} {:>7} {:>8} {:>3.0}%  {}\n",
+            d.path,
+            base,
+            base_spread,
+            new,
+            new_spread,
+            change,
+            d.tolerance * 100.0,
+            d.verdict
         ));
     }
     out
@@ -229,7 +235,7 @@ pub fn render_diff(deltas: &[MetricDelta]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bench::{diff_bench, BENCH_RULES};
+    use crate::bench::diff_bench;
 
     #[test]
     fn formatting_helpers() {
@@ -251,10 +257,14 @@ mod tests {
                 "fidelity": {"speedup": 8.0}}"#,
         )
         .unwrap();
-        let text = render_diff(&diff_bench(&base, &slow, BENCH_RULES));
-        assert!(text.contains("REGRESSION"), "{text}");
-        assert!(text.contains("skipped"), "{text}"); // fidelity_full absent
+        let deltas = diff_bench(&[base.clone(), base], &[slow]).unwrap();
+        let text = render_diff(&deltas);
+        assert!(text.contains("regressed"), "{text}");
+        assert!(text.contains("absent"), "{text}"); // fidelity_full
         assert!(text.contains("-30.0%"), "{text}");
+        assert!(text.contains("10.000 x2"), "{text}");
+        assert!(text.contains("7.000 x1"), "{text}");
+        assert!(text.contains("0.0%"), "{text}"); // the spreads
     }
 
     #[test]

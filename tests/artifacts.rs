@@ -3,13 +3,13 @@
 //! must be reusable).
 
 use bricks_repro::experiments::runner::{Record, Sweep};
-use bricks_repro::experiments::{sweep, ExperimentParams, KernelConfig};
+use bricks_repro::experiments::{sweep_with, ExperimentParams, KernelConfig, SweepOptions};
 use bricks_repro::gpu_sim::{GpuKind, ProgModel};
 
 fn small_sweep() -> Sweep {
     // 64³ is enough for serialisation tests; content correctness is
     // covered elsewhere
-    sweep(ExperimentParams { n: 64 })
+    sweep_with(&SweepOptions::new(ExperimentParams { n: 64 })).expect("64³ sweep runs")
 }
 
 #[test]

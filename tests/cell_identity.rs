@@ -2,13 +2,16 @@
 //! cell reaches the keys that memoise and cache it, and the programs
 //! behind shape + spec keys are pinned to the schema version.
 
+use std::collections::BTreeMap;
+
 use bricks_repro::codegen::{SpecParams, Strategy};
 use bricks_repro::dsl::shape::StencilShape;
 use bricks_repro::experiments::temporal::feasible_degrees;
 use bricks_repro::experiments::KernelConfig;
 use bricks_repro::gpu_sim::{GpuArch, ProgModel};
+use bricks_repro::obs::manifest::fnv1a64;
 use bricks_repro::tuner::cell::{paper_spec, program, spec_fingerprint, SCHEMA_VERSION};
-use bricks_repro::tuner::{tune_matrix, TuneGroup, TuneOptions, TuneTarget, TuningSpace};
+use bricks_repro::tuner::{tune_matrix, validate, TuneGroup, TuneOptions, TuneTarget, TuningSpace};
 
 fn tune_star7(archs: &[GpuArch]) -> Vec<TuneGroup> {
     let opts = TuneOptions::new(64)
@@ -53,7 +56,8 @@ fn same_kind_targets_keep_their_own_memory_counters() {
 /// One line per kernel the paper and temporal sweeps generate: the paper
 /// suite × every configuration × widths 16/32/64 at the paper's
 /// specialization, plus every feasible gather degree of the bricks
-/// kernel.
+/// kernel. Then one `tuner` line per stencil: the count and digest of
+/// [`tuner_programs`].
 fn canonical_fingerprints() -> String {
     let mut out = format!("schema {SCHEMA_VERSION}\n");
     for shape in StencilShape::paper_suite() {
@@ -78,7 +82,59 @@ fn canonical_fingerprints() -> String {
             }
         }
     }
+    for (label, programs) in tuner_programs() {
+        let digest = fnv1a64(programs.concat().as_bytes());
+        out.push_str(&format!(
+            "tuner {label} {} programs {digest:016x}\n",
+            programs.len()
+        ));
+    }
     out
+}
+
+/// Per stencil, one line per distinct program the tuner can build: every
+/// candidate of `TuningSpace::default()` that `validate` admits on a
+/// paper target at 64³, deduplicated by what reaches the generator
+/// (brick width, block, strategy and degree; ordering and interleave
+/// chunk do not).
+fn tuner_programs() -> Vec<(String, Vec<String>)> {
+    let archs: Vec<GpuArch> = [GpuArch::a100(), GpuArch::mi250x_gcd(), GpuArch::pvc_stack()].into();
+    assert!(ProgModel::paper_matrix()
+        .iter()
+        .all(|(gpu, _)| archs.iter().any(|a| a.kind == *gpu)));
+    let candidates = TuningSpace::default().enumerate();
+    StencilShape::paper_suite()
+        .into_iter()
+        .map(|shape| {
+            let mut admitted = BTreeMap::new();
+            for arch in &archs {
+                for spec in candidates
+                    .iter()
+                    .filter(|p| validate(p, &shape, arch, 64).is_ok())
+                {
+                    let key = (
+                        spec.width(),
+                        spec.block_yz,
+                        spec.strategy.to_string(),
+                        spec.temporal_degree,
+                    );
+                    admitted.entry(key).or_insert(*spec);
+                }
+            }
+            let lines = admitted
+                .into_iter()
+                .map(|((width, (by, bz), strategy, t), spec)| {
+                    let p = program(&shape, KernelConfig::BricksCodegen, &spec).unwrap();
+                    let fp = spec_fingerprint(&p);
+                    format!(
+                        "{} w{width} b{by}x{bz} {strategy} t{t} {fp:016x}\n",
+                        shape.label()
+                    )
+                })
+                .collect();
+            (shape.label(), lines)
+        })
+        .collect()
 }
 
 #[test]
@@ -97,5 +153,20 @@ fn program_fingerprints_are_pinned_to_the_schema_version() {
     } else {
         "SCHEMA_VERSION moved: re-pin"
     };
-    panic!("{fix} tests/kernel_fingerprints.txt with:\n{actual}");
+    // the tuner lines pin digests; list the programs of each stencil
+    // whose line moved, so the change can be read
+    let moved: String = tuner_programs()
+        .into_iter()
+        .filter(|(label, _)| {
+            let line = actual
+                .lines()
+                .find(|l| l.starts_with(&format!("tuner {label} ")));
+            line.is_some_and(|l| !pinned.lines().any(|p| p == l))
+        })
+        .flat_map(|(_, programs)| programs)
+        .collect();
+    panic!(
+        "{fix} tests/kernel_fingerprints.txt with:\n{actual}\n\
+         tuner programs of the stencils whose tuner line moved:\n{moved}"
+    );
 }

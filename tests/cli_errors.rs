@@ -179,3 +179,101 @@ fn simulation_commands_reject_a_reach_their_bricks_cannot_hold() {
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
 }
+
+#[test]
+fn prof_gate_judges_paired_rounds_and_rejects_mismatched_sides() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_gate");
+    let _ = std::fs::remove_dir_all(&dir);
+    let sim = |cold: f64, full: &str| {
+        format!(
+            r#"{{"sweep": {{"cold_cells_per_s": {cold}, "warm_cells_per_s": 100.0}},
+                 "fidelity": {{"speedup": 8.0}}{full}}}"#
+        )
+    };
+    // one side per directory, one BENCH_sim.json per round subdirectory
+    let side = |name: &str, colds: &[f64]| {
+        for (i, cold) in colds.iter().enumerate() {
+            let round = dir.join(name).join(i.to_string());
+            std::fs::create_dir_all(&round).unwrap();
+            std::fs::write(round.join("BENCH_sim.json"), sim(*cold, "")).unwrap();
+        }
+        dir.join(name).to_str().unwrap().to_string()
+    };
+    let file = |name: &str, text: &str| {
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        path.to_str().unwrap().to_string()
+    };
+    let base = side("base", &[10.0, 10.1, 9.9]);
+    let slow = side("slow", &[8.0, 8.1, 7.9]);
+    let noisy = side("noisy", &[8.0, 6.5, 10.0]);
+    let empty = dir.join("empty");
+    std::fs::create_dir_all(&empty).unwrap();
+    let exec = file(
+        "exec.json",
+        r#"{"exec": {"n": 512}, "interpreter": {"points_per_s": 6e7},
+            "native": {"points_per_s": 2.3e8}, "speedup": 3.8}"#,
+    );
+    let with_full = file(
+        "full.json",
+        &sim(10.0, r#", "fidelity_full": {"speedup": 4.0}"#),
+    );
+    let without_full = file("nofull.json", &sim(10.0, ""));
+
+    let gate = |base: &str, new: &str| {
+        let out = bricks(&["prof", "gate", base, new]);
+        let stdout = String::from_utf8_lossy(&out.stdout).to_string();
+        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        (out.status.code(), stdout, stderr)
+    };
+    let (code, stdout, _) = gate(&base, &base);
+    assert_eq!(code, Some(0), "{stdout}");
+    assert!(
+        stdout.contains("gate: ok") && stdout.contains("10.000 x3"),
+        "{stdout}"
+    );
+
+    // a 20% median drop with tight spreads fails the gate
+    let (code, stdout, stderr) = gate(&base, &slow);
+    assert_eq!(code, Some(1), "{stdout}");
+    assert!(stdout.contains("regressed"), "{stdout}");
+    assert!(stderr.contains("sweep.cold_cells_per_s"), "{stderr}");
+
+    // a spread past the tolerance with overlapping rounds is listed,
+    // neither passed nor failed
+    let (code, stdout, _) = gate(&base, &noisy);
+    assert_eq!(code, Some(0), "{stdout}");
+    assert!(
+        stdout.contains("unresolved (") && stdout.contains("sweep.cold_cells_per_s"),
+        "{stdout}"
+    );
+
+    // sides of different kinds, a metric that vanished from NEW and a
+    // side with no rounds are errors, not passes
+    for (base, new, expect) in [
+        (
+            &without_full,
+            &exec,
+            "BASE is BENCH_sim.json but NEW is BENCH_exec.json",
+        ),
+        (
+            &with_full,
+            &without_full,
+            "fidelity_full.speedup: measured on BASE but missing on NEW",
+        ),
+        (
+            &base,
+            &empty.to_str().unwrap().to_string(),
+            "no */BENCH_*.json rounds",
+        ),
+    ] {
+        let (code, _, stderr) = gate(base, new);
+        assert_eq!(code, Some(1), "{base} {new}: {stderr}");
+        assert!(stderr.contains(expect), "{stderr}");
+    }
+    // a metric only NEW measured is reported, not gated
+    let (code, stdout, _) = gate(&without_full, &with_full);
+    assert_eq!(code, Some(0), "{stdout}");
+    assert!(stdout.contains("new"), "{stdout}");
+}
