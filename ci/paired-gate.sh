@@ -1,42 +1,37 @@
 #!/usr/bin/env bash
-# Paired same-host perf gate.
+# Paired same-host regression gate on the repository benchmark.
 #
-#   ci/paired-gate.sh KIND BASE_REV      KIND = sim | exec
+#   ci/paired-gate.sh BASE_REV
 #
-# Builds BASE_REV in a git worktree with its own target directory and
-# the checked-out tree (HEAD) in the usual one, then runs
-# `experiments --bench KIND` ROUNDS times per side, alternating which
-# side runs first, into target/paired-gate/KIND/{base,head}/<round>/.
-# HEAD's `bricks prof gate` compares the two sides' medians and exits 1
-# on a regression (see `bricks help`). Both sides run on this host, so
-# its speed cancels out of the comparison. A head round that fails the
-# bench's own gate (it still writes its BENCH file) fails the script
-# after the comparison; a base round that does is only reported.
+# Builds perfbench (the BENCHMARK.json command) for BASE_REV in a git
+# worktree and for the checked-out tree (HEAD), each with its own target
+# directory, then runs `perfbench run` ROUNDS times per side, alternating
+# which side runs first, into target/paired-gate/{base,head}/<round>/.
+# HEAD's `perfbench compare` judges every workload's end-to-end metrics
+# at the BENCHMARK.json bounds and exits 1 on a `regressed` row. Both
+# sides run on this host, so its speed cancels out of the comparison. A
+# head run that fails its output check (it still writes its bench.json)
+# fails the script after the comparison; a base run that does is only
+# reported.
 set -euo pipefail
 
-# Rounds per side. A row whose spread exceeds the tolerance regresses
-# only when every head round is worse than every base round, which pure
-# noise does with probability 1/C(2R,R): 1/20 at R=3 (an unchanged tree
-# failed 1 of 6 runs on a shared 2-vCPU host), 1/252 at R=5.
-ROUNDS=5
+# Runs per side. With one run a side, every row whose metric has one
+# sample per run (pipeline cold_s and peak_rss_mb, every warm_p75_s) has
+# no spread and is `unresolved`; three runs give each side quartiles.
+ROUNDS=3
 
-if [ $# -ne 2 ] || { [ "$1" != sim ] && [ "$1" != exec ]; }; then
-    echo "usage: $0 sim|exec BASE_REV" >&2
+if [ $# -ne 1 ]; then
+    echo "usage: $0 BASE_REV" >&2
     exit 2
 fi
-kind=$1
 repo=$(git rev-parse --show-toplevel)
-base_sha=$(git -C "$repo" rev-parse --verify "$2^{commit}")
-head_target=${CARGO_TARGET_DIR:-$repo/target}
+base_sha=$(git -C "$repo" rev-parse --verify "$1^{commit}")
 work=$repo/target/paired-gate
-out=$work/$kind
 worktree=$work/base-src
-rm -rf "$out"
-mkdir -p "$out"
+rm -rf "$work/base" "$work/head"
 
 # The worktree is kept between runs (only the files that differ are
-# checked out again), so a second kind against the same base rebuilds
-# nothing.
+# checked out again), and so are both target directories.
 git -C "$repo" worktree prune
 if [ -e "$worktree/.git" ]; then
     git -C "$worktree" checkout --quiet --force --detach "$base_sha"
@@ -45,30 +40,28 @@ else
     git -C "$repo" worktree add --quiet --force --detach "$worktree" "$base_sha"
 fi
 
+build() {
+    (cd "$2" && CARGO_TARGET_DIR=$work/$1-target \
+        cargo build --release --quiet --offline --manifest-path perfbench/Cargo.toml)
+}
 echo "paired-gate: building base $base_sha"
-(cd "$worktree" && CARGO_TARGET_DIR=$work/base-target \
-    cargo build --release --quiet -p experiments)
+build base "$worktree"
 echo "paired-gate: building head"
-(cd "$repo" && cargo build --release --quiet -p experiments -p bricks-repro)
+build head "$repo"
 
+head_failed=
 run() {
-    local side=$1 round=$2 bin
-    if [ "$side" = base ]; then
-        bin=$work/base-target/release/experiments
-    else
-        bin=$head_target/release/experiments
-    fi
-    mkdir -p "$out/$side/$round"
+    local side=$1 round=$2 out=$work/$1/$2
+    mkdir -p "$out"
     echo "paired-gate: round $round $side"
-    if ! "$bin" --bench "$kind" --out "$out/$side/$round" > "$out/$side/$round/stdout.txt"; then
-        echo "paired-gate: the $side run of round $round failed its own gate" >&2
+    if ! "$work/$side-target/release/perfbench" run --trace 0 --seed "$round" --out "$out" \
+        > "$out/stdout.txt"; then
+        echo "paired-gate: the $side run of round $round failed" >&2
         if [ "$side" = head ]; then
             head_failed=1
         fi
     fi
 }
-
-head_failed=
 
 for round in $(seq 1 "$ROUNDS"); do
     if [ $((round % 2)) -eq 1 ]; then
@@ -81,9 +74,10 @@ for round in $(seq 1 "$ROUNDS"); do
 done
 
 status=0
-"$head_target/release/bricks" prof gate "$out/base" "$out/head" || status=1
+"$work/head-target/release/perfbench" compare "$work/base" "$work/head" \
+    --benchmark "$repo/BENCHMARK.json" || status=1
 if [ -n "$head_failed" ]; then
-    echo "paired-gate: a head round failed the bench's own gate" >&2
+    echo "paired-gate: a head run failed its output check" >&2
     status=1
 fi
 exit $status

@@ -13,7 +13,7 @@ use serde::Serialize;
 /// A measurement `--bench` can run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BenchKind {
-    /// Sweep throughput and the simulator's speedup over the exact oracle
+    /// The simulator's speedup over the exact oracle
     /// ([`crate::bench_sim`]).
     Sim,
     /// Native backend vs interpreter on star-7 ([`crate::bench_exec`]).

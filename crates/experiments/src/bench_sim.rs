@@ -1,20 +1,17 @@
-//! Machine-readable simulator performance trajectory: `BENCH_sim.json`.
+//! The simulator against its exact oracle: `BENCH_sim.json`.
 //!
-//! Two measurements, re-run by CI on every PR so the simulator's speed is
-//! tracked as data rather than anecdote:
+//! The `fidelity` blocks simulate the star-2 CUDA/A100 bricks-codegen
+//! cell with the exact per-block oracle ([`gpu_sim::simulate_memory_exact`])
+//! and with the simulator ([`gpu_sim::simulate_memory_opts`]), and record
+//! the wall-time ratio and a hard check that both produce identical
+//! [`gpu_sim::MemCounters`]. [`run_bench_sim`] fails (so CI fails) if the
+//! simulator is slower than the exact oracle — the memoization must never
+//! regress into a pessimum.
 //!
-//! * **sweep throughput** — a full 64³ matrix sweep, cold (empty result
-//!   cache) and warm (second run over the same cache), in cells/second;
-//! * **oracle speedup** (the `fidelity` blocks) — the star-2 CUDA/A100
-//!   bricks-codegen cell simulated by the exact per-block oracle
-//!   ([`gpu_sim::simulate_memory_exact`]) and by the simulator
-//!   ([`gpu_sim::simulate_memory_opts`]), with the wall-time ratio and a
-//!   hard check that both produce identical [`gpu_sim::MemCounters`].
-//!
-//! [`run_bench_sim`] fails (so CI fails) if the simulator is slower than
-//! the exact oracle — the memoization must never regress into a pessimum.
+//! Sweep wall time is not measured here: the repository benchmark's
+//! `sweep-128` workload times the paper and temporal sweeps cold and
+//! warm, and `ci/paired-gate.sh` compares it against the base commit.
 
-use std::fs;
 use std::path::Path;
 use std::time::Instant;
 
@@ -30,25 +27,7 @@ use gpu_sim::{
 use brick_tuner::cell::{geometry, paper_spec, program, SCHEMA_VERSION};
 
 use crate::bench::{min_of, write_bench, BenchKind};
-use crate::config::{ExperimentParams, KernelConfig};
-use crate::runner::{sweep_with, SweepOptions};
-
-/// Wall-clock throughput of a full matrix sweep, cold vs warm cache.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SweepThroughput {
-    /// Domain size the sweep ran at.
-    pub n: usize,
-    /// Number of records the sweep produced.
-    pub cells: usize,
-    /// Wall seconds with an empty result cache.
-    pub cold_wall_s: f64,
-    /// Wall seconds re-running over the populated cache.
-    pub warm_wall_s: f64,
-    /// Cells per second, cold.
-    pub cold_cells_per_s: f64,
-    /// Cells per second, warm.
-    pub warm_cells_per_s: f64,
-}
+use crate::config::KernelConfig;
 
 /// Exact-oracle-vs-simulator wall time of one representative cell's
 /// memory simulation.
@@ -80,22 +59,16 @@ pub struct FidelityComparison {
 pub struct BenchSim {
     /// Simulation schema the numbers were produced under.
     pub schema: u64,
-    /// Sweep throughput block.
-    pub sweep: SweepThroughput,
     /// Oracle-vs-simulator block at the CI size.
     pub fidelity: FidelityComparison,
     /// Oracle-vs-simulator block at the paper's full 512³ — the scale where
     /// the wave-periodic fast-forward engages (`None` when the base run
     /// already is 512³).
     pub fidelity_full: Option<FidelityComparison>,
-    /// Provenance of the cold throughput sweep: git SHA, jobs and cache
-    /// outcome.
+    /// Provenance of the fidelity runs: git SHA, configuration hash and
+    /// wall time.
     pub manifest: brick_obs::RunManifest,
 }
-
-/// Domain size of the throughput sweep (the golden size: small enough
-/// for CI, large enough to exercise every cell).
-pub const BENCH_SWEEP_N: usize = 64;
 
 /// Default domain size of the fidelity comparison; `--full` raises it to
 /// the paper's 512³.
@@ -105,68 +78,6 @@ pub const BENCH_FIDELITY_N: usize = 128;
 /// size: 512³ is where whole waves repeat and the fast path's periodic
 /// fast-forward pays off.
 pub const BENCH_FIDELITY_FULL_N: usize = 512;
-
-fn measure_sweep(
-    jobs: Option<usize>,
-    scratch: &Path,
-) -> Result<(SweepThroughput, brick_obs::RunManifest), String> {
-    let cache_dir = scratch.join("bench-simcache");
-    let _ = fs::remove_dir_all(&cache_dir);
-    let opts = |cache: bool| {
-        let mut o = SweepOptions::new(ExperimentParams { n: BENCH_SWEEP_N });
-        if let Some(j) = jobs {
-            o = o.jobs(j);
-        }
-        if cache {
-            o = o.cache_dir(&cache_dir);
-        }
-        o
-    };
-    // Best-of-N for both phases, for the same reason as
-    // `measure_fidelity`: single-shot wall times are noisier than the
-    // regression gate's 10% tolerance. Each cold repetition starts from
-    // a cleared cache; the warm repetitions reuse the last cold run's.
-    const COLD_REPS: usize = 3;
-    let mut cold_walls = Vec::with_capacity(COLD_REPS);
-    let mut cold = None;
-    for _ in 0..COLD_REPS {
-        let _ = fs::remove_dir_all(&cache_dir);
-        let t0 = Instant::now();
-        let s = sweep_with(&opts(true)).map_err(|e| format!("cold bench sweep: {e}"))?;
-        cold_walls.push(t0.elapsed().as_secs_f64());
-        cold = Some(s);
-    }
-    let cold = cold.expect("COLD_REPS > 0");
-    // A warm sweep is tens of milliseconds of cache reads, so its
-    // relative jitter is the largest of any gated metric; ten cheap
-    // repetitions pull the min close to the floor.
-    const WARM_REPS: usize = 10;
-    let mut warm_walls = Vec::with_capacity(WARM_REPS);
-    let mut warm = None;
-    for _ in 0..WARM_REPS {
-        let t1 = Instant::now();
-        let s = sweep_with(&opts(true)).map_err(|e| format!("warm bench sweep: {e}"))?;
-        warm_walls.push(t1.elapsed().as_secs_f64());
-        warm = Some(s);
-    }
-    let warm = warm.expect("WARM_REPS > 0");
-    let _ = fs::remove_dir_all(&cache_dir);
-    let cold_wall_s = min_of(&cold_walls);
-    let warm_wall_s = min_of(&warm_walls);
-    if cold.records.len() != warm.records.len() {
-        return Err("cold and warm sweeps disagree on cell count".to_string());
-    }
-    let cells = cold.records.len();
-    let throughput = SweepThroughput {
-        n: BENCH_SWEEP_N,
-        cells,
-        cold_wall_s,
-        warm_wall_s,
-        cold_cells_per_s: cells as f64 / cold_wall_s.max(1e-9),
-        warm_cells_per_s: cells as f64 / warm_wall_s.max(1e-9),
-    };
-    Ok((throughput, cold.manifest))
-}
 
 fn measure_fidelity(n: usize) -> Result<FidelityComparison, String> {
     let shape = StencilShape::star(2);
@@ -179,9 +90,9 @@ fn measure_fidelity(n: usize) -> Result<FidelityComparison, String> {
     let (_, _, occ) = compile_only(&spec, arch, model)
         .ok_or_else(|| "no compiler model for CUDA on A100".to_string())?;
 
-    // Minimum over repetitions: wall-clock noise on a single run is well
-    // above the gate's 10% tolerance, and min is the robust estimator
-    // for "how fast can this code go". The CI size is cheap enough to
+    // Minimum over repetitions: wall-clock noise on a single run is tens
+    // of percent on a shared host, and min is the robust estimator for
+    // "how fast can this code go". The CI size is cheap enough to
     // repeat five times; paper scale gets three.
     let reps: usize = if n <= BENCH_FIDELITY_N { 5 } else { 3 };
     let opts = SimOptions::default();
@@ -220,16 +131,15 @@ fn measure_fidelity(n: usize) -> Result<FidelityComparison, String> {
     })
 }
 
-/// Run both measurements and write `BENCH_sim.json` under `out_dir`.
+/// Run the comparison at `fidelity_n` and at 512³ and write
+/// `BENCH_sim.json` under `out_dir`.
 ///
 /// Fails if the simulator is slower than the exact oracle (speedup < 1)
 /// or if the counters diverge — either would mean the memoization broke.
-pub fn run_bench_sim(
-    fidelity_n: usize,
-    jobs: Option<usize>,
-    out_dir: &Path,
-) -> Result<BenchSim, String> {
-    let (sweep, manifest) = measure_sweep(jobs, out_dir)?;
+pub fn run_bench_sim(fidelity_n: usize, out_dir: &Path) -> Result<BenchSim, String> {
+    let config_json = format!(r#"{{"bench":"sim","n":{fidelity_n}}}"#);
+    let manifest = brick_obs::RunManifest::begin(&config_json).with_jobs(1);
+    let t_run = Instant::now();
     let fidelity = measure_fidelity(fidelity_n)?;
     let fidelity_full = if fidelity_n == BENCH_FIDELITY_FULL_N {
         None
@@ -238,10 +148,9 @@ pub fn run_bench_sim(
     };
     let bench = BenchSim {
         schema: SCHEMA_VERSION,
-        sweep,
         fidelity,
         fidelity_full,
-        manifest,
+        manifest: manifest.finish(t_run.elapsed().as_secs_f64(), Vec::new()),
     };
     let path = write_bench(out_dir, BenchKind::Sim, &bench)?;
     for f in std::iter::once(&bench.fidelity).chain(bench.fidelity_full.as_ref()) {
@@ -276,14 +185,6 @@ mod tests {
     fn bench_document_serializes_round_trip() {
         let bench = BenchSim {
             schema: SCHEMA_VERSION,
-            sweep: SweepThroughput {
-                n: 64,
-                cells: 108,
-                cold_wall_s: 10.0,
-                warm_wall_s: 1.0,
-                cold_cells_per_s: 10.8,
-                warm_cells_per_s: 108.0,
-            },
             fidelity: FidelityComparison {
                 stencil: "13pt".into(),
                 config: "bricks codegen".into(),

@@ -216,11 +216,11 @@ change — see EXPERIMENTS.md).
 exits non-zero if a gate fails; repeat it to run several kinds. --n N
 (or --full) overrides the kind's default domain size (not for overhead,
 whose size is fixed).
-  sim       cold/warm 64^3 sweep throughput, plus the wall time of the
-            star-2 CUDA/A100 cell's memory simulation under the exact
-            oracle (simulate_memory_exact) and the simulator, at N^3
-            (default 128) and at 512^3; fails if the simulator is slower
-            than the exact oracle at either, or if their counters differ.
+  sim       the wall time of the star-2 CUDA/A100 cell's memory
+            simulation under the exact oracle (simulate_memory_exact)
+            and the simulator, at N^3 (default 128) and at 512^3; fails
+            if the simulator is slower than the exact oracle at either,
+            or if their counters differ.
   exec      the 7-point star, bricks layout, at N^3 (default 512) under the
             interpreter and the host's 'auto' backend (AVX2 on x86_64,
             portable otherwise); prints the CPU features and the dispatched
@@ -289,19 +289,8 @@ fn run_bench(kind: BenchKind, args: &Args) -> Result<(), String> {
         .map_or(bench_overhead::OVERHEAD_N, |d| args.n.unwrap_or(d));
     match kind {
         BenchKind::Sim => {
-            eprintln!(
-                "benchmarking simulator: {0}^3 sweep throughput + exact oracle vs simulator at {n}^3...",
-                bench_sim::BENCH_SWEEP_N
-            );
-            let b = bench_sim::run_bench_sim(n, args.jobs, out)?;
-            eprintln!(
-                "sweep: {} cells, cold {:.1}s ({:.1} cells/s), warm {:.1}s ({:.1} cells/s)",
-                b.sweep.cells,
-                b.sweep.cold_wall_s,
-                b.sweep.cold_cells_per_s,
-                b.sweep.warm_wall_s,
-                b.sweep.warm_cells_per_s
-            );
+            eprintln!("benchmarking simulator: exact oracle vs simulator at {n}^3...");
+            let b = bench_sim::run_bench_sim(n, out)?;
             for f in std::iter::once(&b.fidelity).chain(&b.fidelity_full) {
                 eprintln!(
                     "{} {} {}/{} at {}^3: exact oracle {:.2}s, simulator {:.2}s — {:.1}x speedup",

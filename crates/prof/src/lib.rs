@@ -13,11 +13,7 @@
 //!   (lint/verify, compile, simulate, score, cache-io) wall-time and
 //!   allocation totals with log-linear duration histograms, the attributed
 //!   fraction of sweep wall time, and the top-N hottest cells.
-//! * [`bench`] — the continuous benchmark-regression gate: a paired
-//!   comparison of two builds' `BENCH_sim.json` or `BENCH_exec.json`
-//!   rounds from one host, by median, failing on a regression beyond
-//!   tolerance that the rounds' spread can tell from noise.
-//! * [`report`] — rustc-style text renderers for all of the above plus
+//! * [`report`] — rustc-style text renderers for both plus
 //!   [`gpu_sim::SimIntrospection`], driven by `bricks prof`.
 //!
 //! Allocation attribution needs a per-thread allocation clock; [`init`]
@@ -25,16 +21,11 @@
 //! (the allocator itself is installed program-wide by linking
 //! `prof-alloc`).
 
-pub mod bench;
 pub mod report;
 pub mod sweep;
 pub mod tree;
 
-pub use bench::{
-    diff_bench, gate, load_side, lookup, rules_for, MetricDelta, MetricRule, SideStats,
-    BENCH_RULES, EXEC_RULES,
-};
-pub use report::{render_diff, render_introspection, render_sweep_profile, render_tree};
+pub use report::{render_introspection, render_sweep_profile, render_tree};
 pub use sweep::SweepProfile;
 pub use tree::{normalize_name, ProfileNode, ProfileTree};
 

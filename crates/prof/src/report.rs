@@ -1,10 +1,8 @@
-//! Rustc-style text renderers for profiles, introspections, and bench
-//! diffs — the human half of `bricks prof` (`--json` emits the structures
-//! themselves).
+//! Rustc-style text renderers for profiles and introspections — the
+//! human half of `bricks prof` (`--json` emits the structures themselves).
 
 use gpu_sim::SimIntrospection;
 
-use crate::bench::{MetricDelta, SideStats};
 use crate::sweep::SweepProfile;
 use crate::tree::{ProfileNode, ProfileTree};
 
@@ -196,46 +194,9 @@ pub fn render_introspection(intro: &SimIntrospection) -> String {
     out
 }
 
-/// Render a bench comparison as one line per rule: each side's median
-/// over its rounds and its spread, the change of the median, the
-/// tolerance and the verdict.
-pub fn render_diff(deltas: &[MetricDelta]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<26} {:>16} {:>7} {:>16} {:>7} {:>8} {:>4}  verdict\n",
-        "metric", "base median", "spread", "new median", "spread", "change", "tol"
-    ));
-    let side = |s: Option<SideStats>| match s {
-        Some(s) => (
-            format!("{:.3} x{}", s.median, s.rounds),
-            format!("{:.1}%", s.spread() * 100.0),
-        ),
-        None => ("-".into(), "-".into()),
-    };
-    for d in deltas {
-        let ((base, base_spread), (new, new_spread)) = (side(d.base), side(d.new));
-        let change = d
-            .ratio
-            .map_or("-".into(), |q| format!("{:+.1}%", (q - 1.0) * 100.0));
-        out.push_str(&format!(
-            "{:<26} {:>16} {:>7} {:>16} {:>7} {:>8} {:>3.0}%  {}\n",
-            d.path,
-            base,
-            base_spread,
-            new,
-            new_spread,
-            change,
-            d.tolerance * 100.0,
-            d.verdict
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bench::diff_bench;
 
     #[test]
     fn formatting_helpers() {
@@ -243,28 +204,6 @@ mod tests {
         assert_eq!(fmt_bytes(1536), "1.5 KiB");
         assert_eq!(fmt_ns(500), "500 ns");
         assert_eq!(fmt_ns(1_530_000), "1.53 ms");
-    }
-
-    #[test]
-    fn diff_render_flags_regressions() {
-        let base = serde_json::parse(
-            r#"{"sweep": {"cold_cells_per_s": 10.0, "warm_cells_per_s": 100.0},
-                "fidelity": {"speedup": 8.0}}"#,
-        )
-        .unwrap();
-        let slow = serde_json::parse(
-            r#"{"sweep": {"cold_cells_per_s": 7.0, "warm_cells_per_s": 100.0},
-                "fidelity": {"speedup": 8.0}}"#,
-        )
-        .unwrap();
-        let deltas = diff_bench(&[base.clone(), base], &[slow]).unwrap();
-        let text = render_diff(&deltas);
-        assert!(text.contains("regressed"), "{text}");
-        assert!(text.contains("absent"), "{text}"); // fidelity_full
-        assert!(text.contains("-30.0%"), "{text}");
-        assert!(text.contains("10.000 x2"), "{text}");
-        assert!(text.contains("7.000 x1"), "{text}");
-        assert!(text.contains("0.0%"), "{text}"); // the spreads
     }
 
     #[test]

@@ -41,7 +41,6 @@ usage:
                                                         sweep self-profile report
   bricks prof sim <star|cube> <radius> <gpu> <model> [--n N] [--json]
                                                         simulator introspection
-  bricks prof gate <BASE> <NEW>                         paired perf gate
 
   gpu   = a100 | mi250x | pvc
   model = cuda | hip | sycl
@@ -70,12 +69,7 @@ filters) for diagnostic logging in any subcommand.
 sweep self-profile from a span capture or a saved PROF_sweep.json;
 'sim' runs one memory simulation with full attribution (per-block-class
 and per-SM-group traffic, wave timeline — rows sum bit-for-bit to the
-totals); 'gate' compares two builds' bench rounds from one host: BASE
-and NEW are each a BENCH_sim.json or BENCH_exec.json, or a directory of
-*/BENCH_*.json rounds (ci/paired-gate.sh KIND BASE_REV writes them).
-Medians are compared at 10%; a row is 'unresolved', neither passed nor
-failed, when a spread exceeds that and the rounds overlap. Exits 1 on a
-regression, on sides of different kinds, or on a metric NEW lacks.
+totals).
 
 `bricks exec` reports the CPU execution backends of this host: detected
 SIMD features, the backend 'auto' dispatches to, and every backend the
@@ -678,30 +672,6 @@ fn exec_cmd() -> Result<(), String> {
     Ok(())
 }
 
-/// The paired perf gate: compare NEW's bench rounds with BASE's, print
-/// the table, and fail on any regressed metric.
-fn prof_gate_cmd(base: &str, new: &str) -> Result<(), String> {
-    use bricks_repro::prof::{diff_bench, gate, load_side, render_diff};
-    use std::path::Path;
-
-    let deltas = diff_bench(&load_side(Path::new(base))?, &load_side(Path::new(new))?)?;
-    out!("{}", render_diff(&deltas));
-    let unresolved: Vec<&str> = deltas
-        .iter()
-        .filter(|d| d.verdict == "unresolved")
-        .map(|d| d.path.as_str())
-        .collect();
-    if !unresolved.is_empty() {
-        outln!(
-            "unresolved (spread beyond tolerance, rounds overlap; neither passed nor failed): {}",
-            unresolved.join(", ")
-        );
-    }
-    gate(&deltas)?;
-    outln!("gate: ok");
-    Ok(())
-}
-
 fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let strs: Vec<&str> = args.iter().map(String::as_str).collect();
@@ -757,7 +727,6 @@ fn run() -> Result<(), String> {
             )
         }
         ["exec"] => exec_cmd(),
-        ["prof", "gate", base, new] => prof_gate_cmd(base, new),
         [] | ["--help"] | ["-h"] | ["help"] => {
             outln!("{HELP}");
             Ok(())
