@@ -49,13 +49,16 @@ build base "$worktree"
 echo "paired-gate: building head"
 build head "$repo"
 
+# Each side runs from its own tree, so the commit its manifests record
+# (read from the nearest .git) is that side's; --out is absolute.
+declare -A tree=([base]=$worktree [head]=$repo)
 head_failed=
 run() {
     local side=$1 round=$2 out=$work/$1/$2
     mkdir -p "$out"
     echo "paired-gate: round $round $side"
-    if ! "$work/$side-target/release/perfbench" run --trace 0 --seed "$round" --out "$out" \
-        > "$out/stdout.txt"; then
+    if ! (cd "${tree[$side]}" && "$work/$side-target/release/perfbench" run --trace 0 \
+        --seed "$round" --out "$out" > "$out/stdout.txt"); then
         echo "paired-gate: the $side run of round $round failed" >&2
         if [ "$side" = head ]; then
             head_failed=1

@@ -189,13 +189,6 @@ impl ArrayGrid {
     pub fn tiles_of(&self, dims: BrickDims) -> TileIter {
         TileIter::new(self.dense.extents(), dims)
     }
-
-    /// Number of distinct `x`-rows (address streams) a tile of `dims`
-    /// touches, including the stencil reach: the locality metric the paper
-    /// contrasts with a brick's single stream.
-    pub fn tile_address_streams(dims: BrickDims, reach: [i32; 3]) -> usize {
-        (dims.by + 2 * reach[1] as usize) * (dims.bz + 2 * reach[2] as usize)
-    }
 }
 
 /// Elements per parallel copy chunk (512 KiB).
@@ -275,14 +268,6 @@ mod tests {
         assert_eq!(g.element_addr(1, 0, 0), a0 + 8);
         // y-step crosses a full padded row: (8 + 2*2) * 8 bytes
         assert_eq!(g.element_addr(0, 1, 0), a0 + 12 * 8);
-    }
-
-    #[test]
-    fn address_streams_grow_with_reach() {
-        let dims = BrickDims::for_simd_width(32);
-        assert_eq!(ArrayGrid::tile_address_streams(dims, [0, 0, 0]), 16);
-        assert_eq!(ArrayGrid::tile_address_streams(dims, [1, 1, 1]), 36);
-        assert_eq!(ArrayGrid::tile_address_streams(dims, [4, 4, 4]), 144);
     }
 
     #[test]

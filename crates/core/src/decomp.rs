@@ -141,11 +141,6 @@ impl BrickDecomp {
         self.ordering
     }
 
-    /// Interior extent in bricks per axis `[x, y, z]`.
-    pub fn interior_bricks(&self) -> [usize; 3] {
-        self.interior
-    }
-
     /// Ghost layers (bricks per side) per axis `[x, y, z]`.
     pub fn ghost_layers(&self) -> [usize; 3] {
         self.ghost
@@ -312,7 +307,6 @@ mod tests {
     #[test]
     fn counts_and_extents() {
         let d = decomp(8, 1, BrickOrdering::Lexicographic);
-        assert_eq!(d.interior_bricks(), [2, 2, 2]);
         assert_eq!(d.ghost_layers(), [1, 1, 1]);
         assert_eq!(d.shell_bricks(), [4, 4, 4]);
         assert_eq!(d.num_bricks(), 64);

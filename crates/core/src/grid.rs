@@ -163,14 +163,6 @@ impl BrickGrid {
         self.data.len()
     }
 
-    /// Storage overhead of the layout relative to the interior points:
-    /// `(slab + adjacency bytes) / interior bytes`.
-    pub fn storage_overhead(&self) -> f64 {
-        let interior = self.decomp().num_interior_bricks() * self.dims().volume() * 8;
-        let total = self.data.len() * 8 + self.info().metadata_bytes();
-        total as f64 / interior as f64
-    }
-
     /// Read at logical (dense-convention) coordinates.
     #[inline]
     pub fn get(&self, x: i64, y: i64, z: i64) -> f64 {
@@ -196,15 +188,6 @@ impl BrickGrid {
         self.data[b as usize * self.dims().volume() + off]
     }
 
-    /// Brick-relative write (only ever used with in-brick coordinates by
-    /// kernels, but supports neighbour writes for completeness).
-    #[inline]
-    pub fn set_rel(&mut self, brick: u32, lx: i64, ly: i64, lz: i64, v: f64) {
-        let (b, off) = self.resolve_rel(brick, lx, ly, lz);
-        let vol = self.dims().volume();
-        self.data[b as usize * vol + off] = v;
-    }
-
     /// A data-free navigator sharing this grid's metadata.
     pub fn nav(&self) -> &BrickNav {
         &self.nav
@@ -221,12 +204,6 @@ impl BrickGrid {
     pub fn brick(&self, brick: u32) -> &[f64] {
         let vol = self.dims().volume();
         &self.data[brick as usize * vol..(brick as usize + 1) * vol]
-    }
-
-    /// Mutable view of one brick's elements.
-    pub fn brick_mut(&mut self, brick: u32) -> &mut [f64] {
-        let vol = self.dims().volume();
-        &mut self.data[brick as usize * vol..(brick as usize + 1) * vol]
     }
 
     /// Raw slab.
@@ -315,17 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn set_rel_then_get() {
-        let dense = test_dense(8, 1);
-        let mut g = BrickGrid::from_dense(&dense, BrickDims::new(4, 4, 4));
-        let (brick, _) = g.decomp().locate(4, 4, 4);
-        g.set_rel(brick, 0, 0, 0, 42.0);
-        assert_eq!(g.get(4, 4, 4), 42.0);
-        g.set_rel(brick, -1, 0, 0, 7.0);
-        assert_eq!(g.get(3, 4, 4), 7.0);
-    }
-
-    #[test]
     fn shared_metadata_between_grids() {
         let dense = test_dense(8, 1);
         let a = BrickGrid::from_dense(&dense, BrickDims::new(4, 4, 4));
@@ -342,17 +308,6 @@ mod tests {
         assert_eq!(g.element_addr(0, 0), 0);
         assert_eq!(g.element_addr(0, 5), 40);
         assert_eq!(g.element_addr(3, 0), 3 * vol * 8);
-    }
-
-    #[test]
-    fn storage_overhead_reflects_ghost_shell() {
-        let dense = test_dense(8, 1);
-        let g = BrickGrid::from_dense(&dense, BrickDims::new(4, 4, 4));
-        // 4^3 shell bricks vs 2^3 interior = 8x data overhead plus metadata
-        assert!(g.storage_overhead() > 8.0);
-        let big = test_dense(16, 1);
-        let g2 = BrickGrid::from_dense(&big, BrickDims::new(4, 4, 4));
-        assert!(g2.storage_overhead() < g.storage_overhead());
     }
 
     #[test]

@@ -69,11 +69,6 @@ impl StencilAnalysis {
         }
     }
 
-    /// Total normalised FLOPs for a sweep over `n` output points.
-    pub fn total_flops(&self, n: u64) -> u64 {
-        self.flops_per_point * n
-    }
-
     /// Compulsory bytes for a sweep over `n` output points.
     pub fn compulsory_bytes(&self, n: u64) -> u64 {
         (BYTES_PER_POINT as u64) * n
@@ -151,7 +146,6 @@ mod tests {
     #[test]
     fn totals_scale_linearly() {
         let a = StencilAnalysis::of_shape(&StencilShape::star(2));
-        assert_eq!(a.total_flops(512 * 512 * 512), 15 * 512u64.pow(3));
         // paper: 512³ × 16 B = 2.147 GB ("2.15 GBytes")
         let gb = a.compulsory_bytes(512u64.pow(3)) as f64 / 1e9;
         assert!((gb - 2.147).abs() < 0.01);

@@ -69,11 +69,6 @@ impl DenseGrid {
         self.halo
     }
 
-    /// Number of interior points.
-    pub fn interior_len(&self) -> usize {
-        self.nx * self.ny * self.nz
-    }
-
     /// Total allocated points including halo.
     pub fn storage_len(&self) -> usize {
         self.data.len()
@@ -205,7 +200,6 @@ mod tests {
     fn new_grid_is_zeroed() {
         let g = DenseGrid::cubic(4, 2);
         assert_eq!(g.storage_len(), 8 * 8 * 8);
-        assert_eq!(g.interior_len(), 64);
         assert_eq!(g.get(0, 0, 0), 0.0);
         assert_eq!(g.get(-2, -2, -2), 0.0);
         assert_eq!(g.get(5, 5, 5), 0.0);

@@ -351,12 +351,6 @@ impl Stencil {
         }
     }
 
-    /// Override the display name (e.g. `"13pt-star"`).
-    pub fn with_name(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
-        self
-    }
-
     /// Display name of the stencil.
     pub fn name(&self) -> &str {
         &self.name

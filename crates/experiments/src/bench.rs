@@ -20,8 +20,6 @@ pub enum BenchKind {
     Exec,
     /// Temporal-blocking AI and DRAM scaling ([`crate::temporal`]).
     Temporal,
-    /// Tuner cold vs warm cache ([`crate::tune`]).
-    Tune,
     /// Instrumentation, verification and proof costs
     /// ([`crate::bench_overhead`]).
     Overhead,
@@ -29,11 +27,10 @@ pub enum BenchKind {
 
 impl BenchKind {
     /// Every kind, in the order the help text lists them.
-    pub const ALL: [BenchKind; 5] = [
+    pub const ALL: [BenchKind; 4] = [
         BenchKind::Sim,
         BenchKind::Exec,
         BenchKind::Temporal,
-        BenchKind::Tune,
         BenchKind::Overhead,
     ];
 
@@ -56,7 +53,6 @@ impl BenchKind {
             BenchKind::Sim => "sim",
             BenchKind::Exec => "exec",
             BenchKind::Temporal => "temporal",
-            BenchKind::Tune => "tune",
             BenchKind::Overhead => "overhead",
         }
     }
@@ -74,7 +70,6 @@ impl BenchKind {
             BenchKind::Sim => Some(crate::bench_sim::BENCH_FIDELITY_N),
             BenchKind::Exec => Some(crate::bench_exec::BENCH_EXEC_N),
             BenchKind::Temporal => Some(crate::ExperimentParams::default().n),
-            BenchKind::Tune => Some(crate::tune::TUNE_N),
             BenchKind::Overhead => None,
         }
     }
@@ -115,14 +110,15 @@ mod tests {
         }
         assert_eq!(BenchKind::Sim.file_name(), "BENCH_sim.json");
         let err = BenchKind::parse("nope").unwrap_err();
-        assert!(err.contains("sim|exec|temporal|tune|overhead"), "{err}");
+        assert!(err.contains("sim|exec|temporal|overhead"), "{err}");
+        assert!(BenchKind::parse("tune").is_err());
         assert!(BenchKind::parse("bench-sim").is_err());
     }
 
     #[test]
     fn default_sizes_are_the_documented_ones() {
         let sizes = BenchKind::ALL.map(BenchKind::default_n);
-        assert_eq!(sizes, [Some(128), Some(512), Some(256), Some(64), None]);
+        assert_eq!(sizes, [Some(128), Some(512), Some(256), None]);
         for n in sizes.into_iter().flatten() {
             assert!(crate::ExperimentParams { n }.validate().is_ok());
         }

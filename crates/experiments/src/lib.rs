@@ -41,10 +41,11 @@ pub mod temporal;
 pub mod tune;
 
 pub use brick_sweep::Jobs;
+pub use brick_tuner::RunError;
 pub use config::{ExperimentParams, KernelConfig};
-pub use runner::{sweep_with, CellFilter, Record, Sweep, SweepError, SweepOptions};
+pub use runner::{sweep_with, CellFilter, Record, Sweep, SweepOptions};
 pub use temporal::{temporal_sweep_with, TemporalRecord, TemporalSweep};
-pub use tune::{run_bench_tune, run_tune, tune_options, tuned_vs_paper, SpaceChoice, TuneBench};
+pub use tune::{run_tune, tune_options, tuned_vs_paper, SpaceChoice};
 
 #[cfg(test)]
 pub(crate) mod testutil {

@@ -29,7 +29,6 @@ struct Args {
     no_cache: bool,
     bench: Vec<BenchKind>,
     temporal: bool,
-    temporal_degree: Option<u32>,
     tune: bool,
     tune_space: tune::SpaceChoice,
     bless: bool,
@@ -70,7 +69,6 @@ fn parse_args() -> Result<Args, String> {
         no_cache: false,
         bench: Vec::new(),
         temporal: false,
-        temporal_degree: None,
         tune: false,
         tune_space: tune::SpaceChoice::Full,
         bless: false,
@@ -158,20 +156,6 @@ fn parse_args() -> Result<Args, String> {
                     tune::SpaceChoice::parse(&v).map_err(|e| format!("--tune-space: {e}"))?;
             }
             "--temporal" => args.temporal = true,
-            "--temporal-degree" => {
-                let t: u32 = it
-                    .next()
-                    .ok_or("--temporal-degree needs a value (1..=4)")?
-                    .parse()
-                    .map_err(|e| format!("--temporal-degree: {e}"))?;
-                if !(1..=4).contains(&t) {
-                    return Err(format!(
-                        "--temporal-degree {t}: the 4x4 transverse block caps T at 4"
-                    ));
-                }
-                args.temporal = true;
-                args.temporal_degree = Some(t);
-            }
             "--out" => args.out = PathBuf::from(it.next().ok_or("--out needs a value")?),
             "--help" | "-h" => {
                 return Err(HELP.to_string());
@@ -192,10 +176,10 @@ fn parse_args() -> Result<Args, String> {
 }
 
 const HELP: &str = "usage: experiments [--all] [--table1..5] [--compare] [--fig3..7] [--listings]
-                   [--temporal] [--temporal-degree T] [--n N] [--full]
+                   [--temporal] [--n N] [--full]
                    [--tune] [--tune-space full|smoke|minimal]
                    [--out DIR] [--jobs N] [--no-cache]
-                   [--bench sim|exec|temporal|tune|overhead]...
+                   [--bench sim|exec|temporal|overhead]...
                    [--bless] [--trace] [--prof]
 
 Regenerates the tables and figures of 'Performance Portability Evaluation
@@ -231,10 +215,6 @@ whose size is fixed).
             every platform and star-7's DRAM bytes per applied timestep at
             its deepest degree is at most 0.45x the spatial baseline
             (A100/CUDA).
-  tune      the tuner over --tune-space at N^3 (default 64), cold then warm
-            against a scratch cache; fails unless the warm rerun costs under
-            10% of the cold one, serves every cell from cache and ranks
-            identically.
   overhead  single-threaded costs at a fixed 64^3: closed span and
             counter gates < 5% of simulate(), full attribution (--prof)
             < 15% of a sweep, verifying the 36 paper kernels < 6% of a
@@ -246,9 +226,7 @@ bricks codegen, across the full platform matrix. Fused kernels stream T
 timesteps through registers in one launch; each is statically verified
 against the T-fold composed stencil before simulation. Prints the
 A100/CUDA AI-vs-T panel and writes DIR/temporal.csv, DIR/temporal.json
-and DIR/manifest_temporal.json. --temporal-degree T restricts the
-emitted records to degree T plus the T=1 baseline (the sweep itself is
-cached per-degree, so narrowing is free on a warm cache).
+and DIR/manifest_temporal.json.
 
 --tune searches the kernel-specialization space (vector width, fold
 factor, transverse block, ordering, gather/scatter, interleave chunk,
@@ -360,23 +338,6 @@ fn run_bench(kind: BenchKind, args: &Args) -> Result<(), String> {
                 b.star7_max_degree,
                 b.star7_dram_ratio,
                 temporal::STAR7_DRAM_RATIO_MAX
-            );
-        }
-        BenchKind::Tune => {
-            eprintln!(
-                "benchmarking autotuner: {} space, cold + warm at {n}^3...",
-                args.tune_space
-            );
-            let b = tune::run_bench_tune(n, args.jobs, out, args.tune_space)?;
-            eprintln!(
-                "{} cells ({} pruned, {} skipped): cold {:.1}s, warm {:.1}s ({:.1}% of cold, gate < {:.0}%)",
-                b.cells,
-                b.pruned,
-                b.skipped,
-                b.cold_wall_s,
-                b.warm_wall_s,
-                b.warm_frac * 100.0,
-                tune::WARM_FRAC_MAX * 100.0
             );
         }
         BenchKind::Overhead => {
@@ -499,26 +460,12 @@ fn main() -> ExitCode {
             }
         };
         eprintln!("temporal sweep done in {:.1}s", t0.elapsed().as_secs_f64());
-        let shown = match args.temporal_degree {
-            // keep the T=1 baseline rows so the requested degree has a
-            // reference to be read against
-            Some(t) => experiments::TemporalSweep {
-                records: tsweep
-                    .records
-                    .iter()
-                    .filter(|r| r.temporal_degree == t || r.temporal_degree == 1)
-                    .cloned()
-                    .collect(),
-                ..tsweep.clone()
-            },
-            None => tsweep.clone(),
-        };
         outln!("== Temporal blocking: AI and DRAM bytes/point vs T (A100/CUDA) ==");
-        outln!("{}", render_temporal(&shown));
-        if let Err(e) = write_temporal_csv(&shown, &args.out.join("temporal.csv")) {
+        outln!("{}", render_temporal(&tsweep));
+        if let Err(e) = write_temporal_csv(&tsweep, &args.out.join("temporal.csv")) {
             eprintln!("warning: could not write temporal.csv: {e}");
         }
-        let _ = write_json(&shown, &args.out.join("temporal.json"));
+        let _ = write_json(&tsweep, &args.out.join("temporal.json"));
         let _ = write_json(&tsweep.manifest, &args.out.join("manifest_temporal.json"));
     }
 

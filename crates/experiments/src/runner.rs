@@ -1,8 +1,8 @@
 //! The sweep runner: every (stencil × kernel config × GPU × programming
-//! model) point of the study, flattened into independent cells, fanned
-//! out across worker threads ([`brick_sweep::map_cells`]) and evaluated
-//! by the cell evaluator the temporal sweep and the tuner share
-//! ([`brick_tuner::cell`]), which caches every cell on disk.
+//! model) point of the study, flattened into independent cells and run
+//! through the fan-out and cell evaluator the temporal sweep and the tuner
+//! share ([`brick_tuner::cell::CellRun`]), which caches every cell on
+//! disk.
 //!
 //! Determinism contract: for a fixed configuration, [`sweep_with`]
 //! produces byte-identical serialized records at **any** jobs count and
@@ -12,15 +12,15 @@
 //! counters) only deduplicate work — never change values. The golden and
 //! determinism suites under `crates/experiments/tests/` enforce this.
 
-use std::fmt;
 use std::path::PathBuf;
 
 use serde::{Deserialize, Serialize};
 
 use brick_dsl::shape::StencilShape;
 use brick_dsl::StencilAnalysis;
-use brick_sweep::{map_cells, Jobs};
-use brick_tuner::cell::{paper_spec, Cell, Evaluator, Measurement};
+use brick_sweep::Jobs;
+use brick_tuner::cell::{paper_spec, Cell, CellRun};
+use brick_tuner::RunError;
 use gpu_sim::{GpuArch, GpuKind, ProgModel};
 use roofline::Roofline;
 
@@ -119,38 +119,6 @@ impl Sweep {
             .map(|(_, r)| r)
     }
 }
-
-/// A structured sweep failure (the runner no longer panics on matrix
-/// holes — an unsupported pair or a missing ceiling comes back as data).
-#[derive(Debug, Clone, PartialEq)]
-pub enum SweepError {
-    /// The experiment parameters failed validation.
-    InvalidParams(String),
-    /// A supported `(gpu, model)` cell had no measured Roofline to score
-    /// against.
-    MissingRoofline {
-        /// GPU of the offending cell.
-        gpu: GpuKind,
-        /// Programming model of the offending cell.
-        model: ProgModel,
-    },
-    /// The on-disk result cache could not be opened.
-    Cache(String),
-}
-
-impl fmt::Display for SweepError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SweepError::InvalidParams(msg) => write!(f, "invalid experiment parameters: {msg}"),
-            SweepError::MissingRoofline { gpu, model } => {
-                write!(f, "no empirical Roofline for supported pair {gpu}/{model}")
-            }
-            SweepError::Cache(msg) => write!(f, "result cache unavailable: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for SweepError {}
 
 /// A sub-matrix selection: `None` per axis means "everything". Used by
 /// the determinism suite (random sub-matrices must stay deterministic)
@@ -256,75 +224,22 @@ fn paper_cells(filter: &CellFilter) -> Vec<Cell> {
     cells
 }
 
-/// Records of a sweep over the paper matrix, with the Rooflines they were
-/// scored against and the run's manifest.
-pub(crate) struct CellRun<R> {
-    pub records: Vec<R>,
-    pub rooflines: Vec<((GpuKind, ProgModel), Roofline)>,
-    pub manifest: brick_obs::RunManifest,
-}
-
-/// Evaluate `cells` (whose targets index [`ProgModel::paper_matrix`]) in
-/// parallel through one [`Evaluator`] and project each measurement into a
-/// record, in cell order — the body of [`sweep_with`] and
-/// [`crate::temporal_sweep_with`]. `span` names the run's span, `label`
-/// the cell fan-out.
-pub(crate) fn run_cells<R: Send>(
-    opts: &SweepOptions,
-    span: &str,
-    label: &str,
-    cells: &[Cell],
-    project: impl Fn(&Cell, GpuKind, ProgModel, &Roofline, Measurement) -> R + Sync,
-) -> Result<CellRun<R>, SweepError> {
-    opts.params.validate().map_err(SweepError::InvalidParams)?;
-    let start = std::time::Instant::now();
-    let manifest = brick_obs::RunManifest::begin(
-        &serde_json::to_string(&opts.params).expect("params serialize"),
-    );
-    let n = opts.params.n;
-    let _span = brick_obs::span_cat(format!("{span}:{n}^3"), "sweep");
+/// Open a run over the paper's `(gpu, model)` matrix — the targets
+/// [`paper_cells`] and the temporal sweep's cells index — after
+/// validating the parameters.
+pub(crate) fn open_paper_run(opts: &SweepOptions, span: &str) -> Result<CellRun, RunError> {
+    opts.params.validate().map_err(RunError::BadDomain)?;
     let targets = ProgModel::paper_matrix()
         .into_iter()
         .map(|(gpu, model)| (GpuArch::by_kind(gpu).clone(), model));
-    let ev = Evaluator::open(n, opts.cache_dir.as_deref(), targets)
-        .map_err(|e| SweepError::Cache(e.to_string()))?;
-    let rooflines: Vec<_> = ev
-        .targets()
-        .iter()
-        .filter_map(|t| Some(((t.arch.kind, t.model), t.roofline?)))
-        .collect();
-    brick_obs::info!(
-        "{span}: {} cells at n={n} across {} rooflines",
-        cells.len(),
-        rooflines.len()
-    );
-
-    let outcomes = map_cells(label, cells, opts.jobs, |_, cell: &Cell| {
-        let t0 = std::time::Instant::now();
-        let t = &ev.targets()[cell.target];
-        let (gpu, model) = (t.arch.kind, t.model);
-        let rl = t
-            .roofline
-            .ok_or(SweepError::MissingRoofline { gpu, model })?;
-        let record = project(cell, gpu, model, &rl, ev.measure(cell));
-        Ok((record, t0.elapsed().as_secs_f64()))
-    });
-    // Deterministic reduction: cell order in, record order out.
-    let mut records = Vec::with_capacity(cells.len());
-    let mut record_wall_s = Vec::with_capacity(cells.len());
-    for outcome in outcomes {
-        let (record, wall) = outcome?;
-        records.push(record);
-        record_wall_s.push(wall);
-    }
-    let manifest = manifest
-        .finish(start.elapsed().as_secs_f64(), record_wall_s)
-        .with_sweep_info(opts.jobs.count() as u64, ev.cache_counts());
-    Ok(CellRun {
-        records,
-        rooflines,
-        manifest,
-    })
+    CellRun::open(
+        span,
+        &opts.params,
+        opts.params.n,
+        opts.cache_dir.as_deref(),
+        opts.jobs,
+        targets,
+    )
 }
 
 /// Run the full study matrix — 6 stencils × 3 configurations × the
@@ -334,41 +249,44 @@ pub(crate) fn run_cells<R: Send>(
 /// Memory simulations are shared between programming models whose trace
 /// and resident-wave shape coincide (CUDA and its HIP wrapper always do),
 /// so the matrix costs 3 GPUs' worth of traces, not 6.
-pub fn sweep_with(opts: &SweepOptions) -> Result<Sweep, SweepError> {
-    let run = run_cells(
-        opts,
-        "sweep",
-        "sweep.cells",
-        &paper_cells(&opts.filter),
-        |cell, gpu, model, rl, m| {
-            let theoretical_ai = StencilAnalysis::of_shape(&cell.shape).theoretical_ai;
-            Record {
-                shape: cell.shape,
-                stencil: cell.shape.label(),
-                config: cell.config,
-                gpu,
-                model,
-                gflops: m.gflops,
-                ai: m.ai,
-                theoretical_ai,
-                frac_roofline: rl.fraction(m.gflops, m.ai),
-                frac_theoretical_ai: m.ai / theoretical_ai,
-                l1_bytes: m.l1_bytes,
-                l2_bytes: m.l2_bytes,
-                dram_bytes: m.dram_bytes,
-                time_s: m.time_s,
-                occupancy: m.occupancy,
-                regs_per_thread: m.regs_per_thread,
-                spilled: m.spilled,
-                limiter: m.limiter,
-            }
-        },
-    )?;
+pub fn sweep_with(opts: &SweepOptions) -> Result<Sweep, RunError> {
+    let mut run = open_paper_run(opts, "sweep")?;
+    let records = run.map("sweep.cells", &paper_cells(&opts.filter), |ev, cell| {
+        let t = &ev.targets()[cell.target];
+        let m = ev.measure(cell);
+        let theoretical_ai = StencilAnalysis::of_shape(&cell.shape).theoretical_ai;
+        Some(Record {
+            shape: cell.shape,
+            stencil: cell.shape.label(),
+            config: cell.config,
+            gpu: t.arch.kind,
+            model: t.model,
+            gflops: m.gflops,
+            ai: m.ai,
+            theoretical_ai,
+            frac_roofline: t.roofline.fraction(m.gflops, m.ai),
+            frac_theoretical_ai: m.ai / theoretical_ai,
+            l1_bytes: m.l1_bytes,
+            l2_bytes: m.l2_bytes,
+            dram_bytes: m.dram_bytes,
+            time_s: m.time_s,
+            occupancy: m.occupancy,
+            regs_per_thread: m.regs_per_thread,
+            spilled: m.spilled,
+            limiter: m.limiter,
+        })
+    });
+    let rooflines = run
+        .evaluator()
+        .targets()
+        .iter()
+        .map(|t| ((t.arch.kind, t.model), t.roofline))
+        .collect();
     Ok(Sweep {
         params: opts.params,
-        records: run.records,
-        rooflines: run.rooflines,
-        manifest: run.manifest,
+        records: records.into_iter().flatten().collect(),
+        rooflines,
+        manifest: run.finish(),
     })
 }
 

@@ -25,19 +25,19 @@
 //! (the price of fusion) appear only in the simulated execution time,
 //! exactly as they would on hardware.
 //!
-//! Determinism and caching are [`crate::runner`]'s: the same cell
-//! evaluator, the same cache. A cell's key carries its whole
+//! Determinism and caching are [`crate::runner`]'s: the same fan-out, the
+//! same cell evaluator, the same cache. A cell's key carries its whole
 //! specialization vector, so a `T=2` cell can never be served a cached
 //! `T=1` record, while the `T=1` gather cell shares its record with the
 //! tuner's paper baseline (the same cell).
 
 use serde::{Deserialize, Serialize};
 
-use crate::runner::{run_cells, SweepError, SweepOptions};
+use crate::runner::{open_paper_run, SweepOptions};
 use brick_codegen::SpecParams;
 use brick_dsl::shape::StencilShape;
 use brick_tuner::cell::Cell;
-use brick_tuner::KernelConfig;
+use brick_tuner::{KernelConfig, RunError};
 use gpu_sim::{GpuArch, GpuKind, ProgModel};
 
 /// Transverse block extent the fusion degree is feasibility-checked
@@ -159,21 +159,20 @@ fn temporal_cells(opts: &SweepOptions) -> Vec<Cell> {
 /// fusion degree × the paper's 6 (GPU, model) pairs, bricks codegen,
 /// restricted by the options' filter — with the same parallelism,
 /// caching and determinism contract as [`crate::runner::sweep_with`].
-pub fn temporal_sweep_with(opts: &SweepOptions) -> Result<TemporalSweep, SweepError> {
-    let run = run_cells(
-        opts,
-        "temporal-sweep",
-        "temporal.cells",
-        &temporal_cells(opts),
-        |cell, gpu, model, _, m| {
+pub fn temporal_sweep_with(opts: &SweepOptions) -> Result<TemporalSweep, RunError> {
+    let mut run = open_paper_run(opts, "temporal-sweep")?;
+    let records: Vec<TemporalRecord> = run
+        .map("temporal.cells", &temporal_cells(opts), |ev, cell| {
+            let target = &ev.targets()[cell.target];
+            let m = ev.measure(cell);
             let t = cell.spec.temporal_degree;
             let applied_points = m.points as f64 * t as f64;
-            TemporalRecord {
+            Some(TemporalRecord {
                 shape: cell.shape,
                 stencil: cell.shape.label(),
                 temporal_degree: t,
-                gpu,
-                model,
+                gpu: target.arch.kind,
+                model: target.model,
                 gflops: m.gflops,
                 ai: m.ai,
                 dram_bytes: m.dram_bytes,
@@ -189,16 +188,18 @@ pub fn temporal_sweep_with(opts: &SweepOptions) -> Result<TemporalSweep, SweepEr
                 regs_per_thread: m.regs_per_thread,
                 spilled: m.spilled,
                 limiter: m.limiter,
-            }
-        },
-    )?;
-    let mut degrees: Vec<u32> = run.records.iter().map(|r| r.temporal_degree).collect();
+            })
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+    let mut degrees: Vec<u32> = records.iter().map(|r| r.temporal_degree).collect();
     degrees.sort_unstable();
     degrees.dedup();
     Ok(TemporalSweep {
         params: opts.params,
-        records: run.records,
-        manifest: run.manifest.with_temporal_degrees(&degrees),
+        records,
+        manifest: run.finish().with_temporal_degrees(&degrees),
     })
 }
 

@@ -13,13 +13,12 @@
 //! paper baseline is the temporal sweep's `T = 1` cell and shares its
 //! cached record.
 //!
-//! `--bench tune` additionally measures the incremental machinery itself:
-//! a cold sweep into a fresh cache followed by a warm rerun, gated at
-//! [`WARM_FRAC_MAX`] (`BENCH_tune.json`).
+//! The tuner's benchmark is the repository benchmark's `tune-64` workload
+//! (`perfbench`): a cold run into an emptied cache, then warm reruns that
+//! must rank identically and serve every cell from the cache.
 
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
-use std::time::Instant;
+use std::path::PathBuf;
 
 use serde::{Deserialize, Serialize};
 
@@ -30,10 +29,6 @@ use gpu_sim::{GpuKind, ProgModel};
 /// artifact are pinned here (the golden size of the rest of the suite);
 /// `--n` overrides for scaling studies.
 pub const TUNE_N: usize = crate::golden::GOLDEN_N;
-
-/// Warm-over-cold wall-time ceiling for the bench gate: a warm rerun of
-/// an unchanged sweep must cost less than this fraction of the cold run.
-pub const WARM_FRAC_MAX: f64 = 0.10;
 
 /// Named sub-spaces selectable from the CLI.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -183,108 +178,6 @@ pub fn render_tuned_vs_paper(rows: &[TuneCompareRow]) -> String {
         );
     }
     out
-}
-
-/// `BENCH_tune.json`: the tuner benchmark and its gates.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TuneBench {
-    /// Domain extent.
-    pub n: usize,
-    /// Space the benchmark searched.
-    pub space: String,
-    /// [`TuningSpace::fingerprint`] of that space.
-    pub space_fingerprint: u64,
-    /// Valid cells measured in the cold run (across all groups).
-    pub cells: u64,
-    /// Cells dropped by the Roofline upper bound.
-    pub pruned: u64,
-    /// Cells rejected by validity predicates.
-    pub skipped: u64,
-    /// Cold sweep wall time (fresh cache), seconds.
-    pub cold_wall_s: f64,
-    /// Warm rerun wall time (unchanged inputs), seconds.
-    pub warm_wall_s: f64,
-    /// `warm / cold` — gated at [`WARM_FRAC_MAX`].
-    pub warm_frac: f64,
-    /// Warm-run cache hits (must equal the cold run's cell count).
-    pub warm_hits: u64,
-    /// The tuned-vs-paper table from the warm run.
-    pub compare: Vec<TuneCompareRow>,
-    /// Provenance of the warm run.
-    pub manifest: brick_obs::RunManifest,
-}
-
-/// Run the tuner benchmark at `n³` over `choice` and write
-/// `BENCH_tune.json` under `out`.
-///
-/// Gates (an `Err` means a gate failed — callers should exit non-zero):
-/// the warm rerun must cost under [`WARM_FRAC_MAX`] of the cold run, the
-/// warm run must serve every cell from cache (zero misses), and the two
-/// ranked tables must be byte-identical.
-pub fn run_bench_tune(
-    n: usize,
-    jobs: Option<usize>,
-    out: &Path,
-    choice: SpaceChoice,
-) -> Result<TuneBench, String> {
-    let space = choice.space();
-    // a dedicated scratch cache: the cold half of the benchmark must
-    // never be served by a previous run's entries
-    let cache_dir = out.join("tunecache-bench");
-    let _ = std::fs::remove_dir_all(&cache_dir);
-    let opts = tune_options(n, jobs, Some(cache_dir.clone()), space.clone());
-
-    let t0 = Instant::now();
-    let cold = run_tune(&opts)?;
-    let cold_wall_s = t0.elapsed().as_secs_f64();
-
-    let t1 = Instant::now();
-    let warm = run_tune(&opts)?;
-    let warm_wall_s = t1.elapsed().as_secs_f64();
-    let _ = std::fs::remove_dir_all(&cache_dir);
-
-    let mut gate_failures = Vec::new();
-    let warm_frac = warm_wall_s / cold_wall_s.max(1e-12);
-    if warm_frac >= WARM_FRAC_MAX {
-        gate_failures.push(format!(
-            "warm rerun at {:.1}% of cold ({warm_wall_s:.2}s / {cold_wall_s:.2}s), gate < {:.0}%",
-            warm_frac * 100.0,
-            WARM_FRAC_MAX * 100.0
-        ));
-    }
-    if warm.manifest.cache_misses > 0 {
-        gate_failures.push(format!(
-            "warm run recomputed {} cells (expected all {} from cache)",
-            warm.manifest.cache_misses, warm.manifest.tune_valid_cells
-        ));
-    }
-    let cold_groups = serde_json::to_string(&cold.groups).map_err(|e| e.to_string())?;
-    let warm_groups = serde_json::to_string(&warm.groups).map_err(|e| e.to_string())?;
-    if cold_groups != warm_groups {
-        gate_failures.push("warm ranked tables differ from cold".to_string());
-    }
-
-    let bench = TuneBench {
-        n,
-        space: choice.to_string(),
-        space_fingerprint: space.fingerprint(),
-        cells: cold.manifest.tune_valid_cells,
-        pruned: cold.manifest.tune_pruned_cells,
-        skipped: cold.manifest.tune_skipped_cells,
-        cold_wall_s,
-        warm_wall_s,
-        warm_frac,
-        warm_hits: warm.manifest.cache_hits,
-        compare: tuned_vs_paper(&warm),
-        manifest: warm.manifest.clone(),
-    };
-    crate::bench::write_bench(out, crate::bench::BenchKind::Tune, &bench)?;
-
-    if gate_failures.is_empty() {
-        Ok(bench)
-    } else {
-        Err(gate_failures.join("\n"))
-    }
 }
 
 #[cfg(test)]

@@ -21,12 +21,14 @@ fn bad_bench_arguments_exit_1_without_panicking() {
     let exec_switch = ["--exec", "-mode"].concat();
     // the removed simulation-path switch: sweeps always simulate fast
     let fidelity_switch = ["--fid", "elity"].concat();
-    let kinds = "sim|exec|temporal|tune|overhead";
+    let kinds = "sim|exec|temporal|overhead";
     // overhead's bounds hold at a fixed 64^3; a larger sweep would
     // inflate the denominators and let the gates pass trivially
     let fixed = "fixed 64^3";
     for (args, expect) in [
         (&["--bench", "nope"][..], kinds),
+        // the tuner's benchmark is perfbench tune-64
+        (&["--bench", "tune"], "unknown bench kind"),
         (&[removed.as_str()], kinds),
         (&["--bench"], kinds),
         (

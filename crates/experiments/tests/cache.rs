@@ -204,10 +204,14 @@ fn tuner_baseline_shares_the_temporal_t1_record() {
     );
     assert_eq!(base.dram_bytes, t1.dram_bytes);
 
-    // warm tune rerun: byte-identical ranked tables, and the temporal
-    // sweep still reproduces bit-for-bit over the shared directory
+    // warm tune rerun: byte-identical ranked tables served wholly from
+    // the cache, and the temporal sweep still reproduces bit-for-bit over
+    // the shared directory
     let cold = serde_json::to_string(&report.groups).unwrap();
-    assert_eq!(cold, tune_groups_json(&tune_opts(&dir)));
+    let warm = brick_tuner::tune_matrix(&tune_opts(&dir)).unwrap();
+    assert_eq!(cold, serde_json::to_string(&warm.groups).unwrap());
+    assert_eq!(warm.manifest.cache_misses, 0, "{:?}", warm.manifest);
+    assert_eq!(warm.manifest.cache_hits, report.manifest.cache_hits + 1);
     assert_eq!(
         serde_json::to_string(&temporal.records).unwrap(),
         serde_json::to_string(&experiments::temporal_sweep_with(&topts).unwrap().records).unwrap()

@@ -66,14 +66,6 @@ impl ReuseProfile {
         }
         misses as f64 / self.total as f64
     }
-
-    /// Miss-ratio curve sampled at the given cache sizes.
-    pub fn mrc(&self, cache_sizes: &[usize]) -> Vec<(usize, f64)> {
-        cache_sizes
-            .iter()
-            .map(|&c| (c, self.miss_ratio(c)))
-            .collect()
-    }
 }
 
 /// Fenwick (binary-indexed) tree over access timestamps.
@@ -258,10 +250,9 @@ mod tests {
         let stream: Vec<u64> = (0..2000u64).map(|i| (i * 37) % 256).collect();
         feed(&mut a, &stream);
         let p = a.profile();
-        let sizes: Vec<usize> = (0..12).map(|k| 64 << k).collect();
-        let mrc = p.mrc(&sizes);
+        let mrc: Vec<f64> = (0..12).map(|k| p.miss_ratio(64 << k)).collect();
         for w in mrc.windows(2) {
-            assert!(w[1].1 <= w[0].1 + 1e-12, "{mrc:?}");
+            assert!(w[1] <= w[0] + 1e-12, "{mrc:?}");
         }
         // infinite cache leaves only cold misses
         let inf = p.miss_ratio(usize::MAX / 2);

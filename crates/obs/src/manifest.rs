@@ -5,6 +5,8 @@
 //! traced back to a commit and configuration, and its per-record wall
 //! times inspected with `bricks obs`.
 
+use std::path::Path;
+
 use serde::{Deserialize, Serialize};
 
 use crate::metrics::metrics_recorded;
@@ -141,11 +143,23 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// Resolve the commit SHA by walking up from the current directory to a
 /// `.git` and following `HEAD` — no git binary or library needed.
 pub fn git_sha() -> Option<String> {
-    let mut dir = std::env::current_dir().ok()?;
+    git_sha_from(&std::env::current_dir().ok()?)
+}
+
+/// [`git_sha`] of the checkout holding `dir`. The nearest `.git` decides:
+/// a directory is the repository, a file (a linked worktree's) names its
+/// git directory on a `gitdir:` line.
+fn git_sha_from(dir: &Path) -> Option<String> {
+    let mut dir = dir.to_path_buf();
     loop {
-        let git = dir.join(".git");
-        if git.is_dir() {
-            return sha_from_git_dir(&git);
+        let dot_git = dir.join(".git");
+        if dot_git.is_dir() {
+            return sha_from_git_dir(&dot_git);
+        }
+        if dot_git.is_file() {
+            let text = std::fs::read_to_string(&dot_git).ok()?;
+            let target = text.lines().find_map(|l| l.strip_prefix("gitdir:"))?;
+            return sha_from_git_dir(&dir.join(target.trim()));
         }
         if !dir.pop() {
             return None;
@@ -153,17 +167,24 @@ pub fn git_sha() -> Option<String> {
     }
 }
 
-fn sha_from_git_dir(git: &std::path::Path) -> Option<String> {
+/// Follow `HEAD` in `git`. A worktree's git directory holds its own
+/// `HEAD` but shares branches with the main repository, which its
+/// `commondir` file names.
+fn sha_from_git_dir(git: &Path) -> Option<String> {
     let head = std::fs::read_to_string(git.join("HEAD")).ok()?;
     let head = head.trim();
     let resolved = match head.strip_prefix("ref: ") {
         Some(refname) => {
-            let direct = std::fs::read_to_string(git.join(refname))
+            let common = match std::fs::read_to_string(git.join("commondir")) {
+                Ok(rel) => git.join(rel.trim()),
+                Err(_) => git.to_path_buf(),
+            };
+            let direct = std::fs::read_to_string(common.join(refname))
                 .map(|s| s.trim().to_string())
                 .ok();
             direct.or_else(|| {
                 // packed refs: "<sha> <refname>" lines
-                let packed = std::fs::read_to_string(git.join("packed-refs")).ok()?;
+                let packed = std::fs::read_to_string(common.join("packed-refs")).ok()?;
                 packed.lines().find_map(|l| {
                     let (sha, name) = l.split_once(' ')?;
                     (name.trim() == refname).then(|| sha.to_string())
@@ -211,6 +232,69 @@ mod tests {
         let back: RunManifest = serde_json::from_str(&json).unwrap();
         assert_eq!(m, back);
         assert!((back.mean_record_s() - 0.75).abs() < 1e-12);
+    }
+
+    /// A main checkout at `root/repo` on branch `main` and a linked
+    /// worktree inside it at `root/repo/target/wt`, laid out as
+    /// `git worktree add` does; returns the worktree's git directory.
+    fn worktree_layout(root: &Path, gitdir_line: &str) -> std::path::PathBuf {
+        let _ = std::fs::remove_dir_all(root);
+        let git = root.join("repo/.git");
+        let wt_git = git.join("worktrees/wt");
+        std::fs::create_dir_all(git.join("refs/heads")).unwrap();
+        std::fs::create_dir_all(&wt_git).unwrap();
+        std::fs::create_dir_all(root.join("repo/target/wt/src")).unwrap();
+        std::fs::write(git.join("HEAD"), "ref: refs/heads/main\n").unwrap();
+        std::fs::write(git.join("refs/heads/main"), format!("{}\n", "a".repeat(40))).unwrap();
+        std::fs::write(wt_git.join("commondir"), "../..\n").unwrap();
+        std::fs::write(root.join("repo/target/wt/.git"), gitdir_line).unwrap();
+        wt_git
+    }
+
+    #[test]
+    fn a_worktree_reports_its_own_detached_head() {
+        let root = std::env::temp_dir().join(format!("obs_git_detached_{}", std::process::id()));
+        let wt_git = worktree_layout(
+            &root,
+            &format!(
+                "gitdir: {}\n",
+                root.join("repo/.git/worktrees/wt").display()
+            ),
+        );
+        std::fs::write(wt_git.join("HEAD"), format!("{}\n", "b".repeat(40))).unwrap();
+        assert_eq!(
+            git_sha_from(&root.join("repo/target/wt/src")),
+            Some("b".repeat(40))
+        );
+        // the enclosing checkout keeps its own commit
+        assert_eq!(
+            git_sha_from(&root.join("repo/target")),
+            Some("a".repeat(40))
+        );
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_worktree_branch_resolves_in_the_common_dir() {
+        let root = std::env::temp_dir().join(format!("obs_git_branch_{}", std::process::id()));
+        // a relative gitdir, resolved against the worktree
+        let wt_git = worktree_layout(&root, "gitdir: ../../.git/worktrees/wt\n");
+        std::fs::write(wt_git.join("HEAD"), "ref: refs/heads/feature\n").unwrap();
+        let git = root.join("repo/.git");
+        std::fs::write(
+            git.join("packed-refs"),
+            format!(
+                "# pack-refs with: peeled\n{} refs/heads/feature\n",
+                "c".repeat(40)
+            ),
+        )
+        .unwrap();
+        let wt = root.join("repo/target/wt");
+        assert_eq!(git_sha_from(&wt), Some("c".repeat(40)));
+        // a loose ref overrides the packed one
+        std::fs::write(git.join("refs/heads/feature"), "d".repeat(40)).unwrap();
+        assert_eq!(git_sha_from(&wt), Some("d".repeat(40)));
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

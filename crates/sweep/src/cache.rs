@@ -196,23 +196,6 @@ impl DiskCache {
         fs::rename(&tmp, self.path_for(key))?;
         Ok(())
     }
-
-    /// `get` falling back to `compute` (+ `put`) on miss or corruption.
-    /// A failed write is reported but does not fail the computation.
-    pub fn get_or_compute<T, F>(&self, key: &CacheKey, compute: F) -> T
-    where
-        T: Serialize + Deserialize,
-        F: FnOnce() -> T,
-    {
-        if let CacheOutcome::Hit(v) = self.get(key) {
-            return v;
-        }
-        let v = compute();
-        if let Err(e) = self.put(key, &v) {
-            brick_obs::warn!("could not write cache entry {}: {e}", key.file_name());
-        }
-        v
-    }
 }
 
 #[cfg(test)]
@@ -277,8 +260,8 @@ mod tests {
         let k = key(64);
         fs::write(c.path_for(&k), "{not json").unwrap();
         assert!(matches!(c.get::<u64>(&k), CacheOutcome::Corrupt(_)));
-        // and get_or_compute recovers by recomputing + repairing the entry
-        assert_eq!(c.get_or_compute(&k, || 7u64), 7);
+        // and storing the recomputed value repairs the entry
+        c.put(&k, &7u64).unwrap();
         assert!(matches!(c.get::<u64>(&k), CacheOutcome::Hit(7)));
     }
 
@@ -298,6 +281,7 @@ mod tests {
         let k = key(64);
         c.put(&k, &"a string").unwrap();
         assert!(matches!(c.get::<u64>(&k), CacheOutcome::Corrupt(_)));
-        assert_eq!(c.get_or_compute(&k, || 9u64), 9);
+        c.put(&k, &9u64).unwrap();
+        assert!(matches!(c.get::<u64>(&k), CacheOutcome::Hit(9)));
     }
 }

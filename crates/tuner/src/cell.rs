@@ -23,6 +23,11 @@
 //! 5. `score` — [`assemble`] into a [`Measurement`], then `cache-io`
 //!    again to store it.
 //!
+//! [`CellRun`] is the one fan-out every pipeline runs its cell lists
+//! through: it opens the evaluator under the run's span, spreads each
+//! list over the worker threads, times every cell, reduces the results in
+//! cell order and finishes the run's manifest.
+//!
 //! The disk key hashes the shape and the specialization vector, not the
 //! program text. A codegen or analyzer change that alters any program
 //! must therefore bump [`SCHEMA_VERSION`]; a root test pins the program
@@ -32,7 +37,9 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
@@ -40,10 +47,12 @@ use brick_codegen::{generate, CodegenError, LayoutKind, SpecParams, Strategy};
 use brick_core::{BrickDecomp, BrickDims, BrickNav, BrickOrdering};
 use brick_dsl::shape::StencilShape;
 use brick_dsl::StencilAnalysis;
-use brick_sweep::{CacheKey, CacheOutcome, DiskCache, KeyBuilder};
+use brick_obs::RunManifest;
+use brick_sweep::{map_cells, CacheKey, CacheOutcome, DiskCache, Jobs, KeyBuilder};
 use brick_vm::{KernelSpec, ScalarKernel, TraceGeometry};
 use gpu_sim::{
-    assemble, compile_only, simulate_memory_opts, GpuArch, MemCounters, ProgModel, SimOptions,
+    assemble, compile_only, simulate_memory_opts, GpuArch, GpuKind, MemCounters, ProgModel,
+    SimOptions,
 };
 use roofline::Roofline;
 
@@ -371,6 +380,48 @@ pub enum Outcome {
 /// `Some`, it must decide as it would after answering `false` to `None`.
 pub type PruneTest<'a> = &'a dyn Fn(Option<f64>) -> bool;
 
+/// Why a sweep or a tuner run produced no records.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RunError {
+    /// The programming model is not supported on the GPU: there is no
+    /// compiler model for the pair, hence no Roofline.
+    Unsupported(GpuKind, ProgModel),
+    /// The domain size does not suit the run: the sweep parameters failed
+    /// validation, or a tuner group's paper baseline is invalid at `n`.
+    BadDomain(String),
+    /// A tuner group's entire candidate space failed validity.
+    NoFeasiblePoint {
+        /// Stencil label.
+        stencil: String,
+        /// GPU.
+        gpu: GpuKind,
+        /// Programming model.
+        model: ProgModel,
+    },
+    /// The tuning space has an empty axis.
+    EmptySpace,
+    /// The on-disk result cache could not be opened.
+    Cache(String),
+}
+
+impl fmt::Display for RunError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RunError::Unsupported(g, m) => write!(f, "{m} unsupported on {g}"),
+            RunError::BadDomain(e) => write!(f, "bad domain: {e}"),
+            RunError::NoFeasiblePoint {
+                stencil,
+                gpu,
+                model,
+            } => write!(f, "no feasible tuning point for {stencil} on {gpu}/{model}"),
+            RunError::EmptySpace => f.write_str("empty tuning space"),
+            RunError::Cache(e) => write!(f, "result cache unavailable: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for RunError {}
+
 /// One target cells run on.
 #[derive(Debug, Clone)]
 pub struct Target {
@@ -378,8 +429,8 @@ pub struct Target {
     pub arch: GpuArch,
     /// Programming model.
     pub model: ProgModel,
-    /// The empirical Roofline (`None` for an unsupported pair).
-    pub roofline: Option<Roofline>,
+    /// The empirical Roofline.
+    pub roofline: Roofline,
     fingerprint: u64,
 }
 
@@ -402,12 +453,36 @@ impl<K: Hash + Eq, V> Memo<K, V> {
     }
 }
 
-fn cache_counters() -> (u64, u64, u64) {
-    (
-        brick_obs::counter_value("sweep.cache.hits"),
-        brick_obs::counter_value("sweep.cache.misses"),
-        brick_obs::counter_value("sweep.cache.corrupt"),
-    )
+/// One evaluator's cache probes: hits, misses and corrupt entries. The
+/// process-wide `sweep.cache.*` counters also count the probes of any
+/// other run in the process; these count this evaluator's alone.
+#[derive(Default)]
+struct Probes([AtomicU64; 3]);
+
+impl Probes {
+    /// Look `key` up, counting the outcome.
+    fn get<T: Deserialize>(&self, cache: &DiskCache, key: &CacheKey) -> Option<T> {
+        let (slot, value) = match cache.get(key) {
+            CacheOutcome::Hit(v) => (0, Some(v)),
+            CacheOutcome::Miss => (1, None),
+            CacheOutcome::Corrupt(_) => (2, None),
+        };
+        self.0[slot].fetch_add(1, Ordering::Relaxed);
+        value
+    }
+
+    fn counts(&self) -> (u64, u64, u64) {
+        let [h, m, c] = &self.0;
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        (load(h), load(m), load(c))
+    }
+}
+
+/// Store `value` under `key`; a failed write costs only a later recompute.
+fn put(cache: &DiskCache, key: &CacheKey, value: &impl Serialize) {
+    if let Err(e) = cache.put(key, value) {
+        brick_obs::warn!("could not cache {}: {e}", key.file_name());
+    }
 }
 
 /// The identity of one target's Roofline: every input
@@ -438,7 +513,7 @@ pub struct Evaluator {
     n: usize,
     cache: Option<DiskCache>,
     targets: Vec<Target>,
-    counters_at_open: (u64, u64, u64),
+    probes: Probes,
     lint: brick_lint::FingerprintCache,
     programs: Memo<ProgramKey, KernelSpec>,
     geometries: Memo<GeometryKey, TraceGeometry>,
@@ -448,14 +523,19 @@ pub struct Evaluator {
 impl Evaluator {
     /// Open the disk cache under `cache_dir` (none when `None`) and
     /// measure, or load, the Roofline of every target (`rooflines` phase).
-    pub fn open(
+    /// A target without a Roofline (a model its GPU does not support) is
+    /// [`RunError::Unsupported`].
+    pub(crate) fn open(
         n: usize,
         cache_dir: Option<&Path>,
         targets: impl IntoIterator<Item = (GpuArch, ProgModel)>,
-    ) -> std::io::Result<Evaluator> {
-        let counters_at_open = cache_counters();
-        let cache = cache_dir.map(DiskCache::open).transpose()?;
-        let targets: Vec<Target> = {
+    ) -> Result<Evaluator, RunError> {
+        let probes = Probes::default();
+        let cache = cache_dir
+            .map(DiskCache::open)
+            .transpose()
+            .map_err(|e| RunError::Cache(e.to_string()))?;
+        let targets = {
             let _phase = brick_obs::span_cat("rooflines", "phase");
             targets
                 .into_iter()
@@ -468,28 +548,33 @@ impl Evaluator {
                                 arch: fingerprint,
                                 model,
                             };
-                            c.get_or_compute(&id.disk_key(), measure)
+                            let key = id.disk_key();
+                            probes.get(c, &key).unwrap_or_else(|| {
+                                let roofline = measure();
+                                if roofline.is_some() {
+                                    put(c, &key, &roofline);
+                                }
+                                roofline
+                            })
                         }
                         None => measure(),
-                    };
-                    Target {
+                    }
+                    .ok_or(RunError::Unsupported(arch.kind, model))?;
+                    Ok(Target {
                         arch,
                         model,
                         roofline,
                         fingerprint,
-                    }
+                    })
                 })
-                .collect()
+                .collect::<Result<Vec<Target>, RunError>>()?
         };
-        brick_obs::gauge_set(
-            "sweep.rooflines",
-            targets.iter().filter(|t| t.roofline.is_some()).count() as f64,
-        );
+        brick_obs::gauge_set("sweep.rooflines", targets.len() as f64);
         Ok(Evaluator {
             n,
             cache,
             targets,
-            counters_at_open,
+            probes,
             lint: brick_lint::FingerprintCache::new(),
             programs: Memo::new(),
             geometries: Memo::new(),
@@ -500,13 +585,6 @@ impl Evaluator {
     /// The targets, in the order they were given.
     pub fn targets(&self) -> &[Target] {
         &self.targets
-    }
-
-    /// `sweep.cache.{hits,misses,corrupt}` since [`Evaluator::open`].
-    pub fn cache_counts(&self) -> (u64, u64, u64) {
-        let (h, m, c) = cache_counters();
-        let (h0, m0, c0) = self.counters_at_open;
-        (h - h0, m - m0, c - c0)
     }
 
     /// The identity of `cell`.
@@ -541,9 +619,8 @@ impl Evaluator {
     /// answers only a lookup with a pruning test; a cached measurement
     /// answers one only after the test keeps it.
     ///
-    /// Panics if the cell's target does not support its model, or if the
-    /// generated program fails static verification — a kernel the
-    /// analyzer rejects has no business producing numbers.
+    /// Panics if the generated program fails static verification — a
+    /// kernel the analyzer rejects has no business producing numbers.
     pub fn evaluate(&self, cell: &Cell, prune: Option<PruneTest<'_>>) -> Outcome {
         let target = &self.targets[cell.target];
         let (arch, model) = (&target.arch, target.model);
@@ -561,10 +638,7 @@ impl Evaluator {
         let key = self.cache.as_ref().map(|_| id.disk_key());
         let cached = self.cache.as_ref().zip(key.as_ref()).and_then(|(c, key)| {
             let _phase = brick_obs::span_cat("cache-io", "phase");
-            match c.get::<Cached>(key) {
-                CacheOutcome::Hit(v) => Some(v.measured),
-                _ => None,
-            }
+            self.probes.get::<Cached>(c, key).map(|v| v.measured)
         });
         match (cached, prune) {
             (Some(Some(m)), Some(pruned)) if pruned(Some(m.occupancy)) => return Outcome::Pruned,
@@ -578,9 +652,7 @@ impl Evaluator {
                 let value = Cached {
                     measured: measured.cloned(),
                 };
-                if let Err(e) = c.put(key, &value) {
-                    brick_obs::warn!("could not cache {}: {e}", key.file_name());
-                }
+                put(c, key, &value);
             }
         };
         if prune.is_some_and(|pruned| pruned(None)) {
@@ -645,6 +717,95 @@ impl Evaluator {
     }
 }
 
+/// One run of a pipeline: an [`Evaluator`] over the run's targets, the
+/// cell lists fanned out through it, and the run's manifest. Every
+/// manifest field means the same for the paper sweep, the temporal sweep
+/// and the tuner: `wall_s` spans [`CellRun::open`] to [`CellRun::finish`],
+/// `record_wall_s` holds the wall time of every cell that produced a
+/// record, and `jobs` and the cache counts are the run's.
+pub struct CellRun {
+    ev: Evaluator,
+    jobs: Jobs,
+    start: Instant,
+    manifest: RunManifest,
+    record_wall_s: Vec<f64>,
+    _span: brick_obs::SpanGuard,
+}
+
+impl CellRun {
+    /// Begin a run's manifest (hashing `config`), open its span
+    /// (`{span}:{n}^3`) and, under it, the evaluator.
+    pub fn open(
+        span: &str,
+        config: &impl Serialize,
+        n: usize,
+        cache_dir: Option<&Path>,
+        jobs: Jobs,
+        targets: impl IntoIterator<Item = (GpuArch, ProgModel)>,
+    ) -> Result<CellRun, RunError> {
+        let start = Instant::now();
+        let manifest = RunManifest::begin(
+            &serde_json::to_string(config).expect("run configurations serialize"),
+        );
+        let span = brick_obs::span_cat(format!("{span}:{n}^3"), "sweep");
+        let ev = Evaluator::open(n, cache_dir, targets)?;
+        Ok(CellRun {
+            ev,
+            jobs,
+            start,
+            manifest,
+            record_wall_s: Vec::new(),
+            _span: span,
+        })
+    }
+
+    /// The run's evaluator.
+    pub fn evaluator(&self) -> &Evaluator {
+        &self.ev
+    }
+
+    /// Apply `f` to every cell on the run's worker threads (fan-out
+    /// `label`) and return the results in cell order. A cell `f` maps to
+    /// `None` (a pruned tuner candidate) produced no record: its wall time
+    /// stays out of the manifest.
+    pub fn map<C: Sync, R: Send>(
+        &mut self,
+        label: &str,
+        cells: &[C],
+        f: impl Fn(&Evaluator, &C) -> Option<R> + Sync,
+    ) -> Vec<Option<R>> {
+        let t = Instant::now();
+        let ev = &self.ev;
+        let timed = map_cells(label, cells, self.jobs, |_, cell| {
+            let t0 = Instant::now();
+            f(ev, cell).map(|r| (r, t0.elapsed().as_secs_f64()))
+        });
+        brick_obs::info!(
+            "{label}: {} cells in {:.2}s",
+            cells.len(),
+            t.elapsed().as_secs_f64()
+        );
+        timed
+            .into_iter()
+            .map(|r| {
+                r.map(|(r, wall)| {
+                    self.record_wall_s.push(wall);
+                    r
+                })
+            })
+            .collect()
+    }
+
+    /// Finish the manifest: wall times, worker count and the evaluator's
+    /// cache hits, misses and corrupt entries, Roofline lookups included.
+    /// Closes the run's span.
+    pub fn finish(self) -> RunManifest {
+        self.manifest
+            .finish(self.start.elapsed().as_secs_f64(), self.record_wall_s)
+            .with_sweep_info(self.jobs.count() as u64, self.ev.probes.counts())
+    }
+}
+
 /// Statically verify a vector program against the `T`-fold composed
 /// stencil, memoised by kernel fingerprint. Scalar kernels have no IR and
 /// pass through. Register pressure (spills, occupancy) is priced by the
@@ -685,6 +846,18 @@ mod tests {
             spec,
             target: 0,
         }
+    }
+
+    #[test]
+    fn a_target_without_a_roofline_is_unsupported() {
+        let err = Evaluator::open(64, None, [(GpuArch::pvc_stack(), ProgModel::Cuda)])
+            .err()
+            .expect("PVC has no CUDA compiler model");
+        assert_eq!(
+            err,
+            RunError::Unsupported(GpuKind::PvcStack, ProgModel::Cuda)
+        );
+        assert_eq!(err.to_string(), "CUDA unsupported on PVC");
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //! 3. **Measurement** — surviving cells go through the cell evaluator
 //!    ([`cell`], shared with the paper and temporal sweeps): generated,
 //!    statically verified by `brick-lint`, simulated and cached. They are
-//!    ranked by GFLOP/s with fingerprint tie-breaks, in parallel via
-//!    [`brick_sweep::map_cells`].
+//!    ranked by GFLOP/s with fingerprint tie-breaks, fanned out through
+//!    the same [`cell::CellRun`] as the sweeps.
 //!
 //! The ranked table is deterministic: byte-identical at any `--jobs`
 //! count and across warm/cold cache runs.
@@ -50,12 +50,11 @@ pub mod cell;
 pub mod space;
 pub mod validity;
 
-pub use cell::KernelConfig;
+pub use cell::{KernelConfig, RunError};
 pub use space::TuningSpace;
 pub use validity::{validate, Invalid};
 
 use std::collections::BTreeMap;
-use std::fmt;
 use std::path::PathBuf;
 
 use serde::{Deserialize, Serialize};
@@ -63,10 +62,10 @@ use serde::{Deserialize, Serialize};
 use brick_codegen::SpecParams;
 use brick_dsl::shape::StencilShape;
 use brick_dsl::{min_live_registers, StencilAnalysis};
-use brick_sweep::{map_cells, Jobs};
+use brick_sweep::Jobs;
 use gpu_sim::{GpuArch, GpuKind, ProgModel};
 
-use cell::{Cell, Evaluator, Measurement, Outcome};
+use cell::{Cell, CellRun, Measurement, Outcome};
 
 /// Safety margin on the pruning bound: a candidate is dropped only when
 /// its upper bound times this margin is still below the measured paper
@@ -220,11 +219,6 @@ impl TuneReport {
             .iter()
             .find(|g| g.gpu == gpu && g.model == model && g.stencil == stencil)
     }
-
-    /// Total cells measured across groups.
-    pub fn total_evaluated(&self) -> u64 {
-        self.groups.iter().map(|g| g.evaluated).sum()
-    }
 }
 
 /// One tuning target: an architecture description plus a programming
@@ -324,47 +318,6 @@ impl TuneOptions {
     }
 }
 
-/// Errors from the tuner.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TuneError {
-    /// The programming model is not supported on the GPU.
-    Unsupported(GpuKind, ProgModel),
-    /// Domain/baseline incompatible with a target (the paper-default
-    /// anchor itself fails validity).
-    BadDomain(String),
-    /// A group's entire candidate space failed validity.
-    NoFeasiblePoint {
-        /// Stencil label.
-        stencil: String,
-        /// GPU.
-        gpu: GpuKind,
-        /// Programming model.
-        model: ProgModel,
-    },
-    /// The search space has an empty axis.
-    EmptySpace,
-    /// Cache directory could not be opened.
-    Cache(String),
-}
-
-impl fmt::Display for TuneError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TuneError::Unsupported(g, m) => write!(f, "{m} unsupported on {g}"),
-            TuneError::BadDomain(e) => write!(f, "bad domain: {e}"),
-            TuneError::NoFeasiblePoint {
-                stencil,
-                gpu,
-                model,
-            } => write!(f, "no feasible tuning point for {stencil} on {gpu}/{model}"),
-            TuneError::EmptySpace => f.write_str("empty tuning space"),
-            TuneError::Cache(e) => write!(f, "cache: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for TuneError {}
-
 /// Serialized run configuration hashed into the manifest.
 #[derive(Serialize)]
 struct TuneConfig {
@@ -392,16 +345,10 @@ fn tally(outcome: Outcome) -> Option<Measurement> {
 
 /// Run the full tuning matrix. Deterministic: the serialized `groups`
 /// are byte-identical at any jobs count and across warm/cold caches.
-pub fn tune_matrix(opts: &TuneOptions) -> Result<TuneReport, TuneError> {
+pub fn tune_matrix(opts: &TuneOptions) -> Result<TuneReport, RunError> {
     if opts.space.is_empty() {
-        return Err(TuneError::EmptySpace);
+        return Err(RunError::EmptySpace);
     }
-    for t in &opts.targets {
-        if !t.model.supports(t.arch.kind) {
-            return Err(TuneError::Unsupported(t.arch.kind, t.model));
-        }
-    }
-    let start = std::time::Instant::now();
     let config = TuneConfig {
         n: opts.n,
         prune: opts.prune,
@@ -412,17 +359,16 @@ pub fn tune_matrix(opts: &TuneOptions) -> Result<TuneReport, TuneError> {
             .collect(),
         space: opts.space.clone(),
     };
-    let manifest =
-        brick_obs::RunManifest::begin(&serde_json::to_string(&config).expect("config serializes"));
-    let _span = brick_obs::span_cat(format!("tune:{}^3", opts.n), "sweep");
     // Empirical rooflines per target (reported in records; pruning uses
     // the theoretical ceilings, which dominate these).
-    let ev = Evaluator::open(
+    let mut run = CellRun::open(
+        "tune",
+        &config,
         opts.n,
         opts.cache_dir.as_deref(),
+        opts.jobs,
         opts.targets.iter().map(|t| (t.arch.clone(), t.model)),
-    )
-    .map_err(|e| TuneError::Cache(e.to_string()))?;
+    )?;
 
     // Plan groups: enumerate + validate, in canonical order.
     struct GroupPlan {
@@ -441,7 +387,7 @@ pub fn tune_matrix(opts: &TuneOptions) -> Result<TuneReport, TuneError> {
         for (ti, target) in opts.targets.iter().enumerate() {
             let baseline = SpecParams::paper_default(target.arch.simd_width);
             if let Err(reason) = validate(&baseline, shape, &target.arch, opts.n) {
-                return Err(TuneError::BadDomain(format!(
+                return Err(RunError::BadDomain(format!(
                     "paper baseline invalid for {} on {}/{}: {reason}",
                     shape.label(),
                     target.arch.kind,
@@ -466,7 +412,7 @@ pub fn tune_matrix(opts: &TuneOptions) -> Result<TuneReport, TuneError> {
             }
             let skipped: u64 = skip_reasons.values().sum();
             if valid.is_empty() && !candidates.contains(&baseline) {
-                return Err(TuneError::NoFeasiblePoint {
+                return Err(RunError::NoFeasiblePoint {
                     stencil: shape.label(),
                     gpu: target.arch.kind,
                     model: target.model,
@@ -484,14 +430,12 @@ pub fn tune_matrix(opts: &TuneOptions) -> Result<TuneReport, TuneError> {
             });
         }
     }
-    let valid_total: u64 = plans.iter().map(|p| p.valid.len() as u64 + 1).sum();
     brick_obs::info!(
-        "tune: {} groups, {} valid cells (of {} raw) at n={} (planned in {:.2}s)",
+        "tune: {} groups, {} valid cells (of {} raw) at n={}",
         plans.len(),
-        valid_total,
+        plans.iter().map(|p| p.valid.len() as u64 + 1).sum::<u64>(),
         plans.len() as u64 * candidates.len() as u64,
-        opts.n,
-        start.elapsed().as_secs_f64()
+        opts.n
     );
 
     let cell_of = |plan: &GroupPlan, spec: SpecParams| Cell {
@@ -500,14 +444,17 @@ pub fn tune_matrix(opts: &TuneOptions) -> Result<TuneReport, TuneError> {
         spec,
         target: plan.target,
     };
+    let rooflines: Vec<_> = run
+        .evaluator()
+        .targets()
+        .iter()
+        .map(|t| t.roofline)
+        .collect();
     let record_of = |plan: &GroupPlan, params: SpecParams, m: Measurement| TunedRecord {
         params,
         fingerprint: params.fingerprint(),
         kernel_fingerprint: m.kernel_fingerprint,
-        roofline_frac: ev.targets()[plan.target]
-            .roofline
-            .expect("supported targets have rooflines")
-            .fraction(m.gflops, m.ai),
+        roofline_frac: rooflines[plan.target].fraction(m.gflops, m.ai),
         gflops: m.gflops,
         ai: m.ai,
         time_s: m.time_s,
@@ -520,20 +467,15 @@ pub fn tune_matrix(opts: &TuneOptions) -> Result<TuneReport, TuneError> {
 
     // Phase 1 — measure every group's paper baseline (never pruned: it
     // is both the comparison anchor and the pruning reference).
-    let t_base = std::time::Instant::now();
-    let plan_refs: Vec<usize> = (0..plans.len()).collect();
-    let baselines: Vec<(TunedRecord, f64)> =
-        map_cells("tune.baselines", &plan_refs, opts.jobs, |_, &gi| {
-            let t0 = std::time::Instant::now();
-            let plan = &plans[gi];
+    let baselines: Vec<TunedRecord> = run
+        .map("tune.baselines", &plans, |ev, plan| {
             let m = tally(ev.evaluate(&cell_of(plan, plan.baseline), None))
                 .expect("the baseline is never pruned");
-            (
-                record_of(plan, plan.baseline, m),
-                t0.elapsed().as_secs_f64(),
-            )
-        });
-    brick_obs::info!("tune: baselines in {:.2}s", t_base.elapsed().as_secs_f64());
+            Some(record_of(plan, plan.baseline, m))
+        })
+        .into_iter()
+        .flatten()
+        .collect();
 
     // Phase 2 — prune + measure candidates, all groups in one fan-out.
     // Two prune tiers: the structural bound costs nothing; when it is
@@ -544,12 +486,10 @@ pub fn tune_matrix(opts: &TuneOptions) -> Result<TuneReport, TuneError> {
         .enumerate()
         .flat_map(|(gi, plan)| plan.valid.iter().map(move |p| (gi, *p)))
         .collect();
-    let t_cells = std::time::Instant::now();
-    let outcomes = map_cells("tune.cells", &flat, opts.jobs, |_, &(gi, p)| {
-        let t0 = std::time::Instant::now();
+    let outcomes = run.map("tune.cells", &flat, |ev, &(gi, p)| {
         let plan = &plans[gi];
         let arch = &opts.targets[plan.target].arch;
-        let reference = baselines[gi].0.gflops;
+        let reference = baselines[gi].gflops;
         let pruned = |occupancy: Option<f64>| {
             let mut bound = roofline_upper_bound(&p, &plan.shape, arch);
             if let (true, Some(occ)) = (bound * PRUNE_MARGIN >= reference, occupancy) {
@@ -558,32 +498,22 @@ pub fn tune_matrix(opts: &TuneOptions) -> Result<TuneReport, TuneError> {
             bound * PRUNE_MARGIN < reference
         };
         let prune = opts.prune.then_some(&pruned as cell::PruneTest<'_>);
-        tally(ev.evaluate(&cell_of(plan, p), prune))
-            .map(|m| (record_of(plan, p, m), t0.elapsed().as_secs_f64()))
+        tally(ev.evaluate(&cell_of(plan, p), prune)).map(|m| record_of(plan, p, m))
     });
-    brick_obs::info!(
-        "tune: {} cells in {:.2}s",
-        flat.len(),
-        t_cells.elapsed().as_secs_f64()
-    );
 
     // Reduce: rank per group.
     let mut per_group: Vec<Vec<TunedRecord>> = plans.iter().map(|_| Vec::new()).collect();
     let mut pruned_per_group: Vec<u64> = vec![0; plans.len()];
-    let mut record_wall_s: Vec<f64> = baselines.iter().map(|(_, w)| *w).collect();
     for (&(gi, _), outcome) in flat.iter().zip(outcomes) {
         match outcome {
-            Some((record, wall)) => {
-                per_group[gi].push(record);
-                record_wall_s.push(wall);
-            }
+            Some(record) => per_group[gi].push(record),
             None => pruned_per_group[gi] += 1,
         }
     }
 
     let mut groups = Vec::with_capacity(plans.len());
     for (gi, plan) in plans.iter().enumerate() {
-        let (baseline, _) = &baselines[gi];
+        let baseline = &baselines[gi];
         let mut ranked = std::mem::take(&mut per_group[gi]);
         ranked.push(baseline.clone());
         let evaluated = ranked.len() as u64;
@@ -613,16 +543,13 @@ pub fn tune_matrix(opts: &TuneOptions) -> Result<TuneReport, TuneError> {
         });
     }
 
-    let manifest = manifest
-        .finish(start.elapsed().as_secs_f64(), record_wall_s)
-        .with_sweep_info(opts.jobs.count() as u64, ev.cache_counts())
-        .with_tune_info(
-            opts.space.fingerprint(),
-            groups.iter().map(|g| g.raw_candidates).sum(),
-            groups.iter().map(|g| g.evaluated).sum(),
-            groups.iter().map(|g| g.pruned).sum(),
-            groups.iter().map(|g| g.skipped).sum(),
-        );
+    let manifest = run.finish().with_tune_info(
+        opts.space.fingerprint(),
+        groups.iter().map(|g| g.raw_candidates).sum(),
+        groups.iter().map(|g| g.evaluated).sum(),
+        groups.iter().map(|g| g.pruned).sum(),
+        groups.iter().map(|g| g.skipped).sum(),
+    );
     Ok(TuneReport {
         n: opts.n,
         space_fingerprint: opts.space.fingerprint(),
@@ -639,7 +566,7 @@ pub fn autotune(
     model: ProgModel,
     n: usize,
     space: &TuningSpace,
-) -> Result<TuneGroup, TuneError> {
+) -> Result<TuneGroup, RunError> {
     let opts = TuneOptions {
         n,
         shapes: vec![*shape],
@@ -715,7 +642,7 @@ mod tests {
                 &small_space(),
             )
             .unwrap_err(),
-            TuneError::Unsupported(GpuKind::PvcStack, ProgModel::Cuda)
+            RunError::Unsupported(GpuKind::PvcStack, ProgModel::Cuda)
         );
     }
 
@@ -729,7 +656,7 @@ mod tests {
                 100,
                 &small_space(),
             ),
-            Err(TuneError::BadDomain(_))
+            Err(RunError::BadDomain(_))
         ));
     }
 
@@ -746,7 +673,7 @@ mod tests {
                 &space,
             )
             .unwrap_err(),
-            TuneError::EmptySpace
+            RunError::EmptySpace
         );
     }
 
@@ -869,7 +796,10 @@ mod tests {
             assert!(g.ranked.len() <= 3);
             assert!(g.evaluated + g.pruned + g.skipped >= g.raw_candidates);
         }
-        assert_eq!(report.manifest.tune_valid_cells, report.total_evaluated());
+        assert_eq!(
+            report.manifest.tune_valid_cells,
+            report.groups.iter().map(|g| g.evaluated).sum::<u64>()
+        );
         assert_eq!(
             report.manifest.tune_space_fingerprint,
             report.space_fingerprint

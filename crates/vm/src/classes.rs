@@ -211,14 +211,6 @@ impl BlockClasses {
             }
         }
     }
-
-    /// Total events across all blocks (what an exact trace would issue).
-    pub fn total_events(&self) -> u64 {
-        self.blocks
-            .iter()
-            .map(|b| self.classes[b.class as usize].events.len() as u64)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -305,7 +297,12 @@ mod tests {
         for i in 0..geom.num_blocks() {
             spec.trace_block(&geom, i, &mut oracle).unwrap();
         }
-        assert_eq!(classes.total_events(), oracle.events.len() as u64);
+        let replayed: usize = classes
+            .blocks
+            .iter()
+            .map(|b| classes.classes[b.class as usize].events.len())
+            .sum();
+        assert_eq!(replayed, oracle.events.len());
     }
 
     #[test]

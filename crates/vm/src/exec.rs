@@ -67,17 +67,6 @@ pub fn executor_threads() -> usize {
     rayon::current_num_threads()
 }
 
-/// Per-axis reach of the kernel's loads: `[x, y, z]` distances outside the
-/// home block, i.e. the ghost/halo coverage the kernel requires.
-///
-/// Delegates to the analyzer's footprint pass ([`brick_lint::load_reach`]),
-/// which derives it from load *addresses* — the shift-distance inference
-/// that used to live here is subsumed because narrowed edge loads
-/// materialise exactly the lanes the shuffles consume.
-pub fn kernel_reach(kernel: &VectorKernel) -> [i64; 3] {
-    brick_lint::load_reach(kernel)
-}
-
 /// Straight-line IR interpreter over one block.
 ///
 /// `read_row(rx, ry, rz, dst)` must fill `dst` with the input row;
@@ -785,7 +774,7 @@ mod tests {
             let b = st.default_bindings();
             let k = generate(&st, &b, LayoutKind::Brick, 16, CodegenOptions::default()).unwrap();
             let r = shape.radius as i64;
-            assert_eq!(kernel_reach(&k), [r, r, r], "{shape}");
+            assert_eq!(brick_lint::load_reach(&k), [r, r, r], "{shape}");
         }
     }
 

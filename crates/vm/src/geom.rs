@@ -51,11 +51,6 @@ impl ArrayAddr {
         (self.nx + 2 * self.pad_x) * (self.ny + 2 * self.halo) * (self.nz + 2 * self.halo)
     }
 
-    /// Allocated bytes.
-    pub fn storage_bytes(&self) -> u64 {
-        self.storage_len() as u64 * 8
-    }
-
     /// Byte offset of a logical point (interior origin at `(0,0,0)`;
     /// negative coordinates address halo/padding).
     #[inline]
@@ -119,13 +114,6 @@ impl TraceGeometry {
             in_base: DEFAULT_IN_BASE,
             out_base: DEFAULT_OUT_BASE,
         }
-    }
-
-    /// Override the allocation base addresses.
-    pub fn with_bases(mut self, in_base: u64, out_base: u64) -> Self {
-        self.in_base = in_base;
-        self.out_base = out_base;
-        self
     }
 
     /// The layout this geometry models.
@@ -253,7 +241,5 @@ mod tests {
     fn bases_default_distinct() {
         let g = TraceGeometry::array((8, 8, 8), 1, BrickDims::new(4, 4, 4));
         assert_ne!(g.in_base, g.out_base);
-        let g2 = g.with_bases(0, 1 << 30);
-        assert_eq!(g2.in_base, 0);
     }
 }

@@ -21,7 +21,7 @@ pub mod trace;
 
 pub use classes::{BlockClasses, CompiledTrace, StreamEvent};
 pub use exec::{
-    executor_threads, kernel_reach, run_vector_array, run_vector_array_backend, run_vector_brick,
+    executor_threads, run_vector_array, run_vector_array_backend, run_vector_brick,
     run_vector_brick_backend, trace_vector_block, VmError,
 };
 pub use geom::{ArrayAddr, TraceGeometry, DEFAULT_IN_BASE, DEFAULT_OUT_BASE};
@@ -65,11 +65,6 @@ impl KernelSpec {
             KernelSpec::Vector(k) => k.block,
             KernelSpec::Scalar(k) => k.block,
         }
-    }
-
-    /// True for generated (vector) kernels.
-    pub fn is_codegen(&self) -> bool {
-        matches!(self, KernelSpec::Vector(_))
     }
 
     /// Replay the address stream of launch block `i` into `sink`.
@@ -184,10 +179,8 @@ mod tests {
         let vk = KernelSpec::Vector(
             generate(&st, &b, LayoutKind::Brick, 32, CodegenOptions::default()).unwrap(),
         );
-        assert!(vk.is_codegen());
         assert_eq!(vk.block().bx, 32);
         let sk = KernelSpec::Scalar(ScalarKernel::new(&st, &b, LayoutKind::Array, 64).unwrap());
-        assert!(!sk.is_codegen());
         assert_eq!(sk.block().bx, 64);
         assert!(sk.name().contains("array"));
     }

@@ -28,13 +28,6 @@ pub struct CountingSink {
     pub store_bytes: u64,
 }
 
-impl CountingSink {
-    /// Total bytes moved.
-    pub fn total_bytes(&self) -> u64 {
-        self.load_bytes + self.store_bytes
-    }
-}
-
 impl TraceSink for CountingSink {
     fn load(&mut self, _addr: u64, bytes: u32) {
         self.loads += 1;
@@ -99,7 +92,7 @@ mod tests {
         assert_eq!(s.loads, 2);
         assert_eq!(s.load_bytes, 512);
         assert_eq!(s.stores, 1);
-        assert_eq!(s.total_bytes(), 640);
+        assert_eq!(s.store_bytes, 128);
     }
 
     #[test]

@@ -80,7 +80,7 @@ brick-vm).
 For the paper's tables and figures, and for every measurement that
 writes a BENCH file, use the experiments binary:
   cargo run -p experiments --release -- --all
-  cargo run -p experiments --release -- --bench sim|exec|temporal|tune|overhead";
+  cargo run -p experiments --release -- --bench sim|exec|temporal|overhead";
 
 fn shape_of(kind: &str, radius: &str) -> Result<StencilShape, String> {
     let r: u32 = radius.parse().map_err(|e| format!("radius: {e}"))?;
